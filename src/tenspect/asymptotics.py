@@ -19,7 +19,7 @@ from .supports import (CombDegenerationCertificate, SupportSet,
                        tight_antichain_relabel)
 from .support_functionals import support_at_basis
 from .tensors import (BasisTuple, Tensor, binomial_basis_matrix,
-                      cap_set_tensor, invert_matrix, prime_field)
+                      cap_set_tensor, invert_matrix, prime_field, restrict)
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +151,12 @@ def capset_bound(m: int, p: int) -> CapsetReport:
     dom = prime_field(p)
     t = cap_set_tensor(m, p)
 
-    # shift leg 3 so the support becomes "sum = m-1 mod m"
+    # shift leg 3 so the support becomes "sum = m-1 mod m"; composing b_inv
+    # with the shift's permutation matrix moves column z - 1 to column z
     shift = [(x + 1) % m for x in range(m)]
-    b = binomial_basis_matrix(m, p)
-    perm = np.empty((m, m), dtype=object)
-    for w in range(m):
-        for z in range(m):
-            perm[w, z] = 1 if z == shift[w] else 0
-    b_inv = invert_matrix(b, dom)
-    third = np.tensordot(b_inv, perm, axes=(1, 0)) % p
-    coeff_maps = [b_inv, b_inv, third]
-    coeff = t
-    for leg, mmap in enumerate(coeff_maps):
-        coeff = _apply_single_leg(coeff, leg, mmap)
-    transformed = SupportSet.from_tensor(coeff)
+    b_inv = invert_matrix(binomial_basis_matrix(m, p), dom)
+    third = b_inv[:, [(z - 1) % m for z in range(m)]]
+    transformed = SupportSet.from_tensor(restrict(t, [b_inv, b_inv, third]))
     target = reduced_polymult_support(m)
     if set(transformed.points) != set(target.points):
         raise RuntimeError("binomial basis transform did not produce the tight support")
@@ -177,14 +169,6 @@ def capset_bound(m: int, p: int) -> CapsetReport:
     return CapsetReport(m=m, p=p, value=z.z, z=z, relabeling=tuple(shift),
                         transformed_support=transformed, target_support=target,
                         degeneration=cert, modular_support=shifted_support)
-
-
-def _apply_single_leg(t: Tensor, leg: int, mat) -> Tensor:
-    from .tensors import identity_matrix, restrict
-
-    maps = [mat if i == leg else identity_matrix(t.dims[i], t.domain)
-            for i in range(t.k)]
-    return restrict(t, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 
@@ -35,14 +34,6 @@ from .tensors import Tensor, build_family, dumps_tensor, load_tensor, parse_fami
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SPECTRAL_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def parse_theta(text: str, k: int) -> ThetaWeights:
@@ -89,15 +80,6 @@ def _load_input_support(args, attr="support") -> SupportSet:
     raise ValueError(f"provide --{attr} or --family")
 
 
-def _theta_records(theta: ThetaWeights) -> dict:
-    if theta.mode == "legs":
-        return {"mode": "legs",
-                "weights": [w for _, w in sorted(theta.items)]}
-    return {"mode": "bipartitions",
-            "weights": {"|".join(str(x + 1) for x in sorted(side)): w
-                        for side, w in theta.items}}
-
-
 def _round_floats(obj, digits: int):
     if isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
@@ -134,7 +116,6 @@ def emit(report: dict, args) -> str:
     report = dict(report)
     report["version"] = __version__
     report["seed"] = getattr(args, "seed", 0)
-    report["threads"] = _thread_cap()
     report.setdefault("tolerances", {"exact": True})
     rounded = _round_floats(report, args.digits)
     if args.format == "json":
@@ -171,8 +152,7 @@ def cmd_support_upper(args) -> dict:
     theta = parse_theta(args.theta, t.k)
     opts = BasisSearchOptions(restarts=args.restarts, steps=args.steps, seed=args.seed)
     rep = upper_support_functional(t, theta, opts)
-    return {"command": "support-upper", "theta": _theta_records(theta),
-            "tolerances": {"inner": INNER_TOL},
+    return {"command": "support-upper", "tolerances": {"inner": INNER_TOL},
             **rep.to_records()}
 
 
@@ -181,8 +161,7 @@ def cmd_support_lower(args) -> dict:
     theta = parse_theta(args.theta, t.k)
     opts = BasisSearchOptions(restarts=args.restarts, steps=args.steps, seed=args.seed)
     rep = lower_support_functional(t, theta, opts)
-    return {"command": "support-lower", "theta": _theta_records(theta),
-            "tolerances": {"inner": INNER_TOL},
+    return {"command": "support-lower", "tolerances": {"inner": INNER_TOL},
             **rep.to_records()}
 
 
@@ -191,7 +170,7 @@ def cmd_quantum_lower(args) -> dict:
     theta = parse_theta(args.theta, t.k)
     opts = AscentOptions(starts=args.starts, max_iter=args.iters, seed=args.seed)
     res = lower_quantum_functional(t, theta, opts)
-    return {"command": "quantum-lower", "theta": _theta_records(theta),
+    return {"command": "quantum-lower", "theta": theta.to_records(),
             "tolerances": {"grad": opts.grad_tol},
             "log2_value": res.value, "value": res.functional,
             "starts": len(res.start_values), "trace_length": len(res.trace)}
@@ -203,7 +182,7 @@ def cmd_quantum_cert(args) -> dict:
     res = upper_quantum_certificate(t, theta, args.power)
     witness = [{"side": [x + 1 for x in side], "partition": list(lam)}
                for side, lam in res.witness]
-    return {"command": "quantum-cert", "theta": _theta_records(theta),
+    return {"command": "quantum-cert", "theta": theta.to_records(),
             "tolerances": {"zero": 1e-8},
             "log2_value": res.value, "value": res.functional,
             "power": res.power, "surviving_tuples": res.surviving,
@@ -254,7 +233,7 @@ def cmd_subrank_asymptotic(args) -> dict:
             "log2_value": res.log2_value,
             "tolerances": {"minimax_gap": MINIMAX_TOL},
             "duality_gap": res.minimax.gap,
-            "theta": _theta_records(res.minimax.theta)}
+            "theta": res.minimax.theta.to_records()}
 
 
 def cmd_zn(args) -> dict:
@@ -298,7 +277,7 @@ def cmd_slicerank(args) -> dict:
     out = {"command": "slicerank", "mode": "asymptotic",
            "value": res.value, "log2_value": res.log2_value,
            "route": res.route, "tolerances": {"theta_min": 1e-3},
-           "theta": _theta_records(res.theta)}
+           "theta": res.theta.to_records()}
     if res.support_route_value is not None:
         out["support_route_log2"] = res.support_route_value
     return out

@@ -113,12 +113,6 @@ class ThetaWeights:
         items.sort(key=lambda kv: sorted(kv[0]))
         return cls("bipartitions", tuple(items))
 
-    @property
-    def k_hint(self) -> int | None:
-        if self.mode == "legs":
-            return len(self.items)
-        return None
-
     def leg_array(self, k: int) -> np.ndarray:
         if self.mode != "legs":
             raise ValueError("theta is not in legs mode")
@@ -128,6 +122,14 @@ class ThetaWeights:
                 raise ValueError(f"leg {leg} out of range for k={k}")
             arr[leg] += w
         return arr
+
+    def to_records(self) -> dict:
+        """Plain-data form for reports; bipartition sides are 1-based."""
+        if self.mode == "legs":
+            return {"mode": "legs", "weights": [w for _, w in sorted(self.items)]}
+        return {"mode": "bipartitions",
+                "weights": {"|".join(str(x + 1) for x in sorted(side)): w
+                            for side, w in self.items}}
 
     def bipartition_sides(self, k: int) -> tuple[tuple[frozenset, float], ...]:
         """View as bipartition weights; legs mode maps leg j to the side {j}
@@ -155,17 +157,6 @@ class ThetaWeights:
             else:
                 return False
         return True
-
-
-def permute_theta(theta: ThetaWeights, perm) -> ThetaWeights:
-    if theta.mode != "legs":
-        raise ValueError("only legs mode can be permuted here")
-    arr = [w for _, w in sorted(theta.items)]
-    k = len(arr)
-    out = [0.0] * k
-    for new, old in enumerate(perm):
-        out[new] = arr[old]
-    return ThetaWeights.from_legs(out)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +310,6 @@ def _face_polish(p: np.ndarray, evaluate, tol: float) -> np.ndarray | None:
 
     from scipy.optimize import minimize
 
-    warnings.filterwarnings("ignore", message="Values in x were outside bounds",
-                            category=RuntimeWarning)
     m = p.size
     act = p > 1e-12
     if not act.any():
@@ -336,21 +325,20 @@ def _face_polish(p: np.ndarray, evaluate, tol: float) -> np.ndarray | None:
         return -f, g[act]
 
     x0 = p[act] / p[act].sum()
-    res = minimize(negf, x0, jac=True, method="SLSQP",
-                   bounds=[(1e-15, 1.0)] * int(act.sum()),
-                   constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0,
-                                 "jac": lambda x: np.ones_like(x)}],
-                   options={"maxiter": 200, "ftol": 1e-16})
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Values in x were outside bounds",
+                                category=RuntimeWarning)
+        res = minimize(negf, x0, jac=True, method="SLSQP",
+                       bounds=[(1e-15, 1.0)] * int(act.sum()),
+                       constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0,
+                                     "jac": lambda x: np.ones_like(x)}],
+                       options={"maxiter": 200, "ftol": 1e-16})
     q = np.zeros(m)
     q[act] = np.maximum(res.x, 0.0)
     total = q.sum()
     if total <= 0:
         return None
     return q / total
-
-
-def h_theta_of_support(support: SupportSet, theta: ThetaWeights, **kw) -> float:
-    return max_H_theta(support, theta, **kw).value
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Small exact linear algebra over the rationals and prime fields.
 
 Everything works on lists of lists (rows) holding `Fraction`s or reduced
-ints mod p.  Sizes here are tiny, so plain Gaussian elimination is fine.
+ints mod p.  Sizes here are tiny, so one plain Gauss-Jordan elimination
+serves ranks, nullspaces and inverses over both fields.
 """
 
 from __future__ import annotations
@@ -11,13 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 
-def _inv_mod(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("not invertible mod p")
-    return pow(a, p - 2, p)
-
-
 def _as_rows(mat) -> list[list]:
     arr = np.asarray(mat, dtype=object)
     if arr.ndim != 2:
@@ -25,61 +19,50 @@ def _as_rows(mat) -> list[list]:
     return [list(row) for row in arr]
 
 
-def rref_fraction(mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot column list)."""
-    rows = [[Fraction(x) for x in row] for row in _as_rows(mat)]
+def _rref(mat, p: int | None = None) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination to reduced row echelon form over Q
+    (``p is None``, `Fraction` entries) or over F_p (ints in [0, p)).
+
+    Returns (rows, pivot column list).
+    """
+    if p is None:
+        rows = [[Fraction(x) for x in row] for row in _as_rows(mat)]
+    else:
+        rows = [[int(x) % p for x in row] for row in _as_rows(mat)]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if p is None:
+            inv = 1 / rows[r][c]
+            rows[r] = [x * inv for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], p - 2, p)
+            rows[r] = [x * inv % p for x in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
+            f = rows[i][c]
+            if i != r and f != 0:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                if p is not None:
+                    rows[i] = [x % p for x in rows[i]]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def rref_mod_p(mat, p: int) -> tuple[list[list[int]], list[int]]:
-    rows = [[int(x) % p for x in row] for row in _as_rows(mat)]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] % p != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = _inv_mod(rows[r][c], p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
     return rows, pivots
 
 
 def rank_fraction(mat) -> int:
-    return len(rref_fraction(mat)[1])
+    return len(_rref(mat)[1])
 
 
 def rank_mod_p(mat, p: int) -> int:
-    return len(rref_mod_p(mat, p)[1])
+    return len(_rref(mat, p)[1])
 
 
 def rank_complex(mat, rel_tol: float = 1e-9) -> int:
@@ -99,7 +82,7 @@ def nullspace_fraction(mat) -> list[list[Fraction]]:
     nrows, ncols = arr.shape if arr.ndim == 2 else (0, 0)
     if nrows == 0:
         return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    rows, pivots = rref_fraction(arr)
+    rows, pivots = _rref(arr)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -111,49 +94,27 @@ def nullspace_fraction(mat) -> list[list[Fraction]]:
     return basis
 
 
-def _solve_inverse(mat, n, one, zero, is_zero, div, sub_mul):
-    # Gauss-Jordan on [A | I]; raises on singular input.
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not is_zero(aug[i][c])), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [div(x, pv) for x in aug[c]]
-        for i in range(n):
-            if i != c and not is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [sub_mul(a, f, b) for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+def _invert(mat, p: int | None = None) -> np.ndarray:
+    # the inverse is the right block of the RREF of [A | I]
+    rows = _as_rows(mat)
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("expected a square matrix")
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = _rref(aug, p)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    out = np.empty((n, n), dtype=object)
+    out[:] = [row[n:] for row in red]
+    return out
 
 
 def invert_fraction(mat) -> np.ndarray:
-    rows = [[Fraction(x) for x in row] for row in _as_rows(mat)]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("expected a square matrix")
-    inv = _solve_inverse(rows, n, Fraction(1), Fraction(0),
-                         lambda x: x == 0, lambda a, b: a / b,
-                         lambda a, f, b: a - f * b)
-    out = np.empty((n, n), dtype=object)
-    out[:] = inv
-    return out
+    return _invert(mat)
 
 
 def invert_mod_p(mat, p: int) -> np.ndarray:
-    rows = [[int(x) % p for x in row] for row in _as_rows(mat)]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("expected a square matrix")
-    inv = _solve_inverse(rows, n, 1, 0,
-                         lambda x: x % p == 0,
-                         lambda a, b: (a * _inv_mod(b, p)) % p,
-                         lambda a, f, b: (a - f * b) % p)
-    out = np.empty((n, n), dtype=object)
-    out[:] = [[x % p for x in row] for row in inv]
-    return out
+    return _invert(mat, p)
 
 
 def clear_denominators(vec: list[Fraction]) -> list[int]:

@@ -18,9 +18,9 @@ from .entropy import ThetaWeights, max_H_theta
 from .supports import (SupportSet, TightnessCertificate, check_tight,
                        is_antichain, is_diagonal, max_points,
                        tight_antichain_relabel)
-from .tensors import (COMPLEX_ZERO_TOL, BasisTuple, Tensor,
-                      coefficients_in_basis, flattening_rank, identity_matrix,
-                      invert_matrix, restrict)
+from .tensors import (COMPLEX_ZERO_TOL, BasisTuple, Domain, Tensor,
+                      coefficients_in_basis, contract_leg, flattening_rank,
+                      identity_matrix, invert_matrix, nonzero_indices, restrict)
 
 NEG_INF = float("-inf")
 
@@ -91,13 +91,6 @@ class SupportFunctionalReport:
         return 2.0 ** self.rho_lower
 
     def to_records(self) -> dict:
-        if self.theta.mode == "legs":
-            theta_rec = {"mode": "legs",
-                         "weights": [w for _, w in sorted(self.theta.items)]}
-        else:
-            theta_rec = {"mode": "bipartitions",
-                         "weights": {"|".join(str(x + 1) for x in sorted(side)): w
-                                     for side, w in self.theta.items}}
         basis_rec = [[[_scalar_record(v) for v in row] for row in mat]
                      for mat in self.basis.matrices]
         return {
@@ -108,7 +101,7 @@ class SupportFunctionalReport:
             "zeta_exact": self.zeta_exact,
             "oblique_basis_found": self.oblique_basis_found,
             "tight": self.tight_certificate is not None,
-            "theta": theta_rec,
+            "theta": self.theta.to_records(),
             "basis": basis_rec,
             "support_size": len(self.support),
             "support_points": [list(p) for p in self.support.points],
@@ -128,64 +121,68 @@ class SupportFunctionalReport:
 
 
 class _SearchState:
-    """Coefficient tensor plus the accumulated inverse basis maps."""
+    """Coefficient array plus the accumulated inverse basis map of each leg.
 
-    def __init__(self, coeff: Tensor, inv_maps):
+    States are never changed in place; every step returns a new state.
+    """
+
+    def __init__(self, coeff: np.ndarray, inv_maps, domain: Domain):
         self.coeff = coeff
-        self.inv_maps = [m.copy() for m in inv_maps]
+        self.inv_maps = tuple(inv_maps)
+        self.domain = domain
 
-    def copy(self) -> "_SearchState":
-        return _SearchState(self.coeff, self.inv_maps)
+    def support(self, tol: float) -> SupportSet:
+        return SupportSet(self.coeff.shape, tuple(nonzero_indices(self.coeff, self.domain, tol)))
 
-    def apply_transvection(self, leg: int, dst: int, src: int, c) -> "_SearchState":
-        dom = self.coeff.domain
-        n = self.coeff.dims[leg]
-        m = identity_matrix(n, dom).copy() if dom.kind != "C" else np.eye(n, dtype=complex)
-        if dom.kind != "C":
-            m = np.array(m, dtype=object)
-        m[dst, src] = dom.coerce(c) if dom.kind != "C" else complex(c)
-        m[dst, dst] = dom.one() if dom.kind != "C" else 1.0
-        new_coeff = restrict(self.coeff,
-                             [m if i == leg else identity_matrix(self.coeff.dims[i], dom)
-                              for i in range(self.coeff.k)])
-        new_inv = [im.copy() for im in self.inv_maps]
-        prod = np.tensordot(m, new_inv[leg], axes=(1, 0))
-        if dom.kind == "Fp":
-            prod = prod % dom.p
-        new_inv[leg] = prod
-        return _SearchState(new_coeff, new_inv)
+    def apply(self, leg: int, mat) -> "_SearchState":
+        """Apply an invertible matrix to one leg."""
+        inv = list(self.inv_maps)
+        inv[leg] = contract_leg(inv[leg], 0, mat, self.domain)
+        return _SearchState(contract_leg(self.coeff, leg, mat, self.domain), inv, self.domain)
 
-    def basis(self, domain) -> BasisTuple:
-        mats = tuple(invert_matrix(m, domain) for m in self.inv_maps)
-        return BasisTuple(mats, domain)
+    def apply_transvection(self, leg: int, dst: int, src: int, c: int) -> "_SearchState":
+        """Row dst += c * row src on one leg of the coefficients and of its
+        inverse map: the transvection's matrix, applied as a slice update."""
+        dst_at = (slice(None),) * leg + (dst,)
+        src_at = (slice(None),) * leg + (src,)
+        coeff = self.coeff.copy()
+        coeff[dst_at] = coeff[dst_at] + c * coeff[src_at]
+        inv = list(self.inv_maps)
+        inv[leg] = inv[leg].copy()
+        inv[leg][dst] = inv[leg][dst] + c * inv[leg][src]
+        if self.domain.kind == "Fp":
+            coeff[dst_at] %= self.domain.p
+            inv[leg][dst] %= self.domain.p
+        return _SearchState(coeff, inv, self.domain)
+
+    def basis(self) -> BasisTuple:
+        mats = tuple(invert_matrix(m, self.domain) for m in self.inv_maps)
+        return BasisTuple(mats, self.domain)
+
+
+def _start_state(t: Tensor, tol: float) -> _SearchState:
+    """The standard basis; rejects the zero tensor."""
+    if t.is_zero(tol):
+        raise ValueError("support functionals are undefined for the zero tensor")
+    return _SearchState(t.entries, [identity_matrix(d, t.domain) for d in t.dims], t.domain)
+
+
+def _basis_states(t: Tensor, opts: BasisSearchOptions) -> list[_SearchState]:
+    return [_SearchState(coefficients_in_basis(t, basis).entries, basis.inverses(), t.domain)
+            for basis in opts.extra_bases]
 
 
 def _sparsify(state: _SearchState, tol: float) -> _SearchState:
     """Per-leg exact row reduction of the flattenings; shrinks the support."""
-    t = state.coeff
-    dom = t.domain
     cur = state
     for _ in range(3):
-        before = len(cur.coeff.nonzero_indices(tol))
-        for leg in range(t.k):
-            coeff = cur.coeff
-            rest = [i for i in range(coeff.k) if i != leg]
-            mat = coeff.entries.transpose([leg] + rest).reshape(coeff.dims[leg], -1)
-            u = _row_reduction_transform(mat, dom, tol)
-            if u is None:
-                continue
-            cand = cur.copy()
-            maps = [u if i == leg else identity_matrix(coeff.dims[i], dom)
-                    for i in range(coeff.k)]
-            new_coeff = restrict(coeff, maps)
-            prod = np.tensordot(u, cand.inv_maps[leg], axes=(1, 0))
-            if dom.kind == "Fp":
-                prod = prod % dom.p
-            cand.inv_maps[leg] = prod
-            cand.coeff = new_coeff
-            if len(new_coeff.nonzero_indices(tol)) <= len(cur.coeff.nonzero_indices(tol)):
+        before = len(cur.support(tol))
+        for leg in range(cur.coeff.ndim):
+            flat = np.moveaxis(cur.coeff, leg, 0).reshape(cur.coeff.shape[leg], -1)
+            cand = cur.apply(leg, _row_reduction_transform(flat, cur.domain, tol))
+            if len(cand.support(tol)) <= len(cur.support(tol)):
                 cur = cand
-        if len(cur.coeff.nonzero_indices(tol)) >= before:
+        if len(cur.support(tol)) >= before:
             break
     return cur
 
@@ -241,143 +238,42 @@ def _row_reduction_transform(mat, domain, tol):
     return out
 
 
-def upper_support_functional(t: Tensor, theta: ThetaWeights,
-                             options: BasisSearchOptions | None = None,
-                             tol: float = COMPLEX_ZERO_TOL) -> SupportFunctionalReport:
-    """Minimise the support entropy over a basis pool.
+def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
+                  tol: float, pool: list[_SearchState], score, minimise: bool
+                  ) -> SupportFunctionalReport:
+    """Seeded local search over bases, shared by both support functionals.
 
-    The result is an upper bound on the true minimum over all bases; it is
-    exact (and flagged so) when the winning support is an antichain.
+    The value of a state is H_theta of score(support).  The search starts
+    from the best state of the pool and, in each restart, walks through
+    random elementary transvections with small integer coefficients,
+    keeping a step that moves the value by more than 1e-9 in the given
+    direction; a restart replaces the best state when it gains over 1e-12.
     """
-    if t.is_zero(tol):
-        raise ValueError("support functionals are undefined for the zero tensor")
-    opts = options or BasisSearchOptions()
-    dom = t.domain
-    rng = np.random.default_rng(opts.seed)
-    evaluations = 0
-    cache: dict[tuple, float] = {}
+    sign = 1.0 if minimise else -1.0
+    cache: dict[tuple, float] = {}     # support handed to max_H_theta -> value
 
-    def entropy_of(supp: SupportSet) -> float:
-        nonlocal evaluations
-        key = supp.points
-        if key not in cache:
-            cache[key] = max_H_theta(supp, theta).value
-            evaluations += 1
-        return cache[key]
+    def entropy(supp: SupportSet) -> float:
+        if supp.points not in cache:
+            cache[supp.points] = max_H_theta(supp, theta).value
+        return cache[supp.points]
 
-    identity_state = _SearchState(
-        t, [identity_matrix(d, dom) for d in t.dims])
-    pool = [identity_state]
-    for basis in opts.extra_bases:
-        coeff = coefficients_in_basis(t, basis)
-        pool.append(_SearchState(coeff, list(basis.inverses())))
-    if opts.use_sparsification:
-        pool.append(_sparsify(identity_state, tol))
+    def better(val: float, ref: float, slack: float) -> bool:
+        return sign * val < sign * ref - slack
 
-    def score(state: _SearchState) -> tuple[float, SupportSet]:
-        supp = SupportSet.from_tensor(state.coeff, tol)
-        return entropy_of(supp), supp
-
-    best_state = None
-    best_val = math.inf
-    best_supp = None
+    # the upper pool needs a gain over 1e-9 to leave its first state, the
+    # lower pool takes any strict gain
+    pool_slack = 1e-9 if minimise else 0.0
+    best_state, best_val, best_supp = None, sign * math.inf, None
     for state in pool:
-        val, supp = score(state)
-        if val < best_val - 1e-9:
-            best_val, best_state, best_supp = val, state, supp
+        supp = state.support(tol)
+        val = entropy(score(supp))
+        if better(val, best_val, pool_slack):
+            best_state, best_val, best_supp = state, val, supp
 
-    # local search: elementary transvections with small integer coefficients
-    coeff_choices = [c for c in range(-opts.max_coeff, opts.max_coeff + 1) if c != 0]
-    for _ in range(opts.restarts):
-        cur = best_state.copy()
-        cur_val, cur_supp = best_val, best_supp
-        for _ in range(opts.steps):
-            leg = int(rng.integers(t.k))
-            n = t.dims[leg]
-            if n < 2:
-                continue
-            dst = int(rng.integers(n))
-            src = int(rng.integers(n))
-            if dst == src:
-                continue
-            c = coeff_choices[int(rng.integers(len(coeff_choices)))]
-            cand = cur.apply_transvection(leg, dst, src, c)
-            supp = SupportSet.from_tensor(cand.coeff, tol)
-            if len(supp) == 0:
-                continue
-            if set(supp.points) >= set(cur_supp.points) and supp.points != cur_supp.points:
-                continue    # supersets can only raise the entropy
-            val = entropy_of(supp)
-            if val < cur_val - 1e-9:
-                cur, cur_val, cur_supp = cand, val, supp
-        if cur_val < best_val - 1e-12:
-            best_state, best_val, best_supp = cur, cur_val, cur_supp
-
-    lower_val = entropy_of(max_points(best_supp))
-    tight_report = check_tight(best_supp)
-    # tight supports become antichains after sorting each leg by the weights
-    oblique = is_antichain(best_supp) or tight_report.tight
-    zeta_exact = len(best_supp) if is_diagonal(best_supp) else None
-    return SupportFunctionalReport(
-        theta=theta,
-        basis=best_state.basis(dom),
-        support=best_supp,
-        rho_upper=best_val,
-        rho_lower=lower_val,
-        oblique_basis_found=oblique,
-        tight_certificate=tight_report.certificate if tight_report.tight else None,
-        zeta_exact=zeta_exact,
-        evaluations=evaluations,
-    )
-
-
-def lower_support_functional(t: Tensor, theta: ThetaWeights,
-                             options: BasisSearchOptions | None = None,
-                             tol: float = COMPLEX_ZERO_TOL) -> SupportFunctionalReport:
-    """Maximise the maximal-point entropy over a basis pool (a lower bound)."""
-    if t.is_zero(tol):
-        raise ValueError("support functionals are undefined for the zero tensor")
-    opts = options or BasisSearchOptions()
-    dom = t.domain
     rng = np.random.default_rng(opts.seed)
-    evaluations = 0
-
-    def value_of(state: _SearchState):
-        nonlocal evaluations
-        supp = SupportSet.from_tensor(state.coeff, tol)
-        if len(supp) == 0:
-            return NEG_INF, supp
-        evaluations += 1
-        return max_H_theta(max_points(supp), theta).value, supp
-
-    best_state = _SearchState(t, [identity_matrix(d, dom) for d in t.dims])
-    best_val, best_supp = value_of(best_state)
-
-    # a tight support, relabeled into an antichain, realises the lower value
-    tight0 = check_tight(best_supp) if len(best_supp) else None
-    if tight0 is not None and tight0.tight:
-        perms = tight_antichain_relabel(best_supp, tight0.certificate)
-        mats = []
-        for leg, perm in enumerate(perms):
-            m = identity_matrix(t.dims[leg], dom).copy()
-            m[...] = dom.zero() if dom.kind != "C" else 0.0
-            for x, new in enumerate(perm):
-                m[new, x] = dom.one() if dom.kind != "C" else 1.0
-            mats.append(m)
-        state = _SearchState(restrict(t, mats), mats)
-        val, supp = value_of(state)
-        if val > best_val:
-            best_state, best_val, best_supp = state, val, supp
-
-    for basis in opts.extra_bases:
-        state = _SearchState(coefficients_in_basis(t, basis), list(basis.inverses()))
-        val, supp = value_of(state)
-        if val > best_val:
-            best_state, best_val, best_supp = state, val, supp
-
     coeff_choices = [c for c in range(-opts.max_coeff, opts.max_coeff + 1) if c != 0]
     for _ in range(opts.restarts):
-        cur, cur_val, cur_supp = best_state.copy(), best_val, best_supp
+        cur, cur_val, cur_supp = best_state, best_val, best_supp
         for _ in range(opts.steps):
             leg = int(rng.integers(t.k))
             n = t.dims[leg]
@@ -388,27 +284,65 @@ def lower_support_functional(t: Tensor, theta: ThetaWeights,
                 continue
             c = coeff_choices[int(rng.integers(len(coeff_choices)))]
             cand = cur.apply_transvection(leg, dst, src, c)
-            val, supp = value_of(cand)
-            if val > cur_val + 1e-9:
+            supp = cand.support(tol)
+            if len(supp) == 0:
+                continue
+            if minimise and supp.points != cur_supp.points \
+                    and set(supp.points) >= set(cur_supp.points):
+                continue    # a strict superset cannot lower H_theta
+            val = entropy(score(supp))
+            if better(val, cur_val, 1e-9):
                 cur, cur_val, cur_supp = cand, val, supp
-        if cur_val > best_val + 1e-12:
+        if better(cur_val, best_val, 1e-12):
             best_state, best_val, best_supp = cur, cur_val, cur_supp
 
-    upper_val = max_H_theta(best_supp, theta).value
     tight_report = check_tight(best_supp)
-    oblique = is_antichain(best_supp) or tight_report.tight
-    zeta_exact = len(best_supp) if is_diagonal(best_supp) else None
     return SupportFunctionalReport(
         theta=theta,
-        basis=best_state.basis(dom),
+        basis=best_state.basis(),
         support=best_supp,
-        rho_upper=upper_val,
-        rho_lower=best_val,
-        oblique_basis_found=oblique,
+        rho_upper=entropy(best_supp),
+        rho_lower=entropy(max_points(best_supp)),
+        # tight supports become antichains after sorting each leg by the weights
+        oblique_basis_found=is_antichain(best_supp) or tight_report.tight,
         tight_certificate=tight_report.certificate if tight_report.tight else None,
-        zeta_exact=zeta_exact,
-        evaluations=evaluations,
+        zeta_exact=len(best_supp) if is_diagonal(best_supp) else None,
+        evaluations=len(cache),
     )
+
+
+def upper_support_functional(t: Tensor, theta: ThetaWeights,
+                             options: BasisSearchOptions | None = None,
+                             tol: float = COMPLEX_ZERO_TOL) -> SupportFunctionalReport:
+    """Minimise the support entropy over a basis pool.
+
+    The result is an upper bound on the true minimum over all bases; it is
+    exact (and flagged so) when the winning support is an antichain.
+    """
+    opts = options or BasisSearchOptions()
+    start = _start_state(t, tol)
+    pool = [start] + _basis_states(t, opts)
+    if opts.use_sparsification:
+        pool.append(_sparsify(start, tol))
+    return _basis_search(t, theta, opts, tol, pool, score=lambda supp: supp, minimise=True)
+
+
+def lower_support_functional(t: Tensor, theta: ThetaWeights,
+                             options: BasisSearchOptions | None = None,
+                             tol: float = COMPLEX_ZERO_TOL) -> SupportFunctionalReport:
+    """Maximise the maximal-point entropy over a basis pool (a lower bound)."""
+    opts = options or BasisSearchOptions()
+    start = _start_state(t, tol)
+    pool = [start]
+    # a tight support, relabeled into an antichain, realises the lower value
+    supp = start.support(tol)
+    tight = check_tight(supp)
+    if tight.tight:
+        perms = tight_antichain_relabel(supp, tight.certificate)
+        mats = [identity_matrix(n, t.domain)[:, perm] for n, perm in zip(t.dims, perms)]
+        pool.append(_SearchState(restrict(t, mats).entries, mats, t.domain))
+    pool += _basis_states(t, opts)
+    return _basis_search(t, theta, opts, tol, pool, score=max_points, minimise=False)
 
 
 # ---------------------------------------------------------------------------

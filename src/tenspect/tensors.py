@@ -141,14 +141,20 @@ class Tensor:
         return f"Tensor(dims={self.dims}, domain={self.domain.label}, nonzeros={nz})"
 
     def nonzero_indices(self, tol: float = COMPLEX_ZERO_TOL) -> list[tuple[int, ...]]:
-        return [idx for idx in np.ndindex(*self.dims)
-                if not self.domain.is_zero(self.entries[idx], tol)]
+        return nonzero_indices(self.entries, self.domain, tol)
 
     def is_zero(self, tol: float = COMPLEX_ZERO_TOL) -> bool:
         return not self.nonzero_indices(tol)
 
     def __getitem__(self, idx):
         return self.entries[idx]
+
+
+def nonzero_indices(entries: np.ndarray, domain: Domain,
+                    tol: float = COMPLEX_ZERO_TOL) -> list[tuple[int, ...]]:
+    """Indices, in C order, of the entries that `domain.is_zero` rejects."""
+    zero = np.abs(entries) <= tol if domain.kind == "C" else entries == 0
+    return [tuple(idx) for idx in np.argwhere(~zero).tolist()]
 
 
 def zeros(dims, domain: Domain) -> Tensor:
@@ -242,6 +248,14 @@ def as_matrix(mat, domain: Domain) -> np.ndarray:
     return arr
 
 
+def contract_leg(entries: np.ndarray, leg: int, mat: np.ndarray,
+                 domain: Domain) -> np.ndarray:
+    """Apply the matrix mat, of shape (m, n), to one leg (of size n) of an
+    entry array over the domain; the other legs are untouched."""
+    out = np.moveaxis(np.tensordot(mat, entries, axes=(1, leg)), 0, leg)
+    return out % domain.p if domain.kind == "Fp" else out
+
+
 def restrict(t: Tensor, maps) -> Tensor:
     """Contract leg i with maps[i]; maps[i] has shape (m_i, n_i)."""
     if len(maps) != t.k:
@@ -252,10 +266,7 @@ def restrict(t: Tensor, maps) -> Tensor:
             raise ValueError(f"map {i} has shape {m.shape}, leg has dim {t.dims[i]}")
     out = t.entries
     for leg, m in enumerate(mats):
-        out = np.tensordot(m, out, axes=(1, leg))
-        out = np.moveaxis(out, 0, leg)
-    if t.domain.kind == "Fp":
-        out = out % t.domain.p
+        out = contract_leg(out, leg, m, t.domain)
     return Tensor(tuple(m.shape[0] for m in mats), t.domain, out)
 
 

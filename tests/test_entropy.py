@@ -148,6 +148,22 @@ def test_max_h_theta_certificate_fields():
     assert res.kkt_residual <= 1e-6
 
 
+def test_max_h_theta_leaves_warning_filters_alone():
+    import warnings
+
+    import scipy.optimize  # noqa: F401  (its import may add filters itself)
+
+    rng = np.random.default_rng(2)
+    pts = set()
+    while len(pts) < 12:
+        pts.add(tuple(int(x) for x in rng.integers(4, size=3)))
+    supp = ts.SupportSet((4, 4, 4), tuple(sorted(pts)))
+    before = list(warnings.filters)
+    res = max_H_theta(supp, UNIFORM3)
+    assert res.iterations >= 600      # the solve reached a face polish
+    assert warnings.filters == before
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_value_never_below_feasible_points(seed):
