@@ -12,7 +12,8 @@ import numpy as np
 
 from .entropy import MinimaxEntropyResult, ThetaWeights, max_min_entropy
 from .errors import BudgetExceededError
-from .quantum import AscentOptions, lower_quantum_functional, state_array
+from .quantum import (AscentOptions, _apply_transforms, lower_quantum_functional,
+                      marginal, state_array, von_neumann_entropy)
 from .supports import (CombDegenerationCertificate, SupportSet,
                        TightnessReport, check_comb_degeneration, check_tight,
                        is_antichain, is_free, relabel_support,
@@ -281,10 +282,7 @@ def asympt_slicerank(t: Tensor, options: AscentOptions | None = None,
         seen.add(key)
         theta = ThetaWeights.from_legs(theta_vec)
         res = lower_quantum_functional(t, theta, opts)
-        psi = arr
-        for leg, g in enumerate(res.transforms):
-            psi = np.moveaxis(np.tensordot(g, psi, axes=(1, leg)), 0, leg)
-        from .quantum import marginal, von_neumann_entropy
+        psi = _apply_transforms(arr, res.transforms)
         hvec = np.array([von_neumann_entropy(marginal(psi, [i])) for i in range(k)])
         evals.append((res.value, theta_vec.copy(), hvec))
         a_ub = np.hstack([np.array([e[2] for e in evals]),

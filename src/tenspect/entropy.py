@@ -502,28 +502,11 @@ def max_min_entropy(support: SupportSet, tol: float = MINIMAX_TOL,
 
 
 def entropy_trick_check(x: float, y: float) -> float:
-    """Numerically maximise 2^(p x + (1-p) y + h(p)) over p in [0, 1]."""
+    """max over p in [0, 1] of 2^(p x + (1-p) y + h(p)), in closed form.
+
+    The exponent is concave in p and peaks at p = 2^x / (2^x + 2^y), where
+    it equals log2(2^x + 2^y).
+    """
     if x < 0 or y < 0:
         raise ValueError("arguments must be nonnegative")
-
-    def val(p):
-        return 2.0 ** (p * x + (1 - p) * y + binary_entropy(p))
-
-    grid = np.linspace(0.0, 1.0, 4097)
-    vals = [val(p) for p in grid]
-    j = int(np.argmax(vals))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    for _ in range(200):
-        if val(c) < val(d):
-            a = c
-        else:
-            b = d
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        if b - a < 1e-14:
-            break
-    best = max(val(a), val(b), val((a + b) / 2), vals[j])
-    return float(best)
+    return 2.0 ** x + 2.0 ** y

@@ -4,7 +4,10 @@ isotypic projections on tensor powers.
 The lower functional maximises the theta-weighted marginal von Neumann
 entropy of (g_1 x ... x g_k) t over invertible g_i by gradient ascent with an
 Armijo line search (analytic Wirtinger gradient, per-step renormalisation,
-seeded multi-start).  The upper certificate enumerates tuples of partitions
+seeded multi-start).  Line-search trials evaluate the objective alone (one
+eigvalsh per weighted side); the gradient is computed once per accepted
+step.  Each leg product is one matmul on the (legs before, leg, legs after)
+view of the array.  The upper certificate enumerates tuples of partitions
 whose isotypic projections leave a tensor power alive; projectors are applied
 as permutation actions, never materialised as matrices.
 """
@@ -117,46 +120,84 @@ class LowerQuantumResult:
         return "\n".join(lines) + "\n"
 
 
-def _apply_transforms(t_arr: np.ndarray, gs) -> np.ndarray:
+def _apply_transforms(t_arr: np.ndarray, gs, skip: int | None = None) -> np.ndarray:
+    """(g_0 x ... x g_{k-1}) t, leaving the leg `skip` untouched.
+
+    Each leg product is one matmul on the (legs before, leg, legs after)
+    view of the array.
+    """
     out = t_arr
     for leg, g in enumerate(gs):
-        out = np.moveaxis(np.tensordot(g, out, axes=(1, leg)), 0, leg)
+        if leg == skip:
+            continue
+        dims = out.shape
+        out = np.matmul(g, out.reshape(prod(dims[:leg]), dims[leg], -1)).reshape(dims)
     return out
 
 
-def _objective_and_grads(t_arr, gs, sides):
-    """Objective in bits plus per-leg Wirtinger ascent directions."""
-    k = t_arr.ndim
+def _state(t_arr, gs):
+    """The transformed tensor and its squared norm, or None if it vanishes."""
     psi = _apply_transforms(t_arr, gs)
     norm2 = float(np.vdot(psi, psi).real)
     if not np.isfinite(norm2) or norm2 < 1e-250:
         return None
+    return psi, norm2
+
+
+def _side_view(psi: np.ndarray, side) -> tuple[np.ndarray, list[int]]:
+    """psi as a (side, rest) matrix, with the axis order of that view."""
+    axes = sorted(side)
+    order = axes + [i for i in range(psi.ndim) if i not in axes]
+    return psi.transpose(order).reshape(prod(psi.shape[i] for i in axes), -1), order
+
+
+def _spectrum_mask(evals: np.ndarray) -> np.ndarray:
+    # eigenvalues come in ascending order, so the last one is the largest
+    return evals > max(evals[-1], 1e-300) * 1e-14
+
+
+def _objective(t_arr, gs, sides):
+    """Objective in bits alone: one eigvalsh per weighted side."""
+    state = _state(t_arr, gs)
+    if state is None:
+        return None
+    psi, norm2 = state
+    value = 0.0
+    for side, w in sides:
+        mat, _ = _side_view(psi, side)
+        evals = np.linalg.eigvalsh(mat @ mat.conj().T / norm2)
+        lam = evals[_spectrum_mask(evals)]
+        value += w * float(-(lam * np.log2(lam)).sum())
+    return value
+
+
+def _objective_and_grads(t_arr, gs, sides):
+    """Objective in bits plus per-leg Wirtinger ascent directions."""
+    state = _state(t_arr, gs)
+    if state is None:
+        return None
+    psi, norm2 = state
     value = 0.0
     gpsi = np.zeros_like(psi)
     for side, w in sides:
-        axes = sorted(side)
-        rest = [i for i in range(k) if i not in axes]
-        d_side = prod(psi.shape[i] for i in axes)
-        mat = psi.transpose(axes + rest).reshape(d_side, -1)
-        rho = mat @ mat.conj().T / norm2
-        evals, vecs = np.linalg.eigh(rho)
-        keep = evals > max(evals.max(), 1e-300) * 1e-14
+        mat, order = _side_view(psi, side)
+        evals, vecs = np.linalg.eigh(mat @ mat.conj().T / norm2)
+        keep = _spectrum_mask(evals)
         lam = evals[keep]
         u = vecs[:, keep]
         h_s = float(-(lam * np.log2(lam)).sum())
         value += w * h_s
-        log_rho_mat = (u * np.log2(lam)) @ u.conj().T
-        lpsi_mat = log_rho_mat @ mat
-        lpsi = lpsi_mat.reshape([psi.shape[i] for i in axes + rest])
-        inv = np.argsort(axes + rest)
-        gpsi += w * (lpsi.transpose(inv) + h_s * psi)
+        lpsi = ((u * np.log2(lam)) @ u.conj().T @ mat).reshape([psi.shape[i] for i in order])
+        gpsi += w * (lpsi.transpose(np.argsort(order)) + h_s * psi)
     gpsi = -gpsi / norm2
     grads = []
-    for leg in range(k):
-        phi = _apply_transforms(t_arr, [g if i != leg else np.eye(t_arr.shape[leg], dtype=complex)
-                                        for i, g in enumerate(gs)])
-        other = [i for i in range(k) if i != leg]
-        w_mat = np.tensordot(np.conj(gpsi), phi, axes=(other, other))
+    for leg, d in enumerate(psi.shape):
+        # contract over every other leg: one matmul of the (before, leg, after)
+        # views flattened to (leg, rest) and (rest, leg), the same product
+        # tensordot over those legs forms
+        phi = _apply_transforms(t_arr, gs, skip=leg).reshape(prod(psi.shape[:leg]), d, -1)
+        w_mat = (np.conj(gpsi).reshape(phi.shape).transpose(1, 0, 2).reshape(d, -1)
+                 @ phi.transpose(0, 2, 1).reshape(-1, d))
         grads.append(2.0 * np.conj(w_mat))
     return value, grads, psi
 
@@ -177,8 +218,8 @@ def _ascend(t_arr, gs, sides, opts: AscentOptions):
         alpha = step
         for _ in range(40):
             cand = [g + alpha * d for g, d in zip(gs, grads)]
-            cand_res = _objective_and_grads(t_arr, cand, sides)
-            if cand_res is not None and cand_res[0] >= value + opts.armijo * alpha * gnorm2:
+            cand_value = _objective(t_arr, cand, sides)
+            if cand_value is not None and cand_value >= value + opts.armijo * alpha * gnorm2:
                 accepted = True
                 break
             alpha *= opts.backtrack
@@ -414,7 +455,9 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
             return
         side, w = sides[depth]
         for lam in lams:
-            out = bipartition_projector_apply(arr, dims, n, lam, side)
+            # arr is copy-symmetric (a power, then side projections that
+            # commute with copy permutations), so no symmetrisation is needed
+            out = isotypic_projector_apply(arr, dims, n, lam, side)
             if math.sqrt(float(np.vdot(out, out).real)) <= zero_tol:
                 continue
             recurse(depth + 1, out, chosen + [(side, lam)],

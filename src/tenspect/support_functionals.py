@@ -251,11 +251,18 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     """
     sign = 1.0 if minimise else -1.0
     cache: dict[tuple, float] = {}     # support handed to max_H_theta -> value
+    # candidate support -> its value, so that score (max_points) runs once
+    scored: dict[tuple, float] = {}
 
     def entropy(supp: SupportSet) -> float:
         if supp.points not in cache:
             cache[supp.points] = max_H_theta(supp, theta).value
         return cache[supp.points]
+
+    def value(supp: SupportSet) -> float:
+        if supp.points not in scored:
+            scored[supp.points] = entropy(score(supp))
+        return scored[supp.points]
 
     def better(val: float, ref: float, slack: float) -> bool:
         return sign * val < sign * ref - slack
@@ -266,7 +273,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     best_state, best_val, best_supp = None, sign * math.inf, None
     for state in pool:
         supp = state.support(tol)
-        val = entropy(score(supp))
+        val = value(supp)
         if better(val, best_val, pool_slack):
             best_state, best_val, best_supp = state, val, supp
 
@@ -290,7 +297,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             if minimise and supp.points != cur_supp.points \
                     and set(supp.points) >= set(cur_supp.points):
                 continue    # a strict superset cannot lower H_theta
-            val = entropy(score(supp))
+            val = value(supp)
             if better(val, cur_val, 1e-9):
                 cur, cur_val, cur_supp = cand, val, supp
         if better(cur_val, best_val, 1e-12):

@@ -7,7 +7,7 @@ import tenspect as ts
 from tenspect.entropy import ThetaWeights, binary_entropy
 from tenspect.errors import BudgetExceededError
 from tenspect.partitions import partitions
-from tenspect.quantum import (AscentOptions, _objective_and_grads,
+from tenspect.quantum import (AscentOptions, _objective, _objective_and_grads,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
                               lower_quantum_functional, marginal, state_array,
@@ -104,6 +104,17 @@ def test_gradient_matches_finite_differences(rng):
                 bumped[leg][a, b] += 1j * eps
                 f1, _, _ = _objective_and_grads(t_arr, bumped, sides)
                 assert (f1 - f0) / eps == pytest.approx(grads[leg][a, b].imag, abs=1e-5)
+
+
+def test_value_only_objective_matches_full_evaluation(rng):
+    for dims, sides in [((2, 3, 4), [([0], 0.5), ([1, 2], 0.25), ([1], 0.25)]),
+                        ((2, 2, 3, 2), [([0, 1], 0.5), ([0, 2], 0.3), ([3], 0.2)])]:
+        t_arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        gs = [np.eye(d, dtype=complex) + 0.3 * (rng.standard_normal((d, d))
+                                               + 1j * rng.standard_normal((d, d)))
+              for d in dims]
+        assert _objective(t_arr, gs, sides) == pytest.approx(
+            _objective_and_grads(t_arr, gs, sides)[0], rel=0, abs=1e-12)
 
 
 def test_lower_functional_normalisation():
