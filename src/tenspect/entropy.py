@@ -2,14 +2,18 @@
 
 The central program maximises the theta-weighted sum of marginal Shannon
 entropies over all probability distributions on a support set.  It is
-concave, and the solver (exponentiated-gradient ascent on the simplex)
-certifies its optimum through a first-order duality gap: for concave F,
+concave.  The solver runs exponentiated-gradient ascent on the simplex and,
+at a fixed schedule of iterations, Newton steps on the face of clearly
+positive coordinates, which drop the vanishing masses that the ascent only
+shrinks sublinearly.  The certificate is the first-order gap over the full
+support at the returned point: for concave F,
 F(P*) <= F(P) + max_j grad_j - grad . P over the simplex.
 
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
 min_theta max_P H_theta(P); the dual side runs a cutting-plane loop over the
-theta simplex and the primal side polishes with an SLSQP solve, so the pair
-comes with an explicit duality gap.
+theta simplex and reports the least certified bound value + gap among the
+evaluated theta, and the primal side polishes with an SLSQP solve, so the
+pair comes with an explicit duality gap.
 """
 
 from __future__ import annotations
@@ -214,6 +218,7 @@ class HThetaResult:
     gap: float                   # certified suboptimality bound, bits
     kkt_residual: float          # spread of the active-gradient components
     iterations: int
+    converged: bool              # gap <= the requested tolerance
     exact_power: int | None = None   # 2**value as an exact integer, when known
 
 
@@ -233,9 +238,12 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
                 tol: float = INNER_TOL, max_iter: int = 20000) -> HThetaResult:
     """Maximise the theta-weighted marginal entropy over P(support).
 
-    Exponentiated-gradient ascent with a first-order optimality certificate;
-    the reported gap bounds the distance to the true optimum.  Supports that
-    form a diagonal are solved exactly.
+    Exponentiated-gradient ascent; at iterations 600, 2000, 6000, 14000 and
+    max_iter a Newton face step (`_face_polish`) proposes a point, kept only
+    if the objective does not drop and the gap shrinks.  The reported gap is
+    max_j grad_j - grad . P over the full support at the returned point and
+    bounds the distance to the true optimum; `converged` says gap <= tol.
+    Supports that form a diagonal are solved exactly.
     """
     if len(support) == 0:
         raise ValueError("empty support")
@@ -243,11 +251,11 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
     theta_arr = theta.leg_array(k)
     if len(support) == 1:
         dist = Distribution(support, np.array([1.0]))
-        return HThetaResult(0.0, dist, 0.0, 0.0, 0, exact_power=1)
+        return HThetaResult(0.0, dist, 0.0, 0.0, 0, True, exact_power=1)
     if is_diagonal(support):
         m = len(support)
         dist = Distribution(support, np.full(m, 1.0 / m))
-        return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, exact_power=m)
+        return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
 
     m, idx, _ = _solver_arrays(support, theta_arr)
     active = [i for i in range(k) if theta_arr[i] > 0]
@@ -280,15 +288,14 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
         if gap <= tol:
             break
         if it in polish_at:
-            p2 = _face_polish(p, evaluate, tol)
-            if p2 is not None:
-                f2, grad2 = evaluate(p2)
-                gap2 = float(grad2.max() - grad2 @ p2)
-                if f2 >= f and gap2 < gap:
-                    p, f, grad, gap = p2, f2, grad2, gap2
-                    logp = np.log(np.maximum(p, 1e-300))
-                    if gap <= tol:
-                        break
+            p2 = _face_polish(p, evaluate, [(idx[i], theta_arr[i]) for i in active])
+            f2, grad2 = evaluate(p2)
+            gap2 = float(grad2.max() - grad2 @ p2)
+            if f2 >= f and gap2 < gap:
+                p, f, grad, gap = p2, f2, grad2, gap2
+                logp = np.log(np.maximum(p, 1e-300))
+                if gap <= tol:
+                    break
         if f < prev_f - 1e-13:
             eta = max(eta * 0.5, 1e-3)
         else:
@@ -300,45 +307,51 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
     kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
     dist = Distribution(support, p)
     value = float(sum(theta_arr[i] * shannon_entropy(dist.marginals[i]) for i in active))
-    return HThetaResult(value, dist, gap, kkt, it)
+    return HThetaResult(value, dist, gap, kkt, it, gap <= tol)
 
 
-def _face_polish(p: np.ndarray, evaluate, tol: float) -> np.ndarray | None:
-    """Refine a near-optimal point with a short projected-ascent run on the
-    face of currently active coordinates."""
-    import warnings
+def _face_polish(p: np.ndarray, evaluate, legs) -> np.ndarray:
+    """Newton steps for H_theta on the face of p's clearly positive coordinates.
 
-    from scipy.optimize import minimize
-
-    m = p.size
-    act = p > 1e-12
-    if not act.any():
-        return None
-
-    def negf(x):
-        q = np.zeros(m)
-        q[act] = np.maximum(x, 1e-300)
-        q /= q.sum()
-        f, grad = evaluate(q)
-        # gradient of -f(q(x)) through the normalisation
-        g = -(grad - grad @ q) / x.sum()
-        return -f, g[act]
-
-    x0 = p[act] / p[act].sum()
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="Values in x were outside bounds",
-                                category=RuntimeWarning)
-        res = minimize(negf, x0, jac=True, method="SLSQP",
-                       bounds=[(1e-15, 1.0)] * int(act.sum()),
-                       constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1.0,
-                                     "jac": lambda x: np.ones_like(x)}],
-                       options={"maxiter": 200, "ftol": 1e-16})
-    q = np.zeros(m)
-    q[act] = np.maximum(res.x, 0.0)
-    total = q.sum()
-    if total <= 0:
-        return None
-    return q / total
+    The face starts as p > 1e-6 max p (the rest is set to 0) and loses every
+    coordinate that falls to 1e-12 max p or below.  On the face the Hessian
+    is -(1/ln 2) sum_i theta_i A_i^T diag(1/marg_i) A_i, with A_i leg i's
+    value-incidence matrix; `legs` lists the (value index, theta_i) pairs of
+    the weighted legs.  The Hessian is singular along directions that keep
+    every weighted marginal, so the KKT system with the simplex row is
+    solved in the least-squares sense.  Each step is the largest feasible
+    one up to 1, halved until f does not decrease; at most 30 steps.
+    """
+    q = np.where(p > 1e-6 * p.max(), p, 0.0)
+    q /= q.sum()
+    f, grad = evaluate(q)
+    for _ in range(30):
+        face = np.flatnonzero(q)
+        g = grad[face]
+        if g.max() - g @ q[face] <= 1e-13:
+            break
+        n = face.size
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[n, :n] = kkt[:n, n] = 1.0
+        for vals, w in legs:
+            marg = np.bincount(vals, weights=q)[vals[face]]
+            kkt[:n, :n] -= (w / LN2) * (vals[face, None] == vals[None, face]) / marg[:, None]
+        d = np.linalg.lstsq(kkt, np.append(-g, 0.0))[0][:n]
+        shrink = d < 0
+        step = min(1.0, float((-q[face][shrink] / d[shrink]).min())) if shrink.any() else 1.0
+        for _ in range(40):
+            trial = q.copy()
+            trial[face] = np.maximum(q[face] + step * d, 0.0)
+            trial[trial <= 1e-12 * trial.max()] = 0.0
+            trial /= trial.sum()
+            f2, grad2 = evaluate(trial)
+            if f2 >= f:
+                break
+            step *= 0.5
+        else:
+            break
+        q, f, grad = trial, f2, grad2
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +361,7 @@ def _face_polish(p: np.ndarray, evaluate, tol: float) -> np.ndarray | None:
 @dataclass(frozen=True)
 class MinimaxEntropyResult:
     value: float                     # primal value, bits
-    dual_value: float                # best evaluated dual bound, bits
+    dual_value: float                # least inner value + gap over evaluated theta, bits
     gap: float
     distribution: Distribution
     theta: ThetaWeights
@@ -416,9 +429,10 @@ def max_min_entropy(support: SupportSet, tol: float = MINIMAX_TOL,
     """Saddle value of the marginal-entropy game on a support.
 
     Dual side: cutting planes on g(theta) = max_P H_theta(P) over the theta
-    simplex (each evaluated maximiser yields the valid cut g >= theta . h).
-    Primal side: SLSQP on max t s.t. H(P_i) >= t.  The returned pair carries
-    the explicit duality gap.
+    simplex (each evaluated maximiser yields the valid cut g >= theta . h);
+    `dual_value` is the least inner value + gap, an upper bound on g at its
+    theta.  Primal side: SLSQP on max t s.t. H(P_i) >= t.  The returned pair
+    carries the explicit duality gap dual_value - value.
     """
     from scipy.optimize import linprog
 
@@ -433,13 +447,13 @@ def max_min_entropy(support: SupportSet, tol: float = MINIMAX_TOL,
                                     exact_power=m)
 
     cuts = []          # rows of marginal entropy vectors
-    evals = []         # (dual value, theta, distribution)
+    evals = []         # (inner value, theta, distribution, certified bound)
     theta_vec = np.full(k, 1.0 / k)
     lower = -np.inf
     for _ in range(max_rounds):
         res = max_H_theta(support, ThetaWeights.from_legs(theta_vec), tol=inner_tol)
         hvec = res.distribution.marginal_entropies()
-        evals.append((res.value, theta_vec.copy(), res.distribution))
+        evals.append((res.value, theta_vec.copy(), res.distribution, res.value + res.gap))
         cuts.append(hvec)
         upper = min(e[0] for e in evals)
         # LP: minimise z subject to theta . h_s <= z over the simplex, with
@@ -479,7 +493,7 @@ def max_min_entropy(support: SupportSet, tol: float = MINIMAX_TOL,
             break
         theta_vec = new_theta
 
-    dual_value, dual_theta, dual_dist = min(evals, key=lambda e: e[0])
+    _, dual_theta, dual_dist, dual_value = min(evals, key=lambda e: e[3])
 
     # primal polish from the best candidates
     best_p = None

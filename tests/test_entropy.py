@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenspect as ts
-from tenspect.entropy import (Distribution, ThetaWeights, binary_entropy,
-                              entropy_trick_check, kl_divergence, max_H_theta,
-                              max_min_entropy, shannon_entropy)
+from tenspect.entropy import (INNER_TOL, Distribution, ThetaWeights,
+                              binary_entropy, entropy_trick_check, kl_divergence,
+                              max_H_theta, max_min_entropy, shannon_entropy)
 
 from conftest import random_support
 
@@ -164,6 +168,80 @@ def test_max_h_theta_leaves_warning_filters_alone():
     assert warnings.filters == before
 
 
+# 12-point supports in 4x4x4 whose optimum is a diagonal sub-support with
+# uniform marginals (value exactly 2): exponentiated gradient alone leaves
+# stray masses of 1e-9..1e-8 that decay sublinearly, so these solves need the
+# face step to certify within INNER_TOL
+DEGENERATE_SUPPORTS = [
+    ((0, 0, 2), (0, 0, 3), (0, 1, 3), (0, 2, 3), (0, 3, 2), (1, 1, 0),
+     (1, 2, 2), (2, 2, 1), (3, 0, 1), (3, 1, 3), (3, 2, 0), (3, 3, 3)),
+    ((0, 1, 0), (0, 2, 0), (0, 3, 1), (1, 1, 0), (1, 2, 0), (1, 2, 3),
+     (2, 0, 0), (2, 0, 2), (2, 0, 3), (2, 3, 1), (3, 2, 0), (3, 2, 2)),
+    ((0, 0, 1), (0, 0, 2), (0, 1, 3), (1, 0, 0), (1, 0, 2), (1, 1, 3),
+     (2, 0, 2), (2, 2, 0), (2, 2, 1), (2, 3, 1), (3, 1, 0), (3, 2, 2)),
+]
+DEGENERATE_THETAS = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.25, 0.25)]
+
+
+@pytest.mark.parametrize("points", DEGENERATE_SUPPORTS)
+@pytest.mark.parametrize("theta", DEGENERATE_THETAS)
+def test_degenerate_supports_are_certified(points, theta, monkeypatch):
+    import scipy.optimize
+
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("max_H_theta called scipy.optimize.minimize")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
+    res = max_H_theta(ts.SupportSet((4, 4, 4), points), ThetaWeights.from_legs(theta))
+    assert res.gap <= INNER_TOL
+    assert res.converged
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+    assert res.iterations < 20000
+
+
+_SOLVE_SCRIPT = """
+import json, sys
+import tenspect as ts
+from tenspect.entropy import ThetaWeights, max_H_theta
+supports, thetas = json.load(sys.stdin)
+out = []
+for pts in supports:
+    supp = ts.SupportSet((4, 4, 4), tuple(tuple(p) for p in pts))
+    for w in thetas:
+        res = max_H_theta(supp, ThetaWeights.from_legs(w))
+        out.append([res.value.hex(), res.gap.hex(), res.iterations])
+print(json.dumps(out))
+"""
+
+
+def test_results_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ts.__file__)))
+    payload = json.dumps([DEGENERATE_SUPPORTS, DEGENERATE_THETAS])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_SCRIPT], input=payload,
+                              capture_output=True, text=True, env=env, timeout=300,
+                              check=True)
+        results.append(json.loads(proc.stdout))
+    assert results[0] == results[1]
+
+
+def test_converged_flag():
+    supp = ts.SupportSet((4, 4, 4), ((0, 1, 3), (0, 3, 0), (1, 1, 1), (1, 3, 2),
+                                     (2, 0, 2), (2, 1, 3), (2, 2, 3), (2, 3, 0),
+                                     (2, 3, 3), (3, 0, 1), (3, 0, 3), (3, 3, 2)))
+    cut = max_H_theta(supp, UNIFORM3, max_iter=1)
+    assert cut.converged is False
+    assert cut.gap > INNER_TOL
+    full = max_H_theta(supp, UNIFORM3)
+    assert full.converged is True
+    assert full.gap <= INNER_TOL
+    assert max_H_theta(ts.SupportSet.from_tensor(ts.unit(3)), UNIFORM3).converged
+    assert max_H_theta(ts.SupportSet((2, 2, 2), ((1, 0, 1),)), UNIFORM3).converged
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_value_never_below_feasible_points(seed):
@@ -238,6 +316,13 @@ def test_max_min_entropy_unit_and_w():
     assert res.value == pytest.approx(H13, abs=1e-8)
     assert 2.0 ** res.value == pytest.approx(1.88988, abs=1e-5)
     assert res.gap <= 1e-6
+
+
+def test_max_min_entropy_dual_value_is_certified():
+    w = ts.SupportSet.from_tensor(ts.w_tensor())
+    res = max_min_entropy(w)
+    assert res.dual_value >= H13
+    assert res.gap >= 0
 
 
 def test_max_min_entropy_duality_gap():
