@@ -10,14 +10,14 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .entropy import MinimaxEntropyResult, ThetaWeights, max_min_entropy
+from .entropy import (MinimaxEntropyResult, ThetaWeights, _theta_cutting_planes,
+                      max_min_entropy)
 from .errors import BudgetExceededError
 from .quantum import (AscentOptions, _apply_transforms, lower_quantum_functional,
                       marginal, state_array, von_neumann_entropy)
 from .supports import (CombDegenerationCertificate, SupportSet,
                        TightnessReport, check_comb_degeneration, check_tight,
-                       is_antichain, is_free, relabel_support,
-                       tight_antichain_relabel)
+                       is_antichain, is_free)
 from .support_functionals import support_at_basis
 from .tensors import (BasisTuple, Tensor, binomial_basis_matrix,
                       cap_set_tensor, invert_matrix, prime_field, restrict)
@@ -83,15 +83,14 @@ class AsymptoticSubrankResult:
     minimax: MinimaxEntropyResult
 
 
-def asympt_subrank_tight3(support: SupportSet, tol: float = 1e-6
-                          ) -> AsymptoticSubrankResult:
+def asympt_subrank_tight3(support: SupportSet) -> AsymptoticSubrankResult:
     """max_P min_i 2^H(P_i) on a tight 3-support."""
     if support.k != 3:
         raise ValueError("only order-3 supports are handled")
     report = check_tight(support)
     if not report.tight:
         raise ValueError("support is not tight; the formula does not apply")
-    mm = max_min_entropy(support, tol=tol)
+    mm = max_min_entropy(support)
     return AsymptoticSubrankResult(2.0 ** mm.value, mm.value, report, mm)
 
 
@@ -191,14 +190,9 @@ def slicerank_exact_combinatorial(support: SupportSet, budget: int = 5000
     Tight supports are accepted too: sorting each leg by the tightness
     weights turns them into antichains without changing the cover number.
     """
-    if not is_antichain(support):
-        tight = check_tight(support)
-        if not tight.tight:
-            raise ValueError("exact combinatorial slice rank needs an "
-                             "antichain (or tight) support")
-        relabeled = relabel_support(
-            support, tight_antichain_relabel(support, tight.certificate))
-        assert is_antichain(relabeled)
+    if not is_antichain(support) and not check_tight(support).tight:
+        raise ValueError("exact combinatorial slice rank needs an "
+                         "antichain (or tight) support")
     pts = list(support.points)
     if not pts:
         raise ValueError("empty support")
@@ -244,6 +238,13 @@ def slicerank_exact_for_tensor(t: Tensor, basis: BasisTuple | None = None
     return slicerank_exact_combinatorial(supp)
 
 
+#: target (bits) of the slice-rank theta minimisation
+SLICERANK_TOL = 1e-3
+
+#: round limit of the slice-rank cutting planes
+SLICERANK_ROUNDS = 12
+
+
 @dataclass(frozen=True)
 class SliceRankResult:
     value: float
@@ -254,55 +255,31 @@ class SliceRankResult:
     support_route_value: float | None = None
 
 
-def asympt_slicerank(t: Tensor, options: AscentOptions | None = None,
-                     rounds: int = 12, tol: float = 1e-3) -> SliceRankResult:
+def asympt_slicerank(t: Tensor, options: AscentOptions | None = None
+                     ) -> SliceRankResult:
     """Minimise the entropy ascent value over the leg-theta simplex.
 
     The objective theta -> E(theta) is convex (a max of theta-linear
-    functions), so a cutting-plane loop over evaluated marginal entropy
-    vectors converges; evaluations reuse the ascent optimizer.  When the
-    standard support is an antichain the combinatorial route (marginal
-    entropy minimax on the support) is computed as a cross check.
+    functions), so `entropy._theta_cutting_planes` minimises it over the
+    marginal entropy vectors of the ascent's maximisers, stopping at a gap
+    of SLICERANK_TOL / 4 or after SLICERANK_ROUNDS rounds.  When the
+    standard support is free the combinatorial route (marginal entropy
+    minimax on the support) gives the value exactly.
     """
-    from scipy.optimize import linprog
-
     arr = state_array(t)
     if float(np.vdot(arr, arr).real) <= 0:
         raise ValueError("zero tensor")
     k = arr.ndim
     opts = options or AscentOptions(starts=4, max_iter=800)
 
-    evals = []
-    theta_vec = np.full(k, 1.0 / k)
-    seen = set()
-    for _ in range(rounds):
-        key = tuple(np.round(theta_vec, 9))
-        if key in seen:
-            break
-        seen.add(key)
-        theta = ThetaWeights.from_legs(theta_vec)
-        res = lower_quantum_functional(t, theta, opts)
+    def evaluate(theta_vec):
+        res = lower_quantum_functional(t, ThetaWeights.from_legs(theta_vec), opts)
         psi = _apply_transforms(arr, res.transforms)
         hvec = np.array([von_neumann_entropy(marginal(psi, [i])) for i in range(k)])
-        evals.append((res.value, theta_vec.copy(), hvec))
-        a_ub = np.hstack([np.array([e[2] for e in evals]),
-                          -np.ones((len(evals), 1))])
-        c = np.zeros(k + 1)
-        c[-1] = 1.0
-        lp = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(evals)),
-                     A_eq=np.concatenate([np.ones(k), [0.0]])[None, :],
-                     b_eq=np.array([1.0]),
-                     bounds=[(0.0, 1.0)] * k + [(None, None)], method="highs")
-        if not lp.success:
-            break
-        new_theta = lp.x[:k]
-        upper = min(e[0] for e in evals)
-        if upper - lp.fun <= tol * 0.25:
-            theta_vec = new_theta
-            break
-        theta_vec = new_theta
+        return res.value, hvec, None
 
-    best_val, best_theta, _ = min(evals, key=lambda e: e[0])
+    evals = _theta_cutting_planes(k, evaluate, SLICERANK_TOL / 4, SLICERANK_ROUNDS)
+    best_val, best_theta, _, _ = min(evals, key=lambda e: e[0])
 
     # free supports certify the value combinatorially: the support entropy
     # equals the ascent supremum for every singleton theta, so the minimax
@@ -312,12 +289,10 @@ def asympt_slicerank(t: Tensor, options: AscentOptions | None = None,
     if len(supp) and is_free(supp):
         support_value = max_min_entropy(supp).value
         best_val = support_value
-    theta = ThetaWeights.from_legs(np.maximum(best_theta, 0) /
-                                   np.maximum(best_theta, 0).sum())
     return SliceRankResult(
         value=2.0 ** best_val,
         log2_value=best_val,
-        theta=theta,
+        theta=ThetaWeights.from_legs(best_theta),
         route="support" if support_value is not None else "quantum",
         quantum_values=tuple((tuple(e[1]), e[0]) for e in evals),
         support_route_value=support_value,

@@ -18,13 +18,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import (asympt_slicerank, asympt_subrank_tight3,
+from .asymptotics import (SLICERANK_TOL, asympt_slicerank, asympt_subrank_tight3,
                           capset_bound, degeneration_lower_bound,
                           slicerank_exact_combinatorial, z_of_n)
 from .entropy import INNER_TOL, MINIMAX_TOL, ThetaWeights
 from .errors import BudgetExceededError
 from .partitions import kronecker_coefficient, lr_coefficient
-from .quantum import AscentOptions, lower_quantum_functional, upper_quantum_certificate
+from .quantum import (GRAD_TOL, ZERO_TOL, AscentOptions, lower_quantum_functional,
+                      upper_quantum_certificate)
 from .support_functionals import (BasisSearchOptions, lower_support_functional,
                                   upper_support_functional)
 from .supports import (SupportSet, check_comb_degeneration, check_tight,
@@ -171,7 +172,7 @@ def cmd_quantum_lower(args) -> dict:
     opts = AscentOptions(starts=args.starts, max_iter=args.iters, seed=args.seed)
     res = lower_quantum_functional(t, theta, opts)
     return {"command": "quantum-lower", "theta": theta.to_records(),
-            "tolerances": {"grad": opts.grad_tol},
+            "tolerances": {"grad": GRAD_TOL},
             "log2_value": res.value, "value": res.functional,
             "starts": len(res.start_values), "trace_length": len(res.trace)}
 
@@ -183,7 +184,7 @@ def cmd_quantum_cert(args) -> dict:
     witness = [{"side": [x + 1 for x in side], "partition": list(lam)}
                for side, lam in res.witness]
     return {"command": "quantum-cert", "theta": theta.to_records(),
-            "tolerances": {"zero": 1e-8},
+            "tolerances": {"zero": ZERO_TOL},
             "log2_value": res.value, "value": res.functional,
             "power": res.power, "surviving_tuples": res.surviving,
             "witness": witness}
@@ -276,7 +277,7 @@ def cmd_slicerank(args) -> dict:
     res = asympt_slicerank(t, opts)
     out = {"command": "slicerank", "mode": "asymptotic",
            "value": res.value, "log2_value": res.log2_value,
-           "route": res.route, "tolerances": {"theta_min": 1e-3},
+           "route": res.route, "tolerances": {"theta_min": SLICERANK_TOL},
            "theta": res.theta.to_records()}
     if res.support_route_value is not None:
         out["support_route_log2"] = res.support_route_value

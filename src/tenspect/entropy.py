@@ -10,10 +10,12 @@ support at the returned point: for concave F,
 F(P*) <= F(P) + max_j grad_j - grad . P over the simplex.
 
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
-min_theta max_P H_theta(P); the dual side runs a cutting-plane loop over the
-theta simplex and reports the least certified bound value + gap among the
-evaluated theta, and the primal side polishes with an SLSQP solve, so the
-pair comes with an explicit duality gap.
+min_theta max_P H_theta(P); the dual side minimises over the theta simplex
+with `_theta_cutting_planes` and reports the least certified bound
+value + gap among the evaluated theta, and the primal side polishes with an
+SLSQP solve, so the pair comes with an explicit duality gap.
+`_theta_cutting_planes` is the one LP loop over the theta simplex; the
+asymptotic slice rank runs it too, over entropy ascents.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ INNER_TOL = 1e-9
 
 #: duality gap tolerance (bits) for the minimax program
 MINIMAX_TOL = 1e-6
+
+#: the minimax's cutting planes stop at this gap (bits), well inside MINIMAX_TOL
+MINIMAX_CUT_TOL = 5e-9
+
+#: certificate tolerance (bits) of each inner program of the minimax
+MINIMAX_INNER_TOL = 1e-10
+
+#: round limit of the minimax's cutting planes
+MINIMAX_ROUNDS = 80
 
 
 def shannon_entropy(p) -> float:
@@ -222,16 +233,13 @@ class HThetaResult:
     exact_power: int | None = None   # 2**value as an exact integer, when known
 
 
-def _solver_arrays(support: SupportSet, theta_arr: np.ndarray):
-    m = len(support)
+def _solver_arrays(support: SupportSet) -> list[np.ndarray]:
+    """Per leg, the index of each point's value among the leg's values."""
     idx = []
-    used = []
     for i in range(support.k):
-        vals = support.values(i)
-        lookup = {v: j for j, v in enumerate(vals)}
+        lookup = {v: j for j, v in enumerate(support.values(i))}
         idx.append(np.array([lookup[p[i]] for p in support.points]))
-        used.append(vals)
-    return m, idx, used
+    return idx
 
 
 def max_H_theta(support: SupportSet, theta: ThetaWeights,
@@ -257,7 +265,8 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
         dist = Distribution(support, np.full(m, 1.0 / m))
         return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
 
-    m, idx, _ = _solver_arrays(support, theta_arr)
+    m = len(support)
+    idx = _solver_arrays(support)
     active = [i for i in range(k) if theta_arr[i] > 0]
     counts = [np.max(idx[i]) + 1 for i in range(k)]
 
@@ -373,7 +382,7 @@ def _slsqp_polish(support: SupportSet, start: np.ndarray) -> np.ndarray:
 
     k = support.k
     m = len(support)
-    _, idx, _ = _solver_arrays(support, np.ones(k))
+    idx = _solver_arrays(support)
     counts = [np.max(ix) + 1 for ix in idx]
 
     def margs(p):
@@ -423,19 +432,64 @@ def _slsqp_polish(support: SupportSet, start: np.ndarray) -> np.ndarray:
     return p / total if total > 0 else np.full(m, 1.0 / m)
 
 
-def max_min_entropy(support: SupportSet, tol: float = MINIMAX_TOL,
-                    inner_tol: float = 1e-10, max_rounds: int = 80
-                    ) -> MinimaxEntropyResult:
-    """Saddle value of the marginal-entropy game on a support.
+def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int) -> list:
+    """Cutting planes for a convex g over the theta simplex of k legs.
 
-    Dual side: cutting planes on g(theta) = max_P H_theta(P) over the theta
-    simplex (each evaluated maximiser yields the valid cut g >= theta . h);
-    `dual_value` is the least inner value + gap, an upper bound on g at its
-    theta.  Primal side: SLSQP on max t s.t. H(P_i) >= t.  The returned pair
-    carries the explicit duality gap dual_value - value.
+    `evaluate(theta)` returns (value, h, payload) with value = theta . h and
+    theta' . h <= g(theta') for every theta'.  Starting at the uniform
+    theta, each round evaluates theta and solves the LP min z subject to
+    theta . h_s <= z over the simplex, with a 1e-12 L1 pull toward the
+    uniform theta to break ties, so that z - 1e-12 k bounds min g from
+    below.  The next theta is the LP's, clipped at 0 and normalised.  The
+    loop stops when the LP fails, when the least value is within gap_tol of
+    the LP bound, when the next theta is within 1e-14 of an evaluated one,
+    or after max_rounds rounds.  Returns the (value, theta, h, payload)
+    evaluations in order.
     """
     from scipy.optimize import linprog
 
+    evals = []
+    theta = np.full(k, 1.0 / k)
+    for _ in range(max_rounds):
+        value, h, payload = evaluate(theta)
+        evals.append((value, theta, h, payload))
+        # variables theta, z, slack s >= |theta - uniform|; the cut rows,
+        # then theta_i - s_i <= 1/k and -theta_i - s_i <= -1/k per leg
+        ncuts = len(evals)
+        cuts = np.hstack([[e[2] for e in evals], -np.ones((ncuts, 1)), np.zeros((ncuts, k))])
+        eye, zero = np.eye(k), np.zeros((k, 1))
+        pull = np.stack([np.hstack([eye, zero, -eye]), np.hstack([-eye, zero, -eye])], axis=1)
+        a_ub = np.vstack([cuts, pull.reshape(2 * k, -1)])
+        b_ub = np.concatenate([np.zeros(ncuts), np.tile([1.0 / k, -1.0 / k], k)])
+        c = np.concatenate([np.zeros(k), [1.0], np.full(k, 1e-12)])
+        a_eq = np.concatenate([np.ones(k), np.zeros(k + 1)])[None, :]
+        lp = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]),
+                     bounds=[(0.0, 1.0)] * k + [(None, None)] + [(0.0, 1.0)] * k,
+                     method="highs")
+        if not lp.success:
+            break
+        # the tie-break pull can lift z above the pure cut bound by at most
+        # its total weight
+        lower = float(lp.x[k]) - 1e-12 * k
+        if min(e[0] for e in evals) - lower <= gap_tol:
+            break
+        theta = np.maximum(lp.x[:k], 0.0)
+        theta /= theta.sum()
+        if any(np.linalg.norm(theta - e[1]) < 1e-14 for e in evals):
+            break
+    return evals
+
+
+def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
+    """Saddle value of the marginal-entropy game on a support.
+
+    Dual side: `_theta_cutting_planes` on g(theta) = max_P H_theta(P) (each
+    evaluated maximiser yields the valid cut g >= theta . h), stopping at a
+    gap of MINIMAX_CUT_TOL or after MINIMAX_ROUNDS rounds; `dual_value` is
+    the least inner value + gap, an upper bound on g at its theta.  Primal
+    side: SLSQP on max t s.t. H(P_i) >= t.  The returned pair carries the
+    explicit duality gap dual_value - value.
+    """
     if len(support) == 0:
         raise ValueError("empty support")
     k = support.k
@@ -446,62 +500,21 @@ def max_min_entropy(support: SupportSet, tol: float = MINIMAX_TOL,
         return MinimaxEntropyResult(math.log2(m), math.log2(m), 0.0, dist, theta,
                                     exact_power=m)
 
-    cuts = []          # rows of marginal entropy vectors
-    evals = []         # (inner value, theta, distribution, certified bound)
-    theta_vec = np.full(k, 1.0 / k)
-    lower = -np.inf
-    for _ in range(max_rounds):
-        res = max_H_theta(support, ThetaWeights.from_legs(theta_vec), tol=inner_tol)
-        hvec = res.distribution.marginal_entropies()
-        evals.append((res.value, theta_vec.copy(), res.distribution, res.value + res.gap))
-        cuts.append(hvec)
-        upper = min(e[0] for e in evals)
-        # LP: minimise z subject to theta . h_s <= z over the simplex, with
-        # a tiny L1 pull toward the uniform theta to break ties
-        ncuts = len(cuts)
-        nvar = k + 1 + k            # theta, z, slack |theta - uniform|
-        a_ub = np.zeros((ncuts + 2 * k, nvar))
-        b_ub = np.zeros(ncuts + 2 * k)
-        a_ub[:ncuts, :k] = np.array(cuts)
-        a_ub[:ncuts, k] = -1.0
-        for i in range(k):
-            a_ub[ncuts + 2 * i, i] = 1.0
-            a_ub[ncuts + 2 * i, k + 1 + i] = -1.0
-            b_ub[ncuts + 2 * i] = 1.0 / k
-            a_ub[ncuts + 2 * i + 1, i] = -1.0
-            a_ub[ncuts + 2 * i + 1, k + 1 + i] = -1.0
-            b_ub[ncuts + 2 * i + 1] = -1.0 / k
-        c = np.zeros(nvar)
-        c[k] = 1.0
-        c[k + 1:] = 1e-12
-        a_eq = np.zeros((1, nvar))
-        a_eq[0, :k] = 1.0
-        lp = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]),
-                     bounds=[(0.0, 1.0)] * k + [(None, None)] + [(0.0, 1.0)] * k,
-                     method="highs")
-        if not lp.success:
-            break
-        # the tie-break penalty can lift z above the pure cut bound by at
-        # most its total weight
-        lower = float(lp.x[k]) - 1e-12 * k
-        new_theta = np.maximum(lp.x[:k], 0.0)
-        new_theta /= new_theta.sum()
-        if upper - lower <= min(tol, 1e-8) * 0.5:
-            theta_vec = new_theta
-            break
-        if np.linalg.norm(new_theta - theta_vec) < 1e-14:
-            break
-        theta_vec = new_theta
+    def evaluate(theta_vec):
+        res = max_H_theta(support, ThetaWeights.from_legs(theta_vec), tol=MINIMAX_INNER_TOL)
+        return res.value, res.distribution.marginal_entropies(), res
 
-    _, dual_theta, dual_dist, dual_value = min(evals, key=lambda e: e[3])
+    evals = _theta_cutting_planes(k, evaluate, MINIMAX_CUT_TOL, MINIMAX_ROUNDS)
+    _, dual_theta, _, dual = min(evals, key=lambda e: e[3].value + e[3].gap)
+    dual_value = dual.value + dual.gap
 
     # primal polish from the best candidates
     best_p = None
     best_v = -np.inf
-    seeds = [dual_dist.probs, np.full(len(support), 1.0 / len(support))]
+    seeds = [dual.distribution.probs, np.full(len(support), 1.0 / len(support))]
     active = sorted(evals, key=lambda e: e[0])[:3]
     if len(active) > 1:
-        seeds.append(np.mean([e[2].probs for e in active], axis=0))
+        seeds.append(np.mean([e[3].distribution.probs for e in active], axis=0))
     for seed in seeds:
         p = _slsqp_polish(support, np.asarray(seed))
         v = min(shannon_entropy(m) for m in
@@ -511,8 +524,7 @@ def max_min_entropy(support: SupportSet, tol: float = MINIMAX_TOL,
     dist = Distribution(support, best_p)
     value = float(min(shannon_entropy(np.asarray(m)) for m in dist.marginals))
     gap = dual_value - value
-    theta = ThetaWeights.from_legs(np.maximum(dual_theta, 0.0) / np.maximum(dual_theta, 0.0).sum())
-    return MinimaxEntropyResult(value, dual_value, gap, dist, theta)
+    return MinimaxEntropyResult(value, dual_value, gap, dist, ThetaWeights.from_legs(dual_theta))
 
 
 def entropy_trick_check(x: float, y: float) -> float:

@@ -2,7 +2,8 @@
 
 Everything works on lists of lists (rows) holding `Fraction`s or reduced
 ints mod p.  Sizes here are tiny, so one plain Gauss-Jordan elimination
-serves ranks, nullspaces and inverses over both fields.
+serves ranks, nullspaces, inverses and the row reductions of the basis
+search's sparsifier over both fields.
 """
 
 from __future__ import annotations
@@ -19,18 +20,22 @@ def _as_rows(mat) -> list[list]:
     return [list(row) for row in arr]
 
 
-def _rref(mat, p: int | None = None) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan elimination to reduced row echelon form over Q
-    (``p is None``, `Fraction` entries) or over F_p (ints in [0, p)).
+def _rref(mat, p: int | None = None, ncols: int | None = None
+          ) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan elimination over Q (``p is None``, `Fraction` entries)
+    or over F_p (ints in [0, p)), pivoting on the first `ncols` columns
+    (all of them by default).
 
-    Returns (rows, pivot column list).
+    Pivot rows are not scaled: every other row is zero in a pivot column,
+    and the pivot entry stays as found.  Returns (rows, pivot column list).
     """
     if p is None:
         rows = [[Fraction(x) for x in row] for row in _as_rows(mat)]
     else:
         rows = [[int(x) % p for x in row] for row in _as_rows(mat)]
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -40,15 +45,10 @@ def _rref(mat, p: int | None = None) -> tuple[list[list], list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        if p is None:
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-        else:
-            inv = pow(rows[r][c], p - 2, p)
-            rows[r] = [x * inv % p for x in rows[r]]
+        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], p - 2, p)
         for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f != 0:
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] * inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
                 if p is not None:
                     rows[i] = [x % p for x in rows[i]]
@@ -89,23 +89,37 @@ def nullspace_fraction(mat) -> list[list[Fraction]]:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = -rows[r][fc] / rows[r][pc]
         basis.append(v)
     return basis
 
 
+def row_reduce(mat, p: int | None = None) -> tuple[list[list], list[list], list[int]]:
+    """Eliminate [A | I] on A's columns: returns (U A, U, pivots) with U
+    invertible and U A in unscaled reduced echelon form."""
+    rows = _as_rows(mat)
+    n, ncols = len(rows), len(rows[0]) if rows else 0
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = _rref(aug, p, ncols)
+    return [row[:ncols] for row in red], [row[ncols:] for row in red], pivots
+
+
 def _invert(mat, p: int | None = None) -> np.ndarray:
-    # the inverse is the right block of the RREF of [A | I]
+    # U A is diagonal when A is invertible, so A^-1 is U with each row
+    # divided by its pivot
     rows = _as_rows(mat)
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("expected a square matrix")
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = _rref(aug, p)
-    if pivots[:n] != list(range(n)):
+    red, u, pivots = row_reduce(rows, p)
+    if pivots != list(range(n)):
         raise ZeroDivisionError("singular matrix")
     out = np.empty((n, n), dtype=object)
-    out[:] = [row[n:] for row in red]
+    if p is None:
+        out[:] = [[x / red[r][r] for x in row] for r, row in enumerate(u)]
+    else:
+        out[:] = [[x * pow(red[r][r], p - 2, p) % p for x in row]
+                  for r, row in enumerate(u)]
     return out
 
 

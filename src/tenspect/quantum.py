@@ -37,7 +37,20 @@ __all__ = [
     "kronecker_coefficient", "lr_coefficient",
 ]
 
+# the entropy ascent stops when the gradient norm falls below GRAD_TOL,
+# when a transform's condition number exceeds COND_LIMIT, or when no
+# Armijo step is found
+GRAD_TOL = 1e-7
 COND_LIMIT = 1e8
+# ascent step rule: first trial step, Armijo slope fraction, backtrack factor
+STEP0 = 1.0
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+#: size of the random perturbation of the identity at every start but the first
+PERTURBATION = 0.3
+
+#: a projected tensor power with norm at or below this is annihilated
+ZERO_TOL = 1e-8
 
 
 def state_array(t: Tensor) -> np.ndarray:
@@ -94,13 +107,7 @@ def state_theta_entropy(psi: np.ndarray, theta: ThetaWeights) -> float:
 class AscentOptions:
     starts: int = 16
     max_iter: int = 5000
-    grad_tol: float = 1e-7
     seed: int = 0
-    step0: float = 1.0
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    cond_limit: float = COND_LIMIT
-    perturbation: float = 0.3
 
 
 @dataclass(frozen=True)
@@ -209,20 +216,20 @@ def _ascend(t_arr, gs, sides, opts: AscentOptions):
         return None
     value, grads, _ = res
     trace.append(value)
-    step = opts.step0
+    step = STEP0
     for _ in range(opts.max_iter):
         gnorm2 = sum(float(np.vdot(g, g).real) for g in grads)
-        if math.sqrt(gnorm2) < opts.grad_tol:
+        if math.sqrt(gnorm2) < GRAD_TOL:
             break
         accepted = False
         alpha = step
         for _ in range(40):
             cand = [g + alpha * d for g, d in zip(gs, grads)]
             cand_value = _objective(t_arr, cand, sides)
-            if cand_value is not None and cand_value >= value + opts.armijo * alpha * gnorm2:
+            if cand_value is not None and cand_value >= value + ARMIJO * alpha * gnorm2:
                 accepted = True
                 break
-            alpha *= opts.backtrack
+            alpha *= BACKTRACK
         if not accepted:
             break
         gs = [g / (np.linalg.norm(g) / math.sqrt(g.shape[0])) for g in cand]
@@ -235,7 +242,7 @@ def _ascend(t_arr, gs, sides, opts: AscentOptions):
             break
         value, grads, _ = res
         trace.append(value)
-        if max(conds) > opts.cond_limit:
+        if max(conds) > COND_LIMIT:
             break
         step = min(alpha * 2.0, 8.0)
     return value, gs, trace
@@ -258,8 +265,8 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
             gs = [np.eye(d, dtype=complex) for d in t_arr.shape]
         else:
             gs = [np.eye(d, dtype=complex)
-                  + opts.perturbation * (rng.standard_normal((d, d))
-                                         + 1j * rng.standard_normal((d, d)))
+                  + PERTURBATION * (rng.standard_normal((d, d))
+                                    + 1j * rng.standard_normal((d, d)))
                   for d in t_arr.shape]
         out = _ascend(t_arr, gs, sides, opts)
         if out is not None:
@@ -411,8 +418,7 @@ class CertificateResult:
 
 
 def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
-                              order=None, zero_tol: float = 1e-8
-                              ) -> CertificateResult:
+                              order=None) -> CertificateResult:
     """Best weighted partition entropy over surviving projector tuples.
 
     Enumerates tuples of partitions of n, one per weighted bipartition, and
@@ -458,13 +464,13 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
             # arr is copy-symmetric (a power, then side projections that
             # commute with copy permutations), so no symmetrisation is needed
             out = isotypic_projector_apply(arr, dims, n, lam, side)
-            if math.sqrt(float(np.vdot(out, out).real)) <= zero_tol:
+            if math.sqrt(float(np.vdot(out, out).real)) <= ZERO_TOL:
                 continue
             recurse(depth + 1, out, chosen + [(side, lam)],
                     weight_sum + w * partition_entropy(lam))
 
     recurse(0, power, [], 0.0)
     if best_tuple is None:
-        raise RuntimeError("no projector tuple survived; lower the zero tolerance")
+        raise RuntimeError(f"no projector tuple survived the zero tolerance {ZERO_TOL}")
     witness = tuple((side, lam) for side, lam in best_tuple)
     return CertificateResult(best_val, witness, n, surviving)

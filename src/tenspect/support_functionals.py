@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import ThetaWeights, max_H_theta
+from .linalg import row_reduce
 from .supports import (SupportSet, TightnessCertificate, check_tight,
                        is_antichain, is_diagonal, max_points,
                        tight_antichain_relabel)
@@ -23,6 +24,10 @@ from .tensors import (COMPLEX_ZERO_TOL, BasisTuple, Domain, Tensor,
                       identity_matrix, invert_matrix, nonzero_indices, restrict)
 
 NEG_INF = float("-inf")
+
+#: transvection coefficients of the basis search are the nonzero integers
+#: in [-MAX_COEFF, MAX_COEFF]
+MAX_COEFF = 3
 
 
 def _scalar_record(v) -> str:
@@ -64,9 +69,7 @@ def gauge_points(t: Tensor) -> tuple[int, ...]:
 class BasisSearchOptions:
     restarts: int = 50
     steps: int = 200
-    max_coeff: int = 3
     seed: int = 0
-    use_sparsification: bool = True
     extra_bases: tuple[BasisTuple, ...] = ()
 
 
@@ -208,33 +211,8 @@ def _row_reduction_transform(mat, domain, tol):
                     u[i] -= f * u[r]
             r += 1
         return u
-    rows = [list(row) for row in np.asarray(mat, dtype=object)]
-    uid = [[domain.one() if i == j else domain.zero() for j in range(n)]
-           for i in range(n)]
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        if r >= n:
-            break
-        piv = next((i for i in range(r, n) if not domain.is_zero(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        uid[r], uid[piv] = uid[piv], uid[r]
-        for i in range(n):
-            if i != r and not domain.is_zero(rows[i][c]):
-                if domain.kind == "Q":
-                    f = rows[i][c] / rows[r][c]
-                else:
-                    f = (rows[i][c] * pow(int(rows[r][c]), domain.p - 2, domain.p)) % domain.p
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                uid[i] = [a - f * b for a, b in zip(uid[i], uid[r])]
-                if domain.kind == "Fp":
-                    rows[i] = [x % domain.p for x in rows[i]]
-                    uid[i] = [x % domain.p for x in uid[i]]
-        r += 1
     out = np.empty((n, n), dtype=object)
-    out[:] = uid
+    out[:] = row_reduce(mat, domain.p)[1]
     return out
 
 
@@ -278,7 +256,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             best_state, best_val, best_supp = state, val, supp
 
     rng = np.random.default_rng(opts.seed)
-    coeff_choices = [c for c in range(-opts.max_coeff, opts.max_coeff + 1) if c != 0]
+    coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
     for _ in range(opts.restarts):
         cur, cur_val, cur_supp = best_state, best_val, best_supp
         for _ in range(opts.steps):
@@ -328,9 +306,7 @@ def upper_support_functional(t: Tensor, theta: ThetaWeights,
     """
     opts = options or BasisSearchOptions()
     start = _start_state(t, tol)
-    pool = [start] + _basis_states(t, opts)
-    if opts.use_sparsification:
-        pool.append(_sparsify(start, tol))
+    pool = [start] + _basis_states(t, opts) + [_sparsify(start, tol)]
     return _basis_search(t, theta, opts, tol, pool, score=lambda supp: supp, minimise=True)
 
 

@@ -26,6 +26,9 @@ COMPLEX_ZERO_TOL = 1e-10
 #: relative singular value cutoff for numerical ranks
 RANK_REL_TOL = 1e-9
 
+#: complex basis matrices with a larger condition number are rejected
+BASIS_COND_LIMIT = 1e12
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -350,7 +353,7 @@ class BasisTuple:
         return cls(tuple(identity_matrix(d, t.domain) for d in t.dims), t.domain)
 
     @classmethod
-    def make(cls, mats, domain: Domain, cond_limit: float = 1e12) -> "BasisTuple":
+    def make(cls, mats, domain: Domain) -> "BasisTuple":
         checked = []
         for m in mats:
             arr = as_matrix(m, domain)
@@ -359,7 +362,7 @@ class BasisTuple:
             n = arr.shape[0]
             if domain.kind == "C":
                 sv = np.linalg.svd(arr, compute_uv=False)
-                if sv[0] == 0.0 or sv[0] / max(sv[-1], 1e-300) > cond_limit:
+                if sv[0] == 0.0 or sv[0] / max(sv[-1], 1e-300) > BASIS_COND_LIMIT:
                     raise SingularBasisError("basis matrix is ill conditioned")
             else:
                 if matrix_rank(arr, domain) != n:

@@ -1,0 +1,154 @@
+"""Golden records of the two minimisations over the theta simplex.
+
+`theta_golden.json` holds, for fixed supports, tensors and seeds:
+
+* `max_min_entropy`: value, dual value, gap, theta and the number of inner
+  `max_H_theta` solves;
+* `asympt_slicerank`: value, route, theta and the evaluated
+  (theta, value) pairs;
+* the JSON text of two CLI calls that run these minimisations.
+
+A change to how the cutting-plane loop is organised must leave these in
+place: floats within 1e-12, equal counts and list lengths, and the same CLI
+text byte for byte.  Regenerate with
+`PYTHONPATH=src python tests/test_theta_golden.py` only when a change to
+the minimisations' iterates is intended.
+"""
+
+import json
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import tenspect as ts
+import tenspect.entropy as te
+from tenspect.asymptotics import (asympt_slicerank, modular_sum_support,
+                                  reduced_polymult_support)
+from tenspect.cli import run
+from tenspect.quantum import AscentOptions
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "theta_golden.json")
+FAMILIES = ["W", "cw:2", "cw:3", "unit:3", "matmul:2,2,2", "polymul:3", "dicke:2,2"]
+RANDOM_SUPPORTS = 23
+SLICERANK_FAMILIES = ["W", "unit:3", "cw:2"]
+SLICERANK_DIMS = [(2, 2, 2), (2, 3, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2), (2, 3, 3)]
+SLICERANK_OPTIONS = dict(starts=2, max_iter=200)
+CLI_CALLS = {
+    "slicerank W": ["slicerank", "--family", "W", "--seed", "5", "--starts", "2",
+                    "--iters", "200", "--format", "json"],
+    "slicerank cw:2": ["slicerank", "--family", "cw:2", "--starts", "2",
+                       "--iters", "200", "--format", "json"],
+    "subrank-asymptotic W": ["subrank-asymptotic", "--family", "W", "--format", "json"],
+    "subrank-asymptotic polymul:4": ["subrank-asymptotic", "--family", "polymul:4",
+                                     "--format", "json"],
+}
+
+
+def _random_support(index):
+    rng = np.random.default_rng(3000 + index)
+    k = 3 if index < 15 else 4
+    bounds = tuple(int(b) for b in rng.integers(3, 5 if k == 3 else 4, size=k))
+    npts = int(rng.integers(5, 11))
+    pts = set()
+    while len(pts) < npts:
+        pts.add(tuple(int(rng.integers(b)) for b in bounds))
+    return ts.SupportSet(bounds, tuple(sorted(pts)))
+
+
+def _minimax_supports():
+    out = {f"polymult {n}": reduced_polymult_support(n) for n in range(2, 9)}
+    for spec in FAMILIES:
+        out[spec] = ts.SupportSet.from_tensor(ts.build_family(ts.parse_family(spec)))
+    out["modsum 3"] = modular_sum_support(3)
+    out["modsum 4"] = modular_sum_support(4)
+    for index in range(RANDOM_SUPPORTS):
+        out[f"random{index}"] = _random_support(index)
+    # ends on the repeated-theta rule after 27 rounds
+    out["five points"] = ts.SupportSet((3, 3, 3), ((0, 0, 0), (1, 1, 1), (1, 2, 0),
+                                                  (2, 0, 1), (2, 1, 2)))
+    return out
+
+
+def _slicerank_tensors():
+    out = {spec: ts.build_family(ts.parse_family(spec)) for spec in SLICERANK_FAMILIES}
+    for index, dims in enumerate(SLICERANK_DIMS):
+        rng = np.random.default_rng(4000 + index)
+        arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        arr = arr * (rng.random(dims) < 0.5)
+        out[f"random{index} {'x'.join(map(str, dims))}"] = ts.Tensor(dims, ts.COMPLEXFLOAT, arr)
+    return out
+
+
+def _run_minimax(supp):
+    with mock.patch.object(te, "max_H_theta", wraps=te.max_H_theta) as inner:
+        res = te.max_min_entropy(supp)
+    return {"value": res.value, "dual_value": res.dual_value, "gap": res.gap,
+            "theta": res.theta.to_records()["weights"], "inner_calls": inner.call_count}
+
+
+def _run_slicerank(t, index):
+    res = asympt_slicerank(t, AscentOptions(seed=index, **SLICERANK_OPTIONS))
+    return {"value": res.value, "route": res.route,
+            "theta": res.theta.to_records()["weights"],
+            "quantum_values": [[list(th), v] for th, v in res.quantum_values]}
+
+
+def _run_cli(argv):
+    code, out = run(argv)
+    assert code == 0, out
+    return out
+
+
+def _close(got, want):
+    if isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _close(g, w)
+    elif isinstance(want, str):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("key", list(_minimax_supports()))
+def test_max_min_entropy_matches_golden(golden, key):
+    want = golden["max_min_entropy"][key]
+    got = _run_minimax(_minimax_supports()[key])
+    assert got["inner_calls"] == want["inner_calls"]
+    for name in ("value", "dual_value", "gap", "theta"):
+        _close(got[name], want[name])
+
+
+@pytest.mark.parametrize("index,key", list(enumerate(_slicerank_tensors())))
+def test_asympt_slicerank_matches_golden(golden, index, key):
+    want = golden["asympt_slicerank"][key]
+    got = _run_slicerank(_slicerank_tensors()[key], index)
+    assert got["route"] == want["route"]
+    for name in ("value", "theta", "quantum_values"):
+        _close(got[name], want[name])
+
+
+@pytest.mark.parametrize("key", list(CLI_CALLS))
+def test_cli_text_matches_golden(golden, key):
+    assert _run_cli(CLI_CALLS[key]) == golden["cli"][key]
+
+
+if __name__ == "__main__":
+    records = {
+        "max_min_entropy": {key: _run_minimax(supp)
+                            for key, supp in _minimax_supports().items()},
+        "asympt_slicerank": {key: _run_slicerank(t, index)
+                             for index, (key, t) in enumerate(_slicerank_tensors().items())},
+        "cli": {key: _run_cli(argv) for key, argv in CLI_CALLS.items()},
+    }
+    with open(GOLDEN, "w", encoding="ascii") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+        fh.write("\n")
