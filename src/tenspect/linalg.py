@@ -1,77 +1,181 @@
-"""Small exact linear algebra over the rationals and prime fields.
+"""Scalar fields and the one elimination over them.
 
-Everything works on lists of lists (rows) holding `Fraction`s or reduced
-ints mod p.  Sizes here are tiny, so one plain Gauss-Jordan elimination
-serves ranks, nullspaces, inverses and the row reductions of the basis
-search's sparsifier over both fields.
+A `Domain` is the field of a tensor's entries: exact rationals (`Fraction`
+object arrays), a prime field F_p (object arrays of ints in [0, p)), or
+complex floats (complex128 arrays).  Every rule that depends on the field
+(coercion, reduction mod p, division, the zero test and the choice of
+pivot) is a method of `Domain`, so the rest of the library is written once
+for all three fields.
+
+Sizes here are tiny, so one plain Gauss-Jordan elimination, `_rref`, serves
+ranks, nullspaces, inverses and the row reductions of the basis search's
+sparsifier over Q, F_p and C.  It runs on numpy arrays in every field, so
+its complex arithmetic is numpy's.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+#: absolute tolerance for treating a complex entry as zero
+COMPLEX_ZERO_TOL = 1e-10
 
-def _as_rows(mat) -> list[list]:
-    arr = np.asarray(mat, dtype=object)
-    if arr.ndim != 2:
-        raise ValueError("expected a matrix")
-    return [list(row) for row in arr]
+#: relative singular value cutoff for numerical ranks
+RANK_REL_TOL = 1e-9
 
 
-def _rref(mat, p: int | None = None, ncols: int | None = None
-          ) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan elimination over Q (``p is None``, `Fraction` entries)
-    or over F_p (ints in [0, p)), pivoting on the first `ncols` columns
-    (all of them by default).
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+@dataclass(frozen=True)
+class Domain:
+    """Scalar domain tag: exact rationals, complex floats, or F_p."""
+
+    kind: str
+    p: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("Q", "C", "Fp"):
+            raise ValueError(f"unknown scalar domain {self.kind!r}")
+        if self.kind == "Fp":
+            if self.p is None or not _is_prime(self.p):
+                raise ValueError(f"modulus must be prime, got {self.p!r}")
+        elif self.p is not None:
+            raise ValueError("modulus only applies to prime fields")
+
+    @property
+    def exact(self) -> bool:
+        return self.kind != "C"
+
+    @property
+    def label(self) -> str:
+        return self.kind if self.kind != "Fp" else f"Fp:{self.p}"
+
+    def coerce(self, value):
+        """One scalar of the domain.  Over F_p a rational a/b maps to
+        a * b^-1 mod p; a denominator divisible by p, or a float that is not
+        an integer, raises `ValueError`."""
+        if self.kind == "Q":
+            if isinstance(value, Fraction):
+                return value
+            if isinstance(value, float):
+                return Fraction(value).limit_denominator(10**12)
+            return Fraction(value)
+        if self.kind == "C":
+            return complex(value)
+        if type(value) is int:      # the common case; other integers go via Fraction
+            return value % self.p
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value!r} is not an element of F_{self.p}")
+        f = Fraction(value)
+        if f.denominator % self.p == 0:
+            raise ValueError(f"denominator of {value} is not invertible mod {self.p}")
+        return f.numerator * pow(f.denominator, -1, self.p) % self.p
+
+    def array(self, values) -> np.ndarray:
+        """A fresh array of the domain's scalars with the shape of `values`."""
+        if self.kind == "C":
+            return np.array(values, dtype=complex)
+        return np.frompyfunc(self.coerce, 1, 1)(np.asarray(values, dtype=object))
+
+    def reduce(self, arr):
+        """Entries reduced mod p over F_p; unchanged otherwise."""
+        return arr % self.p if self.kind == "Fp" else arr
+
+    def div(self, a, b):
+        """a / b for a scalar b != 0 (a may be an array)."""
+        if self.kind == "Fp":
+            return a * pow(b, -1, self.p) % self.p
+        return a / b
+
+    def is_zero(self, value, tol: float = COMPLEX_ZERO_TOL):
+        """Zero test, elementwise on arrays: |x| <= tol over C, x == 0 over
+        the exact fields."""
+        if self.kind == "C":
+            return abs(value) <= tol
+        return value == 0
+
+    def pivot(self, column: np.ndarray, tol: float = COMPLEX_ZERO_TOL) -> int | None:
+        """Position of the pivot in a nonempty column: the largest |x| over
+        C, the first nonzero entry over Q and F_p; None if all are zero."""
+        if self.kind == "C":
+            i = int(np.argmax(np.abs(column)))
+            return None if self.is_zero(column[i], tol) else i
+        return next((i for i, x in enumerate(column) if x != 0), None)
+
+
+RATIONAL = Domain("Q")
+COMPLEXFLOAT = Domain("C")
+
+
+def prime_field(p: int) -> Domain:
+    return Domain("Fp", p)
+
+
+def parse_domain(label: str) -> Domain:
+    label = label.strip()
+    if label == "Q":
+        return RATIONAL
+    if label == "C":
+        return COMPLEXFLOAT
+    m = re.fullmatch(r"Fp:(\d+)", label)
+    if m:
+        return prime_field(int(m.group(1)))
+    raise ValueError(f"unknown domain label {label!r}")
+
+
+def _rref(a: np.ndarray, domain: Domain, ncols: int | None = None,
+          tol: float = COMPLEX_ZERO_TOL) -> list[int]:
+    """Gauss-Jordan elimination, in place, of an array over the domain,
+    pivoting on the first `ncols` columns (all of them by default).
 
     Pivot rows are not scaled: every other row is zero in a pivot column,
-    and the pivot entry stays as found.  Returns (rows, pivot column list).
+    and the pivot entry stays as found.  Over C, entries with |x| <= tol
+    count as zero.  Returns the pivot columns.
     """
-    if p is None:
-        rows = [[Fraction(x) for x in row] for row in _as_rows(mat)]
-    else:
-        rows = [[int(x) % p for x in row] for row in _as_rows(mat)]
-    nrows = len(rows)
+    nrows = a.shape[0]
     if ncols is None:
-        ncols = len(rows[0]) if nrows else 0
+        ncols = a.shape[1]
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot = domain.pivot(a[r:, c], tol)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c] if p is None else pow(rows[r][c], p - 2, p)
+        if pivot:
+            a[[r, r + pivot]] = a[[r + pivot, r]]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                if p is not None:
-                    rows[i] = [x % p for x in rows[i]]
+            if i != r and not domain.is_zero(a[i, c], tol):
+                a[i] = domain.reduce(a[i] - domain.div(a[i, c], a[r, c]) * a[r])
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return pivots
 
 
-def rank_fraction(mat) -> int:
-    return len(_rref(mat)[1])
-
-
-def rank_mod_p(mat, p: int) -> int:
-    return len(_rref(mat, p)[1])
-
-
-def rank_complex(mat, rel_tol: float = 1e-9) -> int:
-    """Numerical rank: singular values above rel_tol times the largest."""
+def matrix_rank(mat, domain: Domain, rel_tol: float = RANK_REL_TOL) -> int:
+    """Exact rank over Q and F_p; over C, the number of singular values
+    above rel_tol times the largest."""
+    if domain.exact:
+        return len(_rref(domain.array(mat), domain))
     arr = np.asarray(mat, dtype=complex)
     if arr.size == 0:
         return 0
     sv = np.linalg.svd(arr, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    if sv[0] == 0.0:
         return 0
     return int(np.sum(sv > rel_tol * sv[0]))
 
@@ -82,53 +186,53 @@ def nullspace_fraction(mat) -> list[list[Fraction]]:
     nrows, ncols = arr.shape if arr.ndim == 2 else (0, 0)
     if nrows == 0:
         return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    rows, pivots = _rref(arr)
+    a = RATIONAL.array(arr)
+    pivots = _rref(a, RATIONAL)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc] / rows[r][pc]
+            v[pc] = -a[r, fc] / a[r, pc]
         basis.append(v)
     return basis
 
 
-def row_reduce(mat, p: int | None = None) -> tuple[list[list], list[list], list[int]]:
+def row_reduce(mat, domain: Domain, tol: float = COMPLEX_ZERO_TOL
+               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Eliminate [A | I] on A's columns: returns (U A, U, pivots) with U
     invertible and U A in unscaled reduced echelon form."""
-    rows = _as_rows(mat)
-    n, ncols = len(rows), len(rows[0]) if rows else 0
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = _rref(aug, p, ncols)
-    return [row[:ncols] for row in red], [row[ncols:] for row in red], pivots
+    arr = np.asarray(mat)
+    if arr.ndim != 2:
+        raise ValueError("expected a matrix")
+    n, ncols = arr.shape
+    aug = domain.array(np.hstack([arr, np.eye(n, dtype=int)]))
+    pivots = _rref(aug, domain, ncols, tol)
+    return aug[:, :ncols], aug[:, ncols:], pivots
 
 
-def _invert(mat, p: int | None = None) -> np.ndarray:
+def _invert(mat, domain: Domain) -> np.ndarray:
     # U A is diagonal when A is invertible, so A^-1 is U with each row
     # divided by its pivot
-    rows = _as_rows(mat)
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    arr = np.asarray(mat)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError("expected a square matrix")
-    red, u, pivots = row_reduce(rows, p)
+    n = arr.shape[0]
+    red, u, pivots = row_reduce(arr, domain)
     if pivots != list(range(n)):
         raise ZeroDivisionError("singular matrix")
-    out = np.empty((n, n), dtype=object)
-    if p is None:
-        out[:] = [[x / red[r][r] for x in row] for r, row in enumerate(u)]
-    else:
-        out[:] = [[x * pow(red[r][r], p - 2, p) % p for x in row]
-                  for r, row in enumerate(u)]
-    return out
+    for r in range(n):
+        u[r] = domain.div(u[r], red[r, r])
+    return u
 
 
 def invert_fraction(mat) -> np.ndarray:
-    return _invert(mat)
+    return _invert(mat, RATIONAL)
 
 
 def invert_mod_p(mat, p: int) -> np.ndarray:
-    return _invert(mat, p)
+    return _invert(mat, prime_field(p))
 
 
 def clear_denominators(vec: list[Fraction]) -> list[int]:

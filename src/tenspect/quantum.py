@@ -55,9 +55,7 @@ ZERO_TOL = 1e-8
 
 def state_array(t: Tensor) -> np.ndarray:
     """Writable complex array of a tensor, converting exact domains."""
-    if t.domain.kind != "C":
-        t = convert(t, COMPLEXFLOAT)
-    return np.array(t.entries, dtype=complex)
+    return np.array(convert(t, COMPLEXFLOAT).entries, dtype=complex)
 
 
 def _side_indices(k: int, side) -> list[int]:

@@ -149,13 +149,10 @@ class _SearchState:
         dst_at = (slice(None),) * leg + (dst,)
         src_at = (slice(None),) * leg + (src,)
         coeff = self.coeff.copy()
-        coeff[dst_at] = coeff[dst_at] + c * coeff[src_at]
+        coeff[dst_at] = self.domain.reduce(coeff[dst_at] + c * coeff[src_at])
         inv = list(self.inv_maps)
         inv[leg] = inv[leg].copy()
-        inv[leg][dst] = inv[leg][dst] + c * inv[leg][src]
-        if self.domain.kind == "Fp":
-            coeff[dst_at] %= self.domain.p
-            inv[leg][dst] %= self.domain.p
+        inv[leg][dst] = self.domain.reduce(inv[leg][dst] + c * inv[leg][src])
         return _SearchState(coeff, inv, self.domain)
 
     def basis(self) -> BasisTuple:
@@ -176,44 +173,18 @@ def _basis_states(t: Tensor, opts: BasisSearchOptions) -> list[_SearchState]:
 
 
 def _sparsify(state: _SearchState, tol: float) -> _SearchState:
-    """Per-leg exact row reduction of the flattenings; shrinks the support."""
+    """Per-leg row reduction of the flattenings; shrinks the support."""
     cur = state
     for _ in range(3):
         before = len(cur.support(tol))
         for leg in range(cur.coeff.ndim):
             flat = np.moveaxis(cur.coeff, leg, 0).reshape(cur.coeff.shape[leg], -1)
-            cand = cur.apply(leg, _row_reduction_transform(flat, cur.domain, tol))
+            cand = cur.apply(leg, row_reduce(flat, cur.domain, tol)[1])
             if len(cand.support(tol)) <= len(cur.support(tol)):
                 cur = cand
         if len(cur.support(tol)) >= before:
             break
     return cur
-
-
-def _row_reduction_transform(mat, domain, tol):
-    """Invertible U with U @ mat in (approximate) reduced echelon form."""
-    n = mat.shape[0]
-    if domain.kind == "C":
-        a = np.asarray(mat, dtype=complex).copy()
-        u = np.eye(n, dtype=complex)
-        r = 0
-        for c in range(a.shape[1]):
-            if r >= n:
-                break
-            piv = max(range(r, n), key=lambda i: abs(a[i, c]))
-            if abs(a[piv, c]) <= tol:
-                continue
-            a[[r, piv]], u[[r, piv]] = a[[piv, r]].copy(), u[[piv, r]].copy()
-            for i in range(n):
-                if i != r and abs(a[i, c]) > tol:
-                    f = a[i, c] / a[r, c]
-                    a[i] -= f * a[r]
-                    u[i] -= f * u[r]
-            r += 1
-        return u
-    out = np.empty((n, n), dtype=object)
-    out[:] = row_reduce(mat, domain.p)[1]
-    return out
 
 
 def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,

@@ -4,7 +4,10 @@ Tensors are stored densely (instances in this library are tiny), entries are
 exact wherever the scalar domain allows it, and every operation returns a
 fresh immutable tensor.  The text file format, the named tensor families and
 the basic semiring operations (tensor product, direct sum, restriction,
-flattenings) all live here.
+flattenings) all live here.  The scalar fields themselves (`Domain` and its
+rules for coercion, reduction, division and zero tests) and the elimination
+behind ranks and inverses live in `tenspect.linalg`; this module re-exports
+the field names.
 """
 
 from __future__ import annotations
@@ -19,103 +22,11 @@ import numpy as np
 
 from . import linalg
 from .errors import SingularBasisError
-
-#: absolute tolerance for treating a complex entry as zero
-COMPLEX_ZERO_TOL = 1e-10
-
-#: relative singular value cutoff for numerical ranks
-RANK_REL_TOL = 1e-9
+from .linalg import (COMPLEX_ZERO_TOL, COMPLEXFLOAT, RANK_REL_TOL, RATIONAL,
+                     Domain, matrix_rank, parse_domain, prime_field)
 
 #: complex basis matrices with a larger condition number are rejected
 BASIS_COND_LIMIT = 1e12
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Scalar domain tag: exact rationals, complex floats, or F_p."""
-
-    kind: str
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("Q", "C", "Fp"):
-            raise ValueError(f"unknown scalar domain {self.kind!r}")
-        if self.kind == "Fp":
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"modulus must be prime, got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError("modulus only applies to prime fields")
-
-    @property
-    def exact(self) -> bool:
-        return self.kind != "C"
-
-    @property
-    def label(self) -> str:
-        return self.kind if self.kind != "Fp" else f"Fp:{self.p}"
-
-    def coerce(self, value):
-        if self.kind == "Q":
-            if isinstance(value, float):
-                return Fraction(value).limit_denominator(10**12)
-            return Fraction(value)
-        if self.kind == "C":
-            return complex(value)
-        return int(value) % self.p
-
-    def zero(self):
-        return self.coerce(0)
-
-    def one(self):
-        return self.coerce(1)
-
-    def is_zero(self, value, tol: float = COMPLEX_ZERO_TOL) -> bool:
-        if self.kind == "C":
-            return abs(value) <= tol
-        return value == 0
-
-
-RATIONAL = Domain("Q")
-COMPLEXFLOAT = Domain("C")
-
-
-def prime_field(p: int) -> Domain:
-    return Domain("Fp", p)
-
-
-def parse_domain(label: str) -> Domain:
-    label = label.strip()
-    if label == "Q":
-        return RATIONAL
-    if label == "C":
-        return COMPLEXFLOAT
-    m = re.fullmatch(r"Fp:(\d+)", label)
-    if m:
-        return prime_field(int(m.group(1)))
-    raise ValueError(f"unknown domain label {label!r}")
-
-
-def _coerce_array(entries, dims: tuple[int, ...], domain: Domain) -> np.ndarray:
-    if domain.kind == "C":
-        arr = np.asarray(entries, dtype=complex).reshape(dims)
-    else:
-        raw = np.asarray(entries, dtype=object).reshape(dims)
-        arr = np.empty(dims, dtype=object)
-        for idx in np.ndindex(*dims):
-            arr[idx] = domain.coerce(raw[idx])
-    arr.setflags(write=False)
-    return arr
 
 
 class Tensor:
@@ -127,7 +38,8 @@ class Tensor:
         dims = tuple(int(d) for d in dims)
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise ValueError(f"dims must be positive, got {dims}")
-        entries = _coerce_array(entries, dims, domain)
+        entries = domain.array(entries).reshape(dims)
+        entries.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "entries", entries)
@@ -156,54 +68,31 @@ class Tensor:
 def nonzero_indices(entries: np.ndarray, domain: Domain,
                     tol: float = COMPLEX_ZERO_TOL) -> list[tuple[int, ...]]:
     """Indices, in C order, of the entries that `domain.is_zero` rejects."""
-    zero = np.abs(entries) <= tol if domain.kind == "C" else entries == 0
-    return [tuple(idx) for idx in np.argwhere(~zero).tolist()]
+    return [tuple(idx) for idx in np.argwhere(~domain.is_zero(entries, tol)).tolist()]
 
 
 def zeros(dims, domain: Domain) -> Tensor:
-    dims = tuple(int(d) for d in dims)
-    if domain.kind == "C":
-        return Tensor(dims, domain, np.zeros(dims, dtype=complex))
-    arr = np.empty(dims, dtype=object)
-    arr[...] = domain.zero()
-    return Tensor(dims, domain, arr)
+    return Tensor(dims, domain, np.zeros(tuple(int(d) for d in dims), dtype=int))
 
 
 def from_nonzeros(dims, domain: Domain, values: dict) -> Tensor:
     """Build a tensor from a {index tuple: value} mapping."""
-    dims = tuple(int(d) for d in dims)
-    if domain.kind == "C":
-        arr = np.zeros(dims, dtype=complex)
-    else:
-        arr = np.empty(dims, dtype=object)
-        arr[...] = domain.zero()
+    arr = np.zeros(tuple(int(d) for d in dims), dtype=object)
     for idx, val in values.items():
         arr[tuple(idx)] = domain.coerce(val)
-    return Tensor(dims, domain, arr)
+    return Tensor(arr.shape, domain, arr)
 
 
 def convert(t: Tensor, domain: Domain) -> Tensor:
-    """Convert between scalar domains where the conversion is well defined."""
+    """Convert between scalar domains where the conversion is well defined:
+    every domain maps into C and into Q (F_p by the representatives in
+    [0, p)), and Q maps into F_p where p divides no denominator."""
     if domain == t.domain:
         return t
-    src = t.domain
-    if src.kind == "Q" and domain.kind == "C":
-        arr = np.array([[complex(Fraction(x))] for x in t.entries.flat])
-        return Tensor(t.dims, domain, arr.reshape(t.dims))
-    if src.kind == "Q" and domain.kind == "Fp":
-        p = domain.p
-        vals = []
-        for x in t.entries.flat:
-            f = Fraction(x)
-            if f.denominator % p == 0:
-                raise ValueError("denominator not invertible mod p")
-            vals.append(f.numerator * pow(f.denominator, p - 2, p) % p)
-        return Tensor(t.dims, domain, np.array(vals, dtype=object).reshape(t.dims))
-    if src.kind == "Fp" and domain.kind == "Q":
-        return Tensor(t.dims, domain, t.entries)
-    if src.kind == "Fp" and domain.kind == "C":
-        return Tensor(t.dims, domain, np.asarray(t.entries.tolist(), dtype=complex))
-    raise ValueError(f"cannot convert {src.label} tensor to {domain.label}")
+    # C has no exact image, and F_p none in another prime field
+    if domain.exact and (t.domain.kind == "C" or t.domain.kind == domain.kind):
+        raise ValueError(f"cannot convert {t.domain.label} tensor to {domain.label}")
+    return Tensor(t.dims, domain, t.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +109,7 @@ def tensor_product(s: Tensor, t: Tensor) -> Tensor:
     perm = [ax for i in range(k) for ax in (i, k + i)]
     out = out.transpose(perm)
     dims = tuple(sd * td for sd, td in zip(s.dims, t.dims))
-    out = out.reshape(dims)
-    if s.domain.kind == "Fp":
-        out = out % s.domain.p
-    return Tensor(dims, s.domain, out)
+    return Tensor(dims, s.domain, s.domain.reduce(out.reshape(dims)))
 
 
 def direct_sum(s: Tensor, t: Tensor) -> Tensor:
@@ -239,13 +125,7 @@ def direct_sum(s: Tensor, t: Tensor) -> Tensor:
 
 
 def as_matrix(mat, domain: Domain) -> np.ndarray:
-    if domain.kind == "C":
-        arr = np.asarray(mat, dtype=complex)
-    else:
-        raw = np.asarray(mat, dtype=object)
-        arr = np.empty(raw.shape, dtype=object)
-        for idx in np.ndindex(*raw.shape):
-            arr[idx] = domain.coerce(raw[idx])
+    arr = domain.array(mat)
     if arr.ndim != 2:
         raise ValueError("expected a matrix")
     return arr
@@ -255,8 +135,7 @@ def contract_leg(entries: np.ndarray, leg: int, mat: np.ndarray,
                  domain: Domain) -> np.ndarray:
     """Apply the matrix mat, of shape (m, n), to one leg (of size n) of an
     entry array over the domain; the other legs are untouched."""
-    out = np.moveaxis(np.tensordot(mat, entries, axes=(1, leg)), 0, leg)
-    return out % domain.p if domain.kind == "Fp" else out
+    return domain.reduce(np.moveaxis(np.tensordot(mat, entries, axes=(1, leg)), 0, leg))
 
 
 def restrict(t: Tensor, maps) -> Tensor:
@@ -294,30 +173,17 @@ def flattening_matrix(t: Tensor, legs) -> np.ndarray:
 
 
 def flattening_rank(t: Tensor, legs, rel_tol: float = RANK_REL_TOL) -> int:
-    mat = flattening_matrix(t, legs)
-    if t.domain.kind == "Q":
-        return linalg.rank_fraction(mat)
-    if t.domain.kind == "Fp":
-        return linalg.rank_mod_p(mat, t.domain.p)
-    return linalg.rank_complex(mat, rel_tol)
-
-
-def matrix_rank(mat, domain: Domain, rel_tol: float = RANK_REL_TOL) -> int:
-    if domain.kind == "Q":
-        return linalg.rank_fraction(mat)
-    if domain.kind == "Fp":
-        return linalg.rank_mod_p(mat, domain.p)
-    return linalg.rank_complex(np.asarray(mat, dtype=complex), rel_tol)
+    return matrix_rank(flattening_matrix(t, legs), t.domain, rel_tol)
 
 
 def invert_matrix(mat, domain: Domain) -> np.ndarray:
-    try:
-        if domain.kind == "Q":
-            return linalg.invert_fraction(mat)
-        if domain.kind == "Fp":
+    if domain.exact:
+        try:
+            if domain.p is None:
+                return linalg.invert_fraction(mat)
             return linalg.invert_mod_p(mat, domain.p)
-    except ZeroDivisionError as exc:
-        raise SingularBasisError(str(exc)) from exc
+        except ZeroDivisionError as exc:
+            raise SingularBasisError(str(exc)) from exc
     arr = np.asarray(mat, dtype=complex)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
@@ -328,13 +194,7 @@ def invert_matrix(mat, domain: Domain) -> np.ndarray:
 
 
 def identity_matrix(n: int, domain: Domain) -> np.ndarray:
-    if domain.kind == "C":
-        return np.eye(n, dtype=complex)
-    arr = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            arr[i, j] = domain.one() if i == j else domain.zero()
-    return arr
+    return domain.array(np.eye(n, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +220,7 @@ class BasisTuple:
             if arr.shape[0] != arr.shape[1]:
                 raise SingularBasisError("basis matrices must be square")
             n = arr.shape[0]
-            if domain.kind == "C":
+            if not domain.exact:
                 sv = np.linalg.svd(arr, compute_uv=False)
                 if sv[0] == 0.0 or sv[0] / max(sv[-1], 1e-300) > BASIS_COND_LIMIT:
                     raise SingularBasisError("basis matrix is ill conditioned")
@@ -568,6 +428,8 @@ def loads_tensor(text: str) -> Tensor:
         idx = tuple(int(x) for x in parts[:k])
         if any(i < 0 or i >= d for i, d in zip(idx, dims)):
             raise ValueError(f"index out of bounds in line {ln!r}")
+        if idx in vals:
+            raise ValueError(f"repeated index in line {ln!r}")
         vals[idx] = _parse_value(parts[k], domain)
     return from_nonzeros(dims, domain, vals)
 
@@ -592,9 +454,4 @@ def entry_multiset(t: Tensor, tol: float = COMPLEX_ZERO_TOL):
 
 def binomial_basis_matrix(m: int, p: int) -> np.ndarray:
     """Lower triangular matrix B[x, a] = binom(x, a) mod p."""
-    dom = prime_field(p)
-    arr = np.empty((m, m), dtype=object)
-    for x in range(m):
-        for a in range(m):
-            arr[x, a] = comb(x, a) % p if a <= x else 0
-    return as_matrix(arr, dom)
+    return prime_field(p).array([[comb(x, a) for a in range(m)] for x in range(m)])

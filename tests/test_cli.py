@@ -130,6 +130,14 @@ def test_exit_codes():
     assert code == EXIT_VALIDATION
 
 
+def test_repeated_index_is_a_validation_error(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("3 1 1 1 Q\n0 0 0 1/1\n0 0 0 5/1\n")
+    code, text = run(["support-upper", "--tensor", str(path)])
+    assert code == EXIT_VALIDATION
+    assert "repeated index" in text
+
+
 def test_formats_and_digits():
     table = run_ok(["zn", "--n", "3", "--digits", "4"])
     assert "2.755" in table

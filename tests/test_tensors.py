@@ -30,6 +30,26 @@ def test_prime_field_entries_reduced():
     assert t[1, 1] == 4
 
 
+def test_prime_field_coercion_is_a_field_map():
+    f5 = ts.prime_field(5)
+    assert f5.coerce(Fraction(1, 2)) == 3
+    assert f5.coerce(Fraction(-3, 4)) == 3
+    assert f5.coerce(4.0) == 4
+    for bad in (2.7, Fraction(1, 5)):
+        with pytest.raises(ValueError):
+            f5.coerce(bad)
+    # every way into F_p follows the same rule
+    half = {(0, 0): Fraction(1, 2)}
+    assert ts.from_nonzeros((1, 1), f5, half)[0, 0] == 3
+    assert ts.Tensor((1,), f5, [Fraction(1, 2)])[0] == 3
+    assert as_matrix([[Fraction(1, 2)]], f5)[0, 0] == 3
+    assert ts.convert(ts.from_nonzeros((1, 1), ts.RATIONAL, half), f5)[0, 0] == 3
+    with pytest.raises(ValueError):
+        ts.from_nonzeros((1, 1), f5, {(0, 0): 2.7})
+    with pytest.raises(ValueError):
+        BasisTuple.make([[[2.5]]], f5)
+
+
 def test_unit_product_multiset():
     prod = ts.tensor_product(ts.unit(2), ts.unit(3))
     assert prod.dims == (6, 6, 6)
@@ -253,6 +273,11 @@ def test_io_rejects_bad_files():
         ts.loads_tensor("2 2 2 Q\n0 5 1/1\n")
     with pytest.raises(ValueError):
         ts.loads_tensor("2 2 2 Zp\n")
+
+
+def test_io_rejects_repeated_index():
+    with pytest.raises(ValueError, match="repeated index"):
+        ts.loads_tensor("3 1 1 1 Q\n0 0 0 1/1\n0 0 0 5/1\n")
 
 
 def test_basis_tuple_validation(rng):
