@@ -220,9 +220,8 @@ def slicerank_exact_combinatorial(support: SupportSet, budget: int = 5000
             for p in uncovered:
                 counts[p[leg]] = counts.get(p[leg], 0) + 1
             max_cover = max(max_cover, max(counts.values()))
-        if len(chosen) + math.ceil(len(uncovered) / max_cover) >= len(best) + 1:
-            if len(chosen) + math.ceil(len(uncovered) / max_cover) > len(best):
-                return
+        if len(chosen) + math.ceil(len(uncovered) / max_cover) > len(best):
+            return
         p = uncovered[0]
         for leg in range(k):
             extend(chosen + [(leg, p[leg])])
@@ -278,7 +277,7 @@ def asympt_slicerank(t: Tensor, options: AscentOptions | None = None
         hvec = np.array([von_neumann_entropy(marginal(psi, [i])) for i in range(k)])
         return res.value, hvec, None
 
-    evals = _theta_cutting_planes(k, evaluate, SLICERANK_TOL / 4, SLICERANK_ROUNDS)
+    evals, _ = _theta_cutting_planes(k, evaluate, SLICERANK_TOL / 4, SLICERANK_ROUNDS)
     best_val, best_theta, _, _ = min(evals, key=lambda e: e[0])
 
     # free supports certify the value combinatorially: the support entropy

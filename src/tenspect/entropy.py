@@ -12,10 +12,12 @@ F(P*) <= F(P) + max_j grad_j - grad . P over the simplex.
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
 min_theta max_P H_theta(P); the dual side minimises over the theta simplex
 with `_theta_cutting_planes` and reports the least certified bound
-value + gap among the evaluated theta, and the primal side polishes with an
-SLSQP solve, so the pair comes with an explicit duality gap.
-`_theta_cutting_planes` is the one LP loop over the theta simplex; the
-asymptotic slice rank runs it too, over entropy ascents.
+value + gap among the evaluated theta.  The primal side mixes the inner
+maximisers with the LP's dual cut weights and polishes the mixture with
+Newton steps on the saddle KKT system (`_saddle_polish`, sharing the face
+Hessian and step rule of `_face_polish`), so the pair comes with an
+explicit duality gap.  `_theta_cutting_planes` is the one LP loop over the
+theta simplex; the asymptotic slice rank runs it too, over entropy ascents.
 """
 
 from __future__ import annotations
@@ -323,13 +325,10 @@ def _face_polish(p: np.ndarray, evaluate, legs) -> np.ndarray:
     """Newton steps for H_theta on the face of p's clearly positive coordinates.
 
     The face starts as p > 1e-6 max p (the rest is set to 0) and loses every
-    coordinate that falls to 1e-12 max p or below.  On the face the Hessian
-    is -(1/ln 2) sum_i theta_i A_i^T diag(1/marg_i) A_i, with A_i leg i's
-    value-incidence matrix; `legs` lists the (value index, theta_i) pairs of
-    the weighted legs.  The Hessian is singular along directions that keep
-    every weighted marginal, so the KKT system with the simplex row is
-    solved in the least-squares sense.  Each step is the largest feasible
-    one up to 1, halved until f does not decrease; at most 30 steps.
+    coordinate that `_face_step` trims.  `legs` lists the (value index,
+    theta_i) pairs of the weighted legs.  The Hessian is singular along
+    directions that keep every weighted marginal, so the KKT system with the
+    simplex row is solved in the least-squares sense; at most 30 steps.
     """
     q = np.where(p > 1e-6 * p.max(), p, 0.0)
     q /= q.sum()
@@ -342,25 +341,48 @@ def _face_polish(p: np.ndarray, evaluate, legs) -> np.ndarray:
         n = face.size
         kkt = np.zeros((n + 1, n + 1))
         kkt[n, :n] = kkt[:n, n] = 1.0
-        for vals, w in legs:
-            marg = np.bincount(vals, weights=q)[vals[face]]
-            kkt[:n, :n] -= (w / LN2) * (vals[face, None] == vals[None, face]) / marg[:, None]
+        kkt[:n, :n] = _face_hessian(q, face, legs)
         d = np.linalg.lstsq(kkt, np.append(-g, 0.0))[0][:n]
-        shrink = d < 0
-        step = min(1.0, float((-q[face][shrink] / d[shrink]).min())) if shrink.any() else 1.0
-        for _ in range(40):
-            trial = q.copy()
-            trial[face] = np.maximum(q[face] + step * d, 0.0)
-            trial[trial <= 1e-12 * trial.max()] = 0.0
-            trial /= trial.sum()
-            f2, grad2 = evaluate(trial)
-            if f2 >= f:
-                break
-            step *= 0.5
-        else:
+        step = _face_step(q, face, d, evaluate, f)
+        if step is None:
             break
-        q, f, grad = trial, f2, grad2
+        q, (f, grad) = step
     return q
+
+
+def _face_hessian(q: np.ndarray, face: np.ndarray, legs) -> np.ndarray:
+    """Hessian of sum_i w_i H_i (bits) at q on the face.
+
+    It is -(1/ln 2) sum_i w_i A_i^T diag(1/marg_i) A_i, with A_i leg i's
+    value-incidence matrix; `legs` lists the (value index, w_i) pairs.
+    """
+    hess = np.zeros((face.size, face.size))
+    for vals, w in legs:
+        marg = np.bincount(vals, weights=q)[vals[face]]
+        hess -= (w / LN2) * (vals[face, None] == vals[None, face]) / marg[:, None]
+    return hess
+
+
+def _face_step(q: np.ndarray, face: np.ndarray, d: np.ndarray, evaluate, f: float):
+    """Move q along the face direction d without lowering the objective.
+
+    The step is the largest feasible one up to 1; coordinates at 1e-12 max q
+    or below are trimmed to 0 and the rest renormalised.  The step is halved
+    until evaluate(trial)[0] >= f, at most 40 times.  Returns (trial,
+    evaluate(trial)), or None when no step is kept.
+    """
+    shrink = d < 0
+    step = min(1.0, float((-q[face][shrink] / d[shrink]).min())) if shrink.any() else 1.0
+    for _ in range(40):
+        trial = q.copy()
+        trial[face] = np.maximum(q[face] + step * d, 0.0)
+        trial[trial <= 1e-12 * trial.max()] = 0.0
+        trial /= trial.sum()
+        out = evaluate(trial)
+        if out[0] >= f:
+            return trial, out
+        step *= 0.5
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -377,62 +399,7 @@ class MinimaxEntropyResult:
     exact_power: int | None = None
 
 
-def _slsqp_polish(support: SupportSet, start: np.ndarray) -> np.ndarray:
-    from scipy.optimize import minimize
-
-    k = support.k
-    m = len(support)
-    idx = _solver_arrays(support)
-    counts = [np.max(ix) + 1 for ix in idx]
-
-    def margs(p):
-        return [np.maximum(np.bincount(idx[i], weights=p, minlength=counts[i]), 1e-15)
-                for i in range(k)]
-
-    def neg_t(x):
-        return -x[-1]
-
-    def neg_t_grad(x):
-        g = np.zeros(m + 1)
-        g[-1] = -1.0
-        return g
-
-    cons = [{"type": "eq",
-             "fun": lambda x: np.array([x[:m].sum() - 1.0]),
-             "jac": lambda x: np.concatenate([np.ones(m), [0.0]])[None, :]}]
-
-    def make_con(i):
-        def fun(x):
-            mg = np.maximum(np.bincount(idx[i], weights=np.abs(x[:m]),
-                                        minlength=counts[i]), 1e-15)
-            h = float(-(mg * np.log2(mg)).sum())
-            return np.array([h - x[-1]])
-
-        def jac(x):
-            mg = np.maximum(np.bincount(idx[i], weights=np.abs(x[:m]),
-                                        minlength=counts[i]), 1e-15)
-            g = np.zeros(m + 1)
-            g[:m] = -(np.log2(mg[idx[i]]) + 1.0 / LN2)
-            g[-1] = -1.0
-            return g[None, :]
-
-        return {"type": "ineq", "fun": fun, "jac": jac}
-
-    for i in range(k):
-        cons.append(make_con(i))
-    p0 = np.maximum(start, 1e-9)
-    p0 = p0 / p0.sum()
-    t0 = min(shannon_entropy(mg / mg.sum()) for mg in margs(p0))
-    x0 = np.concatenate([p0, [t0]])
-    res = minimize(neg_t, x0, jac=neg_t_grad, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * m + [(0.0, None)], constraints=cons,
-                   options={"maxiter": 400, "ftol": 1e-14})
-    p = np.abs(res.x[:m])
-    total = p.sum()
-    return p / total if total > 0 else np.full(m, 1.0 / m)
-
-
-def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int) -> list:
+def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int):
     """Cutting planes for a convex g over the theta simplex of k legs.
 
     `evaluate(theta)` returns (value, h, payload) with value = theta . h and
@@ -440,15 +407,18 @@ def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int) -> 
     theta, each round evaluates theta and solves the LP min z subject to
     theta . h_s <= z over the simplex, with a 1e-12 L1 pull toward the
     uniform theta to break ties, so that z - 1e-12 k bounds min g from
-    below.  The next theta is the LP's, clipped at 0 and normalised.  The
+    below; HiGHS runs at feasibility tolerances of 1e-10, below the callers'
+    gap_tol.  The next theta is the LP's, clipped at 0 and normalised.  The
     loop stops when the LP fails, when the least value is within gap_tol of
     the LP bound, when the next theta is within 1e-14 of an evaluated one,
     or after max_rounds rounds.  Returns the (value, theta, h, payload)
-    evaluations in order.
+    evaluations in order and the cut weights (duals) of the last LP that
+    succeeded, over the evaluations it saw; [1.0] if none succeeded.
     """
     from scipy.optimize import linprog
 
     evals = []
+    weights = np.ones(1)
     theta = np.full(k, 1.0 / k)
     for _ in range(max_rounds):
         value, h, payload = evaluate(theta)
@@ -465,9 +435,11 @@ def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int) -> 
         a_eq = np.concatenate([np.ones(k), np.zeros(k + 1)])[None, :]
         lp = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]),
                      bounds=[(0.0, 1.0)] * k + [(None, None)] + [(0.0, 1.0)] * k,
-                     method="highs")
+                     method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                              "dual_feasibility_tolerance": 1e-10})
         if not lp.success:
             break
+        weights = -lp.ineqlin.marginals[:ncuts]
         # the tie-break pull can lift z above the pure cut bound by at most
         # its total weight
         lower = float(lp.x[k]) - 1e-12 * k
@@ -477,7 +449,54 @@ def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int) -> 
         theta /= theta.sum()
         if any(np.linalg.norm(theta - e[1]) < 1e-14 for e in evals):
             break
-    return evals
+    return evals, weights
+
+
+def _saddle_polish(support: SupportSet, p: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Newton steps on the saddle KKT system of max_P min_i H(P_i).
+
+    At a saddle point P maximises H_theta on its face and the H_i are equal
+    on the legs with theta_i > 0.  Each step solves the linearised system
+    for the face direction of P and the new theta on those legs (clipped at
+    0 and normalised): `_face_hessian` bordered by the legs' entropy
+    gradients and the simplex rows of P and theta, in the least-squares
+    sense.  The face and step rule are `_face_polish`'s, with min_i H_i as
+    the objective; it stops once a step no longer raises it, or after 30.
+    """
+    idx = _solver_arrays(support)
+
+    def evaluate(q):
+        margs = [np.maximum(np.bincount(ix, weights=q), 1e-300) for ix in idx]
+        h = np.array([float(-(mg * np.log2(mg)).sum()) for mg in margs])
+        return float(h.min()), h, np.array([-np.log2(mg[ix]) for mg, ix in zip(margs, idx)])
+
+    q = np.where(p > 1e-6 * p.max(), p, 0.0)
+    q /= q.sum()
+    f, h, grads = evaluate(q)
+    for _ in range(30):
+        legs = np.flatnonzero(theta)
+        face = np.flatnonzero(q)
+        n, a = face.size, legs.size
+        g = grads[np.ix_(legs, face)].T
+        stat = g @ theta[legs]
+        if max(stat.max() - stat @ q[face], np.ptp(h[legs])) <= 1e-13:
+            break
+        kkt = np.zeros((n + a + 2, n + a + 2))
+        kkt[:n, :n] = _face_hessian(q, face, [(idx[i], theta[i]) for i in legs])
+        kkt[:n, n:n + a] = g
+        kkt[n:n + a, :n] = g.T
+        kkt[:n, n + a] = kkt[n + a, :n] = 1.0
+        kkt[n:n + a, n + a + 1] = kkt[n + a + 1, n:n + a] = 1.0
+        rhs = np.concatenate([np.zeros(n), -h[legs], [0.0, 1.0]])
+        sol = np.linalg.lstsq(kkt, rhs)[0]
+        step = _face_step(q, face, sol[:n], evaluate, f)
+        if step is None or step[1][0] == f:
+            break
+        q, (f, h, grads) = step
+        theta = np.zeros_like(theta)
+        theta[legs] = np.maximum(sol[n:n + a], 0.0)
+        theta /= theta.sum()
+    return q
 
 
 def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
@@ -487,8 +506,10 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
     evaluated maximiser yields the valid cut g >= theta . h), stopping at a
     gap of MINIMAX_CUT_TOL or after MINIMAX_ROUNDS rounds; `dual_value` is
     the least inner value + gap, an upper bound on g at its theta.  Primal
-    side: SLSQP on max t s.t. H(P_i) >= t.  The returned pair carries the
-    explicit duality gap dual_value - value.
+    side: the maximisers mixed with the LP's cut weights (by concavity and
+    LP duality min_i H_i of the mixture is about the LP bound), polished by
+    `_saddle_polish`; `value`, its min_i H_i, is a certified lower bound.
+    The returned pair carries the explicit duality gap dual_value - value.
     """
     if len(support) == 0:
         raise ValueError("empty support")
@@ -504,24 +525,12 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
         res = max_H_theta(support, ThetaWeights.from_legs(theta_vec), tol=MINIMAX_INNER_TOL)
         return res.value, res.distribution.marginal_entropies(), res
 
-    evals = _theta_cutting_planes(k, evaluate, MINIMAX_CUT_TOL, MINIMAX_ROUNDS)
+    evals, weights = _theta_cutting_planes(k, evaluate, MINIMAX_CUT_TOL, MINIMAX_ROUNDS)
     _, dual_theta, _, dual = min(evals, key=lambda e: e[3].value + e[3].gap)
     dual_value = dual.value + dual.gap
 
-    # primal polish from the best candidates
-    best_p = None
-    best_v = -np.inf
-    seeds = [dual.distribution.probs, np.full(len(support), 1.0 / len(support))]
-    active = sorted(evals, key=lambda e: e[0])[:3]
-    if len(active) > 1:
-        seeds.append(np.mean([e[3].distribution.probs for e in active], axis=0))
-    for seed in seeds:
-        p = _slsqp_polish(support, np.asarray(seed))
-        v = min(shannon_entropy(m) for m in
-                (mv / mv.sum() for mv in marginal_vectors(support, p)))
-        if v > best_v:
-            best_v, best_p = v, p
-    dist = Distribution(support, best_p)
+    mix = weights @ [e[3].distribution.probs for e in evals[:weights.size]] / weights.sum()
+    dist = Distribution(support, _saddle_polish(support, mix, dual_theta))
     value = float(min(shannon_entropy(np.asarray(m)) for m in dist.marginals))
     gap = dual_value - value
     return MinimaxEntropyResult(value, dual_value, gap, dist, ThetaWeights.from_legs(dual_theta))

@@ -183,22 +183,11 @@ def lr_coefficient(lam, mu, nu) -> int:
         left = fill.get((i, j - 1))
         if j - 1 >= mu_full[i] and left is not None and left > v:
             return False
-        if j - 1 < mu_full[i] and j > 0:
-            pass
         up = fill.get((i - 1, j))
-        if i > 0 and j < (lam[i - 1] if i - 1 < rows else 0) and j >= mu_full[i - 1]:
+        if i > 0 and j < lam[i - 1] and j >= mu_full[i - 1]:
             if up is None or up >= v:
                 return False
-        elif i > 0 and j < mu_full[i - 1]:
-            pass
         return True
-
-    def lattice_ok(prefix_counts, v) -> bool:
-        # after placing v, every prefix of the reverse word keeps counts
-        # non-increasing in v; enforced right-to-left within rows
-        if v == 0:
-            return True
-        return prefix_counts[v - 1] > prefix_counts[v]
 
     def backtrack(pos, prefix_counts):
         nonlocal count

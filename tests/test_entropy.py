@@ -352,6 +352,42 @@ def test_max_min_entropy_four_legs():
     assert res.gap <= 1e-6
 
 
+FIVE_POINTS = ts.SupportSet((3, 3, 3), ((0, 0, 0), (1, 1, 1), (1, 2, 0), (2, 0, 1), (2, 1, 2)))
+
+
+@pytest.mark.parametrize("supp", [ts.SupportSet.from_tensor(ts.w_tensor()),
+                                  ts.reduced_polymult_support(5), FIVE_POINTS],
+                         ids=["W", "polymult 5", "five points"])
+def test_max_min_entropy_without_minimize(supp, monkeypatch):
+    import scipy.optimize
+
+    import tenspect.entropy as te
+
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("max_min_entropy called scipy.optimize.minimize")
+
+    def recording(fn, log):
+        def wrapper(*args, **kwargs):
+            log.append(fn(*args, **kwargs))
+            return log[-1]
+        return wrapper
+
+    lps, planes = [], []
+    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
+    monkeypatch.setattr(scipy.optimize, "linprog", recording(scipy.optimize.linprog, lps))
+    monkeypatch.setattr(te, "_theta_cutting_planes", recording(te._theta_cutting_planes, planes))
+    res = max_min_entropy(supp)
+    assert res.value <= res.dual_value + 1e-12
+    assert res.value == pytest.approx(float(res.distribution.marginal_entropies().min()),
+                                      abs=1e-12)
+    if supp is FIVE_POINTS:
+        # the cutting planes reach their own stop target
+        evals, _ = planes[0]
+        lp = [lp for lp in lps if lp.success][-1]
+        least = min(e[0] for e in evals)
+        assert least - (lp.x[3] - 1e-12 * 3) <= te.MINIMAX_CUT_TOL
+
+
 def test_entropy_trick():
     assert entropy_trick_check(0, 0) == pytest.approx(2.0, abs=1e-9)
     assert entropy_trick_check(1, 1) == pytest.approx(4.0, abs=1e-9)

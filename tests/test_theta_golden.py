@@ -13,8 +13,15 @@ place: floats within 1e-12, equal counts and list lengths, and the same CLI
 text byte for byte.  Regenerate with
 `PYTHONPATH=src python tests/test_theta_golden.py` only when a change to
 the minimisations' iterates is intended.
+
+`minimax_bounds.json` keeps the `max_min_entropy` value, dual value and gap
+frozen before the first such re-capture (the primal that SLSQP polished); a
+regenerated golden file must not weaken them: the value (a lower bound)
+falls by at most 1e-12, the dual value (an upper bound) rises by at most
+1e-12 and the gap does not grow.  It is never regenerated.
 """
 
+import functools
 import json
 import os
 from unittest import mock
@@ -30,6 +37,7 @@ from tenspect.cli import run
 from tenspect.quantum import AscentOptions
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "theta_golden.json")
+BOUNDS = os.path.join(os.path.dirname(__file__), "minimax_bounds.json")
 FAMILIES = ["W", "cw:2", "cw:3", "unit:3", "matmul:2,2,2", "polymul:3", "dicke:2,2"]
 RANDOM_SUPPORTS = 23
 SLICERANK_FAMILIES = ["W", "unit:3", "cw:2"]
@@ -118,13 +126,28 @@ def golden():
         return json.load(fh)
 
 
+@functools.lru_cache(maxsize=None)
+def _minimax_record(key):
+    return _run_minimax(_minimax_supports()[key])
+
+
 @pytest.mark.parametrize("key", list(_minimax_supports()))
 def test_max_min_entropy_matches_golden(golden, key):
     want = golden["max_min_entropy"][key]
-    got = _run_minimax(_minimax_supports()[key])
+    got = _minimax_record(key)
     assert got["inner_calls"] == want["inner_calls"]
     for name in ("value", "dual_value", "gap", "theta"):
         _close(got[name], want[name])
+
+
+@pytest.mark.parametrize("key", list(_minimax_supports()))
+def test_max_min_entropy_keeps_frozen_bounds(key):
+    with open(BOUNDS, encoding="ascii") as fh:
+        old = json.load(fh)[key]
+    got = _minimax_record(key)
+    assert got["value"] >= old["value"] - 1e-12
+    assert got["dual_value"] <= old["dual_value"] + 1e-12
+    assert got["gap"] <= max(old["gap"], 0.0) + 1e-15
 
 
 @pytest.mark.parametrize("index,key", list(enumerate(_slicerank_tensors())))
