@@ -2,11 +2,12 @@
 
 The central program maximises the theta-weighted sum of marginal Shannon
 entropies over all probability distributions on a support set.  It is
-concave.  The solver runs exponentiated-gradient ascent on the simplex and,
-at a fixed schedule of iterations, Newton steps on the face of clearly
-positive coordinates, which drop the vanishing masses that the ascent only
-shrinks sublinearly.  The certificate is the first-order gap over the full
-support at the returned point: for concave F,
+concave.  The solver starts with Newton steps on the simplex face from the
+uniform point (`_face_polish`), which converge quadratically and trim the
+masses that vanish at the optimum; when their point does not certify, it
+falls back to exponentiated-gradient ascent from the uniform point, with
+further face polishes on a fixed schedule.  The certificate is the
+first-order gap over the full support at the returned point: for concave F,
 F(P*) <= F(P) + max_j grad_j - grad . P over the simplex.
 
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
@@ -248,12 +249,15 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
                 tol: float = INNER_TOL, max_iter: int = 20000) -> HThetaResult:
     """Maximise the theta-weighted marginal entropy over P(support).
 
-    Exponentiated-gradient ascent; at iterations 600, 2000, 6000, 14000 and
-    max_iter a Newton face step (`_face_polish`) proposes a point, kept only
-    if the objective does not drop and the gap shrinks.  The reported gap is
-    max_j grad_j - grad . P over the full support at the returned point and
-    bounds the distance to the true optimum; `converged` says gap <= tol.
-    Supports that form a diagonal are solved exactly.
+    Newton first: the uniform point is returned if its gap is <= tol, else
+    the Newton face steps of `_face_polish` from it, if their point has gap
+    <= tol; `iterations` is then 1.  Otherwise exponentiated-gradient ascent
+    runs from the uniform point, and at iterations 600, 2000, 6000, 14000
+    and max_iter a face polish proposes a point, kept only if the objective
+    does not drop and the gap shrinks; `iterations` counts its steps.  The
+    reported gap is max_j grad_j - grad . P over the full support at the
+    returned point and bounds the distance to the true optimum; `converged`
+    says gap <= tol.  Supports that form a diagonal are solved exactly.
     """
     if len(support) == 0:
         raise ValueError("empty support")
@@ -282,37 +286,46 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
             grad -= theta_arr[i] * np.log2(marg[idx[i]])
         return f, grad
 
-    logp = np.full(m, -math.log(m))
-    eta = 0.5
-    prev_f = -np.inf
-    gap = np.inf
-    kkt = np.inf
-    it = 0
-    polish_at = {600, 2000, 6000, 14000, max_iter}
+    legs = [(idx[i], theta_arr[i]) for i in active]
     p = np.full(m, 1.0 / m)
-    for it in range(1, max_iter + 1):
-        logp -= logp.max()
-        p = np.exp(logp)
-        p /= p.sum()
-        f, grad = evaluate(p)
-        gap = float(grad.max() - grad @ p)
-        if gap <= tol:
-            break
-        if it in polish_at:
-            p2 = _face_polish(p, evaluate, [(idx[i], theta_arr[i]) for i in active])
-            f2, grad2 = evaluate(p2)
-            gap2 = float(grad2.max() - grad2 @ p2)
-            if f2 >= f and gap2 < gap:
-                p, f, grad, gap = p2, f2, grad2, gap2
-                logp = np.log(np.maximum(p, 1e-300))
-                if gap <= tol:
-                    break
-        if f < prev_f - 1e-13:
-            eta = max(eta * 0.5, 1e-3)
-        else:
-            eta = min(eta * 1.05, 64.0)   # boundary mass decays at rate eta
-        prev_f = f
-        logp = logp + eta * grad
+    _, grad = evaluate(p)
+    gap = float(grad.max() - grad @ p)
+    it = 1
+    if gap > tol:
+        q = _face_polish(p, evaluate, legs)
+        _, grad = evaluate(q)
+        gap_q = float(grad.max() - grad @ q)
+        if gap_q <= tol:
+            p, gap = q, gap_q
+    if gap > tol:
+        # exponentiated gradient from the uniform point, with face polishes
+        logp = np.full(m, -math.log(m))
+        eta = 0.5
+        prev_f = -np.inf
+        polish_at = {600, 2000, 6000, 14000, max_iter}
+        for it in range(1, max_iter + 1):
+            logp -= logp.max()
+            p = np.exp(logp)
+            p /= p.sum()
+            f, grad = evaluate(p)
+            gap = float(grad.max() - grad @ p)
+            if gap <= tol:
+                break
+            if it in polish_at:
+                p2 = _face_polish(p, evaluate, legs)
+                f2, grad2 = evaluate(p2)
+                gap2 = float(grad2.max() - grad2 @ p2)
+                if f2 >= f and gap2 < gap:
+                    p, f, grad, gap = p2, f2, grad2, gap2
+                    logp = np.log(np.maximum(p, 1e-300))
+                    if gap <= tol:
+                        break
+            if f < prev_f - 1e-13:
+                eta = max(eta * 0.5, 1e-3)
+            else:
+                eta = min(eta * 1.05, 64.0)   # boundary mass decays at rate eta
+            prev_f = f
+            logp = logp + eta * grad
     _, grad = evaluate(p)
     mask = p > 1e-10
     kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
@@ -328,16 +341,21 @@ def _face_polish(p: np.ndarray, evaluate, legs) -> np.ndarray:
     coordinate that `_face_step` trims.  `legs` lists the (value index,
     theta_i) pairs of the weighted legs.  The Hessian is singular along
     directions that keep every weighted marginal, so the KKT system with the
-    simplex row is solved in the least-squares sense; at most 30 steps.
+    simplex row is solved in the least-squares sense.  The steps stop once
+    the face gap max_face grad - grad . q is at most 1e-14 or no longer
+    shrinks (rounding level), or after 30 steps.
     """
     q = np.where(p > 1e-6 * p.max(), p, 0.0)
     q /= q.sum()
     f, grad = evaluate(q)
+    last = np.inf
     for _ in range(30):
         face = np.flatnonzero(q)
         g = grad[face]
-        if g.max() - g @ q[face] <= 1e-13:
+        gap = g.max() - g @ q[face]
+        if gap <= 1e-14 or gap >= last:
             break
+        last = gap
         n = face.size
         kkt = np.zeros((n + 1, n + 1))
         kkt[n, :n] = kkt[:n, n] = 1.0
@@ -368,7 +386,8 @@ def _face_step(q: np.ndarray, face: np.ndarray, d: np.ndarray, evaluate, f: floa
 
     The step is the largest feasible one up to 1; coordinates at 1e-12 max q
     or below are trimmed to 0 and the rest renormalised.  The step is halved
-    until evaluate(trial)[0] >= f, at most 40 times.  Returns (trial,
+    until evaluate(trial)[0] >= f less 4 ulps of |f| (a drop within rounding
+    does not count as lowering f), at most 40 times.  Returns (trial,
     evaluate(trial)), or None when no step is kept.
     """
     shrink = d < 0
@@ -379,7 +398,7 @@ def _face_step(q: np.ndarray, face: np.ndarray, d: np.ndarray, evaluate, f: floa
         trial[trial <= 1e-12 * trial.max()] = 0.0
         trial /= trial.sum()
         out = evaluate(trial)
-        if out[0] >= f:
+        if out[0] >= f - 4 * np.spacing(abs(f)):
             return trial, out
         step *= 0.5
     return None
@@ -392,7 +411,7 @@ def _face_step(q: np.ndarray, face: np.ndarray, d: np.ndarray, evaluate, f: floa
 @dataclass(frozen=True)
 class MinimaxEntropyResult:
     value: float                     # primal value, bits
-    dual_value: float                # least inner value + gap over evaluated theta, bits
+    dual_value: float                # least inner value + gap over evaluated theta, >= value; bits
     gap: float
     distribution: Distribution
     theta: ThetaWeights
@@ -456,12 +475,17 @@ def _saddle_polish(support: SupportSet, p: np.ndarray, theta: np.ndarray) -> np.
     """Newton steps on the saddle KKT system of max_P min_i H(P_i).
 
     At a saddle point P maximises H_theta on its face and the H_i are equal
-    on the legs with theta_i > 0.  Each step solves the linearised system
-    for the face direction of P and the new theta on those legs (clipped at
-    0 and normalised): `_face_hessian` bordered by the legs' entropy
-    gradients and the simplex rows of P and theta, in the least-squares
-    sense.  The face and step rule are `_face_polish`'s, with min_i H_i as
-    the objective; it stops once a step no longer raises it, or after 30.
+    on the legs with theta_i > 0.  Each step takes the legs with theta_i > 0
+    or H_i within 1e-9 of min_i H_i (binding legs of weight 0 included) and
+    solves the linearised system for the face direction of P and the new
+    theta on those legs (clipped at 0 and normalised): `_face_hessian`
+    bordered by the legs' entropy gradients and the simplex rows of P and
+    theta, in the least-squares sense.  A binding leg of weight 0 enters the
+    Hessian with weight 1/(number of legs), renormalised, since without its
+    curvature its entropy would be modelled as linear near its own maximum.
+    The face and step rule are `_face_polish`'s, with min_i H_i as the
+    objective; it stops once the residual is at most 1e-13, once a step no
+    longer raises the objective, or after 30 steps.
     """
     idx = _solver_arrays(support)
 
@@ -474,7 +498,7 @@ def _saddle_polish(support: SupportSet, p: np.ndarray, theta: np.ndarray) -> np.
     q /= q.sum()
     f, h, grads = evaluate(q)
     for _ in range(30):
-        legs = np.flatnonzero(theta)
+        legs = np.flatnonzero((theta > 0) | (h <= f + 1e-9))
         face = np.flatnonzero(q)
         n, a = face.size, legs.size
         g = grads[np.ix_(legs, face)].T
@@ -482,7 +506,8 @@ def _saddle_polish(support: SupportSet, p: np.ndarray, theta: np.ndarray) -> np.
         if max(stat.max() - stat @ q[face], np.ptp(h[legs])) <= 1e-13:
             break
         kkt = np.zeros((n + a + 2, n + a + 2))
-        kkt[:n, :n] = _face_hessian(q, face, [(idx[i], theta[i]) for i in legs])
+        w = np.where(theta[legs] > 0, theta[legs], 1.0 / a)
+        kkt[:n, :n] = _face_hessian(q, face, [(idx[i], wi) for i, wi in zip(legs, w / w.sum())])
         kkt[:n, n:n + a] = g
         kkt[n:n + a, :n] = g.T
         kkt[:n, n + a] = kkt[n + a, :n] = 1.0
@@ -490,7 +515,7 @@ def _saddle_polish(support: SupportSet, p: np.ndarray, theta: np.ndarray) -> np.
         rhs = np.concatenate([np.zeros(n), -h[legs], [0.0, 1.0]])
         sol = np.linalg.lstsq(kkt, rhs)[0]
         step = _face_step(q, face, sol[:n], evaluate, f)
-        if step is None or step[1][0] == f:
+        if step is None or step[1][0] <= f:
             break
         q, (f, h, grads) = step
         theta = np.zeros_like(theta)
@@ -509,7 +534,10 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
     side: the maximisers mixed with the LP's cut weights (by concavity and
     LP duality min_i H_i of the mixture is about the LP bound), polished by
     `_saddle_polish`; `value`, its min_i H_i, is a certified lower bound.
-    The returned pair carries the explicit duality gap dual_value - value.
+    The returned pair carries the explicit duality gap dual_value - value,
+    which is >= 0: where rounding puts the least inner bound a few ulps
+    below `value`, `dual_value` is raised to `value` (an upper bound stays
+    one when raised).
     """
     if len(support) == 0:
         raise ValueError("empty support")
@@ -527,11 +555,11 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
 
     evals, weights = _theta_cutting_planes(k, evaluate, MINIMAX_CUT_TOL, MINIMAX_ROUNDS)
     _, dual_theta, _, dual = min(evals, key=lambda e: e[3].value + e[3].gap)
-    dual_value = dual.value + dual.gap
 
     mix = weights @ [e[3].distribution.probs for e in evals[:weights.size]] / weights.sum()
     dist = Distribution(support, _saddle_polish(support, mix, dual_theta))
     value = float(min(shannon_entropy(np.asarray(m)) for m in dist.marginals))
+    dual_value = max(dual.value + dual.gap, value)
     gap = dual_value - value
     return MinimaxEntropyResult(value, dual_value, gap, dist, ThetaWeights.from_legs(dual_theta))
 

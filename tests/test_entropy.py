@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenspect as ts
+import tenspect.entropy as te
 from tenspect.entropy import (INNER_TOL, Distribution, ThetaWeights,
                               binary_entropy, entropy_trick_check, kl_divergence,
                               max_H_theta, max_min_entropy, shannon_entropy)
@@ -152,7 +153,7 @@ def test_max_h_theta_certificate_fields():
     assert res.kkt_residual <= 1e-6
 
 
-def test_max_h_theta_leaves_warning_filters_alone():
+def test_max_h_theta_leaves_warning_filters_alone(monkeypatch):
     import warnings
 
     import scipy.optimize  # noqa: F401  (its import may add filters itself)
@@ -162,9 +163,16 @@ def test_max_h_theta_leaves_warning_filters_alone():
     while len(pts) < 12:
         pts.add(tuple(int(x) for x in rng.integers(4, size=3)))
     supp = ts.SupportSet((4, 4, 4), tuple(sorted(pts)))
+    face_polish, polishes = te._face_polish, []
+
+    def counting(*args):
+        polishes.append(args)
+        return face_polish(*args)
+
+    monkeypatch.setattr(te, "_face_polish", counting)
     before = list(warnings.filters)
-    res = max_H_theta(supp, UNIFORM3)
-    assert res.iterations >= 600      # the solve reached a face polish
+    max_H_theta(supp, UNIFORM3)
+    assert polishes                   # the solve reached a face polish
     assert warnings.filters == before
 
 
@@ -240,6 +248,60 @@ def test_converged_flag():
     assert full.gap <= INNER_TOL
     assert max_H_theta(ts.SupportSet.from_tensor(ts.unit(3)), UNIFORM3).converged
     assert max_H_theta(ts.SupportSet((2, 2, 2), ((1, 0, 1),)), UNIFORM3).converged
+
+
+def _suite_supports():
+    """The 40 random 12-point supports in 4x4x4 of perfbench's support_programs."""
+    rng = np.random.default_rng([1709, 3])
+    out = []
+    for _ in range(40):
+        pts, tries = set(), 0
+        while len(pts) < 12 and tries < 200:
+            pts.add(tuple(int(rng.integers(4)) for _ in range(3)))
+            tries += 1
+        out.append(ts.SupportSet((4, 4, 4), tuple(pts)))
+    return out
+
+
+@pytest.mark.parametrize("theta", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.25, 0.25)])
+def test_newton_first_certifies_at_the_first_iteration(theta):
+    theta = ThetaWeights.from_legs(theta)
+    families = [ts.SupportSet.from_tensor(ts.build_family(ts.parse_family(spec)))
+                for spec in ("W", "cw:2", "matmul:2,2,2")]
+    results = [max_H_theta(supp, theta) for supp in families + _suite_supports()]
+    assert all(res.gap <= INNER_TOL for res in results)
+    assert all(res.iterations == 1 for res in results[:3])
+    assert sum(res.iterations == 1 for res in results[3:]) >= 38
+
+
+# from a face gap of ~2e-9 on, the objective of this solve changes only at
+# rounding level
+SIX_POINTS = ts.SupportSet((4, 4, 4), ((0, 3, 3), (1, 2, 3), (2, 1, 2), (2, 3, 0),
+                                       (3, 0, 2), (3, 2, 0)))
+
+
+def test_face_polish_converges_quadratically(monkeypatch):
+    # take max_H_theta's own objective from its first polish, then run the
+    # polish from the uniform point and count the evaluations
+    face_polish, args = te._face_polish, []
+
+    def capture(p, evaluate, legs):
+        args.append((evaluate, legs))
+        return p
+
+    monkeypatch.setattr(te, "_face_polish", capture)
+    max_H_theta(SIX_POINTS, UNIFORM3, max_iter=1)
+    evaluate, legs = args[0]
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return evaluate(p)
+
+    q = face_polish(np.full(6, 1 / 6), counted, legs)
+    assert len(calls) <= 8
+    _, grad = evaluate(q)
+    assert grad.max() - grad @ q <= 1e-14
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,6 +385,28 @@ def test_max_min_entropy_dual_value_is_certified():
     res = max_min_entropy(w)
     assert res.dual_value >= H13
     assert res.gap >= 0
+
+
+@pytest.mark.parametrize("spec", ["cw:2", "cw:3"])
+def test_max_min_entropy_gap_is_not_negative(spec):
+    res = max_min_entropy(ts.SupportSet.from_tensor(ts.build_family(ts.parse_family(spec))))
+    assert res.gap >= 0.0
+    assert res.dual_value - res.value == res.gap
+
+
+def test_saddle_polish_uses_binding_legs_of_weight_zero():
+    # random4 of the theta golden: legs 0 and 2 both peak at log2 3 at
+    # `best`, leg 1 stays above; near `best` and at the vertex
+    # theta = (1, 0, 0), leg 2 is binding with weight 0
+    supp = ts.SupportSet((3, 4, 3), ((0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 3, 0),
+                                     (1, 3, 2), (2, 0, 1), (2, 1, 0), (2, 2, 0), (2, 3, 2)))
+    best = np.array([2, 1, 0, 0, 0, 1, 0, 0, 1, 1]) / 6
+    start = (1 - 1e-5) * best + 1e-6
+    ents = Distribution(supp, start).marginal_entropies()
+    assert abs(ents[0] - ents[2]) <= 1e-9 < ents[1] - ents[0]
+    q = te._saddle_polish(supp, start, np.array([1.0, 0.0, 0.0]))
+    assert Distribution(supp, q).marginal_entropies().min() == pytest.approx(
+        math.log2(3), abs=1e-14)
 
 
 def test_max_min_entropy_duality_gap():
