@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -303,6 +304,7 @@ def _partition_arg(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tenspect",

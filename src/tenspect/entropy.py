@@ -2,13 +2,14 @@
 
 The central program maximises the theta-weighted sum of marginal Shannon
 entropies over all probability distributions on a support set.  It is
-concave.  The solver starts with Newton steps on the simplex face from the
-uniform point (`_face_polish`), which converge quadratically and trim the
-masses that vanish at the optimum; when their point does not certify, it
-falls back to exponentiated-gradient ascent from the uniform point, with
-further face polishes on a fixed schedule.  The certificate is the
-first-order gap over the full support at the returned point: for concave F,
-F(P*) <= F(P) + max_j grad_j - grad . P over the simplex.
+concave.  The solver is one active-set Newton method from the uniform
+point: Newton steps on the simplex face (`_face_polish`) converge
+quadratically and trim the masses that vanish at the optimum, and while the
+point does not certify, the coordinate of largest gradient is added back by
+an exact line search toward its vertex (`_add_back`) and the face steps run
+again.  The certificate is the first-order gap over the full support at the
+returned point: for concave F, F(P*) <= F(P) + max_j grad_j - grad . P over
+the simplex.
 
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
 min_theta max_P H_theta(P); the dual side minimises over the theta simplex
@@ -246,107 +247,97 @@ def _solver_arrays(support: SupportSet) -> list[np.ndarray]:
 
 
 def max_H_theta(support: SupportSet, theta: ThetaWeights,
-                tol: float = INNER_TOL, max_iter: int = 20000) -> HThetaResult:
+                tol: float = INNER_TOL, max_iter: int = 50) -> HThetaResult:
     """Maximise the theta-weighted marginal entropy over P(support).
 
-    Newton first: the uniform point is returned if its gap is <= tol, else
-    the Newton face steps of `_face_polish` from it, if their point has gap
-    <= tol; `iterations` is then 1.  Otherwise exponentiated-gradient ascent
-    runs from the uniform point, and at iterations 600, 2000, 6000, 14000
-    and max_iter a face polish proposes a point, kept only if the objective
-    does not drop and the gap shrinks; `iterations` counts its steps.  The
+    An active-set Newton method from the uniform point, which is returned
+    if its gap is <= tol.  Otherwise each round runs the Newton face steps
+    of `_face_polish`, and the solve ends once the gap is <= tol.  The face
+    steps can drop a coordinate but never add one, so each round after the
+    first starts by adding back the coordinate of largest gradient
+    (`_add_back`).  `iterations` counts the rounds, at most max_iter; 1
+    means the uniform point or the first Newton solve certified.  The
     reported gap is max_j grad_j - grad . P over the full support at the
     returned point and bounds the distance to the true optimum; `converged`
     says gap <= tol.  Supports that form a diagonal are solved exactly.
     """
     if len(support) == 0:
         raise ValueError("empty support")
-    k = support.k
+    k, m = support.k, len(support)
     theta_arr = theta.leg_array(k)
-    if len(support) == 1:
+    if m == 1:
         dist = Distribution(support, np.array([1.0]))
         return HThetaResult(0.0, dist, 0.0, 0.0, 0, True, exact_power=1)
     if is_diagonal(support):
-        m = len(support)
         dist = Distribution(support, np.full(m, 1.0 / m))
         return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
 
-    m = len(support)
     idx = _solver_arrays(support)
     active = [i for i in range(k) if theta_arr[i] > 0]
-    counts = [np.max(idx[i]) + 1 for i in range(k)]
+    legs = [(idx[i], theta_arr[i]) for i in active]
 
     def evaluate(p):
-        f = 0.0
-        grad = np.zeros(m)
-        for i in active:
-            marg = np.bincount(idx[i], weights=p, minlength=counts[i])
-            marg = np.maximum(marg, 1e-300)
-            f += theta_arr[i] * float(-(marg * np.log2(marg)).sum())
-            grad -= theta_arr[i] * np.log2(marg[idx[i]])
+        f, grad = 0.0, np.zeros(m)
+        for vals, w in legs:
+            marg = np.maximum(np.bincount(vals, weights=p), 1e-300)
+            logm = np.log2(marg)
+            f += w * float(-(marg * logm).sum())
+            grad -= w * logm[vals]
         return f, grad
 
-    legs = [(idx[i], theta_arr[i]) for i in active]
     p = np.full(m, 1.0 / m)
     _, grad = evaluate(p)
     gap = float(grad.max() - grad @ p)
-    it = 1
-    if gap > tol:
-        q = _face_polish(p, evaluate, legs)
-        _, grad = evaluate(q)
-        gap_q = float(grad.max() - grad @ q)
-        if gap_q <= tol:
-            p, gap = q, gap_q
-    if gap > tol:
-        # exponentiated gradient from the uniform point, with face polishes
-        logp = np.full(m, -math.log(m))
-        eta = 0.5
-        prev_f = -np.inf
-        polish_at = {600, 2000, 6000, 14000, max_iter}
-        for it in range(1, max_iter + 1):
-            logp -= logp.max()
-            p = np.exp(logp)
-            p /= p.sum()
-            f, grad = evaluate(p)
-            gap = float(grad.max() - grad @ p)
-            if gap <= tol:
-                break
-            if it in polish_at:
-                p2 = _face_polish(p, evaluate, legs)
-                f2, grad2 = evaluate(p2)
-                gap2 = float(grad2.max() - grad2 @ p2)
-                if f2 >= f and gap2 < gap:
-                    p, f, grad, gap = p2, f2, grad2, gap2
-                    logp = np.log(np.maximum(p, 1e-300))
-                    if gap <= tol:
-                        break
-            if f < prev_f - 1e-13:
-                eta = max(eta * 0.5, 1e-3)
-            else:
-                eta = min(eta * 1.05, 64.0)   # boundary mass decays at rate eta
-            prev_f = f
-            logp = logp + eta * grad
-    _, grad = evaluate(p)
+    rounds = 0
+    while gap > tol and rounds < max_iter:
+        if rounds:
+            p = _add_back(p, int(grad.argmax()), evaluate)
+        p = _face_polish(p, evaluate, legs)
+        _, grad = evaluate(p)
+        gap = float(grad.max() - grad @ p)
+        rounds += 1
     mask = p > 1e-10
     kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
     dist = Distribution(support, p)
     value = float(sum(theta_arr[i] * shannon_entropy(dist.marginals[i]) for i in active))
-    return HThetaResult(value, dist, gap, kkt, it, gap <= tol)
+    return HThetaResult(value, dist, gap, kkt, max(rounds, 1), gap <= tol)
 
 
-def _face_polish(p: np.ndarray, evaluate, legs) -> np.ndarray:
-    """Newton steps for H_theta on the face of p's clearly positive coordinates.
+def _add_back(p: np.ndarray, j: int, evaluate) -> np.ndarray:
+    """Exact line search for the concave H_theta from p toward the vertex e_j.
 
-    The face starts as p > 1e-6 max p (the rest is set to 0) and loses every
-    coordinate that `_face_step` trims.  `legs` lists the (value index,
-    theta_i) pairs of the weighted legs.  The Hessian is singular along
-    directions that keep every weighted marginal, so the KKT system with the
-    simplex row is solved in the least-squares sense.  The steps stop once
-    the face gap max_face grad - grad . q is at most 1e-14 or no longer
-    shrinks (rounding level), or after 30 steps.
+    Bisects on the sign of the directional derivative grad_j - grad . q over
+    log2 of the step in [-1000, 0]: a small theta_i on a value that only j
+    uses puts an optimal mass of about 1e-280 on j.
     """
-    q = np.where(p > 1e-6 * p.max(), p, 0.0)
-    q /= q.sum()
+    def toward(s):
+        q = (1.0 - 2.0 ** s) * p
+        q[j] += 2.0 ** s
+        return q
+
+    lo, hi = -1000.0, 0.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        q = toward(mid)
+        grad = evaluate(q)[1]
+        lo, hi = (mid, hi) if grad[j] > grad @ q else (lo, mid)
+    return toward(lo)
+
+
+def _face_polish(q: np.ndarray, evaluate, legs) -> np.ndarray:
+    """Newton steps for H_theta on the face of q's positive coordinates.
+
+    The face loses every coordinate that `_face_step` trims and gains none.
+    `legs` lists the (value index, theta_i) pairs of the weighted legs.  The
+    Hessian is singular along directions that keep every weighted marginal,
+    so the KKT system with the simplex row is solved in the least-squares
+    sense, scaled by the square roots of the Hessian's diagonal (a mass can
+    be 1e-280, its Hessian entry 1e280).  Its right-hand side is the face
+    gradient less grad . q, so that rounding scales with the gap and a tiny
+    mass moves by an accurate fraction of itself.  The steps stop once the
+    face gap max_face grad - grad . q is at most 1e-14 or no longer shrinks
+    (rounding level), or after 30 steps.
+    """
     f, grad = evaluate(q)
     last = np.inf
     for _ in range(30):
@@ -355,13 +346,14 @@ def _face_polish(p: np.ndarray, evaluate, legs) -> np.ndarray:
         gap = g.max() - g @ q[face]
         if gap <= 1e-14 or gap >= last:
             break
-        last = gap
-        n = face.size
+        last, n = gap, face.size
+        hess = _face_hessian(q, face, legs)
+        scale = 1.0 / np.sqrt(-hess.diagonal())
         kkt = np.zeros((n + 1, n + 1))
-        kkt[n, :n] = kkt[:n, n] = 1.0
-        kkt[:n, :n] = _face_hessian(q, face, legs)
-        d = np.linalg.lstsq(kkt, np.append(-g, 0.0))[0][:n]
-        step = _face_step(q, face, d, evaluate, f)
+        kkt[:n, :n] = hess * scale * scale[:, None]
+        kkt[n, :n] = kkt[:n, n] = scale
+        sol = np.linalg.lstsq(kkt, np.append((g @ q[face] - g) * scale, 0.0))[0]
+        step = _face_step(q, face, scale * sol[:n], evaluate, f)
         if step is None:
             break
         q, (f, grad) = step
@@ -376,26 +368,28 @@ def _face_hessian(q: np.ndarray, face: np.ndarray, legs) -> np.ndarray:
     """
     hess = np.zeros((face.size, face.size))
     for vals, w in legs:
-        marg = np.bincount(vals, weights=q)[vals[face]]
-        hess -= (w / LN2) * (vals[face, None] == vals[None, face]) / marg[:, None]
+        v = vals[face]
+        hess -= (v[:, None] == v) * (w / LN2 / np.bincount(vals, weights=q)[v])[:, None]
     return hess
 
 
 def _face_step(q: np.ndarray, face: np.ndarray, d: np.ndarray, evaluate, f: float):
     """Move q along the face direction d without lowering the objective.
 
-    The step is the largest feasible one up to 1; coordinates at 1e-12 max q
-    or below are trimmed to 0 and the rest renormalised.  The step is halved
-    until evaluate(trial)[0] >= f less 4 ulps of |f| (a drop within rounding
-    does not count as lowering f), at most 40 times.  Returns (trial,
-    evaluate(trial)), or None when no step is kept.
+    The step is the largest feasible one up to 1; coordinates that fall from
+    above 1e-12 max to at or below it are trimmed to 0 (a tiny mass that
+    `_add_back` has just added stays) and the rest renormalised.  The step
+    is halved until evaluate(trial)[0] >= f less 4 ulps of |f| (a drop within
+    rounding does not count as lowering f), at most 40 times.  Returns
+    (trial, evaluate(trial)), or None when no step is kept.
     """
     shrink = d < 0
     step = min(1.0, float((-q[face][shrink] / d[shrink]).min())) if shrink.any() else 1.0
     for _ in range(40):
         trial = q.copy()
         trial[face] = np.maximum(q[face] + step * d, 0.0)
-        trial[trial <= 1e-12 * trial.max()] = 0.0
+        lim = 1e-12 * trial.max()
+        trial[face[(trial[face] <= lim) & (q[face] > lim)]] = 0.0
         trial /= trial.sum()
         out = evaluate(trial)
         if out[0] >= f - 4 * np.spacing(abs(f)):

@@ -134,8 +134,8 @@ class _SearchState:
         self.inv_maps = tuple(inv_maps)
         self.domain = domain
 
-    def support(self, tol: float) -> SupportSet:
-        return SupportSet(self.coeff.shape, tuple(nonzero_indices(self.coeff, self.domain, tol)))
+    def points(self, tol: float) -> tuple:    # sorted and unique, as in SupportSet
+        return tuple(nonzero_indices(self.coeff, self.domain, tol))
 
     def apply(self, leg: int, mat) -> "_SearchState":
         """Apply an invertible matrix to one leg."""
@@ -176,13 +176,13 @@ def _sparsify(state: _SearchState, tol: float) -> _SearchState:
     """Per-leg row reduction of the flattenings; shrinks the support."""
     cur = state
     for _ in range(3):
-        before = len(cur.support(tol))
+        before = len(cur.points(tol))
         for leg in range(cur.coeff.ndim):
             flat = np.moveaxis(cur.coeff, leg, 0).reshape(cur.coeff.shape[leg], -1)
             cand = cur.apply(leg, row_reduce(flat, cur.domain, tol)[1])
-            if len(cand.support(tol)) <= len(cur.support(tol)):
+            if len(cand.points(tol)) <= len(cur.points(tol)):
                 cur = cand
-        if len(cur.support(tol)) >= before:
+        if len(cur.points(tol)) >= before:
             break
     return cur
 
@@ -200,7 +200,8 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     """
     sign = 1.0 if minimise else -1.0
     cache: dict[tuple, float] = {}     # support handed to max_H_theta -> value
-    # candidate support -> its value, so that score (max_points) runs once
+    # candidate support points -> value: a SupportSet and score (max_points)
+    # are made once per support, not once per candidate
     scored: dict[tuple, float] = {}
 
     def entropy(supp: SupportSet) -> float:
@@ -208,10 +209,10 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             cache[supp.points] = max_H_theta(supp, theta).value
         return cache[supp.points]
 
-    def value(supp: SupportSet) -> float:
-        if supp.points not in scored:
-            scored[supp.points] = entropy(score(supp))
-        return scored[supp.points]
+    def value(pts: tuple) -> float:
+        if pts not in scored:
+            scored[pts] = entropy(score(SupportSet(t.dims, pts)))
+        return scored[pts]
 
     def better(val: float, ref: float, slack: float) -> bool:
         return sign * val < sign * ref - slack
@@ -219,17 +220,17 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     # the upper pool needs a gain over 1e-9 to leave its first state, the
     # lower pool takes any strict gain
     pool_slack = 1e-9 if minimise else 0.0
-    best_state, best_val, best_supp = None, sign * math.inf, None
+    best_state, best_val, best_pts = None, sign * math.inf, None
     for state in pool:
-        supp = state.support(tol)
-        val = value(supp)
+        pts = state.points(tol)
+        val = value(pts)
         if better(val, best_val, pool_slack):
-            best_state, best_val, best_supp = state, val, supp
+            best_state, best_val, best_pts = state, val, pts
 
     rng = np.random.default_rng(opts.seed)
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
     for _ in range(opts.restarts):
-        cur, cur_val, cur_supp = best_state, best_val, best_supp
+        cur, cur_val, cur_pts = best_state, best_val, best_pts
         for _ in range(opts.steps):
             leg = int(rng.integers(t.k))
             n = t.dims[leg]
@@ -240,18 +241,18 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
                 continue
             c = coeff_choices[int(rng.integers(len(coeff_choices)))]
             cand = cur.apply_transvection(leg, dst, src, c)
-            supp = cand.support(tol)
-            if len(supp) == 0:
+            pts = cand.points(tol)
+            if not pts:
                 continue
-            if minimise and supp.points != cur_supp.points \
-                    and set(supp.points) >= set(cur_supp.points):
+            if minimise and pts != cur_pts and set(pts) >= set(cur_pts):
                 continue    # a strict superset cannot lower H_theta
-            val = value(supp)
+            val = value(pts)
             if better(val, cur_val, 1e-9):
-                cur, cur_val, cur_supp = cand, val, supp
+                cur, cur_val, cur_pts = cand, val, pts
         if better(cur_val, best_val, 1e-12):
-            best_state, best_val, best_supp = cur, cur_val, cur_supp
+            best_state, best_val, best_pts = cur, cur_val, cur_pts
 
+    best_supp = SupportSet(t.dims, best_pts)
     tight_report = check_tight(best_supp)
     return SupportFunctionalReport(
         theta=theta,
@@ -289,7 +290,7 @@ def lower_support_functional(t: Tensor, theta: ThetaWeights,
     start = _start_state(t, tol)
     pool = [start]
     # a tight support, relabeled into an antichain, realises the lower value
-    supp = start.support(tol)
+    supp = SupportSet(t.dims, start.points(tol))
     tight = check_tight(supp)
     if tight.tight:
         perms = tight_antichain_relabel(supp, tight.certificate)

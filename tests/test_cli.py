@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -154,3 +155,16 @@ def test_machine_output_deterministic():
     args = ["support-upper", "--family", "cw:2", "--seed", "3",
             "--restarts", "2", "--steps", "15", "--format", "json"]
     assert run_ok(args) == run_ok(args)
+
+
+def test_parser_is_built_once(monkeypatch):
+    add_argument, calls = argparse.ArgumentParser.add_argument, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    run_ok(["zn", "--n", "3"])
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    run_ok(["zn", "--n", "4"])
+    assert calls == []

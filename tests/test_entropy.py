@@ -177,9 +177,8 @@ def test_max_h_theta_leaves_warning_filters_alone(monkeypatch):
 
 
 # 12-point supports in 4x4x4 whose optimum is a diagonal sub-support with
-# uniform marginals (value exactly 2): exponentiated gradient alone leaves
-# stray masses of 1e-9..1e-8 that decay sublinearly, so these solves need the
-# face step to certify within INNER_TOL
+# uniform marginals (value exactly 2): the Newton face steps must trim the
+# eight masses that vanish there to exactly 0 to certify within INNER_TOL
 DEGENERATE_SUPPORTS = [
     ((0, 0, 2), (0, 0, 3), (0, 1, 3), (0, 2, 3), (0, 3, 2), (1, 1, 0),
      (1, 2, 2), (2, 2, 1), (3, 0, 1), (3, 1, 3), (3, 2, 0), (3, 3, 3)),
@@ -272,6 +271,41 @@ def test_newton_first_certifies_at_the_first_iteration(theta):
     assert all(res.gap <= INNER_TOL for res in results)
     assert all(res.iterations == 1 for res in results[:3])
     assert sum(res.iterations == 1 for res in results[3:]) >= 38
+
+
+def _points(text):
+    return tuple(tuple(int(c) for c in word) for word in text.split())
+
+
+# suite support 31: the first Newton solve trims a coordinate that the
+# optimum needs, and the second round adds it back
+SUPPORT_31 = ts.SupportSet((4, 4, 4), _points("101 102 111 112 121 122 131 132 210 231 323 332"))
+
+
+@pytest.mark.parametrize("theta", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.25, 0.25)])
+def test_active_set_adds_back_a_trimmed_coordinate(theta):
+    assert _suite_supports()[31] == SUPPORT_31
+    res = max_H_theta(SUPPORT_31, ThetaWeights.from_legs(theta))
+    assert res.converged
+    assert res.iterations <= 3
+
+
+# a small theta_i on a value that only one point uses: the optimum puts a
+# mass far below 1e-12 on that point
+SMALL_THETA_CASES = [
+    ((2, 2, 5, 4), "0000 0041 0142 1010 1032", (0.13, 0.173, 0.693, 0.004), 1e-9),
+    ((4, 4, 5), "012 030 034 103 202 323 332", (0.687, 0.004, 0.309), 1e-9),
+    ((4, 3, 4), "123 200 213 220 221 302 323", (0.001, 0.842, 0.157), 1e-9),
+    ((4, 5, 5), "031 132 202 230", (0.002, 0.673, 0.325), 1e-10),
+]
+
+
+@pytest.mark.parametrize("bounds,points,theta,tol", SMALL_THETA_CASES)
+def test_small_theta_certifies_in_few_rounds(bounds, points, theta, tol):
+    theta = ThetaWeights.from_legs(np.array(theta) / sum(theta))
+    res = max_H_theta(ts.SupportSet(bounds, _points(points)), theta, tol=tol)
+    assert res.gap <= tol
+    assert res.iterations <= 3
 
 
 # from a face gap of ~2e-9 on, the objective of this solve changes only at

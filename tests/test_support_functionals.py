@@ -101,6 +101,21 @@ def test_upper_functional_search_recovers_hidden_diagonal():
     assert rep.zeta_exact == 2
 
 
+def test_search_builds_a_support_set_once_per_support(monkeypatch):
+    # candidates are compared by their points; a validated SupportSet is
+    # built for each support not seen before and for the winner
+    post_init, built = ts.SupportSet.__post_init__, []
+
+    def counting(self):
+        built.append(self.points)
+        post_init(self)
+
+    monkeypatch.setattr(ts.SupportSet, "__post_init__", counting)
+    t = ts.build_family(ts.parse_family("matmul:2,2,2"))
+    report = upper_support_functional(t, U3, FAST)
+    assert len(built) <= report.evaluations + 1
+
+
 def test_upper_functional_capset_with_binomial_basis_in_pool():
     from tenspect.tensors import as_matrix, binomial_basis_matrix, invert_matrix
     m = p = 3
