@@ -181,8 +181,11 @@ class SliceCover:
     slices: tuple[tuple[int, int], ...]   # (leg, value) pairs covering the support
 
 
-def slicerank_exact_combinatorial(support: SupportSet, budget: int = 5000
-                                  ) -> SliceCover:
+#: slicerank_exact_combinatorial refuses supports with more points
+SLICE_COVER_MAX_POINTS = 5000
+
+
+def slicerank_exact_combinatorial(support: SupportSet) -> SliceCover:
     """Exact slice rank of an antichain-supported pattern.
 
     Equals the minimum total number of (leg, value) slices covering every
@@ -196,8 +199,8 @@ def slicerank_exact_combinatorial(support: SupportSet, budget: int = 5000
     pts = list(support.points)
     if not pts:
         raise ValueError("empty support")
-    if len(pts) > budget:
-        raise BudgetExceededError(f"support larger than budget {budget}")
+    if len(pts) > SLICE_COVER_MAX_POINTS:
+        raise BudgetExceededError(f"support larger than budget {SLICE_COVER_MAX_POINTS}")
     k = support.k
 
     best: list[tuple[int, int]] = [(0, v) for v in support.values(0)]

@@ -5,7 +5,9 @@ object arrays), a prime field F_p (object arrays of ints in [0, p)), or
 complex floats (complex128 arrays).  Every rule that depends on the field
 (coercion, reduction mod p, division, the zero test and the choice of
 pivot) is a method of `Domain`, so the rest of the library is written once
-for all three fields.
+for all three fields.  The complex zero tolerance (`COMPLEX_ZERO_TOL`), the
+complex rank cutoff (`RANK_REL_TOL`) and the singularity test of
+`tenspect.tensors.invert_matrix` are field rules with fixed values, not options.
 
 Sizes here are tiny, so one plain Gauss-Jordan elimination, `_rref`, serves
 ranks, nullspaces, inverses and the row reductions of the basis search's
@@ -100,19 +102,19 @@ class Domain:
             return a * pow(b, -1, self.p) % self.p
         return a / b
 
-    def is_zero(self, value, tol: float = COMPLEX_ZERO_TOL):
-        """Zero test, elementwise on arrays: |x| <= tol over C, x == 0 over
-        the exact fields."""
+    def is_zero(self, value):
+        """Zero test, elementwise on arrays: |x| <= COMPLEX_ZERO_TOL over C,
+        x == 0 over the exact fields."""
         if self.kind == "C":
-            return abs(value) <= tol
+            return abs(value) <= COMPLEX_ZERO_TOL
         return value == 0
 
-    def pivot(self, column: np.ndarray, tol: float = COMPLEX_ZERO_TOL) -> int | None:
+    def pivot(self, column: np.ndarray) -> int | None:
         """Position of the pivot in a nonempty column: the largest |x| over
         C, the first nonzero entry over Q and F_p; None if all are zero."""
         if self.kind == "C":
             i = int(np.argmax(np.abs(column)))
-            return None if self.is_zero(column[i], tol) else i
+            return None if self.is_zero(column[i]) else i
         return next((i for i, x in enumerate(column) if x != 0), None)
 
 
@@ -136,14 +138,13 @@ def parse_domain(label: str) -> Domain:
     raise ValueError(f"unknown domain label {label!r}")
 
 
-def _rref(a: np.ndarray, domain: Domain, ncols: int | None = None,
-          tol: float = COMPLEX_ZERO_TOL) -> list[int]:
+def _rref(a: np.ndarray, domain: Domain, ncols: int | None = None) -> list[int]:
     """Gauss-Jordan elimination, in place, of an array over the domain,
     pivoting on the first `ncols` columns (all of them by default).
 
     Pivot rows are not scaled: every other row is zero in a pivot column,
-    and the pivot entry stays as found.  Over C, entries with |x| <= tol
-    count as zero.  Returns the pivot columns.
+    and the pivot entry stays as found.  Entries count as zero by
+    `domain.is_zero`.  Returns the pivot columns.
     """
     nrows = a.shape[0]
     if ncols is None:
@@ -153,22 +154,22 @@ def _rref(a: np.ndarray, domain: Domain, ncols: int | None = None,
     for c in range(ncols):
         if r == nrows:
             break
-        pivot = domain.pivot(a[r:, c], tol)
+        pivot = domain.pivot(a[r:, c])
         if pivot is None:
             continue
         if pivot:
             a[[r, r + pivot]] = a[[r + pivot, r]]
         for i in range(nrows):
-            if i != r and not domain.is_zero(a[i, c], tol):
+            if i != r and not domain.is_zero(a[i, c]):
                 a[i] = domain.reduce(a[i] - domain.div(a[i, c], a[r, c]) * a[r])
         pivots.append(c)
         r += 1
     return pivots
 
 
-def matrix_rank(mat, domain: Domain, rel_tol: float = RANK_REL_TOL) -> int:
+def matrix_rank(mat, domain: Domain) -> int:
     """Exact rank over Q and F_p; over C, the number of singular values
-    above rel_tol times the largest."""
+    above RANK_REL_TOL times the largest."""
     if domain.exact:
         return len(_rref(domain.array(mat), domain))
     arr = np.asarray(mat, dtype=complex)
@@ -177,7 +178,7 @@ def matrix_rank(mat, domain: Domain, rel_tol: float = RANK_REL_TOL) -> int:
     sv = np.linalg.svd(arr, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
 def nullspace_fraction(mat) -> list[list[Fraction]]:
@@ -199,8 +200,7 @@ def nullspace_fraction(mat) -> list[list[Fraction]]:
     return basis
 
 
-def row_reduce(mat, domain: Domain, tol: float = COMPLEX_ZERO_TOL
-               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def row_reduce(mat, domain: Domain) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Eliminate [A | I] on A's columns: returns (U A, U, pivots) with U
     invertible and U A in unscaled reduced echelon form."""
     arr = np.asarray(mat)
@@ -208,7 +208,7 @@ def row_reduce(mat, domain: Domain, tol: float = COMPLEX_ZERO_TOL
         raise ValueError("expected a matrix")
     n, ncols = arr.shape
     aug = domain.array(np.hstack([arr, np.eye(n, dtype=int)]))
-    pivots = _rref(aug, domain, ncols, tol)
+    pivots = _rref(aug, domain, ncols)
     return aug[:, :ncols], aug[:, ncols:], pivots
 
 

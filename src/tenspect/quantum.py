@@ -29,7 +29,7 @@ from .partitions import (character, irrep_dimension, kronecker_coefficient,
 from .tensors import COMPLEXFLOAT, Tensor, convert
 
 __all__ = [
-    "state_array", "marginal", "von_neumann_entropy", "state_theta_entropy",
+    "state_array", "marginal", "von_neumann_entropy",
     "AscentOptions", "LowerQuantumResult", "lower_quantum_functional",
     "isotypic_projector_apply", "bipartition_projector_apply",
     "symmetrize_copies", "tensor_power_array",
@@ -85,16 +85,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     evals = np.linalg.eigvalsh(rho)
     evals = evals[evals > 1e-15]
     return float(-(evals * np.log2(evals)).sum())
-
-
-def state_theta_entropy(psi: np.ndarray, theta: ThetaWeights) -> float:
-    k = psi.ndim
-    total = 0.0
-    for side, w in theta.bipartition_sides(k):
-        if w == 0.0:
-            continue
-        total += w * von_neumann_entropy(marginal(psi, side))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +395,7 @@ def bipartition_projector_apply(v: np.ndarray, dims, n: int, lam, side) -> np.nd
 
 @dataclass(frozen=True)
 class CertificateResult:
-    value: float                                  # bits
+    value: float          # bits; a polytope point, so a lower bound on log2 F^theta
     witness: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     power: int
     surviving: int
@@ -421,7 +411,8 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
 
     Enumerates tuples of partitions of n, one per weighted bipartition, and
     keeps those whose ordered projector product does not annihilate the n-th
-    power.  Crossing weights need an explicit projector order.
+    power.  Crossing weights need an explicit projector order.  The value is
+    a point of the entanglement polytope: a lower bound on log2 F^theta.
     """
     if n < 1 or n > 4:
         raise BudgetExceededError("certificate power limited to 1 <= n <= 4")

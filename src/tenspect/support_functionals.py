@@ -19,9 +19,9 @@ from .linalg import row_reduce
 from .supports import (SupportSet, TightnessCertificate, check_tight,
                        is_antichain, is_diagonal, max_points,
                        tight_antichain_relabel)
-from .tensors import (COMPLEX_ZERO_TOL, BasisTuple, Domain, Tensor,
-                      coefficients_in_basis, contract_leg, flattening_rank,
-                      identity_matrix, invert_matrix, nonzero_indices, restrict)
+from .tensors import (BasisTuple, Domain, Tensor, coefficients_in_basis,
+                      contract_leg, flattening_rank, identity_matrix,
+                      invert_matrix, nonzero_indices, restrict)
 
 NEG_INF = float("-inf")
 
@@ -36,23 +36,20 @@ def _scalar_record(v) -> str:
     return str(v)
 
 
-def support_at_basis(t: Tensor, basis: BasisTuple,
-                     tol: float = COMPLEX_ZERO_TOL) -> SupportSet:
-    return SupportSet.from_tensor(coefficients_in_basis(t, basis), tol)
+def support_at_basis(t: Tensor, basis: BasisTuple) -> SupportSet:
+    return SupportSet.from_tensor(coefficients_in_basis(t, basis))
 
 
-def rho_upper_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights,
-                       tol: float = COMPLEX_ZERO_TOL) -> float:
+def rho_upper_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights) -> float:
     """H_theta of the support of t in the given basis; -inf for the zero tensor."""
-    supp = support_at_basis(t, basis, tol)
+    supp = support_at_basis(t, basis)
     if len(supp) == 0:
         return NEG_INF
     return max_H_theta(supp, theta).value
 
 
-def rho_lower_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights,
-                       tol: float = COMPLEX_ZERO_TOL) -> float:
-    supp = support_at_basis(t, basis, tol)
+def rho_lower_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights) -> float:
+    supp = support_at_basis(t, basis)
     if len(supp) == 0:
         return NEG_INF
     return max_H_theta(max_points(supp), theta).value
@@ -134,8 +131,8 @@ class _SearchState:
         self.inv_maps = tuple(inv_maps)
         self.domain = domain
 
-    def points(self, tol: float) -> tuple:    # sorted and unique, as in SupportSet
-        return tuple(nonzero_indices(self.coeff, self.domain, tol))
+    def points(self) -> tuple:    # sorted and unique, as in SupportSet
+        return tuple(nonzero_indices(self.coeff, self.domain))
 
     def apply(self, leg: int, mat) -> "_SearchState":
         """Apply an invertible matrix to one leg."""
@@ -160,36 +157,38 @@ class _SearchState:
         return BasisTuple(mats, self.domain)
 
 
-def _start_state(t: Tensor, tol: float) -> _SearchState:
+def _start_state(t: Tensor) -> _SearchState:
     """The standard basis; rejects the zero tensor."""
-    if t.is_zero(tol):
+    if t.is_zero():
         raise ValueError("support functionals are undefined for the zero tensor")
     return _SearchState(t.entries, [identity_matrix(d, t.domain) for d in t.dims], t.domain)
 
 
 def _basis_states(t: Tensor, opts: BasisSearchOptions) -> list[_SearchState]:
-    return [_SearchState(coefficients_in_basis(t, basis).entries, basis.inverses(), t.domain)
-            for basis in opts.extra_bases]
+    # one inversion per basis gives both the coefficients and the inverse maps
+    if any(basis.domain != t.domain for basis in opts.extra_bases):
+        raise ValueError("basis domain does not match tensor domain")
+    inverses = [basis.inverses() for basis in opts.extra_bases]
+    return [_SearchState(restrict(t, inv).entries, inv, t.domain) for inv in inverses]
 
 
-def _sparsify(state: _SearchState, tol: float) -> _SearchState:
+def _sparsify(state: _SearchState) -> _SearchState:
     """Per-leg row reduction of the flattenings; shrinks the support."""
     cur = state
     for _ in range(3):
-        before = len(cur.points(tol))
+        before = len(cur.points())
         for leg in range(cur.coeff.ndim):
             flat = np.moveaxis(cur.coeff, leg, 0).reshape(cur.coeff.shape[leg], -1)
-            cand = cur.apply(leg, row_reduce(flat, cur.domain, tol)[1])
-            if len(cand.points(tol)) <= len(cur.points(tol)):
+            cand = cur.apply(leg, row_reduce(flat, cur.domain)[1])
+            if len(cand.points()) <= len(cur.points()):
                 cur = cand
-        if len(cur.points(tol)) >= before:
+        if len(cur.points()) >= before:
             break
     return cur
 
 
 def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
-                  tol: float, pool: list[_SearchState], score, minimise: bool
-                  ) -> SupportFunctionalReport:
+                  pool: list[_SearchState], score, minimise: bool) -> SupportFunctionalReport:
     """Seeded local search over bases, shared by both support functionals.
 
     The value of a state is H_theta of score(support).  The search starts
@@ -222,7 +221,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     pool_slack = 1e-9 if minimise else 0.0
     best_state, best_val, best_pts = None, sign * math.inf, None
     for state in pool:
-        pts = state.points(tol)
+        pts = state.points()
         val = value(pts)
         if better(val, best_val, pool_slack):
             best_state, best_val, best_pts = state, val, pts
@@ -241,7 +240,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
                 continue
             c = coeff_choices[int(rng.integers(len(coeff_choices)))]
             cand = cur.apply_transvection(leg, dst, src, c)
-            pts = cand.points(tol)
+            pts = cand.points()
             if not pts:
                 continue
             if minimise and pts != cur_pts and set(pts) >= set(cur_pts):
@@ -269,35 +268,33 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
 
 
 def upper_support_functional(t: Tensor, theta: ThetaWeights,
-                             options: BasisSearchOptions | None = None,
-                             tol: float = COMPLEX_ZERO_TOL) -> SupportFunctionalReport:
+                             options: BasisSearchOptions | None = None) -> SupportFunctionalReport:
     """Minimise the support entropy over a basis pool.
 
     The result is an upper bound on the true minimum over all bases; it is
     exact (and flagged so) when the winning support is an antichain.
     """
     opts = options or BasisSearchOptions()
-    start = _start_state(t, tol)
-    pool = [start] + _basis_states(t, opts) + [_sparsify(start, tol)]
-    return _basis_search(t, theta, opts, tol, pool, score=lambda supp: supp, minimise=True)
+    start = _start_state(t)
+    pool = [start] + _basis_states(t, opts) + [_sparsify(start)]
+    return _basis_search(t, theta, opts, pool, score=lambda supp: supp, minimise=True)
 
 
 def lower_support_functional(t: Tensor, theta: ThetaWeights,
-                             options: BasisSearchOptions | None = None,
-                             tol: float = COMPLEX_ZERO_TOL) -> SupportFunctionalReport:
+                             options: BasisSearchOptions | None = None) -> SupportFunctionalReport:
     """Maximise the maximal-point entropy over a basis pool (a lower bound)."""
     opts = options or BasisSearchOptions()
-    start = _start_state(t, tol)
+    start = _start_state(t)
     pool = [start]
     # a tight support, relabeled into an antichain, realises the lower value
-    supp = SupportSet(t.dims, start.points(tol))
+    supp = SupportSet(t.dims, start.points())
     tight = check_tight(supp)
     if tight.tight:
         perms = tight_antichain_relabel(supp, tight.certificate)
         mats = [identity_matrix(n, t.domain)[:, perm] for n, perm in zip(t.dims, perms)]
         pool.append(_SearchState(restrict(t, mats).entries, mats, t.domain))
     pool += _basis_states(t, opts)
-    return _basis_search(t, theta, opts, tol, pool, score=max_points, minimise=False)
+    return _basis_search(t, theta, opts, pool, score=max_points, minimise=False)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +316,7 @@ class InstabilityReport:
         return base - (2.0 / math.log(2.0)) * float(arr.min()) * self.epsilon ** 2
 
 
-def instability_lp(t: Tensor, basis: BasisTuple | None = None,
-                   tol: float = COMPLEX_ZERO_TOL) -> InstabilityReport:
+def instability_lp(t: Tensor, basis: BasisTuple | None = None) -> InstabilityReport:
     """Best weight vector separating the support from the uniform average.
 
     LP over nonnegative leg weights w_i normalised by sum_i max_x w_i(x) = 1:
@@ -331,7 +327,7 @@ def instability_lp(t: Tensor, basis: BasisTuple | None = None,
 
     if basis is None:
         basis = BasisTuple.standard(t)
-    supp = support_at_basis(t, basis, tol)
+    supp = support_at_basis(t, basis)
     if len(supp) == 0:
         raise ValueError("instability is undefined for an empty support")
     k = supp.k

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError
-from .tensors import COMPLEX_ZERO_TOL, Tensor
+from .tensors import Tensor
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class SupportSet:
         return set(self.points) <= set(other.points)
 
     @classmethod
-    def from_tensor(cls, t: Tensor, tol: float = COMPLEX_ZERO_TOL) -> "SupportSet":
-        return cls(t.dims, tuple(t.nonzero_indices(tol)))
+    def from_tensor(cls, t: Tensor) -> "SupportSet":
+        return cls(t.dims, tuple(t.nonzero_indices()))
 
     def product(self, other: "SupportSet") -> "SupportSet":
         """Box product with flattened composite indices per leg."""
@@ -170,17 +170,17 @@ def is_diagonal(s: SupportSet) -> bool:
 
 @dataclass(frozen=True)
 class TightnessCertificate:
-    """Integer leg weights u_i with sum zero on every support point."""
+    """Injective integer leg weights u_i with sum zero on every support point."""
 
     maps: tuple[tuple[int, ...], ...]   # maps[i][x] = u_i(x) on the full index set
 
-    def verify(self, s: SupportSet, require_injective: bool = True) -> bool:
+    def verify(self, s: SupportSet) -> bool:
         if len(self.maps) != s.k:
             return False
         for i, m in enumerate(self.maps):
             if len(m) != s.bounds[i]:
                 return False
-            if require_injective and len(set(m)) != len(m):
+            if len(set(m)) != len(m):
                 return False
         return all(sum(self.maps[i][p[i]] for i in range(s.k)) == 0 for p in s.points)
 
@@ -387,7 +387,8 @@ def check_comb_degeneration(big: SupportSet, small: SupportSet
         raise ValueError("supports must share order and bounds")
     if not small.issubset(big):
         raise ValueError("second support must be a subset of the first")
-    rest = [p for p in big.points if p not in set(small.points)]
+    small_set = set(small.points)
+    rest = [p for p in big.points if p not in small_set]
     if not rest:
         cert = CombDegenerationCertificate(
             tuple(tuple(0 for _ in range(b)) for b in big.bounds))
@@ -506,11 +507,15 @@ def subrank_set(s: SupportSet, budget: int = 5000) -> SubrankResult:
     return SubrankResult(len(best), tuple(best))
 
 
-def subrank_set_bruteforce(s: SupportSet, max_points: int = 14) -> int:
+#: subrank_set_bruteforce enumerates all subsets of at most this many points
+BRUTEFORCE_MAX_POINTS = 14
+
+
+def subrank_set_bruteforce(s: SupportSet) -> int:
     """Independent oracle: enumerate every subset.  Only for tiny supports."""
     pts = list(s.points)
-    if len(pts) > max_points:
-        raise BudgetExceededError(f"brute force limited to {max_points} points")
+    if len(pts) > BRUTEFORCE_MAX_POINTS:
+        raise BudgetExceededError(f"brute force limited to {BRUTEFORCE_MAX_POINTS} points")
     best = 0
     for mask in range(1 << len(pts)):
         subset = [pts[i] for i in range(len(pts)) if mask >> i & 1]

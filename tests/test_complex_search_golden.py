@@ -22,7 +22,6 @@ from tenspect.support_functionals import (BasisSearchOptions, _sparsify,
                                           _start_state,
                                           lower_support_functional,
                                           upper_support_functional)
-from tenspect.tensors import COMPLEX_ZERO_TOL
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "complex_search_golden.json")
 FAMILIES = ["W", "cw:2", "unit:3"]
@@ -72,7 +71,7 @@ def _run(name, theta_name, seed):
     t = _tensor(name, seed)
     opts = BasisSearchOptions(restarts=2, steps=20, seed=seed)
     theta = THETAS[theta_name]
-    sparse = _sparsify(_start_state(t, COMPLEX_ZERO_TOL), COMPLEX_ZERO_TOL)
+    sparse = _sparsify(_start_state(t))
     return {"upper": upper_support_functional(t, theta, opts).to_records(),
             "lower": lower_support_functional(t, theta, opts).to_records(),
             "sparse_coeff": _hex(sparse.coeff),

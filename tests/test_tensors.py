@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenspect as ts
+from tenspect import linalg
 from tenspect.tensors import (BasisTuple, as_matrix, binomial_basis_matrix,
                               identity_matrix, invert_matrix)
 
@@ -285,6 +287,12 @@ def test_basis_tuple_validation(rng):
     with pytest.raises(ts.SingularBasisError):
         BasisTuple.make([[[1, 1], [1, 1]], identity_matrix(2, ts.RATIONAL),
                          identity_matrix(2, ts.RATIONAL)], ts.RATIONAL)
+    # condition number 1e13 over C, and singular over F_5 (det 1*3 - 2*4 = 0 mod 5)
+    with pytest.raises(ts.SingularBasisError):
+        BasisTuple.make([np.diag([1.0, 1e-13]), np.eye(2), np.eye(2)], ts.COMPLEXFLOAT)
+    f5 = ts.prime_field(5)
+    with pytest.raises(ts.SingularBasisError):
+        BasisTuple.make([[[1, 2], [4, 3]], identity_matrix(2, f5), identity_matrix(2, f5)], f5)
     basis = BasisTuple.make([[[1, 1], [0, 1]]] * 3, ts.RATIONAL)
     coeff = ts.coefficients_in_basis(t, basis)
     rebuilt = ts.restrict(coeff, basis.matrices)
@@ -299,3 +307,25 @@ def test_convert_between_domains():
     assert wf[0, 0, 1] == 1
     with pytest.raises(ValueError):
         ts.convert(wc, ts.RATIONAL)
+
+
+def test_field_rules_are_not_parameters():
+    # the zero tolerance, rank cutoff and singularity test are fixed linalg
+    # rules; only max_H_theta's convergence tolerance is a caller's choice
+    knobs = {"tol", "rel_tol", "require_injective", "max_points"}
+    found = []
+    for module in (ts, linalg):
+        for name, obj in vars(module).items():
+            if name.startswith("_"):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                            if not attr.startswith("_")]
+            for label, fn in members:
+                fn = getattr(fn, "__func__", fn)
+                if not inspect.isfunction(fn) or not fn.__module__.startswith("tenspect"):
+                    continue
+                found += [f"{label}({p})" for p in inspect.signature(fn).parameters
+                          if p in knobs]
+    assert found == ["max_H_theta(tol)"]
