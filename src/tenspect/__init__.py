@@ -24,9 +24,8 @@ from .quantum import (AscentOptions, CertificateResult, LowerQuantumResult,
                       lower_quantum_functional, marginal, state_array,
                       symmetrize_copies, tensor_power_array,
                       upper_quantum_certificate, von_neumann_entropy)
-from .support_functionals import (BasisSearchOptions, InstabilityReport,
-                                  SupportFunctionalReport, gauge_points,
-                                  instability_lp, lower_support_functional,
+from .support_functionals import (BasisSearchOptions, SupportFunctionalReport,
+                                  gauge_points, lower_support_functional,
                                   rho_lower_at_basis, rho_upper_at_basis,
                                   support_at_basis, upper_support_functional)
 from .supports import (CombDegenerationCertificate, SubrankResult, SupportSet,

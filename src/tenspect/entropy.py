@@ -157,9 +157,6 @@ class ThetaWeights:
             return self.items
         return tuple((frozenset({leg}), w) for leg, w in self.items)
 
-    def support(self) -> tuple:
-        return tuple(key for key, w in self.items if w > 0)
-
     def is_noncrossing(self, k: int) -> bool:
         """No pair of weighted bipartitions crosses."""
         sides = [set(key) if isinstance(key, frozenset) else {key}

@@ -9,7 +9,10 @@ eigvalsh per weighted side); the gradient is computed once per accepted
 step.  Each leg product is one matmul on the (legs before, leg, legs after)
 view of the array.  The upper certificate enumerates tuples of partitions
 whose isotypic projections leave a tensor power alive; projectors are applied
-as permutation actions, never materialised as matrices.
+as permutation actions, never materialised as matrices: each permutation is
+one transpose of the side's axes of the copy-major power, with the other legs
+in place.  Partitions with more rows than the side's dimension d_S are
+skipped, since Schur-Weyl duality makes their projectors zero.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import numpy as np
 
 from .entropy import ThetaWeights
 from .errors import BudgetExceededError
-from .partitions import (character, irrep_dimension, kronecker_coefficient,
-                         lr_coefficient, normalize_partition,
+from .partitions import (character, irrep_dimension, normalize_partition,
                          partition_entropy, partitions)
 from .tensors import COMPLEXFLOAT, Tensor, convert
 
@@ -34,7 +36,6 @@ __all__ = [
     "isotypic_projector_apply", "bipartition_projector_apply",
     "symmetrize_copies", "tensor_power_array",
     "CertificateResult", "upper_quantum_certificate",
-    "kronecker_coefficient", "lr_coefficient",
 ]
 
 # the entropy ascent stops when the gradient norm falls below GRAD_TOL,
@@ -281,47 +282,17 @@ def tensor_power_array(t_arr: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _block_view(arr: np.ndarray, dims: tuple[int, ...], n: int, side) -> tuple[np.ndarray, tuple]:
-    """Reshape copy-major axes into (side, complement) pairs per copy."""
-    k = len(dims)
-    side = sorted(set(int(x) for x in side))
-    if not side or any(x < 0 or x >= k for x in side):
-        raise ValueError("invalid leg subset")
-    rest = [i for i in range(k) if i not in side]
-    perm = []
-    for copy in range(n):
-        perm += [copy * k + i for i in side]
-        perm += [copy * k + i for i in rest]
-    d_s = prod(dims[i] for i in side)
-    d_c = prod(dims[i] for i in rest)
-    reshaped = arr.transpose(perm).reshape((d_s, d_c) * n)
-    return reshaped, (tuple(side), tuple(rest), d_s, d_c)
+def _permute_copies(arr: np.ndarray, perm, legs) -> np.ndarray:
+    """Send copy m's axes of `legs` to copy perm[m]; the other legs stay.
 
-
-def _block_unview(arr2n: np.ndarray, dims, n, info) -> np.ndarray:
-    side, rest, d_s, d_c = info
-    k = len(dims)
-    shaped = arr2n.reshape(tuple(
-        dims[i] for copy in range(n) for i in list(side) + list(rest)))
-    perm = []
-    order = list(side) + list(rest)
-    for copy in range(n):
-        inv = [0] * k
-        for pos, leg in enumerate(order):
-            inv[leg] = copy * k + pos
-        perm += inv
-    return shaped.transpose(perm)
-
-
-def _permute_copies(arr2n: np.ndarray, perm, move_complement: bool) -> np.ndarray:
-    """Send copy m's block axes to position perm[m]."""
-    n = len(perm)
-    axes = [0] * (2 * n)
-    for m in range(n):
-        target = perm[m]
-        axes[2 * target] = 2 * m
-        axes[2 * target + 1] = (2 * m + 1) if move_complement else (2 * target + 1)
-    return arr2n.transpose(axes)
+    `arr` has copy-major axes, k = arr.ndim // len(perm) of them per copy.
+    """
+    k = arr.ndim // len(perm)
+    axes = list(range(arr.ndim))
+    for m, target in enumerate(perm):
+        for leg in legs:
+            axes[target * k + leg] = m * k + leg
+    return arr.transpose(axes)
 
 
 def _cycle_type(perm) -> tuple[int, ...]:
@@ -341,23 +312,25 @@ def _cycle_type(perm) -> tuple[int, ...]:
     return normalize_partition(cycles)
 
 
-def symmetrize_copies(arr2n: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros_like(arr2n)
+def symmetrize_copies(arr: np.ndarray, n: int) -> np.ndarray:
+    """Average of a copy-major n-th power over the permutations of its copies."""
+    legs = range(arr.ndim // n)
+    out = np.zeros_like(arr)
     for perm in iter_permutations(range(n)):
-        out += _permute_copies(arr2n, perm, move_complement=True)
+        out += _permute_copies(arr, perm, legs)
     return out / factorial(n)
 
 
-def _young_project(arr2n: np.ndarray, lam, n: int) -> np.ndarray:
+def _young_project(arr: np.ndarray, lam, n: int, legs) -> np.ndarray:
     lam = normalize_partition(lam)
     if sum(lam) != n:
         raise ValueError("partition size must equal the power")
     dim = irrep_dimension(lam)
-    out = np.zeros_like(arr2n)
+    out = np.zeros_like(arr)
     for perm in iter_permutations(range(n)):
         chi = character(lam, _cycle_type(perm))
         if chi:
-            out += chi * _permute_copies(arr2n, perm, move_complement=False)
+            out += chi * _permute_copies(arr, perm, legs)
     return out * (dim / factorial(n))
 
 
@@ -371,26 +344,27 @@ def _check_budget(dims, n: int):
         raise BudgetExceededError("tensor power too large for dense projection")
 
 
+def _power_and_legs(v: np.ndarray, dims, n: int, side) -> tuple[np.ndarray, list[int]]:
+    """v as a copy-major n-th power array over dims, and the sorted side."""
+    dims = tuple(dims)
+    _check_budget(dims, n)
+    legs = sorted(set(int(x) for x in side))
+    if not legs or any(x < 0 or x >= len(dims) for x in legs):
+        raise ValueError("invalid leg subset")
+    return np.asarray(v, dtype=complex).reshape(dims * n), legs
+
+
 def isotypic_projector_apply(v: np.ndarray, dims, n: int, lam, side) -> np.ndarray:
     """Apply the isotypic projector for a leg subset to a vector in the
     n-th power of the full leg space (copy-major axes)."""
-    dims = tuple(dims)
-    _check_budget(dims, n)
-    arr = np.asarray(v, dtype=complex).reshape(dims * n)
-    view, info = _block_view(arr, dims, n, side)
-    out = _young_project(view, lam, n)
-    return _block_unview(out, dims, n, info)
+    arr, legs = _power_and_legs(v, dims, n, side)
+    return _young_project(arr, lam, n, legs)
 
 
 def bipartition_projector_apply(v: np.ndarray, dims, n: int, lam, side) -> np.ndarray:
     """Symmetrise over the copies, then project the side's isotype."""
-    dims = tuple(dims)
-    _check_budget(dims, n)
-    arr = np.asarray(v, dtype=complex).reshape(dims * n)
-    view, info = _block_view(arr, dims, n, side)
-    sym = symmetrize_copies(view, n)
-    out = _young_project(sym, lam, n)
-    return _block_unview(out, dims, n, info)
+    arr, legs = _power_and_legs(v, dims, n, side)
+    return _young_project(symmetrize_copies(arr, n), lam, n, legs)
 
 
 @dataclass(frozen=True)
@@ -449,7 +423,12 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
                 best_tuple = tuple(chosen)
             return
         side, w = sides[depth]
+        d_side = prod(dims[i] for i in side)
         for lam in lams:
+            # Schur-Weyl: a partition with more rows than the side's
+            # dimension has a zero isotypic projector
+            if len(lam) > d_side:
+                continue
             # arr is copy-symmetric (a power, then side projections that
             # commute with copy permutations), so no symmetrisation is needed
             out = isotypic_projector_apply(arr, dims, n, lam, side)

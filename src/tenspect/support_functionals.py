@@ -295,75 +295,3 @@ def lower_support_functional(t: Tensor, theta: ThetaWeights,
         pool.append(_SearchState(restrict(t, mats).entries, mats, t.domain))
     pool += _basis_states(t, opts)
     return _basis_search(t, theta, opts, pool, score=max_points, minimise=False)
-
-
-# ---------------------------------------------------------------------------
-# instability at a fixed basis
-
-
-@dataclass(frozen=True)
-class InstabilityReport:
-    epsilon: float
-    weights: tuple[tuple[float, ...], ...]
-    support: SupportSet
-
-    def entropy_upper_bound(self, theta: ThetaWeights) -> float:
-        """Weighted log-dimension bound minus the instability penalty."""
-        k = len(self.weights)
-        arr = theta.leg_array(k)
-        dims = [len(w) for w in self.weights]
-        base = float(sum(arr[i] * math.log2(dims[i]) for i in range(k)))
-        return base - (2.0 / math.log(2.0)) * float(arr.min()) * self.epsilon ** 2
-
-
-def instability_lp(t: Tensor, basis: BasisTuple | None = None) -> InstabilityReport:
-    """Best weight vector separating the support from the uniform average.
-
-    LP over nonnegative leg weights w_i normalised by sum_i max_x w_i(x) = 1:
-    maximise eps such that every support point a satisfies
-    sum_i w_i(a_i) <= sum_i mean_x w_i(x) - eps.
-    """
-    from scipy.optimize import linprog
-
-    if basis is None:
-        basis = BasisTuple.standard(t)
-    supp = support_at_basis(t, basis)
-    if len(supp) == 0:
-        raise ValueError("instability is undefined for an empty support")
-    k = supp.k
-    dims = supp.bounds
-    nw = sum(dims)
-    offs = np.cumsum([0] + list(dims))
-    nvar = nw + k + 1     # weights, per-leg maxima, epsilon
-
-    a_ub = []
-    b_ub = []
-    for p in supp.points:
-        row = np.zeros(nvar)
-        for i in range(k):
-            row[offs[i] + p[i]] += 1.0
-            row[offs[i]:offs[i + 1]] -= 1.0 / dims[i]
-        row[-1] = 1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-    for i in range(k):
-        for x in range(dims[i]):
-            row = np.zeros(nvar)
-            row[offs[i] + x] = 1.0
-            row[nw + i] = -1.0
-            a_ub.append(row)
-            b_ub.append(0.0)
-    a_eq = np.zeros((1, nvar))
-    a_eq[0, nw:nw + k] = 1.0
-    c = np.zeros(nvar)
-    c[-1] = -1.0
-    bounds = [(0.0, None)] * nw + [(0.0, 1.0)] * k + [(None, None)]
-    res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=a_eq, b_eq=np.array([1.0]), bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"instability LP failed: {res.message}")
-    eps = float(res.x[-1])
-    eps = 0.0 if eps <= 0.0 else eps
-    weights = tuple(tuple(float(v) for v in res.x[offs[i]:offs[i + 1]])
-                    for i in range(k))
-    return InstabilityReport(eps, weights, supp)

@@ -197,6 +197,32 @@ def test_projector_suite_small():
                 assert np.abs(cross).max() < 1e-8
 
 
+def test_projectors_on_two_legs_of_a_nonsymmetric_vector(rng):
+    # side [0, 2] is not contiguous in the copy-major layout, and v is not a
+    # power, so only a projector that moves exactly the side's axes passes
+    dims, n, side, k = (2, 3, 2), 3, [0, 2], 3
+    v = rng.standard_normal(dims * n) + 1j * rng.standard_normal(dims * n)
+    lams = list(partitions(n))
+    parts = [isotypic_projector_apply(v, dims, n, lam, side) for lam in lams]
+    assert np.abs(sum(parts) - v).max() < 1e-10
+    for i, (lam, pv) in enumerate(zip(lams, parts)):
+        again = isotypic_projector_apply(pv, dims, n, lam, side)
+        assert np.abs(again - pv).max() < 1e-10
+        for qv in parts[i + 1:]:
+            assert abs(np.vdot(pv, qv)) < 1e-10
+        # swapping the leg-1 axes of copies 0 and 1 commutes with the projector
+        swapped = isotypic_projector_apply(v.swapaxes(1, k + 1), dims, n, lam, side)
+        assert np.abs(swapped - pv.swapaxes(1, k + 1)).max() < 1e-10
+
+
+def test_partitions_longer_than_the_side_dimension_project_to_zero(rng):
+    dims = (2, 3, 2)
+    for n, side, lam in [(3, [0], (1, 1, 1)), (4, [1], (1, 1, 1, 1)),
+                         (3, [2], (1, 1, 1))]:
+        v = rng.standard_normal(dims * n) + 1j * rng.standard_normal(dims * n)
+        assert np.abs(isotypic_projector_apply(v, dims, n, lam, side)).max() < 1e-12
+
+
 def test_symmetrizer_fixes_powers_and_antisym_kills_them(rng):
     dims = (2, 2, 2)
     psi = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)

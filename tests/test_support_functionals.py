@@ -6,7 +6,6 @@ import pytest
 import tenspect as ts
 from tenspect.entropy import ThetaWeights, binary_entropy
 from tenspect.support_functionals import (BasisSearchOptions, gauge_points,
-                                          instability_lp,
                                           lower_support_functional,
                                           rho_lower_at_basis,
                                           rho_upper_at_basis,
@@ -188,36 +187,3 @@ def test_gauge_points_examples():
     assert gauge_points(ts.matmul(a, b, c)) == (a * b, b * c, c * a)
     for q in (1, 2, 3):
         assert gauge_points(ts.cw(q)) == (q + 1, q + 1, q + 1)
-
-
-def test_instability_unit_is_semistable():
-    rep = instability_lp(ts.unit(3))
-    assert rep.epsilon == 0.0
-
-
-def test_instability_single_point_unstable():
-    t = ts.from_nonzeros((2, 2, 2), ts.RATIONAL, {(0, 0, 0): 1})
-    rep = instability_lp(t)
-    assert rep.epsilon > 0.1
-    # entropy bound dominates the support entropy for any theta
-    for theta in (U3, ThetaWeights.from_legs([0.5, 0.25, 0.25])):
-        up = rho_upper_at_basis(t, BasisTuple.standard(t), theta)
-        assert up <= rep.entropy_upper_bound(theta) + 1e-6
-
-
-def test_instability_bound_random(rng):
-    for _ in range(6):
-        t = random_exact_tensor(rng, max_dim=3)
-        if t.is_zero():
-            continue
-        rep = instability_lp(t)
-        assert rep.epsilon >= 0.0
-        theta = ThetaWeights.from_legs(rng.dirichlet(np.ones(3)))
-        up = rho_upper_at_basis(t, BasisTuple.standard(t), theta)
-        assert up <= rep.entropy_upper_bound(theta) + 1e-6
-
-
-def test_instability_empty_support_rejected():
-    z = ts.zeros((2, 2, 2), ts.RATIONAL)
-    with pytest.raises(ValueError):
-        instability_lp(z)
