@@ -16,9 +16,8 @@ from .entropy import (Distribution, HThetaResult, MinimaxEntropyResult,
                       kl_divergence, max_H_theta, max_min_entropy,
                       shannon_entropy)
 from .errors import BudgetExceededError, SingularBasisError
-from .partitions import (PartitionSeq, character, irrep_dimension,
-                         kronecker_coefficient, lr_coefficient,
-                         partition_entropy, partitions)
+from .partitions import (character, irrep_dimension, kronecker_coefficient,
+                         lr_coefficient, partition_entropy, partitions)
 from .quantum import (AscentOptions, CertificateResult, LowerQuantumResult,
                       bipartition_projector_apply, isotypic_projector_apply,
                       lower_quantum_functional, marginal, state_array,

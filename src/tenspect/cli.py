@@ -149,21 +149,15 @@ def cmd_family(args) -> dict:
             "tensor": text.splitlines()}
 
 
-def cmd_support_upper(args) -> dict:
+def cmd_support(args) -> dict:
+    """support-upper and support-lower: the two basis searches."""
+    search = (upper_support_functional if args.verb == "support-upper"
+              else lower_support_functional)
     t = _load_input_tensor(args)
     theta = parse_theta(args.theta, t.k)
     opts = BasisSearchOptions(restarts=args.restarts, steps=args.steps, seed=args.seed)
-    rep = upper_support_functional(t, theta, opts)
-    return {"command": "support-upper", "tolerances": {"inner": INNER_TOL},
-            **rep.to_records()}
-
-
-def cmd_support_lower(args) -> dict:
-    t = _load_input_tensor(args)
-    theta = parse_theta(args.theta, t.k)
-    opts = BasisSearchOptions(restarts=args.restarts, steps=args.steps, seed=args.seed)
-    rep = lower_support_functional(t, theta, opts)
-    return {"command": "support-lower", "tolerances": {"inner": INNER_TOL},
+    rep = search(t, theta, opts)
+    return {"command": args.verb, "tolerances": {"inner": INNER_TOL},
             **rep.to_records()}
 
 
@@ -285,16 +279,11 @@ def cmd_slicerank(args) -> dict:
     return out
 
 
-def cmd_kron(args) -> dict:
-    g = kronecker_coefficient(args.lam, args.mu, args.nu)
-    return {"command": "kron", "lam": args.lam, "mu": args.mu, "nu": args.nu,
-            "coefficient": g}
-
-
-def cmd_lr(args) -> dict:
-    c = lr_coefficient(args.lam, args.mu, args.nu)
-    return {"command": "lr", "lam": args.lam, "mu": args.mu, "nu": args.nu,
-            "coefficient": c}
+def cmd_coefficient(args) -> dict:
+    """kron and lr: one symmetric group coefficient of three partitions."""
+    coefficient = kronecker_coefficient if args.verb == "kron" else lr_coefficient
+    return {"command": args.verb, "lam": args.lam, "mu": args.mu, "nu": args.nu,
+            "coefficient": coefficient(args.lam, args.mu, args.nu)}
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("support-upper", help="minimise support entropy over bases")
-    common(p, tensor_input=True, theta=True, search=True)
-    p.set_defaults(func=cmd_support_upper)
-
-    p = sub.add_parser("support-lower", help="maximise maximal-point entropy over bases")
-    common(p, tensor_input=True, theta=True, search=True)
-    p.set_defaults(func=cmd_support_lower)
+    for verb, text in (("support-upper", "minimise support entropy over bases"),
+                       ("support-lower", "maximise maximal-point entropy over bases")):
+        p = sub.add_parser(verb, help=text)
+        common(p, tensor_input=True, theta=True, search=True)
+        p.set_defaults(func=cmd_support)
 
     p = sub.add_parser("quantum-lower", help="entropy ascent over local transforms")
     common(p, tensor_input=True, theta=True, ascent=True)
@@ -393,19 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_slicerank)
 
-    p = sub.add_parser("kron", help="Kronecker coefficient")
-    p.add_argument("--lam", type=_partition_arg, required=True)
-    p.add_argument("--mu", type=_partition_arg, required=True)
-    p.add_argument("--nu", type=_partition_arg, required=True)
-    common(p)
-    p.set_defaults(func=cmd_kron)
-
-    p = sub.add_parser("lr", help="Littlewood-Richardson coefficient")
-    p.add_argument("--lam", type=_partition_arg, required=True)
-    p.add_argument("--mu", type=_partition_arg, required=True)
-    p.add_argument("--nu", type=_partition_arg, required=True)
-    common(p)
-    p.set_defaults(func=cmd_lr)
+    for verb, text in (("kron", "Kronecker coefficient"),
+                       ("lr", "Littlewood-Richardson coefficient")):
+        p = sub.add_parser(verb, help=text)
+        for name in ("--lam", "--mu", "--nu"):
+            p.add_argument(name, type=_partition_arg, required=True)
+        common(p)
+        p.set_defaults(func=cmd_coefficient)
 
     return parser
 

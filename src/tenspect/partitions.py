@@ -1,42 +1,17 @@
-"""Integer partitions, symmetric group characters, Kronecker and
-Littlewood-Richardson coefficients.
+"""Integer partitions, symmetric group characters, irrep dimensions,
+Kronecker and Littlewood-Richardson coefficients.
 
-Characters use the Murnaghan-Nakayama recursion on beta numbers; Kronecker
-coefficients come from the exact character inner product, LR coefficients
-from lattice-word tableau enumeration.  All arithmetic is integer arithmetic.
+Every number comes from one recursion: the Murnaghan-Nakayama rule on beta
+numbers gives the characters, a dimension is the character at the identity,
+and both coefficient families are exact character inner products (LR through
+Frobenius reciprocity, over S_|mu| x S_|nu|).  All arithmetic is integer
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-
-
-@dataclass(frozen=True)
-class PartitionSeq:
-    """Non-increasing positive integer parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(int(x) for x in self.parts)
-        if not parts or any(x < 1 for x in parts):
-            raise ValueError("parts must be positive")
-        if list(parts) != sorted(parts, reverse=True):
-            raise ValueError("parts must be non-increasing")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def normalized(self) -> tuple[float, ...]:
-        n = self.n
-        return tuple(x / n for x in self.parts)
-
-    def entropy(self) -> float:
-        return float(-sum(q * math.log2(q) for q in self.normalized() if q > 0))
 
 
 def normalize_partition(parts) -> tuple[int, ...]:
@@ -58,10 +33,10 @@ def partitions(n: int, max_part: int | None = None):
 
 
 def partition_entropy(parts) -> float:
+    """Shannon entropy in bits of the normalised parts."""
     parts = normalize_partition(parts)
-    if not parts:
-        return 0.0
-    return PartitionSeq(parts).entropy()
+    n = sum(parts)
+    return float(-sum(q * math.log2(q) for q in (x / n for x in parts)))
 
 
 def cycle_class_size(mu: tuple[int, ...]) -> int:
@@ -112,114 +87,45 @@ def character(lam, mu) -> int:
 
 
 def irrep_dimension(lam) -> int:
-    """Hook length formula."""
+    """Dimension of the irrep lam: its character at the identity class."""
     lam = normalize_partition(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    conj = conjugate_partition(lam)
-    denom = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hook = (row - j) + (conj[j] - i) - 1
-            denom *= hook
-    return math.factorial(n) // denom
+    return _mn_character(lam, (1,) * sum(lam))
 
 
-def conjugate_partition(lam) -> tuple[int, ...]:
-    lam = normalize_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for x in lam if x > j) for j in range(lam[0]))
+def _multiplicity(total: int, order: int) -> int:
+    """total / order, checked to be a non-negative integer."""
+    if total % order != 0:
+        raise ArithmeticError("character inner product is not an integer")
+    if total < 0:
+        raise ArithmeticError("negative multiplicity")
+    return total // order
 
 
 def kronecker_coefficient(lam, mu, nu) -> int:
-    """Multiplicity via the exact character inner product."""
+    """Multiplicity via the exact character inner product over S_n."""
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)
     nu = normalize_partition(nu)
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("all three partitions must have the same size")
-    total = 0
-    for rho in partitions(n):
-        total += (cycle_class_size(rho) * character(lam, rho)
-                  * character(mu, rho) * character(nu, rho))
-    fact = math.factorial(n)
-    if total % fact != 0:
-        raise ArithmeticError("character inner product is not an integer")
-    g = total // fact
-    if g < 0:
-        raise ArithmeticError("negative multiplicity")
-    return g
+    total = sum(cycle_class_size(rho) * character(lam, rho) * character(mu, rho)
+                * character(nu, rho) for rho in partitions(n))
+    return _multiplicity(total, math.factorial(n))
 
 
 def lr_coefficient(lam, mu, nu) -> int:
-    """Count Littlewood-Richardson skew tableaux of shape lam/mu, content nu."""
+    """Multiplicity of chi_mu x chi_nu in chi_lam restricted to S_|mu| x S_|nu|."""
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)
     nu = normalize_partition(nu)
-    if sum(lam) != sum(mu) + sum(nu):
+    a, b = sum(mu), sum(nu)
+    if sum(lam) != a + b:
         raise ValueError("sizes must satisfy |lam| = |mu| + |nu|")
-    rows = len(lam)
-    mu_full = tuple(mu) + (0,) * (rows - len(mu))
-    if len(mu) > rows or any(mu_full[i] > lam[i] for i in range(rows)):
-        return 0
-    if not nu:
-        return 1 if lam == mu else 0
-
-    cells = []
-    for i in range(rows):
-        for j in range(mu_full[i], lam[i]):
-            cells.append((i, j))
-    # fill row by row, left to right; the reverse reading word of that order
-    # is checked incrementally through running content counts
-    fill = {}
-    remaining = list(nu)
-    nparts = len(nu)
-    count = 0
-
-    def ok(i, j, v) -> bool:
-        left = fill.get((i, j - 1))
-        if j - 1 >= mu_full[i] and left is not None and left > v:
-            return False
-        up = fill.get((i - 1, j))
-        if i > 0 and j < lam[i - 1] and j >= mu_full[i - 1]:
-            if up is None or up >= v:
-                return False
-        return True
-
-    def backtrack(pos, prefix_counts):
-        nonlocal count
-        if pos == len(cells):
-            count += 1
-            return
-        i, j = cells[pos]
-        for v in range(nparts):
-            if remaining[v] == 0:
-                continue
-            if not ok(i, j, v):
-                continue
-            fill[(i, j)] = v
-            remaining[v] -= 1
-            backtrack_row_word(pos, i, j, v, prefix_counts)
-            remaining[v] += 1
-            del fill[(i, j)]
-
-    def backtrack_row_word(pos, i, j, v, prefix_counts):
-        # reverse reading word reads each row right to left; since we fill
-        # left to right, defer the lattice check of a row until it is full
-        row_end = lam[i] - 1
-        if j < row_end:
-            backtrack(pos + 1, prefix_counts)
-            return
-        counts = list(prefix_counts)
-        for jj in range(row_end, mu_full[i] - 1, -1):
-            vv = fill[(i, jj)]
-            counts[vv] += 1
-            if vv > 0 and counts[vv - 1] < counts[vv]:
-                return
-        backtrack(pos + 1, counts)
-
-    backtrack(0, [0] * nparts)
-    return count
+    total = 0
+    for rho in partitions(a):
+        weight = cycle_class_size(rho) * character(mu, rho)
+        for tau in partitions(b):
+            total += (weight * cycle_class_size(tau) * character(nu, tau)
+                      * character(lam, rho + tau))
+    return _multiplicity(total, math.factorial(a) * math.factorial(b))

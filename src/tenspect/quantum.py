@@ -11,8 +11,9 @@ view of the array.  The upper certificate enumerates tuples of partitions
 whose isotypic projections leave a tensor power alive; projectors are applied
 as permutation actions, never materialised as matrices: each permutation is
 one transpose of the side's axes of the copy-major power, with the other legs
-in place.  Partitions with more rows than the side's dimension d_S are
-skipped, since Schur-Weyl duality makes their projectors zero.
+in place.  Partitions with more rows than min(d_S, d_C), the dimensions of
+the side and of its complement, are skipped, since Schur-Weyl duality makes
+their projections of a copy-symmetric vector zero.
 """
 
 from __future__ import annotations
@@ -312,15 +313,6 @@ def _cycle_type(perm) -> tuple[int, ...]:
     return normalize_partition(cycles)
 
 
-def symmetrize_copies(arr: np.ndarray, n: int) -> np.ndarray:
-    """Average of a copy-major n-th power over the permutations of its copies."""
-    legs = range(arr.ndim // n)
-    out = np.zeros_like(arr)
-    for perm in iter_permutations(range(n)):
-        out += _permute_copies(arr, perm, legs)
-    return out / factorial(n)
-
-
 def _young_project(arr: np.ndarray, lam, n: int, legs) -> np.ndarray:
     lam = normalize_partition(lam)
     if sum(lam) != n:
@@ -332,6 +324,11 @@ def _young_project(arr: np.ndarray, lam, n: int, legs) -> np.ndarray:
         if chi:
             out += chi * _permute_copies(arr, perm, legs)
     return out * (dim / factorial(n))
+
+
+def symmetrize_copies(arr: np.ndarray, n: int) -> np.ndarray:
+    """Average of a copy-major n-th power over the permutations of its copies."""
+    return _young_project(arr, (n,), n, range(arr.ndim // n))
 
 
 MAX_POWER_ELEMENTS = 20_000_000
@@ -424,13 +421,15 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
             return
         side, w = sides[depth]
         d_side = prod(dims[i] for i in side)
+        # Schur-Weyl: a partition with more rows than the side's dimension
+        # has a zero isotypic projector.  arr is copy-symmetric (a power,
+        # then side projections that commute with copy permutations), so no
+        # symmetrisation is needed, and on such vectors the side's projection
+        # equals the complement's: more rows than d_C gives zero as well
+        max_rows = min(d_side, prod(dims) // d_side)
         for lam in lams:
-            # Schur-Weyl: a partition with more rows than the side's
-            # dimension has a zero isotypic projector
-            if len(lam) > d_side:
+            if len(lam) > max_rows:
                 continue
-            # arr is copy-symmetric (a power, then side projections that
-            # commute with copy permutations), so no symmetrisation is needed
             out = isotypic_projector_apply(arr, dims, n, lam, side)
             if math.sqrt(float(np.vdot(out, out).real)) <= ZERO_TOL:
                 continue

@@ -193,8 +193,7 @@ class TightnessReport:
     method: str = ""
 
 
-def _extend_to_full_maps(s: SupportSet, used: list[list[int]],
-                         partial: list[dict]) -> tuple[tuple[int, ...], ...]:
+def _extend_to_full_maps(s: SupportSet, partial: list[dict]) -> tuple[tuple[int, ...], ...]:
     # values not appearing on a leg get fresh large weights, keeping injectivity
     maps = []
     for i in range(s.k):
@@ -232,7 +231,7 @@ def _linear_ansatz(s: SupportSet, used: list[list[int]]) -> TightnessCertificate
             # absorb the affine constant into the last leg
             for x in partial[k - 1]:
                 partial[k - 1][x] += c0
-            maps = _extend_to_full_maps(s, used, partial)
+            maps = _extend_to_full_maps(s, partial)
             cert = TightnessCertificate(maps)
             if cert.verify(s):
                 return cert
@@ -256,7 +255,7 @@ def check_tight(s: SupportSet) -> TightnessReport:
         # single used value per leg: shift weights summing to zero
         p = s.points[0]
         partial = [{p[i]: 0} for i in range(k)]
-        maps = _extend_to_full_maps(s, used, partial)
+        maps = _extend_to_full_maps(s, partial)
         cert = TightnessCertificate(maps)
         if cert.verify(s):
             return TightnessReport(True, cert, method="singleton")
@@ -304,7 +303,7 @@ def check_tight(s: SupportSet) -> TightnessReport:
             vec = [sum(c * b[v] for c, b in zip(coeffs, basis)) for v in range(nvar)]
             ints = linalg.clear_denominators(vec)
             partial = [{x: ints[var_of[(i, x)]] for x in used[i]} for i in range(k)]
-            maps = _extend_to_full_maps(s, used, partial)
+            maps = _extend_to_full_maps(s, partial)
             cert = TightnessCertificate(maps)
             if cert.verify(s):
                 return TightnessReport(True, cert, method="nullspace")

@@ -4,22 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenspect.partitions import (PartitionSeq, character, conjugate_partition,
-                                 cycle_class_size, irrep_dimension,
+from tenspect.partitions import (character, cycle_class_size, irrep_dimension,
                                  kronecker_coefficient, lr_coefficient,
                                  partition_entropy, partitions)
-
-
-def test_partition_seq():
-    lam = PartitionSeq((3, 2, 1))
-    assert lam.n == 6
-    assert lam.normalized() == (0.5, 1 / 3, 1 / 6)
-    assert lam.entropy() == pytest.approx(
-        -(0.5 * math.log2(0.5) + 1 / 3 * math.log2(1 / 3) + 1 / 6 * math.log2(1 / 6)))
-    with pytest.raises(ValueError):
-        PartitionSeq((1, 2))
-    with pytest.raises(ValueError):
-        PartitionSeq(())
 
 
 def test_partitions_enumeration():
@@ -55,6 +42,9 @@ def test_character_orthogonality():
 
 
 def test_dimension_consistency():
+    # hook-length formula values for the partitions of 6, in enumeration order
+    assert [irrep_dimension(lam) for lam in partitions(6)] \
+        == [1, 5, 9, 10, 5, 16, 10, 5, 9, 5, 1]
     for n in range(1, 8):
         for lam in partitions(n):
             assert irrep_dimension(lam) == character(lam, (1,) * n)
@@ -63,8 +53,7 @@ def test_dimension_consistency():
 
 
 def test_conjugate_partition():
-    assert conjugate_partition((3, 1)) == (2, 1, 1)
-    assert conjugate_partition((2, 2)) == (2, 2)
+    # chi of the conjugate is chi times the sign; (2, 1, 1) is odd
     assert character((3, 1), (2, 1, 1)) == -character((2, 1, 1), (2, 1, 1))
 
 

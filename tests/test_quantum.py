@@ -221,6 +221,15 @@ def test_partitions_longer_than_the_side_dimension_project_to_zero(rng):
                          (3, [2], (1, 1, 1))]:
         v = rng.standard_normal(dims * n) + 1j * rng.standard_normal(dims * n)
         assert np.abs(isotypic_projector_apply(v, dims, n, lam, side)).max() < 1e-12
+    # on a copy-symmetric vector the side's projection equals the
+    # complement's, so more rows than the complement's dimension (3 here,
+    # against d_S = 4) also gives zero; a random v is not copy-symmetric
+    dims = (2, 2, 3)
+    psi = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    power = tensor_power_array(psi, 4)
+    assert np.abs(power).max() > 0.1
+    out = isotypic_projector_apply(power, dims, 4, (1, 1, 1, 1), [0, 1])
+    assert np.abs(out).max() < 1e-12
 
 
 def test_symmetrizer_fixes_powers_and_antisym_kills_them(rng):
