@@ -8,18 +8,22 @@ seeded multi-start).  Line-search trials evaluate the objective alone (one
 eigvalsh per weighted side); the gradient is computed once per accepted
 step.  Each leg product is one matmul on the (legs before, leg, legs after)
 view of the array.  The upper certificate enumerates tuples of partitions
-whose isotypic projections leave a tensor power alive; projectors are applied
-as permutation actions, never materialised as matrices: each permutation is
-one transpose of the side's axes of the copy-major power, with the other legs
-in place.  Partitions with more rows than min(d_S, d_C), the dimensions of
-the side and of its complement, are skipped, since Schur-Weyl duality makes
-their projections of a copy-symmetric vector zero.
+whose isotypic projections leave a tensor power alive.  The public projector
+functions apply the permutation sum: each permutation is one transpose of
+the side's axes of the copy-major power, with the other legs in place.  The
+certificate only projects copy-symmetric vectors, on which the side's
+projection equals its complement's, so it acts on whichever of the two has
+the smaller dimension d: each projection is one matmul with the real
+d^n x d^n matrix of the projector, built once per call from the permutation
+sum.  Partitions with more rows than min(d_S, d_C) are skipped, since
+Schur-Weyl duality makes their projections of a copy-symmetric vector zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations as iter_permutations
 from math import factorial, prod
 
@@ -364,6 +368,31 @@ def bipartition_projector_apply(v: np.ndarray, dims, n: int, lam, side) -> np.nd
     return _young_project(symmetrize_copies(arr, n), lam, n, legs)
 
 
+def _projector_matrix(d: int, lam, n: int) -> np.ndarray:
+    """The real d^n x d^n matrix of the lam-isotypic projector on (C^d)^{(x)n}.
+
+    It is the permutation sum applied to the identity, held as the real
+    copy-major power of eye(d) with rows on leg 0 and columns on leg 1 of
+    each copy.
+    """
+    out = _young_project(reduce(np.multiply.outer, [np.eye(d)] * n), lam, n, [0])
+    return np.ascontiguousarray(
+        out.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    ).reshape(d ** n, d ** n)
+
+
+def _surviving_tuples(arr, sides, projections):
+    """Yield, depth first, each tuple of (side, lam), one per side in order,
+    whose successive projections of arr do not vanish."""
+    if not sides:
+        yield ()
+        return
+    side = sides[0][0]
+    for lam, out in projections(arr, side):
+        for tail in _surviving_tuples(out, sides[1:], projections):
+            yield ((side, lam),) + tail
+
+
 @dataclass(frozen=True)
 class CertificateResult:
     value: float          # bits; a polytope point, so a lower bound on log2 F^theta
@@ -405,39 +434,46 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
     elif not theta.is_noncrossing(k):
         raise ValueError("crossing theta weights need an explicit projector order")
 
-    power = tensor_power_array(t_arr / norm, n)
     lams = list(partitions(n))
+    matrices = {}
+
+    def projections(arr, side):
+        """Yield (lam, the side's lam-projection of arr) for each partition
+        lam whose projection does not vanish.
+
+        arr is copy-symmetric (a power, then side projections that commute
+        with copy permutations), and on such vectors the side's projection
+        equals the complement's, so it acts on the legs of smaller dimension
+        d.  Schur-Weyl: a partition with more than d rows gives zero.
+        """
+        comp = tuple(i for i in range(k) if i not in side)
+        legs = min(side, comp, key=lambda ls: prod(dims[i] for i in ls))
+        d = prod(dims[i] for i in legs)
+        axes = [m * k + leg for m in range(n) for leg in legs]
+        axes += [a for a in range(n * k) if a not in axes]
+        moved = np.ascontiguousarray(arr.transpose(axes)).reshape(d ** n, -1).view(float)
+        shape = [arr.shape[a] for a in axes]
+        for lam in lams:
+            if len(lam) > d:
+                continue
+            if (d, lam) not in matrices:
+                matrices[d, lam] = _projector_matrix(d, lam, n)
+            out = (matrices[d, lam] @ moved).view(complex)
+            if math.sqrt(float(np.vdot(out, out).real)) > ZERO_TOL:
+                yield lam, out.reshape(shape).transpose(np.argsort(axes))
+
     best_val = -math.inf
     best_tuple = None
     surviving = 0
-
-    def recurse(depth, arr, chosen, weight_sum):
-        nonlocal best_val, best_tuple, surviving
-        if depth == len(sides):
-            surviving += 1
-            if weight_sum > best_val:
-                best_val = weight_sum
-                best_tuple = tuple(chosen)
-            return
-        side, w = sides[depth]
-        d_side = prod(dims[i] for i in side)
-        # Schur-Weyl: a partition with more rows than the side's dimension
-        # has a zero isotypic projector.  arr is copy-symmetric (a power,
-        # then side projections that commute with copy permutations), so no
-        # symmetrisation is needed, and on such vectors the side's projection
-        # equals the complement's: more rows than d_C gives zero as well
-        max_rows = min(d_side, prod(dims) // d_side)
-        for lam in lams:
-            if len(lam) > max_rows:
-                continue
-            out = isotypic_projector_apply(arr, dims, n, lam, side)
-            if math.sqrt(float(np.vdot(out, out).real)) <= ZERO_TOL:
-                continue
-            recurse(depth + 1, out, chosen + [(side, lam)],
-                    weight_sum + w * partition_entropy(lam))
-
-    recurse(0, power, [], 0.0)
+    for chosen in _surviving_tuples(tensor_power_array(t_arr / norm, n), sides,
+                                    projections):
+        surviving += 1
+        weight_sum = 0.0
+        for (_, w), (_, lam) in zip(sides, chosen):
+            weight_sum += w * partition_entropy(lam)
+        if weight_sum > best_val:
+            best_val = weight_sum
+            best_tuple = chosen
     if best_tuple is None:
         raise RuntimeError(f"no projector tuple survived the zero tolerance {ZERO_TOL}")
-    witness = tuple((side, lam) for side, lam in best_tuple)
-    return CertificateResult(best_val, witness, n, surviving)
+    return CertificateResult(best_val, best_tuple, n, surviving)

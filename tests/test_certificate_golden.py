@@ -21,10 +21,10 @@ from tenspect.quantum import upper_quantum_certificate
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "certificate_golden.json")
 RANDOM_DIMS = [(2, 2, 3), (2, 3, 3), (2, 2, 2, 2), (3, 3, 3)]
-# (tensor index, theta name, power); the slower n = 4 leg-theta cases on
-# larger tensors are left to the power_certificate benchmark workload
+# (tensor index, theta name, power)
 CASES = ([(index, name, 3) for index in (0, 1, 2) for name in ("legs", "bip")]
-         + [(0, "legs", 4), (0, "bip", 4), (2, "bip", 4), (3, "bip1", 4)])
+         + [(0, "legs", 4), (0, "bip", 4), (1, "legs", 4), (2, "legs", 4),
+            (2, "bip", 4), (3, "bip1", 4)])
 
 
 def _theta(name, k):

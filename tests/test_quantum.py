@@ -1,4 +1,6 @@
+import gc
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ import pytest
 import tenspect as ts
 from tenspect.entropy import ThetaWeights, binary_entropy
 from tenspect.errors import BudgetExceededError
-from tenspect.partitions import partitions
+from tenspect.partitions import irrep_dimension, partitions
 from tenspect.quantum import (AscentOptions, _objective, _objective_and_grads,
+                              _projector_matrix,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
                               lower_quantum_functional, marginal, state_array,
@@ -293,3 +296,44 @@ def test_certificate_below_support_entropy(rng):
         up = rho_upper_at_basis(t, BasisTuple.standard(t), U3)
         cert = upper_quantum_certificate(t, U3, 2)
         assert cert.value <= up + 1e-6
+
+
+def _schur_at_ones(lam, d):
+    """s_lam(1^d) by the hook-content formula: prod over boxes (d + j - i) / h(i, j)."""
+    conj = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+    value = Fraction(1)
+    for i, row in enumerate(lam):
+        for j in range(row):
+            value *= Fraction(d + j - i, (row - j) + (conj[j] - i) - 1)
+    return value
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projector_matrix(d, n, rng):
+    eye = np.eye(d ** n)
+    total = np.zeros((d ** n, d ** n))
+    v = rng.standard_normal((d,) * n) + 1j * rng.standard_normal((d,) * n)
+    for lam in partitions(n):
+        mat = _projector_matrix(d, lam, n)
+        total += mat
+        assert np.abs(mat - mat.T).max() < 1e-12
+        assert np.abs(mat @ mat - mat).max() < 1e-12
+        trace = irrep_dimension(lam) * _schur_at_ones(lam, d)
+        assert np.trace(mat) == pytest.approx(float(trace), rel=0, abs=1e-12)
+        # v is not symmetric in the copies, so the copy order of the
+        # matrix's rows and columns must match the permutation sum's
+        want = isotypic_projector_apply(v, (d,), n, lam, [0]).reshape(-1)
+        assert np.abs(mat @ v.reshape(-1) - want).max() < 1e-12
+    assert np.abs(total - eye).max() < 1e-12
+
+
+def test_certificate_leaves_no_reference_cycle():
+    t = random_complex_tensor(np.random.default_rng(5))
+    gc.collect()
+    gc.disable()
+    try:
+        upper_quantum_certificate(t, U3, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
