@@ -3,16 +3,21 @@
 A `Domain` is the field of a tensor's entries: exact rationals (`Fraction`
 object arrays), a prime field F_p (object arrays of ints in [0, p)), or
 complex floats (complex128 arrays).  Every rule that depends on the field
-(coercion, reduction mod p, division, the zero test and the choice of
-pivot) is a method of `Domain`, so the rest of the library is written once
-for all three fields.  The complex zero tolerance (`COMPLEX_ZERO_TOL`), the
-complex rank cutoff (`RANK_REL_TOL`) and the singularity test of
-`tenspect.tensors.invert_matrix` are field rules with fixed values, not options.
+(coercion, reduction mod p, division, the zero test, the choice of pivot
+and `Domain.integral`, which writes an array as integer numerators over one
+common denominator) is a method of `Domain`, so the rest of the library is
+written once for all three fields.  The exact basis search keeps its
+coefficients as those integers, so its row operations are integer ones.
+The complex zero tolerance (`COMPLEX_ZERO_TOL`), the complex rank cutoff
+(`RANK_REL_TOL`) and the singularity test of
+`tenspect.tensors.invert_matrix` are field rules with fixed values, not
+options.
 
 Sizes here are tiny, so one plain Gauss-Jordan elimination, `_rref`, serves
-ranks, nullspaces, inverses and the row reductions of the basis search's
-sparsifier over Q, F_p and C.  It runs on numpy arrays in every field, so
-its complex arithmetic is numpy's.
+ranks, inverses and the row reductions of the basis search's sparsifier
+over Q, F_p and C.  It runs on numpy arrays in every field, so its complex
+arithmetic is numpy's.  The rational nullspace is the one exception: it
+eliminates fraction free, on integer rows.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -91,6 +97,16 @@ class Domain:
         if self.kind == "C":
             return np.array(values, dtype=complex)
         return np.frompyfunc(self.coerce, 1, 1)(np.asarray(values, dtype=object))
+
+    def integral(self, arr) -> tuple[np.ndarray, int]:
+        """(ints, den) with arr = ints / den.  Over Q, ints holds Python ints
+        (an object array) and den is the lcm of the entries' denominators;
+        over F_p and C the array comes back unchanged, with den = 1."""
+        if self.kind != "Q":
+            return arr, 1
+        arr = np.asarray(arr, dtype=object)
+        den = lcm(*(x.denominator for x in arr.flat))
+        return np.frompyfunc(lambda x: x.numerator * (den // x.denominator), 1, 1)(arr), den
 
     def reduce(self, arr):
         """Entries reduced mod p over F_p; unchanged otherwise."""
@@ -181,21 +197,47 @@ def matrix_rank(mat, domain: Domain) -> int:
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def nullspace_fraction(mat) -> list[list[Fraction]]:
-    """Basis of the right nullspace over Q (list of vectors)."""
+    """Basis of the right nullspace over Q (list of vectors): for each free
+    column fc, v[fc] = 1, v = 0 at the other free columns and
+    v[pc] = -a[r, fc] / a[r, pc] at the pivot column pc of row r of the
+    reduced echelon form a.
+
+    The elimination is fraction free: each row is cleared of denominators,
+    row_i becomes a_rc * row_i - a_ic * row_r, and every new row is divided
+    by the gcd of its entries.
+    """
     arr = np.asarray(mat, dtype=object)
-    nrows, ncols = arr.shape if arr.ndim == 2 else (0, 0)
-    if nrows == 0:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    a = RATIONAL.array(arr)
-    pivots = _rref(a, RATIONAL)
-    free = [c for c in range(ncols) if c not in pivots]
+    if arr.ndim != 2:
+        return []
+    nrows, ncols = arr.shape
+    rows = [_primitive(list(RATIONAL.integral(row)[0])) for row in arr]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow, a = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            b = row[c]
+            if b and i != r:
+                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r, fc] / a[r, pc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -237,14 +279,4 @@ def invert_mod_p(mat, p: int) -> np.ndarray:
 
 def clear_denominators(vec: list[Fraction]) -> list[int]:
     """Scale a rational vector to a primitive integer vector."""
-    from math import gcd, lcm
-
-    fracs = [Fraction(x) for x in vec]
-    denom = lcm(*[f.denominator for f in fracs]) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    return _primitive(list(RATIONAL.integral(vec)[0]))

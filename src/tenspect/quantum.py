@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import permutations as iter_permutations
 from math import factorial, prod
 
@@ -373,12 +372,18 @@ def _projector_matrix(d: int, lam, n: int) -> np.ndarray:
 
     It is the permutation sum applied to the identity, held as the real
     copy-major power of eye(d) with rows on leg 0 and columns on leg 1 of
-    each copy.
+    each copy.  A permutation of the copies has a 1 at (w, w o perm) for
+    each word w in [d]^n, so the sum is a scatter of the characters into an
+    integer matrix, scaled once.
     """
-    out = _young_project(reduce(np.multiply.outer, [np.eye(d)] * n), lam, n, [0])
-    return np.ascontiguousarray(
-        out.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    ).reshape(d ** n, d ** n)
+    lam = normalize_partition(lam)
+    words = np.arange(d ** n).reshape((d,) * n)
+    out = np.zeros((d ** n, d ** n), dtype=np.int64)
+    for perm in iter_permutations(range(n)):
+        chi = character(lam, _cycle_type(perm))
+        if chi:
+            np.add.at(out, (words.ravel(), words.transpose(np.argsort(perm)).ravel()), chi)
+    return out * (irrep_dimension(lam) / factorial(n))
 
 
 def _surviving_tuples(arr, sides, projections):

@@ -16,12 +16,12 @@ import numpy as np
 
 from .entropy import ThetaWeights, max_H_theta
 from .linalg import row_reduce
-from .supports import (SupportSet, TightnessCertificate, check_tight,
-                       is_antichain, is_diagonal, max_points,
+from .supports import (SupportSet, TightnessCertificate, TightnessReport,
+                       check_tight, is_antichain, is_diagonal, max_points,
                        tight_antichain_relabel)
 from .tensors import (BasisTuple, Domain, Tensor, coefficients_in_basis,
                       contract_leg, flattening_rank, identity_matrix,
-                      invert_matrix, nonzero_indices, restrict)
+                      nonzero_indices)
 
 NEG_INF = float("-inf")
 
@@ -123,22 +123,40 @@ class SupportFunctionalReport:
 class _SearchState:
     """Coefficient array plus the accumulated inverse basis map of each leg.
 
-    States are never changed in place; every step returns a new state.
+    Over Q both are held as integers (`Domain.integral`): the coefficients
+    up to a nonzero scale, which leaves their support unchanged, and each
+    inverse map as integer numerators over one denominator per leg, so a
+    transvection is an integer row operation.  Over F_p and C the
+    denominators are 1.  States are never changed in place; every step
+    returns a new state.
     """
 
-    def __init__(self, coeff: np.ndarray, inv_maps, domain: Domain):
+    def __init__(self, coeff: np.ndarray, inv_maps, dens, domain: Domain):
         self.coeff = coeff
         self.inv_maps = tuple(inv_maps)
+        self.dens = tuple(dens)
         self.domain = domain
+
+    @classmethod
+    def of(cls, t: Tensor, inv_maps) -> "_SearchState":
+        """The state of t in the basis whose inverse maps are inv_maps."""
+        coeff = t.domain.integral(t.entries)[0]
+        nums, dens = zip(*(t.domain.integral(m) for m in inv_maps))
+        for leg, num in enumerate(nums):
+            coeff = contract_leg(coeff, leg, num, t.domain)
+        return cls(coeff, nums, dens, t.domain)
 
     def points(self) -> tuple:    # sorted and unique, as in SupportSet
         return tuple(nonzero_indices(self.coeff, self.domain))
 
     def apply(self, leg: int, mat) -> "_SearchState":
         """Apply an invertible matrix to one leg."""
-        inv = list(self.inv_maps)
-        inv[leg] = contract_leg(inv[leg], 0, mat, self.domain)
-        return _SearchState(contract_leg(self.coeff, leg, mat, self.domain), inv, self.domain)
+        ints, den = self.domain.integral(mat)
+        inv, dens = list(self.inv_maps), list(self.dens)
+        inv[leg] = contract_leg(inv[leg], 0, ints, self.domain)
+        dens[leg] *= den
+        return _SearchState(contract_leg(self.coeff, leg, ints, self.domain), inv, dens,
+                            self.domain)
 
     def apply_transvection(self, leg: int, dst: int, src: int, c: int) -> "_SearchState":
         """Row dst += c * row src on one leg of the coefficients and of its
@@ -150,26 +168,29 @@ class _SearchState:
         inv = list(self.inv_maps)
         inv[leg] = inv[leg].copy()
         inv[leg][dst] = self.domain.reduce(inv[leg][dst] + c * inv[leg][src])
-        return _SearchState(coeff, inv, self.domain)
+        return _SearchState(coeff, inv, self.dens, self.domain)
 
     def basis(self) -> BasisTuple:
-        mats = tuple(invert_matrix(m, self.domain) for m in self.inv_maps)
-        return BasisTuple(mats, self.domain)
+        # exact over Q: the numerators become Fractions before the division
+        dom = self.domain
+        return BasisTuple.from_inverses(
+            [dom.div(dom.array(n), d) for n, d in zip(self.inv_maps, self.dens)], dom)
 
 
 def _start_state(t: Tensor) -> _SearchState:
     """The standard basis; rejects the zero tensor."""
     if t.is_zero():
         raise ValueError("support functionals are undefined for the zero tensor")
-    return _SearchState(t.entries, [identity_matrix(d, t.domain) for d in t.dims], t.domain)
+    dom = t.domain
+    return _SearchState(dom.integral(t.entries)[0],
+                        [dom.integral(identity_matrix(d, dom))[0] for d in t.dims],
+                        [1] * t.k, dom)
 
 
 def _basis_states(t: Tensor, opts: BasisSearchOptions) -> list[_SearchState]:
-    # one inversion per basis gives both the coefficients and the inverse maps
     if any(basis.domain != t.domain for basis in opts.extra_bases):
         raise ValueError("basis domain does not match tensor domain")
-    inverses = [basis.inverses() for basis in opts.extra_bases]
-    return [_SearchState(restrict(t, inv).entries, inv, t.domain) for inv in inverses]
+    return [_SearchState.of(t, basis.inverses()) for basis in opts.extra_bases]
 
 
 def _sparsify(state: _SearchState) -> _SearchState:
@@ -188,7 +209,8 @@ def _sparsify(state: _SearchState) -> _SearchState:
 
 
 def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
-                  pool: list[_SearchState], score, minimise: bool) -> SupportFunctionalReport:
+                  pool: list[_SearchState], score, minimise: bool,
+                  start_tight: TightnessReport | None = None) -> SupportFunctionalReport:
     """Seeded local search over bases, shared by both support functionals.
 
     The value of a state is H_theta of score(support).  The search starts
@@ -196,6 +218,8 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     random elementary transvections with small integer coefficients,
     keeping a step that moves the value by more than 1e-9 in the given
     direction; a restart replaces the best state when it gains over 1e-12.
+    `start_tight`, if given, is `check_tight` of the first pool state's
+    support, reused when that support wins.
     """
     sign = 1.0 if minimise else -1.0
     cache: dict[tuple, float] = {}     # support handed to max_H_theta -> value
@@ -252,7 +276,8 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             best_state, best_val, best_pts = cur, cur_val, cur_pts
 
     best_supp = SupportSet(t.dims, best_pts)
-    tight_report = check_tight(best_supp)
+    reuse = start_tight is not None and best_pts == pool[0].points()
+    tight_report = start_tight if reuse else check_tight(best_supp)
     return SupportFunctionalReport(
         theta=theta,
         basis=best_state.basis(),
@@ -292,6 +317,7 @@ def lower_support_functional(t: Tensor, theta: ThetaWeights,
     if tight.tight:
         perms = tight_antichain_relabel(supp, tight.certificate)
         mats = [identity_matrix(n, t.domain)[:, perm] for n, perm in zip(t.dims, perms)]
-        pool.append(_SearchState(restrict(t, mats).entries, mats, t.domain))
+        pool.append(_SearchState.of(t, mats))
     pool += _basis_states(t, opts)
-    return _basis_search(t, theta, opts, pool, score=max_points, minimise=False)
+    return _basis_search(t, theta, opts, pool, score=max_points, minimise=False,
+                         start_tight=tight)

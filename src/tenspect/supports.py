@@ -133,8 +133,13 @@ def _lt(a, b) -> bool:
 def max_points(s: SupportSet) -> SupportSet:
     if not s.points:
         raise ValueError("empty support has no maximal points")
-    pts = [p for p in s.points if not any(_lt(p, q) for q in s.points)]
-    return SupportSet(s.bounds, tuple(pts))
+    pts = np.array(s.points)
+    # dominated[i, j]: point j is >= point i in every coordinate; the points
+    # are distinct, so off the diagonal that is j > i in the product order
+    dominated = (pts[None, :, :] >= pts[:, None, :]).all(axis=2)
+    np.fill_diagonal(dominated, False)
+    keep = ~dominated.any(axis=1)
+    return SupportSet(s.bounds, tuple(p for p, kept in zip(s.points, keep) if kept))
 
 
 def downward_closure(s: SupportSet) -> SupportSet:
@@ -216,7 +221,7 @@ def _extend_to_full_maps(s: SupportSet, partial: list[dict]) -> tuple[tuple[int,
 def _linear_ansatz(s: SupportSet, used: list[list[int]]) -> TightnessCertificate | None:
     # u_i(x) = a_i * x + b_i with a_i != 0 is automatically injective.
     k = s.k
-    rows = [[Fraction(p[i]) for i in range(k)] + [Fraction(1)] for p in s.points]
+    rows = [list(p) + [1] for p in s.points]
     basis = linalg.nullspace_fraction(np.array(rows, dtype=object))
     if not basis:
         return None
@@ -272,7 +277,7 @@ def check_tight(s: SupportSet) -> TightnessReport:
     nvar = len(var_of)
     rows = []
     for p in s.points:
-        row = [Fraction(0)] * nvar
+        row = [0] * nvar
         for i in range(k):
             row[var_of[(i, p[i])]] += 1
         rows.append(row)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 from math import comb, prod
 
@@ -215,12 +216,26 @@ class BasisTuple:
             arr = as_matrix(m, domain)
             if arr.shape[0] != arr.shape[1]:
                 raise SingularBasisError("basis matrices must be square")
-            invert_matrix(arr, domain)     # the one singularity test
             checked.append(arr)
-        return cls(tuple(checked), domain)
+        basis = cls(tuple(checked), domain)
+        basis.inverses()     # the one singularity test; the inverses are kept
+        return basis
+
+    @classmethod
+    def from_inverses(cls, inverses, domain: Domain) -> "BasisTuple":
+        """The basis whose inverse maps are the given invertible matrices."""
+        inverses = tuple(as_matrix(m, domain) for m in inverses)
+        basis = cls(tuple(invert_matrix(m, domain) for m in inverses), domain)
+        vars(basis)["_inverses"] = inverses     # fills the cached property
+        return basis
+
+    @cached_property
+    def _inverses(self) -> tuple[np.ndarray, ...]:
+        return tuple(invert_matrix(m, self.domain) for m in self.matrices)
 
     def inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(invert_matrix(m, self.domain) for m in self.matrices)
+        """The inverse of each basis matrix, computed once per tuple."""
+        return self._inverses
 
 
 def coefficients_in_basis(t: Tensor, basis: BasisTuple) -> Tensor:

@@ -1,6 +1,7 @@
 import gc
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tenspect.entropy import ThetaWeights, binary_entropy
 from tenspect.errors import BudgetExceededError
 from tenspect.partitions import irrep_dimension, partitions
 from tenspect.quantum import (AscentOptions, _objective, _objective_and_grads,
-                              _projector_matrix,
+                              _projector_matrix, _young_project,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
                               lower_quantum_functional, marginal, state_array,
@@ -326,6 +327,19 @@ def test_projector_matrix(d, n, rng):
         want = isotypic_projector_apply(v, (d,), n, lam, [0]).reshape(-1)
         assert np.abs(mat @ v.reshape(-1) - want).max() < 1e-12
     assert np.abs(total - eye).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_projector_matrix_is_the_permutation_sum(d, n):
+    # the permutation sum applied to the copy-major power of eye(d), rows on
+    # leg 0 and columns on leg 1 of each copy; equal to the last bit
+    eye_power = reduce(np.multiply.outer, [np.eye(d)] * n)
+    for lam in partitions(n):
+        want = _young_project(eye_power, lam, n, [0])
+        want = want.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+        got = _projector_matrix(d, lam, n)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == np.ascontiguousarray(want).reshape(d ** n, d ** n).tobytes()
 
 
 def test_certificate_leaves_no_reference_cycle():

@@ -1,7 +1,10 @@
 """Golden records of both support-functional searches.
 
 `search_golden.json` holds `to_records()` of the upper and the lower search
-for fixed tensors, domains, theta and seeds.  The searches are exact over Q
+for fixed tensors, domains, theta and seeds.  Besides the named families,
+two cases run on a rational tensor with non-integer entries, the second
+with a rational extra basis, so that the coefficients and the inverse
+basis maps carry a common denominator.  The searches are exact over Q
 and F_p, so every record must come back unchanged, except that the lower
 search may solve fewer entropy programs than recorded (it may skip repeated
 supports).  Regenerate with `PYTHONPATH=src python tests/test_search_golden.py`
@@ -10,6 +13,7 @@ only when a change to the search results is intended.
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +21,9 @@ import tenspect as ts
 from tenspect.entropy import ThetaWeights
 from tenspect.support_functionals import (BasisSearchOptions,
                                           lower_support_functional,
+                                          support_at_basis,
                                           upper_support_functional)
-from tenspect.tensors import parse_domain
+from tenspect.tensors import BasisTuple, parse_domain
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "search_golden.json")
 FAMILIES = ["W", "cw:2", "cw:3", "unit:3", "matmul:2,2,2", "polymul:4"]
@@ -26,9 +31,33 @@ THETAS = {"uniform": ThetaWeights.uniform(3),
           "half": ThetaWeights.from_legs([0.5, 0.25, 0.25])}
 
 
+
+
+def _rational_basis():
+    mats = [[[1, Fraction(1, 2)], [Fraction(-1, 3), 1]],
+            [[Fraction(2, 3), 0], [Fraction(1, 4), 1]],
+            [[1, Fraction(-3, 2)], [Fraction(1, 5), Fraction(1, 2)]]]
+    return BasisTuple.make(mats, ts.RATIONAL)
+
+
+def _rational_w():
+    """W / 2 plus a 1/3 entry, written in the standard basis although it is
+    sparse in `_rational_basis()`: dense coefficients with denominators."""
+    vals = {idx: Fraction(1, 2) for idx in ts.w_tensor().nonzero_indices()}
+    vals[(0, 0, 0)] = Fraction(1, 3)
+    sparse = ts.from_nonzeros((2, 2, 2), ts.RATIONAL, vals)
+    return ts.restrict(sparse, _rational_basis().matrices)
+
+
+# spec -> (tensor, extra bases) for the cases outside the named families
+RATIONAL_CASES = {"W/2+1/3": lambda: (_rational_w(), ()),
+                  "W/2+1/3 extra": lambda: (_rational_w(), (_rational_basis(),))}
+
+
 def _cases():
     cases = [(spec, dom) for spec in FAMILIES for dom in ("Q", "Fp:5")]
     cases.append(("capset:3,3", "Fp:3"))
+    cases += [(spec, "Q") for spec in RATIONAL_CASES]
     out = []
     for spec, dom in cases:
         for name in THETAS:
@@ -36,13 +65,21 @@ def _cases():
     return out
 
 
-def _run(spec, dom, theta_name, seed):
-    domain = None if spec.startswith("capset") else parse_domain(dom)
-    t = ts.build_family(ts.parse_family(spec), domain)
-    opts = BasisSearchOptions(restarts=4, steps=40, seed=seed)
+def _reports(spec, dom, theta_name, seed):
+    if spec in RATIONAL_CASES:
+        t, extra = RATIONAL_CASES[spec]()
+    else:
+        domain = None if spec.startswith("capset") else parse_domain(dom)
+        t, extra = ts.build_family(ts.parse_family(spec), domain), ()
+    opts = BasisSearchOptions(restarts=4, steps=40, seed=seed, extra_bases=extra)
     theta = THETAS[theta_name]
-    return {"upper": upper_support_functional(t, theta, opts).to_records(),
-            "lower": lower_support_functional(t, theta, opts).to_records()}
+    return t, {"upper": upper_support_functional(t, theta, opts),
+               "lower": lower_support_functional(t, theta, opts)}
+
+
+def _run(spec, dom, theta_name, seed):
+    _, reports = _reports(spec, dom, theta_name, seed)
+    return {side: rep.to_records() for side, rep in reports.items()}
 
 
 def _same(got, want):
@@ -70,6 +107,16 @@ def test_search_matches_golden(golden, key, spec, dom, theta_name, seed):
     got["lower"]["evaluations"] = want["lower"]["evaluations"]
     for side in ("upper", "lower"):
         assert _same(got[side], want[side]), (side, got[side], want[side])
+
+
+@pytest.mark.parametrize("key,spec,dom,theta_name,seed",
+                         [c for c in _cases() if c[2] == "Q"],
+                         ids=[c[0] for c in _cases() if c[2] == "Q"])
+def test_rational_basis_is_exact(key, spec, dom, theta_name, seed):
+    t, reports = _reports(spec, dom, theta_name, seed)
+    for rep in reports.values():
+        assert all(isinstance(v, Fraction) for mat in rep.basis.matrices for v in mat.flat)
+        assert support_at_basis(t, rep.basis).points == rep.support.points
 
 
 if __name__ == "__main__":

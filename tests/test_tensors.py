@@ -329,3 +329,43 @@ def test_field_rules_are_not_parameters():
                 found += [f"{label}({p})" for p in inspect.signature(fn).parameters
                           if p in knobs]
     assert found == ["max_H_theta(tol)"]
+
+
+def _random_rational_matrix(rng):
+    """Small rational matrix with zero rows, repeated rows and rows that are
+    combinations of others mixed in, so that many are rank deficient."""
+    nrows, ncols = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([Fraction(0)] * ncols)
+        elif kind < 0.3 and rows:
+            rows.append(list(rows[int(rng.integers(len(rows)))]))
+        elif kind < 0.45 and len(rows) >= 2:
+            a, b = (rows[int(i)] for i in rng.integers(len(rows), size=2))
+            c = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
+                         if rng.random() < 0.6 else Fraction(0) for _ in range(ncols)])
+    return np.array(rows, dtype=object)
+
+
+def test_nullspace_fraction_is_the_reduced_echelon_basis():
+    rng = np.random.default_rng(7)
+    for _ in range(250):
+        mat = _random_rational_matrix(rng)
+        ncols = mat.shape[1]
+        basis = linalg.nullspace_fraction(mat)
+        rank = linalg.matrix_rank(mat, ts.RATIONAL)
+        assert len(basis) == ncols - rank
+        # a column is free exactly when it does not raise the prefix rank
+        prefix = [0] + [linalg.matrix_rank(mat[:, :c + 1], ts.RATIONAL)
+                        for c in range(ncols)]
+        free = [c for c in range(ncols) if prefix[c + 1] == prefix[c]]
+        assert len(free) == len(basis)
+        for fc, v in zip(free, basis):
+            assert all(isinstance(x, Fraction) for x in v)
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in mat)
+            assert [v[c] for c in free] == [int(c == fc) for c in free]
