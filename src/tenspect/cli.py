@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (SLICERANK_TOL, asympt_slicerank, asympt_subrank_tight3,
-                          capset_bound, degeneration_lower_bound,
-                          slicerank_exact_combinatorial, z_of_n)
+                          capset_bound, slicerank_exact_combinatorial, z_of_n)
 from .entropy import INNER_TOL, MINIMAX_TOL, ThetaWeights
 from .errors import BudgetExceededError
 from .partitions import kronecker_coefficient, lr_coefficient
@@ -207,8 +206,8 @@ def cmd_degeneration(args) -> dict:
     if cert is not None:
         out["maps"] = [list(m) for m in cert.maps]
         if args.bound:
-            bound = degeneration_lower_bound(big, small)
-            out["lower_bound"] = bound.value
+            # degeneration_lower_bound's value, reusing the certificate above
+            out["lower_bound"] = asympt_subrank_tight3(small).value
     return out
 
 
@@ -304,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                ascent=False):
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
         p.add_argument("--digits", type=int, default=6)
-        p.add_argument("--seed", type=int, default=0)
+        if search or ascent:     # the verbs that draw random numbers
+            p.add_argument("--seed", type=int, default=0)
         if tensor_input:
             p.add_argument("--family", help="family spec, e.g. unit:3, cw:2, W")
             p.add_argument("--tensor", help="tensor file path")

@@ -25,7 +25,7 @@ theta simplex; the asymptotic slice rank runs it too, over entropy ascents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -195,7 +195,7 @@ class Distribution:
 
     support: SupportSet
     probs: np.ndarray
-    marginals: tuple[np.ndarray, ...] = ()
+    marginals: tuple[np.ndarray, ...] = field(default=(), init=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)

@@ -108,73 +108,58 @@ class SupportFunctionalReport:
             "evaluations": self.evaluations,
         }
 
-    def to_text(self) -> str:
-        rec = self.to_records()
-        rec["support_points"] = ";".join(",".join(str(x) for x in p)
-                                         for p in self.support.points)
-        rec["theta"] = " ".join(f"{k}:{v}" for k, v in sorted(
-            rec["theta"].items())) if isinstance(rec["theta"], dict) else rec["theta"]
-        rec["basis"] = ";".join(
-            "|".join(",".join(str(v) for v in row) for row in mat)
-            for mat in rec["basis"])
-        return "\n".join(f"{k}={rec[k]}" for k in sorted(rec)) + "\n"
-
 
 class _SearchState:
-    """Coefficient array plus the accumulated inverse basis map of each leg.
+    """Coefficient array, the inverse basis maps of the pool state it came
+    from, and the transvections `(leg, dst, src, c)` accepted since.
 
-    Over Q both are held as integers (`Domain.integral`): the coefficients
-    up to a nonzero scale, which leaves their support unchanged, and each
-    inverse map as integer numerators over one denominator per leg, so a
-    transvection is an integer row operation.  Over F_p and C the
-    denominators are 1.  States are never changed in place; every step
-    returns a new state.
+    A step is decided by the support alone, so it changes only the
+    coefficients, integers over Q (`Domain.integral`, up to a scale that
+    leaves the support unchanged); `basis` replays the steps on the maps.
+    States are never changed in place; every step returns a new state.
     """
 
-    def __init__(self, coeff: np.ndarray, inv_maps, dens, domain: Domain):
+    def __init__(self, coeff: np.ndarray, inv_maps, steps: tuple, domain: Domain):
         self.coeff = coeff
         self.inv_maps = tuple(inv_maps)
-        self.dens = tuple(dens)
+        self.steps = steps
         self.domain = domain
 
     @classmethod
     def of(cls, t: Tensor, inv_maps) -> "_SearchState":
         """The state of t in the basis whose inverse maps are inv_maps."""
         coeff = t.domain.integral(t.entries)[0]
-        nums, dens = zip(*(t.domain.integral(m) for m in inv_maps))
-        for leg, num in enumerate(nums):
-            coeff = contract_leg(coeff, leg, num, t.domain)
-        return cls(coeff, nums, dens, t.domain)
+        for leg, m in enumerate(inv_maps):
+            coeff = contract_leg(coeff, leg, t.domain.integral(m)[0], t.domain)
+        return cls(coeff, inv_maps, (), t.domain)
 
     def points(self) -> tuple:    # sorted and unique, as in SupportSet
         return tuple(nonzero_indices(self.coeff, self.domain))
 
     def apply(self, leg: int, mat) -> "_SearchState":
-        """Apply an invertible matrix to one leg."""
-        ints, den = self.domain.integral(mat)
-        inv, dens = list(self.inv_maps), list(self.dens)
-        inv[leg] = contract_leg(inv[leg], 0, ints, self.domain)
-        dens[leg] *= den
-        return _SearchState(contract_leg(self.coeff, leg, ints, self.domain), inv, dens,
-                            self.domain)
+        """Apply an invertible matrix to one leg of a state with no steps."""
+        inv = list(self.inv_maps)
+        inv[leg] = contract_leg(inv[leg], 0, mat, self.domain)
+        coeff = contract_leg(self.coeff, leg, self.domain.integral(mat)[0], self.domain)
+        return _SearchState(coeff, inv, (), self.domain)
 
     def apply_transvection(self, leg: int, dst: int, src: int, c: int) -> "_SearchState":
-        """Row dst += c * row src on one leg of the coefficients and of its
-        inverse map: the transvection's matrix, applied as a slice update."""
+        """Row dst += c * row src on one leg of the coefficients, applied as
+        a slice update; the step is kept for `basis`."""
         dst_at = (slice(None),) * leg + (dst,)
         src_at = (slice(None),) * leg + (src,)
         coeff = self.coeff.copy()
         coeff[dst_at] = self.domain.reduce(coeff[dst_at] + c * coeff[src_at])
-        inv = list(self.inv_maps)
-        inv[leg] = inv[leg].copy()
-        inv[leg][dst] = self.domain.reduce(inv[leg][dst] + c * inv[leg][src])
-        return _SearchState(coeff, inv, self.dens, self.domain)
+        return _SearchState(coeff, self.inv_maps, self.steps + ((leg, dst, src, c),),
+                            self.domain)
 
     def basis(self) -> BasisTuple:
-        # exact over Q: the numerators become Fractions before the division
-        dom = self.domain
-        return BasisTuple.from_inverses(
-            [dom.div(dom.array(n), d) for n, d in zip(self.inv_maps, self.dens)], dom)
+        """The steps replayed on the inverse maps: the domain operations,
+        in the order, of a search that carried the maps along."""
+        inv = [m.copy() for m in self.inv_maps]
+        for leg, dst, src, c in self.steps:
+            inv[leg][dst] = self.domain.reduce(inv[leg][dst] + c * inv[leg][src])
+        return BasisTuple.from_inverses(inv, self.domain)
 
 
 def _start_state(t: Tensor) -> _SearchState:
@@ -183,8 +168,7 @@ def _start_state(t: Tensor) -> _SearchState:
         raise ValueError("support functionals are undefined for the zero tensor")
     dom = t.domain
     return _SearchState(dom.integral(t.entries)[0],
-                        [dom.integral(identity_matrix(d, dom))[0] for d in t.dims],
-                        [1] * t.k, dom)
+                        [identity_matrix(d, dom) for d in t.dims], (), dom)
 
 
 def _basis_states(t: Tensor, opts: BasisSearchOptions) -> list[_SearchState]:

@@ -218,6 +218,15 @@ def _extend_to_full_maps(s: SupportSet, partial: list[dict]) -> tuple[tuple[int,
     return tuple(maps)
 
 
+def _generic_points(basis: list[list[Fraction]], limit: int):
+    """Primitive integer points of sum_j m^j basis[j] for m = 1..limit; a
+    hyperplane through 0 not containing the span meets at most
+    len(basis) - 1 of them (Vandermonde)."""
+    for m in range(1, limit + 1):
+        yield linalg.clear_denominators(
+            [sum(m ** j * x for j, x in enumerate(col)) for col in zip(*basis)])
+
+
 def _linear_ansatz(s: SupportSet, used: list[list[int]]) -> TightnessCertificate | None:
     # u_i(x) = a_i * x + b_i with a_i != 0 is automatically injective.
     k = s.k
@@ -226,11 +235,8 @@ def _linear_ansatz(s: SupportSet, used: list[list[int]]) -> TightnessCertificate
     if not basis:
         return None
     # search small integer combinations for a vector with all a_i nonzero
-    for m in range(1, 4 * len(basis) * k + 2):
-        coeffs = [Fraction(m) ** j for j in range(len(basis))]
-        vec = [sum(c * b[t] for c, b in zip(coeffs, basis)) for t in range(k + 1)]
-        if all(vec[i] != 0 for i in range(k)):
-            ints = linalg.clear_denominators(vec)
+    for ints in _generic_points(basis, 4 * len(basis) * k + 1):
+        if all(ints[i] != 0 for i in range(k)):
             a, c0 = ints[:k], ints[k]
             partial = [{x: a[i] * x for x in used[i]} for i in range(k)]
             # absorb the affine constant into the last leg
@@ -290,23 +296,17 @@ def check_tight(s: SupportSet) -> TightnessReport:
                                        method="nullspace")
     # a pair of values on one leg is forced equal iff its difference
     # functional vanishes on the whole nullspace
-    pair_rows = []
+    pairs = []
     for i in range(k):
         for x, y in combinations(used[i], 2):
-            diffs = [b[var_of[(i, x)]] - b[var_of[(i, y)]] for b in basis]
-            if all(d == 0 for d in diffs):
+            vx, vy = var_of[(i, x)], var_of[(i, y)]
+            if all(b[vx] == b[vy] for b in basis):
                 return TightnessReport(False, forced_pair=(i, x, y), method="nullspace")
-            pair_rows.append(diffs)
+            pairs.append((vx, vy))
 
-    # generic integer point avoiding every difference hyperplane; coefficients
-    # (1, m, m^2, ...) hit a nonzero value for some m by a Vandermonde argument
-    d = len(basis)
-    limit = len(pair_rows) * max(d, 1) + 2
-    for m in range(1, limit + 1):
-        coeffs = [Fraction(m) ** j for j in range(d)]
-        if all(sum(c * dv for c, dv in zip(coeffs, diffs)) != 0 for diffs in pair_rows):
-            vec = [sum(c * b[v] for c, b in zip(coeffs, basis)) for v in range(nvar)]
-            ints = linalg.clear_denominators(vec)
+    # a generic integer point separates every pair of values on every leg
+    for ints in _generic_points(basis, len(pairs) * max(len(basis), 1) + 2):
+        if all(ints[vx] != ints[vy] for vx, vy in pairs):
             partial = [{x: ints[var_of[(i, x)]] for x in used[i]} for i in range(k)]
             maps = _extend_to_full_maps(s, partial)
             cert = TightnessCertificate(maps)

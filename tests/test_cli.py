@@ -4,7 +4,10 @@ import json
 import pytest
 
 import tenspect as ts
-from tenspect.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, parse_theta, run
+import tenspect.asymptotics as tasy
+import tenspect.cli as tcli
+from tenspect.cli import (EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, build_parser,
+                          parse_theta, run)
 
 
 def run_ok(argv):
@@ -168,3 +171,54 @@ def test_parser_is_built_once(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
     run_ok(["zn", "--n", "4"])
     assert calls == []
+
+
+# verbs that draw no random number, with arguments that parse
+DETERMINISTIC = {
+    "family": ["--spec", "W"],
+    "quantum-cert": ["--family", "W"],
+    "tight": ["--family", "W"],
+    "degeneration": ["--family", "W", "--sub", "sub.txt"],
+    "subrank-exact": ["--family", "W"],
+    "subrank-asymptotic": ["--family", "W"],
+    "zn": ["--n", "2"],
+    "capset": ["--m", "3", "--p", "3"],
+    "kron": ["--lam", "1", "--mu", "1", "--nu", "1"],
+    "lr": ["--lam", "2", "--mu", "1", "--nu", "1"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(DETERMINISTIC))
+def test_seed_only_where_there_is_randomness(verb):
+    argv = [verb] + DETERMINISTIC[verb]
+    assert not hasattr(build_parser().parse_args(argv), "seed")
+    assert run(argv + ["--seed", "1"])[0] == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["support-upper", "--family", "W", "--restarts", "1", "--steps", "5"],
+    ["support-lower", "--family", "W", "--restarts", "1", "--steps", "5"],
+    ["quantum-lower", "--family", "W", "--starts", "1", "--iters", "50"],
+    ["slicerank", "--family", "W", "--exact"],
+], ids=lambda argv: argv[0])
+def test_seeded_verbs_take_a_seed(argv):
+    assert json.loads(run_ok(argv + ["--seed", "1", "--format", "json"]))["seed"] == 1
+
+
+def test_degeneration_bound_checks_the_certificate_once(tmp_path, monkeypatch):
+    phi_path, psi_path = tmp_path / "phi.txt", tmp_path / "psi.txt"
+    ts.save_support(ts.reduced_polymult_support(3), phi_path)
+    ts.save_support(ts.modular_sum_support(3), psi_path)
+    calls = []
+    original = ts.check_comb_degeneration
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tcli, "check_comb_degeneration", counting)
+    monkeypatch.setattr(tasy, "check_comb_degeneration", counting)
+    rep = json.loads(run_ok(["degeneration", "--support", str(psi_path),
+                             "--sub", str(phi_path), "--bound", "--format", "json"]))
+    assert rep["lower_bound"] == pytest.approx(2.75510, abs=1e-4)
+    assert len(calls) == 1

@@ -21,6 +21,7 @@ from tenspect.entropy import ThetaWeights
 from tenspect.support_functionals import (BasisSearchOptions, _sparsify,
                                           _start_state,
                                           lower_support_functional,
+                                          support_at_basis,
                                           upper_support_functional)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "complex_search_golden.json")
@@ -103,6 +104,18 @@ def test_complex_search_matches_golden(golden, key, name, theta_name, seed):
     assert got["sparse_inv_maps"] == want["sparse_inv_maps"]
     for side in ("upper", "lower"):
         assert _same(got[side], want[side]), (side, got[side], want[side])
+
+
+@pytest.mark.parametrize("key,name,theta_name,seed", _cases(),
+                         ids=[c[0] for c in _cases()])
+def test_complex_basis_reproduces_support(key, name, theta_name, seed):
+    """The returned basis, replayed from the accepted steps, gives back the
+    returned support."""
+    t = _tensor(name, seed)
+    opts = BasisSearchOptions(restarts=2, steps=20, seed=seed)
+    for search in (upper_support_functional, lower_support_functional):
+        rep = search(t, THETAS[theta_name], opts)
+        assert support_at_basis(t, rep.basis).points == rep.support.points
 
 
 if __name__ == "__main__":

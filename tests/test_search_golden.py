@@ -5,9 +5,8 @@ for fixed tensors, domains, theta and seeds.  Besides the named families,
 two cases run on a rational tensor with non-integer entries, the second
 with a rational extra basis, so that the coefficients and the inverse
 basis maps carry a common denominator.  The searches are exact over Q
-and F_p, so every record must come back unchanged, except that the lower
-search may solve fewer entropy programs than recorded (it may skip repeated
-supports).  Regenerate with `PYTHONPATH=src python tests/test_search_golden.py`
+and F_p, so every record, the number of entropy programs solved included,
+must come back unchanged.  Regenerate with `PYTHONPATH=src python tests/test_search_golden.py`
 only when a change to the search results is intended.
 """
 
@@ -103,19 +102,20 @@ def golden():
 def test_search_matches_golden(golden, key, spec, dom, theta_name, seed):
     want = golden[key]
     got = json.loads(json.dumps(_run(spec, dom, theta_name, seed)))
-    assert got["lower"]["evaluations"] <= want["lower"]["evaluations"]
-    got["lower"]["evaluations"] = want["lower"]["evaluations"]
     for side in ("upper", "lower"):
         assert _same(got[side], want[side]), (side, got[side], want[side])
 
 
-@pytest.mark.parametrize("key,spec,dom,theta_name,seed",
-                         [c for c in _cases() if c[2] == "Q"],
-                         ids=[c[0] for c in _cases() if c[2] == "Q"])
+@pytest.mark.parametrize("key,spec,dom,theta_name,seed", _cases(),
+                         ids=[c[0] for c in _cases()])
 def test_rational_basis_is_exact(key, spec, dom, theta_name, seed):
+    """The returned basis, replayed from the accepted steps, reproduces the
+    returned support; over Q its entries are Fractions."""
     t, reports = _reports(spec, dom, theta_name, seed)
     for rep in reports.values():
-        assert all(isinstance(v, Fraction) for mat in rep.basis.matrices for v in mat.flat)
+        if dom == "Q":
+            assert all(isinstance(v, Fraction) for mat in rep.basis.matrices
+                       for v in mat.flat)
         assert support_at_basis(t, rep.basis).points == rep.support.points
 
 
