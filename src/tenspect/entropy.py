@@ -162,17 +162,9 @@ class ThetaWeights:
         sides = [set(key) if isinstance(key, frozenset) else {key}
                  for key, w in self.items if w > 0]
         full = set(range(k))
-        for s1, s2 in combinations(sides, 2):
-            for a in (s1, full - s1):
-                for b in (s2, full - s2):
-                    if a <= b or b <= a or not (a & b):
-                        break
-                else:
-                    continue
-                break
-            else:
-                return False
-        return True
+        # two bipartitions cross iff all four intersections of their sides meet
+        return not any(all(a & b for a in (s1, full - s1) for b in (s2, full - s2))
+                       for s1, s2 in combinations(sides, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +172,9 @@ class ThetaWeights:
 
 
 def marginal_vectors(support: SupportSet, probs: np.ndarray) -> list[np.ndarray]:
-    out = []
-    for i in range(support.k):
-        v = np.zeros(support.bounds[i])
-        for p, w in zip(support.points, probs):
-            v[p[i]] += w
-        out.append(v)
-    return out
+    pts = np.array(support.points)
+    return [np.bincount(pts[:, i], weights=probs, minlength=support.bounds[i])
+            for i in range(support.k)]
 
 
 @dataclass(frozen=True)

@@ -74,11 +74,7 @@ def _side_indices(k: int, side) -> list[int]:
 
 def marginal(psi: np.ndarray, side) -> np.ndarray:
     """Reduced density matrix of a (possibly unnormalised) pure state."""
-    k = psi.ndim
-    side = _side_indices(k, side)
-    rest = [i for i in range(k) if i not in side]
-    d_side = prod(psi.shape[i] for i in side)
-    mat = psi.transpose(side + rest).reshape(d_side, -1)
+    mat, _ = _side_view(psi, _side_indices(psi.ndim, side))
     norm2 = float(np.vdot(mat, mat).real)
     if norm2 <= 0.0:
         raise ValueError("zero state has no marginals")

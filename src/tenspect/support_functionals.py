@@ -5,6 +5,10 @@ bases (standard, user supplied, sparsified, and a seeded local search over
 elementary transvections); the lower functional maximises the entropy of the
 maximal points.  Results carry explicit exactness flags: a minimum found at
 an antichain support is exact, anything else is an upper bound.
+
+Every search state is the standard basis plus a log of steps: a change of
+basis by a matrix on one leg, or a transvection.  A step changes only the
+coefficients; the reported basis replays every step from the standard basis.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .entropy import ThetaWeights, max_H_theta
 from .linalg import row_reduce
 from .supports import (SupportSet, TightnessCertificate, TightnessReport,
-                       check_tight, is_antichain, is_diagonal, max_points,
+                       check_tight, is_diagonal, max_points,
                        tight_antichain_relabel)
 from .tensors import (BasisTuple, Domain, Tensor, coefficients_in_basis,
                       contract_leg, flattening_rank, identity_matrix,
@@ -110,71 +114,70 @@ class SupportFunctionalReport:
 
 
 class _SearchState:
-    """Coefficient array, the inverse basis maps of the pool state it came
-    from, and the transvections `(leg, dst, src, c)` accepted since.
+    """Coefficient array and the steps that led to it from the standard basis.
 
-    A step is decided by the support alone, so it changes only the
-    coefficients, integers over Q (`Domain.integral`, up to a scale that
-    leaves the support unchanged); `basis` replays the steps on the maps.
-    States are never changed in place; every step returns a new state.
+    A step is `(leg, mat)`, a change of basis by an invertible matrix in the
+    domain, or `(leg, dst, src, c)`, a transvection.  A step is decided by
+    the support alone, so it changes only the coefficients, integers over Q
+    (`Domain.integral`, up to a scale that leaves the support unchanged);
+    `basis` replays the steps.  States are never changed in place; every
+    step returns a new state.
     """
 
-    def __init__(self, coeff: np.ndarray, inv_maps, steps: tuple, domain: Domain):
+    def __init__(self, coeff: np.ndarray, steps: tuple, domain: Domain):
         self.coeff = coeff
-        self.inv_maps = tuple(inv_maps)
         self.steps = steps
         self.domain = domain
 
     @classmethod
-    def of(cls, t: Tensor, inv_maps) -> "_SearchState":
-        """The state of t in the basis whose inverse maps are inv_maps."""
-        coeff = t.domain.integral(t.entries)[0]
-        for leg, m in enumerate(inv_maps):
-            coeff = contract_leg(coeff, leg, t.domain.integral(m)[0], t.domain)
-        return cls(coeff, inv_maps, (), t.domain)
+    def start(cls, t: Tensor) -> "_SearchState":
+        """The standard basis; rejects the zero tensor."""
+        if t.is_zero():
+            raise ValueError("support functionals are undefined for the zero tensor")
+        return cls(t.domain.integral(t.entries)[0], (), t.domain)
 
     def points(self) -> tuple:    # sorted and unique, as in SupportSet
         return tuple(nonzero_indices(self.coeff, self.domain))
 
     def apply(self, leg: int, mat) -> "_SearchState":
-        """Apply an invertible matrix to one leg of a state with no steps."""
-        inv = list(self.inv_maps)
-        inv[leg] = contract_leg(inv[leg], 0, mat, self.domain)
+        """Apply an invertible matrix to one leg of the coefficients."""
         coeff = contract_leg(self.coeff, leg, self.domain.integral(mat)[0], self.domain)
-        return _SearchState(coeff, inv, (), self.domain)
+        return _SearchState(coeff, self.steps + ((leg, mat),), self.domain)
 
     def apply_transvection(self, leg: int, dst: int, src: int, c: int) -> "_SearchState":
         """Row dst += c * row src on one leg of the coefficients, applied as
-        a slice update; the step is kept for `basis`."""
+        a slice update."""
         dst_at = (slice(None),) * leg + (dst,)
         src_at = (slice(None),) * leg + (src,)
         coeff = self.coeff.copy()
         coeff[dst_at] = self.domain.reduce(coeff[dst_at] + c * coeff[src_at])
-        return _SearchState(coeff, self.inv_maps, self.steps + ((leg, dst, src, c),),
-                            self.domain)
+        return _SearchState(coeff, self.steps + ((leg, dst, src, c),), self.domain)
 
     def basis(self) -> BasisTuple:
-        """The steps replayed on the inverse maps: the domain operations,
-        in the order, of a search that carried the maps along."""
-        inv = [m.copy() for m in self.inv_maps]
-        for leg, dst, src, c in self.steps:
-            inv[leg][dst] = self.domain.reduce(inv[leg][dst] + c * inv[leg][src])
-        return BasisTuple.from_inverses(inv, self.domain)
+        """The steps replayed in order on identity inverse maps."""
+        dom = self.domain
+        inv = [identity_matrix(d, dom) for d in self.coeff.shape]
+        for step in self.steps:
+            if len(step) == 2:
+                leg, mat = step
+                inv[leg] = contract_leg(inv[leg], 0, mat, dom)
+            else:
+                leg, dst, src, c = step
+                inv[leg][dst] = dom.reduce(inv[leg][dst] + c * inv[leg][src])
+        return BasisTuple.from_inverses(inv, dom)
 
 
-def _start_state(t: Tensor) -> _SearchState:
-    """The standard basis; rejects the zero tensor."""
-    if t.is_zero():
-        raise ValueError("support functionals are undefined for the zero tensor")
-    dom = t.domain
-    return _SearchState(dom.integral(t.entries)[0],
-                        [identity_matrix(d, dom) for d in t.dims], (), dom)
+def _apply_all(state: _SearchState, mats) -> _SearchState:
+    """The state with mats[leg] applied to each leg."""
+    for leg, mat in enumerate(mats):
+        state = state.apply(leg, mat)
+    return state
 
 
-def _basis_states(t: Tensor, opts: BasisSearchOptions) -> list[_SearchState]:
-    if any(basis.domain != t.domain for basis in opts.extra_bases):
+def _basis_states(start: _SearchState, opts: BasisSearchOptions) -> list[_SearchState]:
+    if any(basis.domain != start.domain for basis in opts.extra_bases):
         raise ValueError("basis domain does not match tensor domain")
-    return [_SearchState.of(t, basis.inverses()) for basis in opts.extra_bases]
+    return [_apply_all(start, basis.inverses()) for basis in opts.extra_bases]
 
 
 def _sparsify(state: _SearchState) -> _SearchState:
@@ -260,6 +263,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             best_state, best_val, best_pts = cur, cur_val, cur_pts
 
     best_supp = SupportSet(t.dims, best_pts)
+    best_top = max_points(best_supp)
     reuse = start_tight is not None and best_pts == pool[0].points()
     tight_report = start_tight if reuse else check_tight(best_supp)
     return SupportFunctionalReport(
@@ -267,9 +271,10 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         basis=best_state.basis(),
         support=best_supp,
         rho_upper=entropy(best_supp),
-        rho_lower=entropy(max_points(best_supp)),
-        # tight supports become antichains after sorting each leg by the weights
-        oblique_basis_found=is_antichain(best_supp) or tight_report.tight,
+        rho_lower=entropy(best_top),
+        # an antichain (every point maximal) is oblique as it stands; tight
+        # supports become antichains after sorting each leg by the weights
+        oblique_basis_found=len(best_top) == len(best_supp) or tight_report.tight,
         tight_certificate=tight_report.certificate if tight_report.tight else None,
         zeta_exact=len(best_supp) if is_diagonal(best_supp) else None,
         evaluations=len(cache),
@@ -284,8 +289,8 @@ def upper_support_functional(t: Tensor, theta: ThetaWeights,
     exact (and flagged so) when the winning support is an antichain.
     """
     opts = options or BasisSearchOptions()
-    start = _start_state(t)
-    pool = [start] + _basis_states(t, opts) + [_sparsify(start)]
+    start = _SearchState.start(t)
+    pool = [start] + _basis_states(start, opts) + [_sparsify(start)]
     return _basis_search(t, theta, opts, pool, score=lambda supp: supp, minimise=True)
 
 
@@ -293,7 +298,7 @@ def lower_support_functional(t: Tensor, theta: ThetaWeights,
                              options: BasisSearchOptions | None = None) -> SupportFunctionalReport:
     """Maximise the maximal-point entropy over a basis pool (a lower bound)."""
     opts = options or BasisSearchOptions()
-    start = _start_state(t)
+    start = _SearchState.start(t)
     pool = [start]
     # a tight support, relabeled into an antichain, realises the lower value
     supp = SupportSet(t.dims, start.points())
@@ -301,7 +306,7 @@ def lower_support_functional(t: Tensor, theta: ThetaWeights,
     if tight.tight:
         perms = tight_antichain_relabel(supp, tight.certificate)
         mats = [identity_matrix(n, t.domain)[:, perm] for n, perm in zip(t.dims, perms)]
-        pool.append(_SearchState.of(t, mats))
-    pool += _basis_states(t, opts)
+        pool.append(_apply_all(start, mats))
+    pool += _basis_states(start, opts)
     return _basis_search(t, theta, opts, pool, score=max_points, minimise=False,
                          start_tight=tight)

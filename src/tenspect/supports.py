@@ -122,14 +122,6 @@ def save_support(s: SupportSet, path) -> None:
 # product order
 
 
-def _leq(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lt(a, b) -> bool:
-    return _leq(a, b) and a != b
-
-
 def max_points(s: SupportSet) -> SupportSet:
     if not s.points:
         raise ValueError("empty support has no maximal points")
@@ -151,7 +143,8 @@ def downward_closure(s: SupportSet) -> SupportSet:
 
 
 def is_antichain(s: SupportSet) -> bool:
-    return all(not _lt(p, q) for p, q in combinations(s.points, 2))
+    """Every point is maximal."""
+    return not s.points or len(max_points(s)) == len(s)
 
 
 def is_free(s: SupportSet) -> bool:

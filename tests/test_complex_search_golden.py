@@ -18,9 +18,8 @@ import pytest
 
 import tenspect as ts
 from tenspect.entropy import ThetaWeights
-from tenspect.support_functionals import (BasisSearchOptions, _sparsify,
-                                          _start_state,
-                                          lower_support_functional,
+from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
+                                          _sparsify, lower_support_functional,
                                           support_at_basis,
                                           upper_support_functional)
 
@@ -72,11 +71,11 @@ def _run(name, theta_name, seed):
     t = _tensor(name, seed)
     opts = BasisSearchOptions(restarts=2, steps=20, seed=seed)
     theta = THETAS[theta_name]
-    sparse = _sparsify(_start_state(t))
+    sparse = _sparsify(_SearchState.start(t))
     return {"upper": upper_support_functional(t, theta, opts).to_records(),
             "lower": lower_support_functional(t, theta, opts).to_records(),
             "sparse_coeff": _hex(sparse.coeff),
-            "sparse_inv_maps": [_hex(m) for m in sparse.inv_maps]}
+            "sparse_inv_maps": [_hex(m) for m in sparse.basis().inverses()]}
 
 
 def _same(got, want):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -109,6 +110,13 @@ def test_theta_weights_validation():
     assert th.is_noncrossing(3)
 
 
+def _laminar_pair(s1, s2, k):
+    """Some sides of the two bipartitions are nested or disjoint."""
+    full = set(range(k))
+    return any(a <= b or b <= a or not a & b
+               for a in (s1, full - s1) for b in (s2, full - s2))
+
+
 def test_noncrossing_detection():
     legs = ThetaWeights.uniform(4)
     assert legs.is_noncrossing(4)
@@ -118,6 +126,29 @@ def test_noncrossing_detection():
     nested = ThetaWeights.from_bipartitions(
         {frozenset({0}): 0.5, frozenset({0, 1}): 0.5}, 4)
     assert nested.is_noncrossing(4)
+    # all 129 pairs of distinct bipartitions of k = 2..5 legs
+    pairs = 0
+    for k in range(2, 6):
+        sides = [frozenset(c) | {0} for r in range(k - 1)
+                 for c in combinations(range(1, k), r)]
+        for s1, s2 in combinations(sides, 2):
+            th = ThetaWeights.from_bipartitions({s1: 0.5, s2: 0.5}, k)
+            assert th.is_noncrossing(k) == _laminar_pair(s1, s2, k), (k, s1, s2)
+            pairs += 1
+    assert pairs == 129
+
+
+def test_marginal_vectors_match_pointwise_sums():
+    """One bincount per leg adds the masses in the order of the points."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        supp = random_support(rng, bounds=(3, 4, 2), max_points=10)
+        probs = rng.dirichlet(np.ones(len(supp)))
+        for i, got in enumerate(te.marginal_vectors(supp, probs)):
+            want = np.zeros(supp.bounds[i])
+            for p, w in zip(supp.points, probs):
+                want[p[i]] += w
+            assert got.tobytes() == want.tobytes()
 
 
 def test_distribution_invariants():

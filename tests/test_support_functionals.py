@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tenspect as ts
+import tenspect.support_functionals as sf
 from tenspect.entropy import ThetaWeights, binary_entropy
 from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           _sparsify, gauge_points,
@@ -200,12 +201,17 @@ def test_search_state_basis_replays_its_steps(label):
     mats = [[[1, h, 0], [-q, 1, 0], [0, 2, 1]],
             [[2 * q, 0, 1], [h * h, 1, 0], [0, 0, 1]],
             [[1, -3 * h, 0], [1, h, 0], [0, 1, 1]]]
-    state = _sparsify(_SearchState.of(t, BasisTuple.make(mats, domain).inverses()))
+    state = _SearchState.start(t)
+    for leg, inv in enumerate(BasisTuple.make(mats, domain).inverses()):
+        state = state.apply(leg, inv)
+    state = _sparsify(state)
     rng = np.random.default_rng(3)
+    walk = []
     for _ in range(12):
         leg, (dst, src) = int(rng.integers(3)), rng.choice(3, 2, replace=False)
-        state = state.apply_transvection(leg, int(dst), int(src), int(rng.integers(1, 4)))
-    assert len(state.steps) == 12
+        walk.append((leg, int(dst), int(src), int(rng.integers(1, 4))))
+        state = state.apply_transvection(*walk[-1])
+    assert state.steps[-12:] == tuple(walk)
     got = coefficients_in_basis(t, state.basis()).entries
     if label == "C":
         assert np.allclose(got, state.coeff, atol=1e-9)
@@ -213,3 +219,21 @@ def test_search_state_basis_replays_its_steps(label):
     idx = tuple(np.argwhere(state.coeff != 0)[0])
     scale = state.coeff[idx] / got[idx] if label == "Q" else 1
     assert (got * scale == state.coeff).all()
+
+
+def test_sparsify_contracts_no_map(monkeypatch):
+    """The sparsifier changes the coefficients only: no candidate step
+    contracts a 2-D basis map."""
+    contract = sf.contract_leg
+    map_calls = []
+
+    def counting(entries, leg, mat, domain):
+        if np.ndim(entries) == 2:
+            map_calls.append(leg)
+        return contract(entries, leg, mat, domain)
+
+    monkeypatch.setattr(sf, "contract_leg", counting)
+    w = ts.w_tensor()
+    t = ts.Tensor(w.dims, ts.RATIONAL, w.entries / 2 + Fraction(1, 3))
+    state = _sparsify(_SearchState.start(t))
+    assert state.steps and map_calls == []

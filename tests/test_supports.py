@@ -1,4 +1,4 @@
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 import numpy as np
 import pytest
@@ -60,6 +60,17 @@ def test_max_points_of_closure(seed):
     s = random_support(rng)
     assert (ts.max_points(ts.downward_closure(s)).points
             == ts.max_points(s).points)
+
+
+def test_antichain_matches_pairwise_definition():
+    """No point lies strictly below another; the empty support included."""
+    rng = np.random.default_rng(7)
+    supports = [ts.SupportSet((2, 3), ())]
+    supports += [random_support(rng, bounds=(2, 3, 3), max_points=8) for _ in range(60)]
+    for s in supports:
+        pairwise = not any(all(x <= y for x, y in zip(p, q))
+                           for p, q in permutations(s.points, 2))
+        assert ts.is_antichain(s) == pairwise, s.points
 
 
 def test_antichain_and_free_examples():
