@@ -2,13 +2,23 @@
 isotypic projections on tensor powers.
 
 The lower functional maximises the theta-weighted marginal von Neumann
-entropy of (g_1 x ... x g_k) t over invertible g_i by gradient ascent with an
-Armijo line search (analytic Wirtinger gradient, per-step renormalisation,
-seeded multi-start).  Line-search trials evaluate the objective alone (one
-eigvalsh per weighted side); the gradient is computed once per accepted
-step.  Each leg product is one matmul on the (legs before, leg, legs after)
-view of the array.  The upper certificate enumerates tuples of partitions
-whose isotypic projections leave a tensor power alive.  The public projector
+entropy of (g_1 x ... x g_k) t over invertible g_i (per-step
+renormalisation, seeded multi-start).  Each iteration first tries one
+operator-scaling sweep: g_i <- rho_i^{-1/2} g_i on each leg that is a
+weighted side or the one-leg complement of one, in turn, which reaches the
+optimum at a linear rate where it has uniform marginals (every semistable
+tensor).  The sweep is kept if it passes the Armijo test of a gradient step
+of the current trial length; otherwise the iteration is a gradient step with
+an Armijo line search (analytic Wirtinger gradient).  Both must gain more
+than 4 ulps, so a saturated maximum stops without depending on the last
+bits.  The ascent stops at the dimension bound sum_S w_S log2 min(d_S, d_C),
+a certified maximum, and the result names the reason it stopped.
+Line-search trials evaluate the objective alone (one eigvalsh per weighted
+side); the gradient is computed once per accepted step.  Each leg product
+is one matmul on the (legs before, leg, legs after) view of the array.
+
+The upper certificate enumerates tuples of partitions whose isotypic
+projections leave a tensor power alive.  The public projector
 functions apply the permutation sum: each permutation is one transpose of
 the side's axes of the copy-major power, with the other legs in place.  The
 certificate only projects copy-symmetric vectors, on which the side's
@@ -42,11 +52,16 @@ __all__ = [
     "CertificateResult", "upper_quantum_certificate",
 ]
 
-# the entropy ascent stops when the gradient norm falls below GRAD_TOL,
-# when a transform's condition number exceeds COND_LIMIT, or when no
-# Armijo step is found
+# the entropy ascent stops when its value is within BOUND_TOL of the
+# dimension bound, when the gradient norm falls below GRAD_TOL, at the
+# iteration cap, when a transform's condition number exceeds COND_LIMIT, or
+# when no step gains
+BOUND_TOL = 1e-13
 GRAD_TOL = 1e-7
 COND_LIMIT = 1e8
+#: no scaling sweep when a leg marginal's smallest eigenvalue is at or below
+#: SINGULAR times its largest
+SINGULAR = 1e-12
 # ascent step rule: first trial step, Armijo slope fraction, backtrack factor
 STEP0 = 1.0
 ARMIJO = 1e-4
@@ -105,6 +120,9 @@ class LowerQuantumResult:
     transforms: tuple[np.ndarray, ...]
     trace: tuple[float, ...]        # monotone objective trace of the best start
     start_values: tuple[float, ...]
+    # why the best start stopped: "bound", "gradient", "iteration_cap",
+    # "condition_limit" or "no_step"
+    stop: str
 
     @property
     def functional(self) -> float:
@@ -198,29 +216,74 @@ def _objective_and_grads(t_arr, gs, sides):
     return value, grads, psi
 
 
-def _ascend(t_arr, gs, sides, opts: AscentOptions):
-    trace = []
+def _scaling_legs(k: int, sides) -> list[int]:
+    """Legs that are a weighted side or the one-leg complement of one."""
+    legs = set()
+    for side, _ in sides:
+        comp = [i for i in range(k) if i not in side]
+        legs.update(part[0] for part in (side, comp) if len(part) == 1)
+    return sorted(legs)
+
+
+def _scaling_sweep(psi, gs, legs):
+    """The transforms after g_i <- rho_i^{-1/2} g_i on each leg in turn, with
+    rho_i leg i's marginal of the state so far; None if a marginal is
+    singular."""
+    gs = list(gs)
+    for leg in legs:
+        evals, vecs = np.linalg.eigh(marginal(psi, [leg]))
+        if evals[0] <= SINGULAR * evals[-1]:
+            return None
+        scale = (vecs / np.sqrt(evals)) @ vecs.conj().T
+        gs[leg] = scale @ gs[leg]
+        dims = psi.shape
+        psi = np.matmul(scale, psi.reshape(prod(dims[:leg]), dims[leg], -1)).reshape(dims)
+    return gs
+
+
+def _gains(cand_value, value, least):
+    """cand_value beats value by at least `least` and by more than 4 ulps."""
+    return (cand_value is not None and cand_value >= value + least
+            and cand_value - value > 4 * math.ulp(value))
+
+
+def _armijo_step(t_arr, gs, grads, sides, value, gnorm2, step):
+    """Backtracking from `step` along the gradient: (transforms, step length)
+    of the first trial with Armijo ascent, or None."""
+    alpha = step
+    for _ in range(40):
+        cand = [g + alpha * d for g, d in zip(gs, grads)]
+        if _gains(_objective(t_arr, cand, sides), value, ARMIJO * alpha * gnorm2):
+            return cand, alpha
+        alpha *= BACKTRACK
+    return None
+
+
+def _ascend(t_arr, gs, sides, legs, bound, opts: AscentOptions):
+    """One start: (value, transforms, trace, stop reason), or None if the
+    start state vanishes."""
     res = _objective_and_grads(t_arr, gs, sides)
     if res is None:
         return None
-    value, grads, _ = res
-    trace.append(value)
+    value, grads, psi = res
+    trace = [value]
     step = STEP0
-    for _ in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
         gnorm2 = sum(float(np.vdot(g, g).real) for g in grads)
+        if value >= bound - BOUND_TOL:
+            return value, gs, trace, "bound"
         if math.sqrt(gnorm2) < GRAD_TOL:
-            break
-        accepted = False
-        alpha = step
-        for _ in range(40):
-            cand = [g + alpha * d for g, d in zip(gs, grads)]
-            cand_value = _objective(t_arr, cand, sides)
-            if cand_value is not None and cand_value >= value + ARMIJO * alpha * gnorm2:
-                accepted = True
-                break
-            alpha *= BACKTRACK
-        if not accepted:
-            break
+            return value, gs, trace, "gradient"
+        if it == opts.max_iter:
+            return value, gs, trace, "iteration_cap"
+        cand = _scaling_sweep(psi, gs, legs) if legs else None
+        if cand is None or not _gains(_objective(t_arr, cand, sides), value,
+                                      ARMIJO * step * gnorm2):
+            found = _armijo_step(t_arr, gs, grads, sides, value, gnorm2, step)
+            if found is None:
+                return value, gs, trace, "no_step"
+            cand, alpha = found
+            step = min(alpha * 2.0, 8.0)
         gs = [g / (np.linalg.norm(g) / math.sqrt(g.shape[0])) for g in cand]
         conds = []
         for g in gs:
@@ -228,13 +291,21 @@ def _ascend(t_arr, gs, sides, opts: AscentOptions):
             conds.append(sv[0] / max(sv[-1], 1e-300))
         res = _objective_and_grads(t_arr, gs, sides)
         if res is None:
-            break
-        value, grads, _ = res
+            return value, gs, trace, "no_step"
+        value, grads, psi = res
         trace.append(value)
         if max(conds) > COND_LIMIT:
-            break
-        step = min(alpha * 2.0, 8.0)
-    return value, gs, trace
+            return value, gs, trace, "condition_limit"
+
+
+def _dimension_bound(dims, sides) -> float:
+    """Sum of w_S log2 min(d_S, d_{S^c}): no marginal entropy exceeds it."""
+    total = prod(dims)
+    out = 0.0
+    for side, w in sides:
+        d_s = prod(dims[i] for i in side)
+        out += w * math.log2(min(d_s, total // d_s))
+    return out
 
 
 def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
@@ -247,6 +318,8 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
         raise ValueError("zero tensor")
     k = t_arr.ndim
     sides = [(list(side), w) for side, w in theta.bipartition_sides(k) if w > 0]
+    legs = _scaling_legs(k, sides)
+    bound = _dimension_bound(t_arr.shape, sides)
     rng = np.random.default_rng(opts.seed)
     results = []
     for start in range(max(opts.starts, 1)):
@@ -257,9 +330,9 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
                   + PERTURBATION * (rng.standard_normal((d, d))
                                     + 1j * rng.standard_normal((d, d)))
                   for d in t_arr.shape]
-        out = _ascend(t_arr, gs, sides, opts)
+        out = _ascend(t_arr, gs, sides, legs, bound, opts)
         if out is not None:
-            results.append((out[0], start, out[1], out[2]))
+            results.append((out[0], start, out[1], out[2], out[3]))
     if not results:
         raise RuntimeError("every ascent start failed")
     results.sort(key=lambda r: (-r[0], r[1]))
@@ -267,7 +340,8 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
     return LowerQuantumResult(value=best[0],
                               transforms=tuple(best[2]),
                               trace=tuple(best[3]),
-                              start_values=tuple(r[0] for r in results))
+                              start_values=tuple(r[0] for r in results),
+                              stop=best[4])
 
 
 # ---------------------------------------------------------------------------

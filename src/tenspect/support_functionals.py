@@ -154,16 +154,20 @@ class _SearchState:
         return _SearchState(coeff, self.steps + ((leg, dst, src, c),), self.domain)
 
     def basis(self) -> BasisTuple:
-        """The steps replayed in order on identity inverse maps."""
+        """The steps replayed in order on identity inverse maps.  A leg's
+        first matrix step starts its map from a copy of the matrix."""
         dom = self.domain
         inv = [identity_matrix(d, dom) for d in self.coeff.shape]
+        fresh = set(range(len(inv)))     # legs whose map is still the identity
         for step in self.steps:
+            leg = step[0]
             if len(step) == 2:
-                leg, mat = step
-                inv[leg] = contract_leg(inv[leg], 0, mat, dom)
+                inv[leg] = (dom.array(step[1]) if leg in fresh
+                            else contract_leg(inv[leg], 0, step[1], dom))
             else:
-                leg, dst, src, c = step
+                _, dst, src, c = step
                 inv[leg][dst] = dom.reduce(inv[leg][dst] + c * inv[leg][src])
+            fresh.discard(leg)
         return BasisTuple.from_inverses(inv, dom)
 
 

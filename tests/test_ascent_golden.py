@@ -6,8 +6,17 @@ A change to how the ascent evaluates its objective must leave every iterate
 in place: the trace length must come back equal and the values within 1e-12.
 Regenerate with `PYTHONPATH=src python tests/test_ascent_golden.py` only when
 a change to the ascent's iterates is intended.
+
+`ascent_bounds.json` keeps the values and start values frozen before the
+first such re-capture (the first-order ascent, before scaling sweeps).  It is
+never regenerated.  Every value is a lower bound on log2 F_theta, so a
+re-captured value or start value may not fall below its frozen one by more
+than 1e-12.  The "multi" theta of the 4-leg tensor weights only sides with
+two legs on both sides, which get no scaling sweep; its frozen record also
+holds the trace length, and its iterates must come back unchanged.
 """
 
+import functools
 import json
 import os
 
@@ -19,6 +28,7 @@ from tenspect.entropy import ThetaWeights
 from tenspect.quantum import AscentOptions, lower_quantum_functional
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "ascent_golden.json")
+BOUNDS = os.path.join(os.path.dirname(__file__), "ascent_bounds.json")
 FAMILY_OPTIONS = dict(starts=3, max_iter=400)
 RANDOM_OPTIONS = dict(starts=2, max_iter=150)
 RANDOM_DIMS = [(2, 2, 2), (2, 3, 2), (3, 3, 3), (2, 3, 4), (4, 4, 3), (2, 2, 2, 2)]
@@ -28,9 +38,13 @@ def _thetas(k):
     skew = [0.5, 0.25, 0.25] if k == 3 else [0.4, 0.2, 0.2, 0.2]
     bip = ({frozenset({0, 1}): 0.5, frozenset({0}): 0.5} if k == 3 else
            {frozenset({0, 1}): 0.5, frozenset({0, 2}): 0.25, frozenset({0}): 0.25})
-    return {"uniform": ThetaWeights.uniform(k),
-            "skew": ThetaWeights.from_legs(skew),
-            "bip": ThetaWeights.from_bipartitions(bip, k)}
+    out = {"uniform": ThetaWeights.uniform(k),
+           "skew": ThetaWeights.from_legs(skew),
+           "bip": ThetaWeights.from_bipartitions(bip, k)}
+    if k == 4:
+        out["multi"] = ThetaWeights.from_bipartitions(
+            {frozenset({0, 1}): 0.5, frozenset({0, 2}): 0.5}, k)
+    return out
 
 
 def _random_tensor(index):
@@ -60,19 +74,44 @@ def _run(source, theta_name):
             "trace_len": len(res.trace)}
 
 
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN, encoding="ascii") as fh:
+def _load(path):
+    with open(path, encoding="ascii") as fh:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("key,source,theta_name", _cases(), ids=[c[0] for c in _cases()])
-def test_ascent_matches_golden(golden, key, source, theta_name):
-    want = golden[key]
-    got = _run(source, theta_name)
+@functools.lru_cache(maxsize=None)
+def _record(key):
+    _, source, theta_name = next(c for c in _cases() if c[0] == key)
+    return _run(source, theta_name)
+
+
+def _assert_same(got, want):
     assert got["trace_len"] == want["trace_len"]
     assert got["value"] == pytest.approx(want["value"], rel=0, abs=1e-12)
     assert got["start_values"] == pytest.approx(want["start_values"], rel=0, abs=1e-12)
+
+
+KEYS = [c[0] for c in _cases()]
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_ascent_matches_golden(key):
+    _assert_same(_record(key), _load(GOLDEN)[key])
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_ascent_keeps_frozen_bounds(key):
+    old = _load(BOUNDS)["lower_quantum_functional"][key]
+    got = _record(key)
+    assert got["value"] >= old["value"] - 1e-12
+    assert len(got["start_values"]) == len(old["start_values"])
+    for new, frozen in zip(got["start_values"], old["start_values"]):
+        assert new >= frozen - 1e-12
+
+
+def test_theta_without_sweep_keeps_first_order_iterates():
+    key = "random5 2x2x2x2 multi"
+    _assert_same(_record(key), _load(BOUNDS)["lower_quantum_functional"][key])
 
 
 if __name__ == "__main__":

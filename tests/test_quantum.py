@@ -10,8 +10,9 @@ import tenspect as ts
 from tenspect.entropy import ThetaWeights, binary_entropy
 from tenspect.errors import BudgetExceededError
 from tenspect.partitions import irrep_dimension, partitions
-from tenspect.quantum import (AscentOptions, _objective, _objective_and_grads,
-                              _projector_matrix, _young_project,
+from tenspect.quantum import (AscentOptions, _dimension_bound, _objective,
+                              _objective_and_grads, _projector_matrix,
+                              _scaling_legs, _young_project,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
                               lower_quantum_functional, marginal, state_array,
@@ -151,6 +152,37 @@ def test_lower_functional_bipartition_theta():
 def test_lower_functional_zero_rejected():
     with pytest.raises(ValueError):
         lower_quantum_functional(ts.zeros((2, 2, 2), ts.RATIONAL), U3, FAST)
+
+
+def _random_333():
+    rng = np.random.default_rng(0)
+    arr = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    return ts.Tensor((3, 3, 3), ts.COMPLEXFLOAT, arr)
+
+
+def test_stop_reasons():
+    assert lower_quantum_functional(ts.unit(3), U3, FAST).stop == "bound"
+    capped = lower_quantum_functional(_random_333(), U3, AscentOptions(starts=2, max_iter=1))
+    assert capped.stop == "iteration_cap"
+    assert len(capped.trace) == 2
+    # W is not semistable: its optimum h(1/3) lies below the bound of 1 bit
+    assert lower_quantum_functional(ts.w_tensor(), U3, FAST).stop in ("gradient", "no_step")
+
+
+def test_scaling_sweep_reaches_log2_3_on_random_333():
+    res = lower_quantum_functional(_random_333(), U3, AscentOptions(starts=1, max_iter=400))
+    assert res.value == pytest.approx(math.log2(3), rel=0, abs=1e-8)
+    assert res.stop == "bound"
+
+
+def test_scaling_legs_and_dimension_bound():
+    assert _scaling_legs(3, [([0, 1], 0.5), ([0], 0.5)]) == [0, 2]
+    assert _scaling_legs(3, [([1], 1.0)]) == [1]
+    # sides with two legs on both sides get no scaling sweep
+    assert _scaling_legs(4, [([0, 1], 0.5), ([0, 2], 0.5)]) == []
+    # min(4, 6) on both sides, so 2 bits
+    assert _dimension_bound((2, 3, 4), [([2], 0.5), ([0, 1], 0.5)]) == pytest.approx(2.0, abs=1e-15)
+    assert _dimension_bound((2, 2, 3, 2), [([0, 1], 1.0)]) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_degeneration_monotonicity(rng):

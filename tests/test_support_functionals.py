@@ -221,6 +221,19 @@ def test_search_state_basis_replays_its_steps(label):
     assert (got * scale == state.coeff).all()
 
 
+@pytest.mark.parametrize("label", ["Q", "Fp:5", "C"])
+def test_search_state_replay_leaves_its_steps_unchanged(label):
+    """A transvection right after a leg's first matrix step: the replay
+    copies that matrix, so a second replay gives the same basis."""
+    domain = parse_domain(label)
+    mat = domain.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    state = _SearchState.start(ts.convert(ts.cw(2), domain)).apply(0, mat.copy())
+    state = state.apply_transvection(0, 2, 0, 3)
+    first = state.basis().inverses()
+    assert np.array_equal(state.steps[0][1], mat)
+    assert all(np.array_equal(a, b) for a, b in zip(first, state.basis().inverses()))
+
+
 def test_sparsify_contracts_no_map(monkeypatch):
     """The sparsifier changes the coefficients only: no candidate step
     contracts a 2-D basis map."""

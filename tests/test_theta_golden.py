@@ -19,6 +19,10 @@ frozen before the first such re-capture (the primal that SLSQP polished); a
 regenerated golden file must not weaken them: the value (a lower bound)
 falls by at most 1e-12, the dual value (an upper bound) rises by at most
 1e-12 and the gap does not grow.  It is never regenerated.
+
+`ascent_bounds.json` keeps the `asympt_slicerank` values frozen before the
+first re-capture of those records (the first-order ascent, before scaling
+sweeps); a re-captured value may not fall by more than 1e-12.
 """
 
 import functools
@@ -38,6 +42,7 @@ from tenspect.quantum import AscentOptions
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "theta_golden.json")
 BOUNDS = os.path.join(os.path.dirname(__file__), "minimax_bounds.json")
+ASCENT_BOUNDS = os.path.join(os.path.dirname(__file__), "ascent_bounds.json")
 FAMILIES = ["W", "cw:2", "cw:3", "unit:3", "matmul:2,2,2", "polymul:3", "dicke:2,2"]
 RANDOM_SUPPORTS = 23
 SLICERANK_FAMILIES = ["W", "unit:3", "cw:2"]
@@ -150,13 +155,25 @@ def test_max_min_entropy_keeps_frozen_bounds(key):
     assert got["gap"] <= max(old["gap"], 0.0) + 1e-15
 
 
+@functools.lru_cache(maxsize=None)
+def _slicerank_record(index, key):
+    return _run_slicerank(_slicerank_tensors()[key], index)
+
+
 @pytest.mark.parametrize("index,key", list(enumerate(_slicerank_tensors())))
 def test_asympt_slicerank_matches_golden(golden, index, key):
     want = golden["asympt_slicerank"][key]
-    got = _run_slicerank(_slicerank_tensors()[key], index)
+    got = _slicerank_record(index, key)
     assert got["route"] == want["route"]
     for name in ("value", "theta", "quantum_values"):
         _close(got[name], want[name])
+
+
+@pytest.mark.parametrize("index,key", list(enumerate(_slicerank_tensors())))
+def test_asympt_slicerank_keeps_frozen_bounds(index, key):
+    with open(ASCENT_BOUNDS, encoding="ascii") as fh:
+        old = json.load(fh)["asympt_slicerank"][key]
+    assert _slicerank_record(index, key)["value"] >= old - 1e-12
 
 
 @pytest.mark.parametrize("key", list(CLI_CALLS))
