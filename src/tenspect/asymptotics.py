@@ -254,23 +254,28 @@ class SliceRankResult:
     theta: ThetaWeights
     route: str
     quantum_values: tuple[tuple[tuple[float, ...], float], ...]
-    support_route_value: float | None = None
 
 
 def asympt_slicerank(t: Tensor, options: AscentOptions | None = None
                      ) -> SliceRankResult:
-    """Minimise the entropy ascent value over the leg-theta simplex.
+    """Asymptotic slice rank: the least quantum functional over leg theta.
 
-    The objective theta -> E(theta) is convex (a max of theta-linear
-    functions), so `entropy._theta_cutting_planes` minimises it over the
-    marginal entropy vectors of the ascent's maximisers, stopping at a gap
-    of SLICERANK_TOL / 4 or after SLICERANK_ROUNDS rounds.  When the
-    standard support is free the combinatorial route (marginal entropy
-    minimax on the support) gives the value exactly.
+    On a free standard support the quantum functionals equal the support
+    functionals, so the value is exactly the support minimax max_P min_i
+    H(P_i) (route "support") and no ascent runs.  Otherwise (route
+    "quantum") `entropy._theta_cutting_planes` minimises the convex
+    theta -> E(theta) over the marginal entropy vectors of the ascent's
+    maximisers, stopping at a gap of SLICERANK_TOL / 4 or after
+    SLICERANK_ROUNDS rounds.
     """
+    # an empty support (a zero tensor, or complex entries all below
+    # COMPLEX_ZERO_TOL) is free but has no minimax; the ascent handles it
+    supp = SupportSet.from_tensor(t)
+    if len(supp) and is_free(supp):
+        mm = max_min_entropy(supp)
+        return SliceRankResult(value=2.0 ** mm.value, log2_value=mm.value,
+                               theta=mm.theta, route="support", quantum_values=())
     arr = state_array(t)
-    if float(np.vdot(arr, arr).real) <= 0:
-        raise ValueError("zero tensor")
     k = arr.ndim
     opts = options or AscentOptions(starts=4, max_iter=800)
 
@@ -282,20 +287,6 @@ def asympt_slicerank(t: Tensor, options: AscentOptions | None = None
 
     evals, _ = _theta_cutting_planes(k, evaluate, SLICERANK_TOL / 4, SLICERANK_ROUNDS)
     best_val, best_theta, _, _ = min(evals, key=lambda e: e[0])
-
-    # free supports certify the value combinatorially: the support entropy
-    # equals the ascent supremum for every singleton theta, so the minimax
-    # on the support is exact
-    support_value = None
-    supp = SupportSet.from_tensor(t)
-    if len(supp) and is_free(supp):
-        support_value = max_min_entropy(supp).value
-        best_val = support_value
-    return SliceRankResult(
-        value=2.0 ** best_val,
-        log2_value=best_val,
-        theta=ThetaWeights.from_legs(best_theta),
-        route="support" if support_value is not None else "quantum",
-        quantum_values=tuple((tuple(e[1]), e[0]) for e in evals),
-        support_route_value=support_value,
-    )
+    return SliceRankResult(value=2.0 ** best_val, log2_value=best_val,
+                           theta=ThetaWeights.from_legs(best_theta), route="quantum",
+                           quantum_values=tuple((tuple(e[1]), e[0]) for e in evals))

@@ -273,8 +273,8 @@ def cmd_slicerank(args) -> dict:
            "value": res.value, "log2_value": res.log2_value,
            "route": res.route, "tolerances": {"theta_min": SLICERANK_TOL},
            "theta": res.theta.to_records()}
-    if res.support_route_value is not None:
-        out["support_route_log2"] = res.support_route_value
+    if res.route == "support":
+        out["support_route_log2"] = res.log2_value
     return out
 
 

@@ -97,9 +97,9 @@ def marginal(psi: np.ndarray, side) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits of a density matrix."""
+    """Entropy in bits of a density matrix, over `_spectrum_mask`'s eigenvalues."""
     evals = np.linalg.eigvalsh(rho)
-    evals = evals[evals > 1e-15]
+    evals = evals[_spectrum_mask(evals)]
     return float(-(evals * np.log2(evals)).sum())
 
 
@@ -175,14 +175,8 @@ def _objective(t_arr, gs, sides):
     state = _state(t_arr, gs)
     if state is None:
         return None
-    psi, norm2 = state
-    value = 0.0
-    for side, w in sides:
-        mat, _ = _side_view(psi, side)
-        evals = np.linalg.eigvalsh(mat @ mat.conj().T / norm2)
-        lam = evals[_spectrum_mask(evals)]
-        value += w * float(-(lam * np.log2(lam)).sum())
-    return value
+    psi, _ = state
+    return sum(w * von_neumann_entropy(marginal(psi, side)) for side, w in sides)
 
 
 def _objective_and_grads(t_arr, gs, sides):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tenspect as ts
+import tenspect.asymptotics as tasy
 from tenspect.asymptotics import (asympt_slicerank, asympt_subrank_tight3,
                                   capset_bound, degeneration_lower_bound,
                                   modular_sum_support,
@@ -11,7 +12,7 @@ from tenspect.asymptotics import (asympt_slicerank, asympt_subrank_tight3,
                                   slicerank_exact_combinatorial,
                                   slicerank_exact_for_tensor, z_of_n)
 from tenspect.entropy import binary_entropy
-from tenspect.quantum import AscentOptions
+from tenspect.quantum import AscentOptions, lower_quantum_functional, state_array
 
 H13 = binary_entropy(1 / 3)
 
@@ -154,12 +155,58 @@ def test_slicerank_exact_matches_bruteforce_cover():
 
 def test_asympt_slicerank_w():
     t = ts.convert(ts.w_tensor(), ts.COMPLEXFLOAT)
-    res = asympt_slicerank(t, AscentOptions(starts=3, max_iter=400, seed=0))
+    opts = AscentOptions(starts=3, max_iter=400, seed=0)
+    res = asympt_slicerank(t, opts)
     assert res.value == pytest.approx(1.88988, abs=2e-3)
-    assert res.support_route_value is not None
+    assert res.route == "support"
     # quantum and combinatorial routes agree on free tensors
-    quantum_min = min(v for _, v in res.quantum_values)
-    assert abs(quantum_min - res.support_route_value) <= 2e-3
+    quantum = lower_quantum_functional(t, res.theta, opts).value
+    assert abs(quantum - res.log2_value) <= 2e-3
+
+
+@pytest.mark.parametrize("spec", ["W", "cw:2", "unit:3"])
+def test_asympt_slicerank_free_support_runs_no_ascent(monkeypatch, spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the support route ran an ascent")
+
+    monkeypatch.setattr(tasy, "lower_quantum_functional", refuse)
+    t = ts.convert(ts.build_family(ts.parse_family(spec)), ts.COMPLEXFLOAT)
+    res = asympt_slicerank(t, AscentOptions(starts=2, max_iter=200, seed=0))
+    assert res.route == "support"
+    assert res.quantum_values == ()
+
+
+def test_asympt_slicerank_non_free_takes_quantum_route(monkeypatch):
+    from conftest import random_complex_tensor
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lower_quantum_functional(*args, **kwargs)
+
+    monkeypatch.setattr(tasy, "lower_quantum_functional", counted)
+    t = random_complex_tensor(np.random.default_rng(7), max_dim=2, density=1.0)
+    assert not ts.is_free(ts.SupportSet.from_tensor(t))
+    res = asympt_slicerank(t, AscentOptions(starts=2, max_iter=200, seed=0))
+    assert res.route == "quantum"
+    assert len(calls) == len(res.quantum_values) >= 1
+
+
+def test_asympt_slicerank_empty_support_takes_quantum_route():
+    # every entry lies below the complex zero tolerance, so the support is
+    # empty (free, but without a minimax) and the ascent gives the value
+    t = ts.convert(ts.w_tensor(), ts.COMPLEXFLOAT)
+    tiny = ts.Tensor(t.dims, ts.COMPLEXFLOAT, 1e-11 * state_array(t))
+    assert len(ts.SupportSet.from_tensor(tiny)) == 0
+    res = asympt_slicerank(tiny, AscentOptions(starts=3, max_iter=400, seed=0))
+    assert res.route == "quantum"
+    assert res.value == pytest.approx(1.88988, abs=2e-3)
+
+
+def test_asympt_slicerank_zero_tensor():
+    zero = ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, np.zeros((2, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="zero tensor"):
+        asympt_slicerank(zero)
 
 
 def test_asympt_slicerank_unit3():

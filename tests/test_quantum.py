@@ -315,6 +315,12 @@ def test_certificate_budget_and_order():
     t4 = ts.unit(2, k=4)
     with pytest.raises(ValueError):
         upper_quantum_certificate(t4, crossing, 2)
+    with pytest.raises(ValueError, match="order must list exactly"):
+        upper_quantum_certificate(
+            t4, crossing, 2, order=[frozenset({0, 1}), frozenset({0, 3})])
+    zero = ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, np.zeros((2, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="zero tensor"):
+        upper_quantum_certificate(zero, U3, 2)
     res = upper_quantum_certificate(
         t4, crossing, 2, order=[frozenset({0, 1}), frozenset({0, 2})])
     assert res.value <= 2.0 + 1e-9

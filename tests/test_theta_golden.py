@@ -5,14 +5,16 @@
 * `max_min_entropy`: value, dual value, gap, theta and the number of inner
   `max_H_theta` solves;
 * `asympt_slicerank`: value, route, theta and the evaluated
-  (theta, value) pairs;
+  (theta, value) pairs of the quantum route (none on the support route);
 * the JSON text of two CLI calls that run these minimisations.
 
 A change to how the cutting-plane loop is organised must leave these in
 place: floats within 1e-12, equal counts and list lengths, and the same CLI
-text byte for byte.  Regenerate with
-`PYTHONPATH=src python tests/test_theta_golden.py` only when a change to
-the minimisations' iterates is intended.
+text byte for byte.  Regenerate only the sections whose change is intended,
+e.g. `PYTHONPATH=src python tests/test_theta_golden.py asympt_slicerank`:
+named sections (`max_min_entropy`, `asympt_slicerank`, `cli`) are
+re-captured and the others are kept as read from the file; with no names,
+all three are re-captured.
 
 `minimax_bounds.json` keeps the `max_min_entropy` value, dual value and gap
 frozen before the first such re-capture (the primal that SLSQP polished); a
@@ -28,6 +30,7 @@ sweeps); a re-captured value may not fall by more than 1e-12.
 import functools
 import json
 import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -181,14 +184,27 @@ def test_cli_text_matches_golden(golden, key):
     assert _run_cli(CLI_CALLS[key]) == golden["cli"][key]
 
 
+#: the sections of the golden file, each with the function that re-captures it
+CAPTURES = {
+    "max_min_entropy": lambda: {key: _run_minimax(supp)
+                                for key, supp in _minimax_supports().items()},
+    "asympt_slicerank": lambda: {key: _run_slicerank(t, index) for index, (key, t)
+                                 in enumerate(_slicerank_tensors().items())},
+    "cli": lambda: {key: _run_cli(argv) for key, argv in CLI_CALLS.items()},
+}
+
+
 if __name__ == "__main__":
-    records = {
-        "max_min_entropy": {key: _run_minimax(supp)
-                            for key, supp in _minimax_supports().items()},
-        "asympt_slicerank": {key: _run_slicerank(t, index)
-                             for index, (key, t) in enumerate(_slicerank_tensors().items())},
-        "cli": {key: _run_cli(argv) for key, argv in CLI_CALLS.items()},
-    }
+    sections = sys.argv[1:] or list(CAPTURES)
+    unknown = sorted(set(sections) - set(CAPTURES))
+    if unknown:
+        sys.exit(f"unknown section(s) {', '.join(unknown)}; choose from {', '.join(CAPTURES)}")
+    records = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, encoding="ascii") as fh:
+            records = json.load(fh)
+    for section in sections:
+        records[section] = CAPTURES[section]()
     with open(GOLDEN, "w", encoding="ascii") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
