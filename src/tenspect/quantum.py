@@ -23,10 +23,15 @@ functions apply the permutation sum: each permutation is one transpose of
 the side's axes of the copy-major power, with the other legs in place.  The
 certificate only projects copy-symmetric vectors, on which the side's
 projection equals its complement's, so it acts on whichever of the two has
-the smaller dimension d: each projection is one matmul with the real
-d^n x d^n matrix of the projector, built once per call from the permutation
-sum.  Partitions with more rows than min(d_S, d_C) are skipped, since
-Schur-Weyl duality makes their projections of a copy-symmetric vector zero.
+the smaller dimension d.  The projector on (C^d)^{(x)n} is block diagonal
+by weight (the content of a word of [d]^n), and all blocks of one weight
+type share one real matrix, built once per call from the integer class sums
+of S_n on that type's first block.  Each projection gathers the rows in
+block order and makes one batched matmul per weight type; only the norm is
+taken on the last side, and only a projection that feeds a further side is
+put back in copy-major order.  Partitions with more rows than min(d_S, d_C)
+are skipped, since Schur-Weyl duality makes their projections of a
+copy-symmetric vector zero.
 """
 
 from __future__ import annotations
@@ -431,35 +436,130 @@ def bipartition_projector_apply(v: np.ndarray, dims, n: int, lam, side) -> np.nd
     return _young_project(symmetrize_copies(arr, n), lam, n, legs)
 
 
-def _projector_matrix(d: int, lam, n: int) -> np.ndarray:
-    """The real d^n x d^n matrix of the lam-isotypic projector on (C^d)^{(x)n}.
+def _weight_blocks(d: int, n: int):
+    """The words of [d]^n in block order, and the blocks of each weight type.
 
-    It is the permutation sum applied to the identity, held as the real
-    copy-major power of eye(d) with rows on leg 0 and columns on leg 1 of
-    each copy.  A permutation of the copies has a 1 at (w, w o perm) for
-    each word w in [d]^n, so the sum is a scatter of the characters into an
-    integer matrix, scaled once.
+    The lam-isotypic projector on (C^d)^{(x)n} permutes positions within a
+    word, so it keeps the weight (the content of the word) and is block
+    diagonal by weight.  Rows are ordered by weight type (the sorted
+    content), then by weight, then within a block by the word of ranks
+    (each value replaced by its rank in the word's content, most frequent
+    first, ties by value).  Relabelling the values in [d] commutes with the
+    projector and maps one block of a type onto another in this order, so
+    every block of a type has one matrix, built from the class sums of the
+    type's first block: P_lam = (dim lam / n!) sum_kappa chi_lam(kappa) C_kappa.
+
+    Returns (order, projectors): order[i] is the index in [d]^n (copy 0
+    most significant) of the word on row i, and projectors maps each
+    partition lam of n to one (rows, blocks, block size, real projector
+    block or None where it is zero) per weight type.
     """
-    lam = normalize_partition(lam)
-    words = np.arange(d ** n).reshape((d,) * n)
-    out = np.zeros((d ** n, d ** n), dtype=np.int64)
-    for perm in iter_permutations(range(n)):
-        chi = character(lam, _cycle_type(perm))
-        if chi:
-            np.add.at(out, (words.ravel(), words.transpose(np.argsort(perm)).ravel()), chi)
-    return out * (irrep_dimension(lam) / factorial(n))
+    words = np.indices((d,) * n).reshape(n, -1).T
+    counts = (words[:, :, None] == np.arange(d)).sum(axis=1)
+    rank_of = np.argsort(np.argsort(-counts, axis=1, kind="stable"), axis=1)
+    ranks = np.take_along_axis(rank_of, words, axis=1)
+    powers = n ** np.arange(n - 1, -1, -1)
+    # the sorted ranks spell the type, the sorted digits the weight
+    type_codes = np.sort(ranks, axis=1) @ powers
+    order = np.lexsort((ranks @ powers, np.sort(words, axis=1) @ d ** np.arange(n - 1, -1, -1),
+                        type_codes))
+    ranks, type_codes = ranks[order], type_codes[order]
+    lams = list(partitions(n))
+    chars = np.array([[character(lam, kappa) for kappa in lams] for lam in lams])
+    scales = [irrep_dimension(lam) / factorial(n) for lam in lams]
+    perms = list(iter_permutations(range(n)))
+    kappa = np.array([lams.index(_cycle_type(perm)) for perm in perms])
+    starts = [0] + (np.flatnonzero(type_codes[1:] != type_codes[:-1]) + 1).tolist() + [d ** n]
+    projectors = {lam: [] for lam in lams}
+    for start, stop in zip(starts, starts[1:]):
+        size = factorial(n) // prod(factorial(c) for c in np.bincount(ranks[start]))
+        block = ranks[start:start + size]
+        # class sums: entry (c, i, j) counts the permutations of cycle type
+        # lams[c] that send word i of the block to word j
+        cols = np.searchsorted(block @ powers, block[:, perms] @ powers)
+        flat = (kappa * size + np.arange(size)[:, None]) * size + cols
+        sums = np.bincount(flat.ravel(), minlength=len(lams) * size * size)
+        mats = (chars @ sums.reshape(len(lams), -1)).reshape(-1, size, size)
+        for lam, scale, mat in zip(lams, scales, mats):
+            projectors[lam].append((slice(start, stop), (stop - start) // size, size,
+                                    mat * scale if mat.any() else None))
+    return order, projectors
 
 
-def _surviving_tuples(arr, sides, projections):
+def _side_projections(arr, dims, side, layouts, last=False):
+    """Yield (lam, the side's lam-projection of arr) for each partition lam
+    of n whose projection does not vanish; the projection is None when
+    `last` is set, for a side where only its norm is needed.
+
+    arr is a copy-symmetric vector in the n-th power of the leg space dims
+    (copy-major axes).  On such vectors the side's projection equals the
+    complement's, so it acts on the legs of smaller dimension d.
+    Schur-Weyl: a partition with more than d rows gives zero.  The rows
+    [d]^n are gathered in `_weight_blocks` order, each type's blocks are
+    projected by one batched matmul, and a projection that is yielded is
+    put back in copy-major order.  `layouts` holds the `_weight_blocks` of
+    each d met so far.
+    """
+    k = len(dims)
+    n = arr.ndim // k
+    comp = tuple(i for i in range(k) if i not in side)
+    legs = min(tuple(side), comp, key=lambda ls: prod(dims[i] for i in ls))
+    d = prod(dims[i] for i in legs)
+    if d not in layouts:
+        layouts[d] = _weight_blocks(d, n)
+    order, projectors = layouts[d]
+    axes = [m * k + leg for m in range(n) for leg in legs]
+    axes += [a for a in range(n * k) if a not in axes]
+    rows_in = np.unravel_index(order, [dims[i] for i in legs] * n)
+    moved = arr.transpose(axes)[rows_in]
+    rest = moved.shape[1:]
+    moved = moved.reshape(d ** n, -1).view(float)
+    out = np.empty_like(moved)
+    for lam, blocks_of_lam in projectors.items():
+        if len(lam) > d:
+            continue
+        norm2 = 0.0
+        for rows, blocks, size, mat in blocks_of_lam:
+            if mat is not None:
+                part = out[rows].reshape(blocks, size, -1)
+                np.matmul(mat, moved[rows].reshape(blocks, size, -1), out=part)
+                norm2 += float(np.vdot(part, part))
+            elif not last:
+                out[rows] = 0.0
+        if math.sqrt(norm2) <= ZERO_TOL:
+            continue
+        if last:
+            yield lam, None
+        else:
+            back = np.empty_like(arr)
+            back.transpose(axes)[rows_in] = out.view(complex).reshape(-1, *rest)
+            yield lam, back
+
+
+def _surviving_tuples(arr, dims, sides, layouts):
     """Yield, depth first, each tuple of (side, lam), one per side in order,
     whose successive projections of arr do not vanish."""
     if not sides:
         yield ()
         return
     side = sides[0][0]
-    for lam, out in projections(arr, side):
-        for tail in _surviving_tuples(out, sides[1:], projections):
+    for lam, out in _side_projections(arr, dims, side, layouts, last=len(sides) == 1):
+        for tail in _surviving_tuples(out, dims, sides[1:], layouts):
             yield ((side, lam),) + tail
+
+
+def _ordered_sides(sides, order, k: int):
+    """The weighted sides in the projector order `order`, which must name
+    each of them exactly once, by the side or by its complement."""
+    out = []
+    for entry in order:
+        entry = set(int(x) for x in entry)
+        match = [s for s in sides
+                 if s not in out and set(s[0]) in (entry, set(range(k)) - entry)]
+        out += sorted(match, key=lambda s: set(s[0]) != entry)[:1]
+    if len(out) != len(order) or len(out) != len(sides):
+        raise ValueError("order must list exactly the weighted bipartitions")
+    return out
 
 
 @dataclass(frozen=True)
@@ -495,51 +595,19 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
     sides = [(tuple(sorted(side)), w) for side, w in theta.bipartition_sides(k)
              if w > 0]
     if order is not None:
-        by_key = {tuple(sorted(side)): (tuple(sorted(side)), w) for side, w in sides}
-        try:
-            sides = [by_key[tuple(sorted(s))] for s in order]
-        except KeyError as exc:
-            raise ValueError("order must list exactly the weighted bipartitions") from exc
+        sides = _ordered_sides(sides, order, k)
     elif not theta.is_noncrossing(k):
         raise ValueError("crossing theta weights need an explicit projector order")
 
-    lams = list(partitions(n))
-    matrices = {}
-
-    def projections(arr, side):
-        """Yield (lam, the side's lam-projection of arr) for each partition
-        lam whose projection does not vanish.
-
-        arr is copy-symmetric (a power, then side projections that commute
-        with copy permutations), and on such vectors the side's projection
-        equals the complement's, so it acts on the legs of smaller dimension
-        d.  Schur-Weyl: a partition with more than d rows gives zero.
-        """
-        comp = tuple(i for i in range(k) if i not in side)
-        legs = min(side, comp, key=lambda ls: prod(dims[i] for i in ls))
-        d = prod(dims[i] for i in legs)
-        axes = [m * k + leg for m in range(n) for leg in legs]
-        axes += [a for a in range(n * k) if a not in axes]
-        moved = np.ascontiguousarray(arr.transpose(axes)).reshape(d ** n, -1).view(float)
-        shape = [arr.shape[a] for a in axes]
-        for lam in lams:
-            if len(lam) > d:
-                continue
-            if (d, lam) not in matrices:
-                matrices[d, lam] = _projector_matrix(d, lam, n)
-            out = (matrices[d, lam] @ moved).view(complex)
-            if math.sqrt(float(np.vdot(out, out).real)) > ZERO_TOL:
-                yield lam, out.reshape(shape).transpose(np.argsort(axes))
-
+    entropy = {lam: partition_entropy(lam) for lam in partitions(n)}
     best_val = -math.inf
     best_tuple = None
     surviving = 0
-    for chosen in _surviving_tuples(tensor_power_array(t_arr / norm, n), sides,
-                                    projections):
+    for chosen in _surviving_tuples(tensor_power_array(t_arr / norm, n), dims, sides, {}):
         surviving += 1
         weight_sum = 0.0
         for (_, w), (_, lam) in zip(sides, chosen):
-            weight_sum += w * partition_entropy(lam)
+            weight_sum += w * entropy[lam]
         if weight_sum > best_val:
             best_val = weight_sum
             best_tuple = chosen

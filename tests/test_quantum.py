@@ -5,19 +5,21 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tenspect as ts
 from tenspect.entropy import ThetaWeights, binary_entropy
 from tenspect.errors import BudgetExceededError
-from tenspect.partitions import irrep_dimension, partitions
-from tenspect.quantum import (AscentOptions, _dimension_bound, _objective,
-                              _objective_and_grads, _projector_matrix,
-                              _scaling_legs, _young_project,
+from tenspect.partitions import irrep_dimension, partition_entropy, partitions
+from tenspect.quantum import (ZERO_TOL, AscentOptions, _dimension_bound,
+                              _objective, _objective_and_grads, _scaling_legs,
+                              _side_projections, _weight_blocks, _young_project,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
                               lower_quantum_functional, marginal, state_array,
-                              tensor_power_array, upper_quantum_certificate,
-                              von_neumann_entropy)
+                              symmetrize_copies, tensor_power_array,
+                              upper_quantum_certificate, von_neumann_entropy)
 
 from conftest import random_complex_tensor
 
@@ -321,9 +323,16 @@ def test_certificate_budget_and_order():
     zero = ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, np.zeros((2, 2, 2), dtype=complex))
     with pytest.raises(ValueError, match="zero tensor"):
         upper_quantum_certificate(zero, U3, 2)
+    # the order must name each weighted side exactly once
+    for order in ([frozenset({0, 1})], [frozenset({0, 1}), frozenset({0, 1})]):
+        with pytest.raises(ValueError, match="order must list exactly"):
+            upper_quantum_certificate(t4, crossing, 2, order=order)
     res = upper_quantum_certificate(
         t4, crossing, 2, order=[frozenset({0, 1}), frozenset({0, 2})])
     assert res.value <= 2.0 + 1e-9
+    # a side may be named by its complement
+    assert upper_quantum_certificate(
+        t4, crossing, 2, order=[frozenset({2, 3}), frozenset({1, 3})]) == res
 
 
 def test_certificate_below_support_entropy(rng):
@@ -347,37 +356,107 @@ def _schur_at_ones(lam, d):
     return value
 
 
+def _blocks(d, n, lam):
+    """Each weight block of the lam-projector on (C^d)^{(x)n}: its rows in
+    [d]^n and its matrix, None where the block vanishes."""
+    order, projectors = _weight_blocks(d, n)
+    for rows, blocks, size, mat in projectors[lam]:
+        for block in order[rows].reshape(blocks, size):
+            yield block, mat
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_projector_matrix(d, n, rng):
-    eye = np.eye(d ** n)
-    total = np.zeros((d ** n, d ** n))
-    v = rng.standard_normal((d,) * n) + 1j * rng.standard_normal((d,) * n)
+    assert sorted(_weight_blocks(d, n)[0]) == list(range(d ** n))
+    totals = {}
+    v = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
     for lam in partitions(n):
-        mat = _projector_matrix(d, lam, n)
-        total += mat
-        assert np.abs(mat - mat.T).max() < 1e-12
-        assert np.abs(mat @ mat - mat).max() < 1e-12
-        trace = irrep_dimension(lam) * _schur_at_ones(lam, d)
-        assert np.trace(mat) == pytest.approx(float(trace), rel=0, abs=1e-12)
+        got = np.zeros_like(v)
+        trace = 0.0
+        for rows, mat in _blocks(d, n, lam):
+            if mat is None:
+                mat = np.zeros((len(rows), len(rows)))
+            totals[rows[0]] = totals.get(rows[0], 0) + mat
+            assert np.abs(mat - mat.T).max() < 1e-12
+            assert np.abs(mat @ mat - mat).max() < 1e-12
+            trace += np.trace(mat)
+            got[rows] = mat @ v[rows]
+        want = irrep_dimension(lam) * _schur_at_ones(lam, d)
+        assert trace == pytest.approx(float(want), rel=0, abs=1e-12)
         # v is not symmetric in the copies, so the copy order of the
-        # matrix's rows and columns must match the permutation sum's
+        # blocks' rows and columns must match the permutation sum's
         want = isotypic_projector_apply(v, (d,), n, lam, [0]).reshape(-1)
-        assert np.abs(mat @ v.reshape(-1) - want).max() < 1e-12
-    assert np.abs(total - eye).max() < 1e-12
+        assert np.abs(got - want).max() < 1e-12
+    for total in totals.values():
+        assert np.abs(total - np.eye(len(total))).max() < 1e-12
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4), (3, 4)])
 def test_projector_matrix_is_the_permutation_sum(d, n):
     # the permutation sum applied to the copy-major power of eye(d), rows on
-    # leg 0 and columns on leg 1 of each copy; equal to the last bit
+    # leg 0 and columns on leg 1 of each copy; zero off the weight blocks and
+    # equal to the last bit on each block
     eye_power = reduce(np.multiply.outer, [np.eye(d)] * n)
     for lam in partitions(n):
         want = _young_project(eye_power, lam, n, [0])
         want = want.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-        got = _projector_matrix(d, lam, n)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == np.ascontiguousarray(want).reshape(d ** n, d ** n).tobytes()
+        want = np.ascontiguousarray(want).reshape(d ** n, d ** n)
+        inside = np.zeros(want.shape, dtype=bool)
+        for rows, got in _blocks(d, n, lam):
+            block = want[np.ix_(rows, rows)]
+            inside[np.ix_(rows, rows)] = True
+            if got is None:
+                assert not block.any()
+                continue
+            assert got.dtype == block.dtype
+            assert got.tobytes() == block.tobytes()
+        assert not want[~inside].any()
+
+
+# (leg dimensions, side, largest power): the projection acts on the side or
+# on its complement, whichever has the smaller dimension d <= 4, with one leg
+# or several, contiguous or not, some of dimension 1
+SIDE_CASES = [((1, 3), (0,), 4), ((3, 2), (0,), 4), ((2, 4), (1,), 4),
+              ((4, 4), (0,), 4), ((2, 2, 2), (0, 1), 4), ((2, 2, 4), (0, 1), 4),
+              ((2, 3, 2, 1), (0, 2), 4), ((1, 2, 3), (2,), 4),
+              ((2, 2, 2, 2), (0, 3), 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(SIDE_CASES), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_projection_matches_the_permutation_sum(case, n, seed):
+    dims, side, max_n = case
+    n = min(n, max_n)
+    rng = np.random.default_rng(seed)
+    shape = dims * n
+    arr = symmetrize_copies(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n)
+    got = dict(_side_projections(arr, dims, side, {}))
+    for lam in partitions(n):
+        want = _young_project(arr, lam, n, list(side))
+        if lam in got:
+            assert np.abs(got[lam] - want).max() < 1e-10
+        else:
+            assert np.linalg.norm(want) <= ZERO_TOL + 1e-10
+    last = dict(_side_projections(arr, dims, side, {}, last=True))
+    assert last == dict.fromkeys(got)
+
+
+@pytest.mark.parametrize("d,n", [(7, 3), (10, 3), (20, 2)])
+def test_certificate_at_large_side_dimension(d, n):
+    # against the dense permutation sum of every partition on leg 0
+    rng = np.random.default_rng(d)
+    arr = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    theta = ThetaWeights.from_bipartitions({frozenset({0}): 1.0}, 2)
+    res = upper_quantum_certificate(ts.Tensor((d, d), ts.COMPLEXFLOAT, arr), theta, n)
+    power = tensor_power_array(arr / np.linalg.norm(arr), n)
+    alive = [lam for lam in partitions(n)
+             if np.linalg.norm(_young_project(power, lam, n, [0])) > ZERO_TOL]
+    best = max(alive, key=partition_entropy)
+    assert res.surviving == len(alive)
+    assert res.witness == (((0,), best),)
+    assert res.value == partition_entropy(best)
 
 
 def test_certificate_leaves_no_reference_cycle():
