@@ -13,8 +13,7 @@ import numpy as np
 from .entropy import (MinimaxEntropyResult, ThetaWeights, _theta_cutting_planes,
                       max_min_entropy)
 from .errors import BudgetExceededError
-from .quantum import (AscentOptions, _apply_transforms, lower_quantum_functional,
-                      marginal, state_array, von_neumann_entropy)
+from .quantum import AscentOptions, lower_quantum_functional
 from .supports import (CombDegenerationCertificate, SupportSet,
                        TightnessReport, check_comb_degeneration, check_tight,
                        is_antichain, is_free)
@@ -275,17 +274,13 @@ def asympt_slicerank(t: Tensor, options: AscentOptions | None = None
         mm = max_min_entropy(supp)
         return SliceRankResult(value=2.0 ** mm.value, log2_value=mm.value,
                                theta=mm.theta, route="support", quantum_values=())
-    arr = state_array(t)
-    k = arr.ndim
     opts = options or AscentOptions(starts=4, max_iter=800)
 
     def evaluate(theta_vec):
         res = lower_quantum_functional(t, ThetaWeights.from_legs(theta_vec), opts)
-        psi = _apply_transforms(arr, res.transforms)
-        hvec = np.array([von_neumann_entropy(marginal(psi, [i])) for i in range(k)])
-        return res.value, hvec, None
+        return res.value, np.array(res.leg_entropies), None
 
-    evals, _ = _theta_cutting_planes(k, evaluate, SLICERANK_TOL / 4, SLICERANK_ROUNDS)
+    evals, _ = _theta_cutting_planes(t.k, evaluate, SLICERANK_TOL / 4, SLICERANK_ROUNDS)
     best_val, best_theta, _, _ = min(evals, key=lambda e: e[0])
     return SliceRankResult(value=2.0 ** best_val, log2_value=best_val,
                            theta=ThetaWeights.from_legs(best_theta), route="quantum",

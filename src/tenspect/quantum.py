@@ -128,6 +128,9 @@ class LowerQuantumResult:
     # why the best start stopped: "bound", "gradient", "iteration_cap",
     # "condition_limit" or "no_step"
     stop: str
+    # von Neumann entropy (bits) of every leg's marginal, weighted or not,
+    # of the best start's final state
+    leg_entropies: tuple[float, ...]
 
     @property
     def functional(self) -> float:
@@ -336,11 +339,14 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
         raise RuntimeError("every ascent start failed")
     results.sort(key=lambda r: (-r[0], r[1]))
     best = results[0]
+    psi = _apply_transforms(t_arr, best[2])
     return LowerQuantumResult(value=best[0],
                               transforms=tuple(best[2]),
                               trace=tuple(best[3]),
                               start_values=tuple(r[0] for r in results),
-                              stop=best[4])
+                              stop=best[4],
+                              leg_entropies=tuple(von_neumann_entropy(marginal(psi, [i]))
+                                                  for i in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +413,8 @@ MAX_POWER_ELEMENTS = 20_000_000
 
 
 def _check_budget(dims, n: int):
-    if n > 5:
-        raise BudgetExceededError("tensor power limited to n <= 5")
+    if n < 1 or n > 5:
+        raise BudgetExceededError("tensor power limited to 1 <= n <= 5")
     if prod(dims) ** n > MAX_POWER_ELEMENTS:
         raise BudgetExceededError("tensor power too large for dense projection")
 
@@ -582,9 +588,9 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
     keeps those whose ordered projector product does not annihilate the n-th
     power.  Crossing weights need an explicit projector order.  The value is
     a point of the entanglement polytope: a lower bound on log2 F^theta.
+    Like the public projectors, it raises BudgetExceededError unless
+    1 <= n <= 5 and the power has at most MAX_POWER_ELEMENTS entries.
     """
-    if n < 1 or n > 4:
-        raise BudgetExceededError("certificate power limited to 1 <= n <= 4")
     t_arr = state_array(t)
     norm = math.sqrt(float(np.vdot(t_arr, t_arr).real))
     if norm == 0.0:

@@ -305,7 +305,9 @@ def check_tight(s: SupportSet) -> TightnessReport:
             cert = TightnessCertificate(maps)
             if cert.verify(s):
                 return TightnessReport(True, cert, method="nullspace")
-    raise BudgetExceededError("no generic point found; widen the search range")
+    # unreachable: each pair's difference is a nonzero polynomial in m of
+    # degree below len(basis), so some point within the limit separates all
+    raise RuntimeError("no generic point separated the value pairs")
 
 
 def tight_antichain_relabel(s: SupportSet, cert: TightnessCertificate
@@ -437,48 +439,36 @@ def check_comb_degeneration(big: SupportSet, small: SupportSet
 class SubrankResult:
     value: int
     diagonal: tuple[tuple[int, ...], ...]
-    exact: bool = True
+
+
+def _box_holds_another(points, boxes, members) -> bool:
+    """Some point outside `members` has each coordinate in its leg's box."""
+    k = len(boxes)
+    for q in points:
+        if q not in members and all(q[i] in boxes[i] for i in range(k)):
+            return True
+    return False
 
 
 def _is_free_diagonal(s: SupportSet, diag: list[tuple[int, ...]]) -> bool:
-    k = s.k
     for p, q in combinations(diag, 2):
         if any(x == y for x, y in zip(p, q)):
             return False
-    sets = [set(p[i] for p in diag) for i in range(k)]
-    dset = set(diag)
-    for q in s.points:
-        if all(q[i] in sets[i] for i in range(k)) and q not in dset:
-            return False
-    return True
+    return not _box_holds_another(s.points, [set(p[i] for p in diag) for i in range(s.k)],
+                                  set(diag))
 
 
 def subrank_set(s: SupportSet, budget: int = 5000) -> SubrankResult:
     """Exact maximum free diagonal via branch and bound.
 
-    Prunes with the minimum marginal support size; an inexact greedy lower
-    bound is returned (flagged) when the support exceeds the budget.
+    Prunes with the minimum marginal support size; a support of more than
+    `budget` points raises BudgetExceededError.
     """
     pts = list(s.points)
-    if not pts:
-        return SubrankResult(0, ())
-    k = s.k
-    all_pts = pts
-
     if len(pts) > budget:
-        chosen = []
-        for p in pts:
-            if _is_free_diagonal(s, chosen + [p]):
-                chosen.append(p)
-        return SubrankResult(len(chosen), tuple(chosen), exact=False)
-
+        raise BudgetExceededError(f"support size {len(pts)} beyond budget {budget}")
+    k = s.k
     best: list[tuple[int, ...]] = []
-
-    def covered_violation(dsets, members):
-        for q in all_pts:
-            if q not in members and all(q[i] in dsets[i] for i in range(k)):
-                return True
-        return False
 
     def extend(chosen, dsets, members, cand):
         nonlocal best
@@ -492,7 +482,7 @@ def subrank_set(s: SupportSet, budget: int = 5000) -> SubrankResult:
         for idx, p in enumerate(cand):
             new_dsets = [dsets[i] | {p[i]} for i in range(k)]
             new_members = members | {p}
-            if covered_violation(new_dsets, new_members):
+            if _box_holds_another(pts, new_dsets, new_members):
                 continue
             new_cand = [q for q in cand[idx + 1:]
                         if all(q[i] != p[i] for i in range(k))]

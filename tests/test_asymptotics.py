@@ -125,6 +125,14 @@ def test_slicerank_exact_cover_is_valid():
     assert checked >= 3
 
 
+def test_slicerank_exact_point_limit():
+    # an antichain of SLICE_COVER_MAX_POINTS + 1 points on two legs
+    n = tasy.SLICE_COVER_MAX_POINTS
+    s = ts.SupportSet((n + 1, n + 1), tuple((i, n - i) for i in range(n + 1)))
+    with pytest.raises(ts.BudgetExceededError, match="support larger than budget"):
+        slicerank_exact_combinatorial(s)
+
+
 def test_slicerank_exact_rejects_unordered():
     bad = ts.SupportSet((2, 2, 2), ((0, 0, 0), (0, 1, 1), (1, 1, 1)))
     with pytest.raises(ValueError):

@@ -134,6 +134,14 @@ def test_exit_codes():
     assert code == EXIT_VALIDATION
 
 
+def test_subrank_exact_over_budget_exits_3(tmp_path):
+    path = tmp_path / "two.txt"
+    ts.save_support(ts.SupportSet((2, 2, 2), ((0, 0, 0), (1, 1, 1))), path)
+    code, text = run(["subrank-exact", "--support", str(path), "--budget", "1"])
+    assert code == EXIT_BUDGET
+    assert text == "budget exhausted: support size 2 beyond budget 1\n"
+
+
 def test_repeated_index_is_a_validation_error(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("3 1 1 1 Q\n0 0 0 1/1\n0 0 0 5/1\n")

@@ -12,8 +12,9 @@ import tenspect as ts
 from tenspect.entropy import ThetaWeights, binary_entropy
 from tenspect.errors import BudgetExceededError
 from tenspect.partitions import irrep_dimension, partition_entropy, partitions
-from tenspect.quantum import (ZERO_TOL, AscentOptions, _dimension_bound,
-                              _objective, _objective_and_grads, _scaling_legs,
+from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
+                              _dimension_bound, _objective,
+                              _objective_and_grads, _scaling_legs,
                               _side_projections, _weight_blocks, _young_project,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
@@ -143,6 +144,19 @@ def test_lower_functional_monotone_trace(rng):
     res = lower_quantum_functional(t, U3, AscentOptions(starts=4, max_iter=300, seed=3))
     for a, b in zip(res.trace, res.trace[1:]):
         assert b >= a - 1e-12
+
+
+def test_lower_functional_leg_entropies(rng):
+    # under a leg theta the value is the weighted sum of the leg entropies
+    t = random_complex_tensor(rng)
+    theta = ThetaWeights.from_legs([0.5, 0.25, 0.25])
+    res = lower_quantum_functional(t, theta, FAST)
+    assert len(res.leg_entropies) == 3
+    assert res.value == pytest.approx(
+        sum(w * h for w, h in zip((0.5, 0.25, 0.25), res.leg_entropies)), rel=0, abs=1e-12)
+    # a leg with zero weight still gets its entropy
+    res = lower_quantum_functional(ts.unit(2), ThetaWeights.from_legs([1.0, 0.0, 0.0]), FAST)
+    assert res.leg_entropies == pytest.approx((1.0, 1.0, 1.0), abs=1e-9)
 
 
 def test_lower_functional_bipartition_theta():
@@ -311,7 +325,10 @@ def test_certificate_examples():
 
 def test_certificate_budget_and_order():
     with pytest.raises(BudgetExceededError):
-        upper_quantum_certificate(ts.unit(2), U3, 5)
+        upper_quantum_certificate(ts.unit(2), U3, 6)
+    res = upper_quantum_certificate(ts.unit(2), U3, 5)
+    assert res.value == pytest.approx(partition_entropy((3, 2)), rel=0, abs=1e-12)
+    assert res.witness == (((0,), (3, 2)), ((1,), (3, 2)), ((2,), (3, 2)))
     crossing = ThetaWeights.from_bipartitions(
         {frozenset({0, 1}): 0.5, frozenset({0, 2}): 0.5}, 4)
     t4 = ts.unit(2, k=4)
@@ -333,6 +350,52 @@ def test_certificate_budget_and_order():
     # a side may be named by its complement
     assert upper_quantum_certificate(
         t4, crossing, 2, order=[frozenset({2, 3}), frozenset({1, 3})]) == res
+
+
+@pytest.mark.parametrize("dims,n", [((2, 2, 2), 0), ((2, 2, 2), 6), ((4, 4, 4), 5)])
+def test_power_limit_is_one_check(dims, n):
+    # the certificate and both public projectors share one limit:
+    # 1 <= n <= 5 and at most MAX_POWER_ELEMENTS entries (64^5 is above it)
+    t = ts.Tensor(dims, ts.COMPLEXFLOAT, np.ones(dims, dtype=complex))
+    with pytest.raises(BudgetExceededError):
+        upper_quantum_certificate(t, U3, n)
+    for project in (isotypic_projector_apply, bipartition_projector_apply):
+        with pytest.raises(BudgetExceededError):
+            project(np.ones(1), dims, n, (n,), [0])
+    assert n in (0, 6) or math.prod(dims) ** n > MAX_POWER_ELEMENTS
+
+
+def _dense_survivors(power, n, sides):
+    """Each tuple of (side, lam), depth first, whose successive dense
+    permutation-sum projections of `power` do not vanish."""
+    if not sides:
+        yield ()
+        return
+    for lam in partitions(n):
+        out = _young_project(power, lam, n, list(sides[0]))
+        if np.linalg.norm(out) > ZERO_TOL:
+            for tail in _dense_survivors(out, n, sides[1:]):
+                yield ((sides[0], lam),) + tail
+
+
+def test_certificate_at_power_five_matches_the_permutation_sums():
+    rng = np.random.default_rng(0)
+    arr = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    res = upper_quantum_certificate(ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, arr), U3, 5)
+    sides = [(tuple(sorted(side)), w) for side, w in U3.bipartition_sides(3) if w > 0]
+    power = tensor_power_array(arr / np.linalg.norm(arr), 5)
+    alive = list(_dense_survivors(power, 5, [side for side, _ in sides]))
+
+    def weighted(chosen):
+        # summed in side order, as the certificate does, so ties break alike
+        total = 0.0
+        for (_, w), (_, lam) in zip(sides, chosen):
+            total += w * partition_entropy(lam)
+        return total
+
+    assert res.surviving == len(alive)
+    assert res.witness == max(alive, key=weighted)
+    assert res.value == weighted(res.witness)
 
 
 def test_certificate_below_support_entropy(rng):
@@ -366,7 +429,7 @@ def _blocks(d, n, lam):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_projector_matrix(d, n, rng):
     assert sorted(_weight_blocks(d, n)[0]) == list(range(d ** n))
     totals = {}
@@ -392,7 +455,7 @@ def test_projector_matrix(d, n, rng):
         assert np.abs(total - np.eye(len(total))).max() < 1e-12
 
 
-@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (3, 5)])
 def test_projector_matrix_is_the_permutation_sum(d, n):
     # the permutation sum applied to the copy-major power of eye(d), rows on
     # leg 0 and columns on leg 1 of each copy; zero off the weight blocks and

@@ -208,11 +208,11 @@ def test_subrank_supermultiplicative(seed):
     assert ts.subrank_set(prod).value >= v * v
 
 
-def test_subrank_budget_fallback():
+def test_subrank_budget_raises():
     s = ts.SupportSet.from_tensor(ts.unit(6))
-    res = ts.subrank_set(s, budget=3)
-    assert not res.exact
-    assert res.value <= 6
+    with pytest.raises(ts.BudgetExceededError, match="support size 6 beyond budget 3"):
+        ts.subrank_set(s, budget=3)
+    assert ts.subrank_set(s, budget=6).value == 6
 
 
 def _brute_tight(s, lo=-6, hi=6):
