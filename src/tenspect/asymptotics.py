@@ -192,14 +192,14 @@ def slicerank_exact_combinatorial(support: SupportSet) -> SliceCover:
     Tight supports are accepted too: sorting each leg by the tightness
     weights turns them into antichains without changing the cover number.
     """
-    if not is_antichain(support) and not check_tight(support).tight:
-        raise ValueError("exact combinatorial slice rank needs an "
-                         "antichain (or tight) support")
     pts = list(support.points)
     if not pts:
         raise ValueError("empty support")
     if len(pts) > SLICE_COVER_MAX_POINTS:
         raise BudgetExceededError(f"support larger than budget {SLICE_COVER_MAX_POINTS}")
+    if not is_antichain(support) and not check_tight(support).tight:
+        raise ValueError("exact combinatorial slice rank needs an "
+                         "antichain (or tight) support")
     k = support.k
 
     best: list[tuple[int, int]] = [(0, v) for v in support.values(0)]

@@ -168,6 +168,7 @@ def cmd_quantum_lower(args) -> dict:
     return {"command": "quantum-lower", "theta": theta.to_records(),
             "tolerances": {"grad": GRAD_TOL},
             "log2_value": res.value, "value": res.functional,
+            "log2_upper": res.upper, "stop": res.stop,
             "starts": len(res.start_values), "trace_length": len(res.trace)}
 
 

@@ -11,8 +11,14 @@ tensor).  The sweep is kept if it passes the Armijo test of a gradient step
 of the current trial length; otherwise the iteration is a gradient step with
 an Armijo line search (analytic Wirtinger gradient).  Both must gain more
 than 4 ulps, so a saturated maximum stops without depending on the last
-bits.  The ascent stops at the dimension bound sum_S w_S log2 min(d_S, d_C),
-a certified maximum, and the result names the reason it stopped.
+bits.  Before its starts, the ascent computes a certified upper bound, the
+least of the dimension bound sum_S w_S log2 min(d_S, d_C) and, when each
+weighted side is one leg or the complement of one, the support bound
+max_P H_theta(P) + gap over the support of t (every nonzero entry) in leg
+weights: log2 of Strassen's rho^theta at the standard basis, which bounds
+zeta^theta >= F^theta.  A start stops once it is within BOUND_TOL of that
+bound, a certified maximum, and no later start runs; the result names the
+reason the best start stopped.
 Line-search trials evaluate the objective alone (one eigvalsh per weighted
 side); the gradient is computed once per accepted step.  Each leg product
 is one matmul on the (legs before, leg, legs after) view of the array.
@@ -43,10 +49,11 @@ from math import factorial, prod
 
 import numpy as np
 
-from .entropy import ThetaWeights
+from .entropy import ThetaWeights, max_H_theta
 from .errors import BudgetExceededError
 from .partitions import (character, irrep_dimension, normalize_partition,
                          partition_entropy, partitions)
+from .supports import SupportSet
 from .tensors import COMPLEXFLOAT, Tensor, convert
 
 __all__ = [
@@ -57,8 +64,8 @@ __all__ = [
     "CertificateResult", "upper_quantum_certificate",
 ]
 
-# the entropy ascent stops when its value is within BOUND_TOL of the
-# dimension bound, when the gradient norm falls below GRAD_TOL, at the
+# the entropy ascent stops when its value is within BOUND_TOL of its
+# certified upper bound, when the gradient norm falls below GRAD_TOL, at the
 # iteration cap, when a transform's condition number exceeds COND_LIMIT, or
 # when no step gains
 BOUND_TOL = 1e-13
@@ -122,9 +129,11 @@ class AscentOptions:
 @dataclass(frozen=True)
 class LowerQuantumResult:
     value: float                    # bits; a lower bound on the supremum
+    # bits; the certified upper bound at which a start stops with "bound"
+    upper: float
     transforms: tuple[np.ndarray, ...]
     trace: tuple[float, ...]        # monotone objective trace of the best start
-    start_values: tuple[float, ...]
+    start_values: tuple[float, ...]  # of the starts that ran, best first
     # why the best start stopped: "bound", "gradient", "iteration_cap",
     # "condition_limit" or "no_step"
     stop: str
@@ -310,10 +319,34 @@ def _dimension_bound(dims, sides) -> float:
     return out
 
 
+def _support_bound(t_arr: np.ndarray, sides) -> float:
+    """max_P H_theta(P) + gap over the support of t_arr, in leg weights; inf
+    unless each weighted side is one leg or the one-leg complement of one.
+
+    The support keeps every entry != 0, however small, since the orbit can
+    scale it back up.
+    """
+    k = t_arr.ndim
+    weights = [0.0] * k
+    for side, w in sides:
+        comp = [i for i in range(k) if i not in side]
+        part = next((p for p in (side, comp) if len(p) == 1), None)
+        if part is None:
+            return math.inf
+        weights[part[0]] += w
+    supp = SupportSet(t_arr.shape, tuple(map(tuple, np.argwhere(t_arr != 0).tolist())))
+    res = max_H_theta(supp, ThetaWeights.from_legs(weights))
+    return res.value + max(res.gap, 0.0)
+
+
 def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
                              options: AscentOptions | None = None
                              ) -> LowerQuantumResult:
-    """Seeded multi-start entropy ascent; returns the best lower bound."""
+    """Seeded multi-start entropy ascent; returns the best lower bound.
+
+    The starts end after the first one that stops at the certified upper
+    bound `upper`, the least of the dimension and support bounds.
+    """
     opts = options or AscentOptions()
     t_arr = state_array(t)
     if float(np.vdot(t_arr, t_arr).real) <= 0.0:
@@ -321,7 +354,7 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
     k = t_arr.ndim
     sides = [(list(side), w) for side, w in theta.bipartition_sides(k) if w > 0]
     legs = _scaling_legs(k, sides)
-    bound = _dimension_bound(t_arr.shape, sides)
+    bound = min(_dimension_bound(t_arr.shape, sides), _support_bound(t_arr, sides))
     rng = np.random.default_rng(opts.seed)
     results = []
     for start in range(max(opts.starts, 1)):
@@ -335,12 +368,15 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
         out = _ascend(t_arr, gs, sides, legs, bound, opts)
         if out is not None:
             results.append((out[0], start, out[1], out[2], out[3]))
+            if out[3] == "bound":
+                break
     if not results:
         raise RuntimeError("every ascent start failed")
     results.sort(key=lambda r: (-r[0], r[1]))
     best = results[0]
     psi = _apply_transforms(t_arr, best[2])
     return LowerQuantumResult(value=best[0],
+                              upper=bound,
                               transforms=tuple(best[2]),
                               trace=tuple(best[3]),
                               start_values=tuple(r[0] for r in results),

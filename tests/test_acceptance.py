@@ -129,6 +129,7 @@ def test_criterion_07_sandwich_suite():
         bases.append(BasisTuple.make(mats, ts.COMPLEXFLOAT))
         cert = upper_quantum_certificate(t, U3, 3)
         low = lower_quantum_functional(t, U3, opts)
+        assert low.value <= low.upper + 1e-12, f"case {case}"
         for basis in bases:
             up = rho_upper_at_basis(t, basis, U3)
             lo = rho_lower_at_basis(t, basis, U3)

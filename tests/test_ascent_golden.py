@@ -1,19 +1,23 @@
 """Golden records of the entropy ascent.
 
 `ascent_golden.json` holds, for fixed tensors, theta, options and seeds, the
-value, the start values and the trace length of `lower_quantum_functional`.
-A change to how the ascent evaluates its objective must leave every iterate
-in place: the trace length must come back equal and the values within 1e-12.
-Regenerate with `PYTHONPATH=src python tests/test_ascent_golden.py` only when
-a change to the ascent's iterates is intended.
+value, the certified upper bound, the start values, the trace length and the
+stop reason of `lower_quantum_functional`.  A change to how the ascent
+evaluates its objective must leave every iterate in place: the trace length
+and stop must come back equal and the values within 1e-12.  Regenerate with
+`PYTHONPATH=src python tests/test_ascent_golden.py` only when a change to the
+ascent's iterates is intended.
 
 `ascent_bounds.json` keeps the values and start values frozen before the
 first such re-capture (the first-order ascent, before scaling sweeps).  It is
 never regenerated.  Every value is a lower bound on log2 F_theta, so a
 re-captured value or start value may not fall below its frozen one by more
-than 1e-12.  The "multi" theta of the 4-leg tensor weights only sides with
-two legs on both sides, which get no scaling sweep; its frozen record also
-holds the trace length, and its iterates must come back unchanged.
+than 1e-12.  The starts end after the first one that reaches the certified
+upper bound, so a record may hold fewer start values than its frozen one
+only if its value is within BOUND_TOL of that bound.  The "multi" theta of
+the 4-leg tensor weights only sides with two legs on both sides, which get
+no scaling sweep; its frozen record also holds the trace length, and its
+iterates must come back unchanged.
 """
 
 import functools
@@ -25,7 +29,7 @@ import pytest
 
 import tenspect as ts
 from tenspect.entropy import ThetaWeights
-from tenspect.quantum import AscentOptions, lower_quantum_functional
+from tenspect.quantum import BOUND_TOL, AscentOptions, lower_quantum_functional
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "ascent_golden.json")
 BOUNDS = os.path.join(os.path.dirname(__file__), "ascent_bounds.json")
@@ -70,8 +74,9 @@ def _run(source, theta_name):
         t = _random_tensor(source)
         opts = AscentOptions(seed=source, **RANDOM_OPTIONS)
     res = lower_quantum_functional(t, _thetas(t.k)[theta_name], opts)
-    return {"value": res.value, "start_values": list(res.start_values),
-            "trace_len": len(res.trace)}
+    return {"value": res.value, "upper": res.upper,
+            "start_values": list(res.start_values),
+            "trace_len": len(res.trace), "stop": res.stop}
 
 
 def _load(path):
@@ -96,7 +101,10 @@ KEYS = [c[0] for c in _cases()]
 
 @pytest.mark.parametrize("key", KEYS)
 def test_ascent_matches_golden(key):
-    _assert_same(_record(key), _load(GOLDEN)[key])
+    got, want = _record(key), _load(GOLDEN)[key]
+    _assert_same(got, want)
+    assert got["stop"] == want["stop"]
+    assert got["upper"] == pytest.approx(want["upper"], rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -104,7 +112,9 @@ def test_ascent_keeps_frozen_bounds(key):
     old = _load(BOUNDS)["lower_quantum_functional"][key]
     got = _record(key)
     assert got["value"] >= old["value"] - 1e-12
-    assert len(got["start_values"]) == len(old["start_values"])
+    assert len(got["start_values"]) <= len(old["start_values"])
+    if len(got["start_values"]) < len(old["start_values"]):
+        assert got["value"] >= got["upper"] - BOUND_TOL
     for new, frozen in zip(got["start_values"], old["start_values"]):
         assert new >= frozen - 1e-12
 

@@ -133,6 +133,22 @@ def test_slicerank_exact_point_limit():
         slicerank_exact_combinatorial(s)
 
 
+def test_slicerank_exact_limit_before_antichain_test(monkeypatch):
+    # the point limit and the empty test come before any antichain pass
+    n = tasy.SLICE_COVER_MAX_POINTS
+    s = ts.SupportSet((n + 1, n + 1), tuple((i, n - i) for i in range(n + 1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("antichain test ran before the size checks")
+
+    monkeypatch.setattr(tasy, "is_antichain", refuse)
+    monkeypatch.setattr(tasy, "check_tight", refuse)
+    with pytest.raises(ts.BudgetExceededError, match="support larger than budget"):
+        slicerank_exact_combinatorial(s)
+    with pytest.raises(ValueError, match="empty support"):
+        slicerank_exact_combinatorial(ts.SupportSet((2, 2, 2), ()))
+
+
 def test_slicerank_exact_rejects_unordered():
     bad = ts.SupportSet((2, 2, 2), ((0, 0, 0), (0, 1, 1), (1, 1, 1)))
     with pytest.raises(ValueError):

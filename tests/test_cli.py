@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,19 @@ def test_quantum_lower_w():
                   "--format", "json"])
     rep = json.loads(out)
     assert abs(rep["log2_value"] - 0.918296) < 1e-3
+
+
+def test_quantum_lower_reports_bound_and_stop():
+    # unit:3 reaches its certified bound log2 3 at the first start
+    rep = json.loads(run_ok(["quantum-lower", "--family", "unit:3", "--theta", "uniform",
+                             "--starts", "4", "--format", "json", "--digits", "17"]))
+    assert rep["stop"] == "bound" and rep["starts"] == 1
+    assert rep["log2_upper"] == pytest.approx(math.log2(3), rel=0, abs=1e-12)
+    # W at (1/2, 1/2, 0) tends to 1 bit from below, so every start runs
+    rep = json.loads(run_ok(["quantum-lower", "--family", "W", "--theta", "0.5,0.5,0",
+                             "--starts", "2", "--iters", "20", "--format", "json"]))
+    assert rep["stop"] == "iteration_cap" and rep["starts"] == 2
+    assert rep["log2_value"] <= rep["log2_upper"]
 
 
 def test_support_upper_and_lower():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenspect as ts
-from tenspect.entropy import ThetaWeights, binary_entropy
+import tenspect.quantum as tq
+from tenspect.entropy import ThetaWeights, binary_entropy, max_H_theta
 from tenspect.errors import BudgetExceededError
 from tenspect.partitions import irrep_dimension, partition_entropy, partitions
 from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
@@ -181,8 +182,46 @@ def test_stop_reasons():
     capped = lower_quantum_functional(_random_333(), U3, AscentOptions(starts=2, max_iter=1))
     assert capped.stop == "iteration_cap"
     assert len(capped.trace) == 2
-    # W is not semistable: its optimum h(1/3) lies below the bound of 1 bit
-    assert lower_quantum_functional(ts.w_tensor(), U3, FAST).stop in ("gradient", "no_step")
+    # W is not semistable: its optimum h(1/3) lies below the dimension bound
+    # of 1 bit, but its support bound certifies it
+    assert lower_quantum_functional(ts.w_tensor(), U3, FAST).stop == "bound"
+
+
+@pytest.mark.parametrize("spec", ["unit:3", "cw:2"])
+def test_ascent_stops_after_first_start_at_bound(monkeypatch, spec):
+    calls = []
+    ascend = tq._ascend
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ascend(*args, **kwargs)
+
+    monkeypatch.setattr(tq, "_ascend", counted)
+    t = ts.build_family(ts.parse_family(spec))
+    res = lower_quantum_functional(t, U3, FAST)
+    assert len(res.start_values) == 1 and len(calls) == 1
+    assert res.stop == "bound"
+
+
+@pytest.mark.parametrize("legs", [[1 / 3, 1 / 3, 1 / 3], [0.25, 0.25, 0.5]])
+def test_w_support_bound_certifies_the_ascent(legs):
+    theta = ThetaWeights.from_legs(legs)
+    res = lower_quantum_functional(ts.w_tensor(), theta, FAST)
+    assert res.stop == "bound"
+    support_max = max_H_theta(ts.SupportSet.from_tensor(ts.w_tensor()), theta).value
+    assert res.upper == pytest.approx(support_max, rel=0, abs=1e-12)
+    assert res.value <= res.upper + 1e-12
+
+
+def test_support_bound_keeps_tiny_entries():
+    # W with one entry scaled down to 1e-12: the orbit scales it back up, so
+    # F = h(1/3), and the bound keeps the entry (without it the support
+    # bound is 2/3 bit, where the ascent would stop)
+    arr = state_array(ts.w_tensor())
+    arr[1, 0, 0] = 1e-12
+    res = lower_quantum_functional(ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, arr), U3, FAST)
+    assert res.upper >= H13 - 1e-12
+    assert res.stop != "bound"
 
 
 def test_scaling_sweep_reaches_log2_3_on_random_333():
