@@ -17,13 +17,16 @@ from .quantum import AscentOptions, lower_quantum_functional
 from .supports import (CombDegenerationCertificate, SupportSet,
                        TightnessReport, check_comb_degeneration, check_tight,
                        is_antichain, is_free)
-from .support_functionals import support_at_basis
-from .tensors import (BasisTuple, Tensor, binomial_basis_matrix,
-                      cap_set_tensor, invert_matrix, prime_field, restrict)
+from .tensors import (Tensor, binomial_basis_matrix, cap_set_tensor, invert_matrix,
+                      prime_field, restrict)
 
 
 # ---------------------------------------------------------------------------
 # z(n)
+
+
+#: absolute tolerance of the gamma root in z_of_n
+ROOT_XTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ def z_of_n(n: int) -> ZResult:
     lo, hi = 1.0 + 1e-9, 4.0
     while f(lo) * f(hi) > 0 and hi < 2 ** 40:
         hi *= 2.0
-    gamma = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    gamma = brentq(f, lo, hi, xtol=ROOT_XTOL, rtol=8.9e-16, maxiter=200)
     z = math.expm1(n * math.log1p(gamma - 1.0)) / (gamma - 1.0) \
         * gamma ** (-2.0 * (n - 1.0) / 3.0)
     return ZResult(n, float(z), float(gamma))
@@ -232,11 +235,9 @@ def slicerank_exact_combinatorial(support: SupportSet) -> SliceCover:
     return SliceCover(len(best), tuple(best))
 
 
-def slicerank_exact_for_tensor(t: Tensor, basis: BasisTuple | None = None
-                               ) -> SliceCover:
-    basis = basis or BasisTuple.standard(t)
-    supp = support_at_basis(t, basis)
-    return slicerank_exact_combinatorial(supp)
+def slicerank_exact_for_tensor(t: Tensor) -> SliceCover:
+    """Exact combinatorial slice rank of t's support in the standard basis."""
+    return slicerank_exact_combinatorial(SupportSet.from_tensor(t))
 
 
 #: target (bits) of the slice-rank theta minimisation
@@ -274,7 +275,7 @@ def asympt_slicerank(t: Tensor, options: AscentOptions | None = None
         mm = max_min_entropy(supp)
         return SliceRankResult(value=2.0 ** mm.value, log2_value=mm.value,
                                theta=mm.theta, route="support", quantum_values=())
-    opts = options or AscentOptions(starts=4, max_iter=800)
+    opts = options or AscentOptions()
 
     def evaluate(theta_vec):
         res = lower_quantum_functional(t, ThetaWeights.from_legs(theta_vec), opts)

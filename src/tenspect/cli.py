@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import (SLICERANK_TOL, asympt_slicerank, asympt_subrank_tight3,
-                          capset_bound, slicerank_exact_combinatorial, z_of_n)
+from .asymptotics import (ROOT_XTOL, SLICERANK_TOL, asympt_slicerank, asympt_subrank_tight3,
+                          capset_bound, slicerank_exact_for_tensor, z_of_n)
 from .entropy import INNER_TOL, MINIMAX_TOL, ThetaWeights
 from .errors import BudgetExceededError
 from .partitions import kronecker_coefficient, lr_coefficient
@@ -241,7 +241,7 @@ def cmd_zn(args) -> dict:
         res = z_of_n(n)
         rows.append({"n": n, "z": res.z, "gamma": res.gamma})
     return {"command": "zn", "table": rows,
-            "tolerances": {"root_xtol": 1e-15}}
+            "tolerances": {"root_xtol": ROOT_XTOL}}
 
 
 def cmd_capset(args) -> dict:
@@ -254,14 +254,13 @@ def cmd_capset(args) -> dict:
             "support_transform_verified": True,
             "degeneration_maps": [list(m) for m in rep.degeneration.maps],
             "degeneration_verified": True,
-            "tolerances": {"root_xtol": 1e-15}}
+            "tolerances": {"root_xtol": ROOT_XTOL}}
 
 
 def cmd_slicerank(args) -> dict:
     t = _load_input_tensor(args)
     if args.exact:
-        supp = SupportSet.from_tensor(t)
-        cover = slicerank_exact_combinatorial(supp)
+        cover = slicerank_exact_for_tensor(t)
         return {"command": "slicerank", "mode": "exact",
                 "value": cover.size,
                 "slices": [{"leg": leg + 1, "value": val} for leg, val in cover.slices]}
@@ -313,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         if theta:
             p.add_argument("--theta", default="uniform")
         if search:
-            p.add_argument("--restarts", type=int, default=8)
-            p.add_argument("--steps", type=int, default=60)
+            p.add_argument("--restarts", type=int, default=BasisSearchOptions.restarts)
+            p.add_argument("--steps", type=int, default=BasisSearchOptions.steps)
         if ascent:
-            p.add_argument("--starts", type=int, default=8)
-            p.add_argument("--iters", type=int, default=1500)
+            p.add_argument("--starts", type=int, default=AscentOptions.starts)
+            p.add_argument("--iters", type=int, default=AscentOptions.max_iter)
 
     p = sub.add_parser("family", help="build a named tensor family")
     p.add_argument("--spec", required=True)

@@ -121,8 +121,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class AscentOptions:
-    starts: int = 16
-    max_iter: int = 5000
+    starts: int = 8
+    max_iter: int = 1500
     seed: int = 0
 
 
@@ -144,11 +144,6 @@ class LowerQuantumResult:
     @property
     def functional(self) -> float:
         return 2.0 ** self.value
-
-    def trace_csv(self) -> str:
-        lines = ["iteration,objective"]
-        lines += [f"{i},{v!r}" for i, v in enumerate(self.trace)]
-        return "\n".join(lines) + "\n"
 
 
 def _apply_transforms(t_arr: np.ndarray, gs, skip: int | None = None) -> np.ndarray:
@@ -590,20 +585,6 @@ def _surviving_tuples(arr, dims, sides, layouts):
             yield ((side, lam),) + tail
 
 
-def _ordered_sides(sides, order, k: int):
-    """The weighted sides in the projector order `order`, which must name
-    each of them exactly once, by the side or by its complement."""
-    out = []
-    for entry in order:
-        entry = set(int(x) for x in entry)
-        match = [s for s in sides
-                 if s not in out and set(s[0]) in (entry, set(range(k)) - entry)]
-        out += sorted(match, key=lambda s: set(s[0]) != entry)[:1]
-    if len(out) != len(order) or len(out) != len(sides):
-        raise ValueError("order must list exactly the weighted bipartitions")
-    return out
-
-
 @dataclass(frozen=True)
 class CertificateResult:
     value: float          # bits; a polytope point, so a lower bound on log2 F^theta
@@ -616,13 +597,13 @@ class CertificateResult:
         return 2.0 ** self.value
 
 
-def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
-                              order=None) -> CertificateResult:
+def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int) -> CertificateResult:
     """Best weighted partition entropy over surviving projector tuples.
 
     Enumerates tuples of partitions of n, one per weighted bipartition, and
-    keeps those whose ordered projector product does not annihilate the n-th
-    power.  Crossing weights need an explicit projector order.  The value is
+    keeps those whose successive projections, in the order of theta's
+    bipartitions, do not annihilate the n-th power.  There is no projector
+    order to choose: crossing weights raise ValueError.  The value is
     a point of the entanglement polytope: a lower bound on log2 F^theta.
     Like the public projectors, it raises BudgetExceededError unless
     1 <= n <= 5 and the power has at most MAX_POWER_ELEMENTS entries.
@@ -636,10 +617,8 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int,
     _check_budget(dims, n)
     sides = [(tuple(sorted(side)), w) for side, w in theta.bipartition_sides(k)
              if w > 0]
-    if order is not None:
-        sides = _ordered_sides(sides, order, k)
-    elif not theta.is_noncrossing(k):
-        raise ValueError("crossing theta weights need an explicit projector order")
+    if not theta.is_noncrossing(k):
+        raise ValueError("crossing theta weights are not supported")
 
     entropy = {lam: partition_entropy(lam) for lam in partitions(n)}
     best_val = -math.inf

@@ -68,8 +68,8 @@ def gauge_points(t: Tensor) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BasisSearchOptions:
-    restarts: int = 50
-    steps: int = 200
+    restarts: int = 8
+    steps: int = 60
     seed: int = 0
     extra_bases: tuple[BasisTuple, ...] = ()
 

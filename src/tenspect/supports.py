@@ -255,15 +255,7 @@ def check_tight(s: SupportSet) -> TightnessReport:
         raise ValueError("tightness is undefined for an empty support")
     k = s.k
     used = [s.values(i) for i in range(k)]
-    if len(s.points) >= 1 and all(len(u) == 1 for u in used):
-        # single used value per leg: shift weights summing to zero
-        p = s.points[0]
-        partial = [{p[i]: 0} for i in range(k)]
-        maps = _extend_to_full_maps(s, partial)
-        cert = TightnessCertificate(maps)
-        if cert.verify(s):
-            return TightnessReport(True, cert, method="singleton")
-
+    # the linear ansatz certifies every one-point support
     cert = _linear_ansatz(s, used)
     if cert is not None:
         return TightnessReport(True, cert, method="linear")
@@ -281,14 +273,8 @@ def check_tight(s: SupportSet) -> TightnessReport:
             row[var_of[(i, p[i])]] += 1
         rows.append(row)
     basis = linalg.nullspace_fraction(np.array(rows, dtype=object))
-    if not basis:
-        # only the zero solution: injectivity impossible unless single values
-        for i in range(k):
-            if len(used[i]) > 1:
-                return TightnessReport(False, forced_pair=(i, used[i][0], used[i][1]),
-                                       method="nullspace")
     # a pair of values on one leg is forced equal iff its difference
-    # functional vanishes on the whole nullspace
+    # functional vanishes on the whole nullspace (every pair, if it is {0})
     pairs = []
     for i in range(k):
         for x, y in combinations(used[i], 2):

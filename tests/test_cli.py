@@ -92,6 +92,23 @@ def test_tight_and_degeneration_and_subrank(tmp_path):
     assert abs(rep["value"] - 2.75510) < 1e-4
 
 
+def test_tight_one_point_support_is_linear(tmp_path):
+    path = tmp_path / "one.txt"
+    ts.save_support(ts.SupportSet((3, 4, 2), ((2, 1, 0),)), path)
+    rep = json.loads(run_ok(["tight", "--support", str(path), "--format", "json"]))
+    assert rep["tight"] is True and rep["method"] == "linear"
+    maps = rep["maps"]
+    assert maps[0][2] + maps[1][1] + maps[2][0] == 0
+    assert all(len(set(m)) == len(m) for m in maps)
+
+
+def test_quantum_cert_crossing_theta_is_an_error():
+    code, out = run(["quantum-cert", "--family", "unit:2,4",
+                     "--theta", "bip:{1,2}|{3,4}=0.5,{1,3}|{2,4}=0.5"])
+    assert code == EXIT_VALIDATION
+    assert out == "error: crossing theta weights are not supported\n"
+
+
 def test_family_output_roundtrip(tmp_path):
     path = tmp_path / "cw2.txt"
     run_ok(["family", "--spec", "cw:2", "--out", str(path)])

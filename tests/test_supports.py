@@ -97,11 +97,26 @@ def test_check_tight_examples():
     rep = ts.check_tight(psi2)
     assert not rep.tight
     assert rep.forced_pair is not None
-    single = ts.SupportSet((3, 4, 2), ((2, 1, 0),))
-    rep = ts.check_tight(single)
-    assert rep.tight and rep.certificate.verify(single)
     with pytest.raises(ValueError):
         ts.check_tight(ts.SupportSet((2,), ()))
+
+
+@pytest.mark.parametrize("bounds,point", [((3,), (2,)), ((3, 4), (2, 1)),
+                                          ((3, 4, 2), (2, 1, 0))])
+def test_check_tight_one_point(bounds, point):
+    # the linear ansatz certifies every one-point support, for any k
+    single = ts.SupportSet(bounds, (point,))
+    rep = ts.check_tight(single)
+    assert rep.tight and rep.method == "linear"
+    assert rep.certificate.verify(single)
+
+
+def test_check_tight_zero_nullspace():
+    # u(0) = u(2) = 0 is the only solution, so the pair is forced equal
+    rep = ts.check_tight(ts.SupportSet((3,), ((0,), (2,))))
+    assert not rep.tight
+    assert rep.forced_pair == (0, 0, 2)
+    assert rep.method == "nullspace"
 
 
 def test_tight_certificates_always_verify():
