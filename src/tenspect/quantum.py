@@ -125,6 +125,10 @@ class AscentOptions:
     max_iter: int = 1500
     seed: int = 0
 
+    def __post_init__(self):
+        if self.starts < 1 or self.max_iter < 0:
+            raise ValueError("starts must be >= 1 and max_iter >= 0")
+
 
 @dataclass(frozen=True)
 class LowerQuantumResult:
@@ -352,7 +356,7 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
     bound = min(_dimension_bound(t_arr.shape, sides), _support_bound(t_arr, sides))
     rng = np.random.default_rng(opts.seed)
     results = []
-    for start in range(max(opts.starts, 1)):
+    for start in range(opts.starts):
         if start == 0:
             gs = [np.eye(d, dtype=complex) for d in t_arr.shape]
         else:

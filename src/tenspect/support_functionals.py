@@ -9,23 +9,28 @@ an antichain support is exact, anything else is an upper bound.
 Every search state is the standard basis plus a log of steps: a change of
 basis by a matrix on one leg, or a transvection.  A step changes only the
 coefficients; the reported basis replays every step from the standard basis.
+The walk screens each transvection on the nonzero entries of the one slice
+it reads, and builds the new state only when the step removes a support
+point or, in the lower search, adds a point below no current point; no
+other step can gain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from .entropy import ThetaWeights, max_H_theta
 from .linalg import row_reduce
 from .supports import (SupportSet, TightnessCertificate, TightnessReport,
-                       check_tight, is_diagonal, max_points,
+                       check_tight, downward_closure, is_diagonal, max_points,
                        tight_antichain_relabel)
 from .tensors import (BasisTuple, Domain, Tensor, coefficients_in_basis,
-                      contract_leg, flattening_rank, identity_matrix,
-                      nonzero_indices)
+                      contract_leg, flattening_rank, identity_matrix)
 
 NEG_INF = float("-inf")
 
@@ -72,6 +77,10 @@ class BasisSearchOptions:
     steps: int = 60
     seed: int = 0
     extra_bases: tuple[BasisTuple, ...] = ()
+
+    def __post_init__(self):
+        if self.restarts < 0 or self.steps < 0:
+            raise ValueError("restarts and steps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -121,7 +130,7 @@ class _SearchState:
     the support alone, so it changes only the coefficients, integers over Q
     (`Domain.integral`, up to a scale that leaves the support unchanged);
     `basis` replays the steps.  States are never changed in place; every
-    step returns a new state.
+    step returns a new state, so a state scans its coefficients once.
     """
 
     def __init__(self, coeff: np.ndarray, steps: tuple, domain: Domain):
@@ -136,8 +145,51 @@ class _SearchState:
             raise ValueError("support functionals are undefined for the zero tensor")
         return cls(t.domain.integral(t.entries)[0], (), t.domain)
 
+    @cached_property
+    def _entries(self) -> tuple[dict, frozenset, tuple]:
+        """One scan of the coefficients: (values, support, points).  `values`
+        maps the index of every entry that is != 0 to its value; `points`
+        sorts `support`, the indices that `domain.is_zero` rejects.  Over C,
+        entries != 0 below the zero tolerance are in `values` only."""
+        values = {i: v for i, v in zip(product(*map(range, self.coeff.shape)),
+                                       self.coeff.ravel().tolist()) if v != 0}
+        points = tuple(i for i, v in values.items() if not self.domain.is_zero(v))
+        return values, frozenset(points), points
+
+    @cached_property
+    def _slices(self) -> list:
+        """`_slices[leg][i]` lists the (index, value) pairs of `values` with
+        index[leg] == i."""
+        slices = [[[] for _ in range(d)] for d in self.coeff.shape]
+        for i, v in self._entries[0].items():
+            for leg, at in enumerate(i):
+                slices[leg][at].append((i, v))
+        return slices
+
+    @cached_property
+    def below(self) -> frozenset:
+        """The indices below some support point in the product order, the
+        support included."""
+        return frozenset(downward_closure(SupportSet(self.coeff.shape, self.points())).points)
+
     def points(self) -> tuple:    # sorted and unique, as in SupportSet
-        return tuple(nonzero_indices(self.coeff, self.domain))
+        return self._entries[2]
+
+    def transvection_gain(self, leg: int, dst: int, src: int, c: int) -> list | None:
+        """The points that `apply_transvection(leg, dst, src, c)` adds to the
+        support, or None if it removes one.  Reads only the entries != 0 of
+        slice src, with the same scalar arithmetic as the dense update."""
+        values, support, _ = self._entries
+        reduce, is_zero = self.domain.reduce, self.domain.is_zero
+        added = []
+        for i, v in self._slices[leg][src]:
+            at = i[:leg] + (dst,) + i[leg + 1:]
+            if is_zero(reduce(values.get(at, 0) + c * v)):
+                if at in support:
+                    return None
+            elif at not in support:
+                added.append(at)
+        return added
 
     def apply(self, leg: int, mat) -> "_SearchState":
         """Apply an invertible matrix to one leg of the coefficients."""
@@ -209,6 +261,10 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     random elementary transvections with small integer coefficients,
     keeping a step that moves the value by more than 1e-9 in the given
     direction; a restart replaces the best state when it gains over 1e-12.
+    A step that removes no support point cannot gain when it adds none,
+    when the search minimises (a superset cannot lower H_theta), or when
+    every point it adds lies below a current point (the maximal points stay
+    the same); such a step is passed over before its state is built.
     `start_tight`, if given, is `check_tight` of the first pool state's
     support, reused when that support wins.
     """
@@ -254,12 +310,13 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             if dst == src:
                 continue
             c = coeff_choices[int(rng.integers(len(coeff_choices)))]
+            added = cur.transvection_gain(leg, dst, src, c)
+            if added is not None and (minimise or cur.below.issuperset(added)):
+                continue
             cand = cur.apply_transvection(leg, dst, src, c)
             pts = cand.points()
             if not pts:
                 continue
-            if minimise and pts != cur_pts and set(pts) >= set(cur_pts):
-                continue    # a strict superset cannot lower H_theta
             val = value(pts)
             if better(val, cur_val, 1e-9):
                 cur, cur_val, cur_pts = cand, val, pts

@@ -165,6 +165,20 @@ def test_exit_codes():
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [
+    ["support-upper", "--family", "W", "--theta", "uniform", "--restarts", "-1"],
+    ["support-lower", "--family", "W", "--steps", "-1"],
+    ["quantum-lower", "--family", "W", "--starts", "-1"],
+    ["quantum-lower", "--family", "W", "--starts", "0"],
+    ["quantum-lower", "--family", "W", "--iters", "-1"],
+    ["slicerank", "--family", "W", "--starts", "0"],
+], ids=lambda argv: " ".join(argv[argv.index("W") + 1:]))
+def test_invalid_budgets_are_validation_errors(argv):
+    code, out = run(argv)
+    assert code == EXIT_VALIDATION
+    assert out.startswith("error: ")
+
+
 def test_subrank_exact_over_budget_exits_3(tmp_path):
     path = tmp_path / "two.txt"
     ts.save_support(ts.SupportSet((2, 2, 2), ((0, 0, 0), (1, 1, 1))), path)

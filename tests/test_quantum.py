@@ -162,6 +162,17 @@ def test_lower_functional_zero_rejected():
         lower_quantum_functional(ts.zeros((2, 2, 2), ts.RATIONAL), U3, FAST)
 
 
+@pytest.mark.parametrize("bad", [dict(starts=0), dict(starts=-1), dict(max_iter=-1)])
+def test_invalid_ascent_budgets_rejected(bad):
+    with pytest.raises(ValueError):
+        AscentOptions(**bad)
+
+
+def test_zero_iteration_budget_is_valid():
+    res = lower_quantum_functional(ts.w_tensor(), U3, AscentOptions(starts=1, max_iter=0))
+    assert len(res.start_values) == 1
+
+
 def _random_333():
     rng = np.random.default_rng(0)
     arr = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))

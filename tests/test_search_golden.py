@@ -18,7 +18,7 @@ import pytest
 
 import tenspect as ts
 from tenspect.entropy import ThetaWeights
-from tenspect.support_functionals import (BasisSearchOptions,
+from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           lower_support_functional,
                                           support_at_basis,
                                           upper_support_functional)
@@ -104,6 +104,30 @@ def test_search_matches_golden(golden, key, spec, dom, theta_name, seed):
     got = json.loads(json.dumps(_run(spec, dom, theta_name, seed)))
     for side in ("upper", "lower"):
         assert _same(got[side], want[side]), (side, got[side], want[side])
+
+
+def test_diagonal_upper_walk_builds_no_candidate(golden, monkeypatch):
+    """On unit:3 every transvection adds a support point and removes none,
+    so the upper walk passes every step over before building its state:
+    the search builds as many states as its pool alone, and its record is
+    the golden one."""
+    key, spec, dom, theta_name, seed = next(c for c in _cases() if c[0] == "unit:3 Q uniform")
+    t = ts.build_family(ts.parse_family(spec), parse_domain(dom))
+    init, built = _SearchState.__init__, []
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_SearchState, "__init__", counting)
+    counts = []
+    for restarts, steps in ((0, 0), (4, 40)):
+        built.clear()
+        opts = BasisSearchOptions(restarts=restarts, steps=steps, seed=seed)
+        rep = upper_support_functional(t, THETAS[theta_name], opts)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+    assert _same(json.loads(json.dumps(rep.to_records())), golden[key]["upper"])
 
 
 @pytest.mark.parametrize("key,spec,dom,theta_name,seed", _cases(),

@@ -7,12 +7,14 @@ import pytest
 import tenspect as ts
 import tenspect.support_functionals as sf
 from tenspect.entropy import ThetaWeights, binary_entropy
+from tenspect.linalg import COMPLEX_ZERO_TOL
 from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           _sparsify, gauge_points,
                                           lower_support_functional,
                                           rho_lower_at_basis,
                                           rho_upper_at_basis,
                                           upper_support_functional)
+from tenspect.supports import max_points
 from tenspect.tensors import BasisTuple, coefficients_in_basis, parse_domain
 
 from conftest import random_complex_tensor, random_exact_tensor
@@ -250,3 +252,83 @@ def test_sparsify_contracts_no_map(monkeypatch):
     t = ts.Tensor(w.dims, ts.RATIONAL, w.entries / 2 + Fraction(1, 3))
     state = _sparsify(_SearchState.start(t))
     assert state.steps and map_calls == []
+
+
+@pytest.mark.parametrize("bad", [dict(restarts=-1), dict(steps=-1)])
+def test_invalid_search_budgets_rejected(bad):
+    with pytest.raises(ValueError):
+        BasisSearchOptions(**bad)
+
+
+def _screen_tensor(rng, domain):
+    """Sparse small integer entries (Gaussian integers over C), so that a
+    transvection often cancels an entry exactly; over C, some zero entries
+    become nonzero values just under the zero tolerance."""
+    dims = tuple(int(d) for d in rng.integers(2, 5, size=3))
+    arr = rng.integers(-3, 4, size=dims) * (rng.random(dims) < 0.45)
+    arr[(0,) * 3] = 1
+    if domain.label != "C":
+        return ts.from_nonzeros(dims, domain, {idx: int(arr[idx]) for idx in np.ndindex(*dims)})
+    arr = arr + 1j * rng.integers(-2, 3, size=dims) * (arr != 0)
+    tiny = (arr == 0) & (rng.random(dims) < 0.3)
+    phase = np.exp(2j * np.pi * rng.random(dims))
+    arr[tiny] = (rng.uniform(0.3, 0.99, size=dims) * COMPLEX_ZERO_TOL * phase)[tiny]
+    return ts.Tensor(dims, domain, arr)
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:5", "C"])
+def test_transvection_gain_matches_the_dense_step(label):
+    """The slice screen's verdict (same support, superset, or a point
+    removed) agrees with the dense update on seeded random walks, and where
+    the lower search passes a step over, the maximal points stay the same."""
+    domain = parse_domain(label)
+    rng = np.random.default_rng(5)
+    seen = {"same": 0, "superset": 0, "removed": 0, "dominated": 0}
+    for _ in range(12):
+        t = _screen_tensor(rng, domain)
+        state = _SearchState.start(t)
+        for step in range(150):
+            leg = int(rng.integers(3))
+            dst, src = (int(i) for i in rng.choice(t.dims[leg], 2, replace=False))
+            c = int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            added = state.transvection_gain(leg, dst, src, c)
+            cand = state.apply_transvection(leg, dst, src, c)
+            old, new = set(state.points()), set(cand.points())
+            if added is None:
+                assert not old <= new
+                seen["removed"] += 1
+            else:
+                assert len(set(added)) == len(added) and not old & set(added)
+                assert new == old | set(added)
+                seen["same" if not added else "superset"] += 1
+                if added and state.below.issuperset(added):
+                    seen["dominated"] += 1
+                    assert (max_points(ts.SupportSet(t.dims, state.points()))
+                            == max_points(ts.SupportSet(t.dims, cand.points())))
+            if step % 10 == 0 and new:
+                state = cand
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:5", "C"])
+def test_transvection_gain_sees_exact_cancellation(label):
+    """2 - 2 * 1 cancels (1, 0, 0) exactly: the screen reports a removed
+    point, and so does the dense step."""
+    domain = parse_domain(label)
+    scale = 1 + 1j if label == "C" else 1
+    vals = {(0, 0, 0): scale, (1, 0, 0): 2 * scale, (1, 1, 1): 1}
+    state = _SearchState.start(ts.from_nonzeros((2, 2, 2), domain, vals))
+    assert state.transvection_gain(0, 1, 0, -2) is None
+    assert (1, 0, 0) not in state.apply_transvection(0, 1, 0, -2).points()
+
+
+def test_transvection_gain_reads_entries_under_the_zero_tolerance():
+    """Over C an entry != 0 below the tolerance is outside the support but
+    enters the arithmetic: three times it is over the tolerance."""
+    arr = np.zeros((2, 2, 2), dtype=complex)
+    arr[0, 0, 0], arr[0, 1, 0] = 1, 0.9 * COMPLEX_ZERO_TOL
+    state = _SearchState.start(ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, arr))
+    assert state.points() == ((0, 0, 0),)
+    added = state.transvection_gain(0, 1, 0, 3)
+    assert sorted(added) == [(1, 0, 0), (1, 1, 0)]
+    assert state.apply_transvection(0, 1, 0, 3).points() == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
