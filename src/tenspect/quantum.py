@@ -31,19 +31,22 @@ certificate only projects copy-symmetric vectors, on which the side's
 projection equals its complement's, so it acts on whichever of the two has
 the smaller dimension d.  The projector on (C^d)^{(x)n} is block diagonal
 by weight (the content of a word of [d]^n), and all blocks of one weight
-type share one real matrix, built once per call from the integer class sums
-of S_n on that type's first block.  Each projection gathers the rows in
-block order and makes one batched matmul per weight type; only the norm is
-taken on the last side, and only a projection that feeds a further side is
-put back in copy-major order.  Partitions with more rows than min(d_S, d_C)
-are skipped, since Schur-Weyl duality makes their projections of a
-copy-symmetric vector zero.
+type share one real matrix, built from the integer class sums of S_n on
+that type's first block and cached per (d, n).  Each projection reads its
+input rows in block order and makes one batched matmul per weight type; only
+the norm is taken on the last side.  The first side gathers its input from
+the power; each later side gathers it straight from the previous side's
+projection through one flat index per pair of consecutive sides, built once
+per call, so no projection goes back to copy-major order.  Partitions with
+more rows than min(d_S, d_C) are skipped, since Schur-Weyl duality makes
+their projections of a copy-symmetric vector zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial, prod
 
@@ -477,6 +480,7 @@ def bipartition_projector_apply(v: np.ndarray, dims, n: int, lam, side) -> np.nd
     return _young_project(symmetrize_copies(arr, n), lam, n, legs)
 
 
+@lru_cache(maxsize=None)
 def _weight_blocks(d: int, n: int):
     """The words of [d]^n in block order, and the blocks of each weight type.
 
@@ -493,7 +497,8 @@ def _weight_blocks(d: int, n: int):
     Returns (order, projectors): order[i] is the index in [d]^n (copy 0
     most significant) of the word on row i, and projectors maps each
     partition lam of n to one (rows, blocks, block size, real projector
-    block or None where it is zero) per weight type.
+    block or None where it is zero) per weight type.  The result is cached
+    per (d, n), and its arrays are read-only.
     """
     words = np.indices((d,) * n).reshape(n, -1).T
     counts = (words[:, :, None] == np.arange(d)).sum(axis=1)
@@ -507,7 +512,7 @@ def _weight_blocks(d: int, n: int):
     ranks, type_codes = ranks[order], type_codes[order]
     lams = list(partitions(n))
     chars = np.array([[character(lam, kappa) for kappa in lams] for lam in lams])
-    scales = [irrep_dimension(lam) / factorial(n) for lam in lams]
+    scales = np.array([irrep_dimension(lam) / factorial(n) for lam in lams])[:, None, None]
     perms = list(iter_permutations(range(n)))
     kappa = np.array([lams.index(_cycle_type(perm)) for perm in perms])
     starts = [0] + (np.flatnonzero(type_codes[1:] != type_codes[:-1]) + 1).tolist() + [d ** n]
@@ -520,42 +525,64 @@ def _weight_blocks(d: int, n: int):
         cols = np.searchsorted(block @ powers, block[:, perms] @ powers)
         flat = (kappa * size + np.arange(size)[:, None]) * size + cols
         sums = np.bincount(flat.ravel(), minlength=len(lams) * size * size)
-        mats = (chars @ sums.reshape(len(lams), -1)).reshape(-1, size, size)
-        for lam, scale, mat in zip(lams, scales, mats):
+        mats = (chars @ sums.reshape(len(lams), -1)).reshape(-1, size, size) * scales
+        mats.flags.writeable = False
+        for lam, mat in zip(lams, mats):
             projectors[lam].append((slice(start, stop), (stop - start) // size, size,
-                                    mat * scale if mat.any() else None))
+                                    mat if mat.any() else None))
+    order.flags.writeable = False
     return order, projectors
 
 
-def _side_projections(arr, dims, side, layouts, last=False):
-    """Yield (lam, the side's lam-projection of arr) for each partition lam
-    of n whose projection does not vanish; the projection is None when
-    `last` is set, for a side where only its norm is needed.
+def _side_plan(dims, side, n: int):
+    """(d, axes, rows, projectors) of a side's projection at power n.
 
-    arr is a copy-symmetric vector in the n-th power of the leg space dims
-    (copy-major axes).  On such vectors the side's projection equals the
-    complement's, so it acts on the legs of smaller dimension d.
-    Schur-Weyl: a partition with more than d rows gives zero.  The rows
-    [d]^n are gathered in `_weight_blocks` order, each type's blocks are
-    projected by one batched matmul, and a projection that is yielded is
-    put back in copy-major order.  `layouts` holds the `_weight_blocks` of
-    each d met so far.
+    On copy-symmetric vectors a side's projection equals its complement's,
+    so it acts on the legs of smaller dimension d.  `axes` puts those legs
+    of every copy first in the copy-major power, and `rows` indexes their
+    words in the order of `_weight_blocks(d, n)`, whose projectors it holds.
     """
     k = len(dims)
-    n = arr.ndim // k
     comp = tuple(i for i in range(k) if i not in side)
     legs = min(tuple(side), comp, key=lambda ls: prod(dims[i] for i in ls))
     d = prod(dims[i] for i in legs)
-    if d not in layouts:
-        layouts[d] = _weight_blocks(d, n)
-    order, projectors = layouts[d]
+    order, projectors = _weight_blocks(d, n)
     axes = [m * k + leg for m in range(n) for leg in legs]
     axes += [a for a in range(n * k) if a not in axes]
-    rows_in = np.unravel_index(order, [dims[i] for i in legs] * n)
-    moved = arr.transpose(axes)[rows_in]
-    rest = moved.shape[1:]
-    moved = moved.reshape(d ** n, -1).view(float)
-    out = np.empty_like(moved)
+    return d, axes, np.unravel_index(order, [dims[i] for i in legs] * n), projectors
+
+
+def _block_order(arr: np.ndarray, plan) -> np.ndarray:
+    """A copy-major power as the (d^n, rest) matrix a side projects."""
+    _, axes, rows, _ = plan
+    return arr.transpose(axes)[rows].reshape(len(rows[0]), -1)
+
+
+def _step_indices(dims, n: int, plans) -> list[np.ndarray]:
+    """For each pair of consecutive sides, the flat index inv_here[pos_next]
+    that gathers the next side's matrix from this side's projection, where
+    pos holds the copy-major index of each entry of a side's matrix.  int32
+    suffices: `_check_budget` keeps the power under 2^31 entries."""
+    flat = np.arange(prod(dims) ** n, dtype=np.int32)
+    pos = [_block_order(flat.reshape(tuple(dims) * n), plan) for plan in plans]
+    steps = []
+    for here, after in zip(pos, pos[1:]):
+        inv = np.empty_like(flat)
+        inv[here.ravel()] = flat
+        steps.append(inv[after])
+    return steps
+
+
+def _block_projections(moved, out, d: int, projectors, last: bool):
+    """Yield each partition lam of n whose projection of the (d^n, rest)
+    matrix `moved` does not vanish, leaving the projection in `out`.
+
+    Each weight type's blocks are projected by one batched matmul.
+    Schur-Weyl: a partition with more than d rows gives zero.  On the `last`
+    side only the norm is needed, so vanishing blocks are not cleared.
+    """
+    moved = moved.view(float)
+    out = out.view(float)
     for lam, blocks_of_lam in projectors.items():
         if len(lam) > d:
             continue
@@ -567,25 +594,43 @@ def _side_projections(arr, dims, side, layouts, last=False):
                 norm2 += float(np.vdot(part, part))
             elif not last:
                 out[rows] = 0.0
-        if math.sqrt(norm2) <= ZERO_TOL:
-            continue
-        if last:
-            yield lam, None
-        else:
-            back = np.empty_like(arr)
-            back.transpose(axes)[rows_in] = out.view(complex).reshape(-1, *rest)
-            yield lam, back
+        if math.sqrt(norm2) > ZERO_TOL:
+            yield lam
 
 
-def _surviving_tuples(arr, dims, sides, layouts):
+def _surviving_tuples(power, dims, sides):
     """Yield, depth first, each tuple of (side, lam), one per side in order,
-    whose successive projections of arr do not vanish."""
-    if not sides:
+    whose successive projections of the copy-symmetric power do not vanish.
+
+    Only the first side gathers from the power, which is then let go; each
+    later side gathers straight from the previous side's projection by one
+    `np.take`.  Each depth has its own input buffer; one output buffer serves
+    all, as a projection is dead once the next side has gathered it.
+    """
+    n = power.ndim // len(dims)
+    plans = [_side_plan(dims, side, n) for side in sides]
+    first = _block_order(power, plans[0])
+    del power
+    out = np.empty(first.size, dtype=complex)
+    levels = []
+    for side, plan, step in zip(sides, plans, [None] + _step_indices(dims, n, plans)):
+        moved = first if step is None else np.empty(step.shape, dtype=complex)
+        levels.append((side, plan[0], plan[3], step, moved, out.reshape(moved.shape)))
+    yield from _walk(levels)
+
+
+def _walk(levels):
+    """The survivors of the sides in `levels`; below depth 0, the shared
+    output buffer holds the previous side's projection on entry."""
+    if not levels:
         yield ()
         return
-    side = sides[0][0]
-    for lam, out in _side_projections(arr, dims, side, layouts, last=len(sides) == 1):
-        for tail in _surviving_tuples(out, dims, sides[1:], layouts):
+    side, d, projectors, step, moved, out = levels[0]
+    if step is not None:
+        # the index is in range; mode "raise" would buffer the output
+        np.take(out, step, out=moved, mode="clip")
+    for lam in _block_projections(moved, out, d, projectors, last=len(levels) == 1):
+        for tail in _walk(levels[1:]):
             yield ((side, lam),) + tail
 
 
@@ -628,7 +673,8 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int) -> Certifi
     best_val = -math.inf
     best_tuple = None
     surviving = 0
-    for chosen in _surviving_tuples(tensor_power_array(t_arr / norm, n), dims, sides, {}):
+    for chosen in _surviving_tuples(tensor_power_array(t_arr / norm, n), dims,
+                                    [side for side, _ in sides]):
         surviving += 1
         weight_sum = 0.0
         for (_, w), (_, lam) in zip(sides, chosen):

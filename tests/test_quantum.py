@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import reduce
 
@@ -16,7 +18,8 @@ from tenspect.partitions import irrep_dimension, partition_entropy, partitions
 from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
                               _dimension_bound, _objective,
                               _objective_and_grads, _scaling_legs,
-                              _side_projections, _weight_blocks, _young_project,
+                              _block_order, _block_projections, _side_plan,
+                              _weight_blocks, _young_project,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
                               lower_quantum_functional, marginal, state_array,
@@ -406,13 +409,13 @@ def _dense_survivors(power, n, sides):
                 yield ((sides[0], lam),) + tail
 
 
-def test_certificate_at_power_five_matches_the_permutation_sums():
-    rng = np.random.default_rng(0)
-    arr = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-    res = upper_quantum_certificate(ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, arr), U3, 5)
-    sides = [(tuple(sorted(side)), w) for side, w in U3.bipartition_sides(3) if w > 0]
-    power = tensor_power_array(arr / np.linalg.norm(arr), 5)
-    alive = list(_dense_survivors(power, 5, [side for side, _ in sides]))
+def _dense_certificate(arr, theta, n):
+    """(surviving, witness, value) of the certificate from the dense
+    permutation sums of the power, sides chained in theta's order."""
+    sides = [(tuple(sorted(side)), w) for side, w in theta.bipartition_sides(arr.ndim)
+             if w > 0]
+    power = tensor_power_array(arr / np.linalg.norm(arr), n)
+    alive = list(_dense_survivors(power, n, [side for side, _ in sides]))
 
     def weighted(chosen):
         # summed in side order, as the certificate does, so ties break alike
@@ -421,9 +424,69 @@ def test_certificate_at_power_five_matches_the_permutation_sums():
             total += w * partition_entropy(lam)
         return total
 
-    assert res.surviving == len(alive)
-    assert res.witness == max(alive, key=weighted)
-    assert res.value == weighted(res.witness)
+    witness = max(alive, key=weighted)
+    return len(alive), witness, weighted(witness)
+
+
+def test_certificate_at_power_five_matches_the_permutation_sums():
+    rng = np.random.default_rng(0)
+    arr = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    res = upper_quantum_certificate(ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, arr), U3, 5)
+    assert (res.surviving, res.witness, res.value) == _dense_certificate(arr, U3, 5)
+
+
+# (dims, theta, powers): certificates with more than one side, where each
+# side after the first reads the previous side's projection
+BIP4 = ThetaWeights.from_bipartitions({frozenset({0}): 0.5, frozenset({0, 1}): 0.5}, 4)
+MULTI_SIDE_CASES = [((2, 3, 2), U3, (2, 3)), ((2, 1, 3), U3, (2, 3)),
+                    ((2, 3, 2), ThetaWeights.from_legs([0.5, 0.5, 0.0]), (2, 3)),
+                    ((2, 2, 2, 2), BIP4, (2, 3, 4))]
+
+
+@pytest.mark.parametrize("dims,theta,powers", MULTI_SIDE_CASES,
+                         ids=["2x3x2-legs", "2x1x3-legs", "2x3x2-two-legs", "2x2x2x2-bip"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_multi_side_certificate_matches_the_permutation_sums(dims, theta, powers, seed):
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    t = ts.Tensor(dims, ts.COMPLEXFLOAT, arr)
+    for n in powers:
+        res = upper_quantum_certificate(t, theta, n)
+        assert (res.surviving, res.witness, res.value) == _dense_certificate(arr, theta, n)
+
+
+def test_certificate_calls_carry_no_state():
+    rng = np.random.default_rng(7)
+    a, b = [(ts.Tensor(dims, ts.COMPLEXFLOAT,
+                       rng.standard_normal(dims) + 1j * rng.standard_normal(dims)), theta, n)
+            for dims, theta, n in [((2, 3, 2), U3, 4), ((2, 2, 2, 2), BIP4, 3)]]
+    first_a = upper_quantum_certificate(*a)
+    first_b = upper_quantum_certificate(*b)
+    assert upper_quantum_certificate(*a) == first_a
+    # two at once, from an empty cache, switching threads often
+    _weight_blocks.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda call: upper_quantum_certificate(*call),
+                                    [a, b] * 8, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [first_a, first_b] * 8
+
+
+def test_weight_blocks_are_cached_and_read_only():
+    order, projectors = _weight_blocks(3, 3)
+    again = _weight_blocks(3, 3)
+    assert again[0] is order and again[1] is projectors
+    with pytest.raises(ValueError):
+        order[0] = 1
+    for blocks_of_lam in projectors.values():
+        for _, _, _, mat in blocks_of_lam:
+            if mat is not None:
+                with pytest.raises(ValueError):
+                    mat[0, 0] = 1.0
 
 
 def test_certificate_below_support_entropy(rng):
@@ -523,15 +586,21 @@ def test_block_projection_matches_the_permutation_sum(case, n, seed):
     rng = np.random.default_rng(seed)
     shape = dims * n
     arr = symmetrize_copies(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n)
-    got = dict(_side_projections(arr, dims, side, {}))
+    plan = _side_plan(dims, side, n)
+    d, _, _, projectors = plan
+    moved = _block_order(arr, plan)
+    out = np.empty_like(moved)
+    got = {}
+    for lam in _block_projections(moved, out, d, projectors, last=False):
+        got[lam] = out.copy()
     for lam in partitions(n):
         want = _young_project(arr, lam, n, list(side))
         if lam in got:
-            assert np.abs(got[lam] - want).max() < 1e-10
+            assert np.abs(got[lam] - _block_order(want, plan)).max() < 1e-10
         else:
             assert np.linalg.norm(want) <= ZERO_TOL + 1e-10
-    last = dict(_side_projections(arr, dims, side, {}, last=True))
-    assert last == dict.fromkeys(got)
+    last = list(_block_projections(moved, np.empty_like(moved), d, projectors, last=True))
+    assert last == list(got)
 
 
 @pytest.mark.parametrize("d,n", [(7, 3), (10, 3), (20, 2)])
