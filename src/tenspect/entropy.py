@@ -9,7 +9,8 @@ point does not certify, the coordinate of largest gradient is added back by
 an exact line search toward its vertex (`_add_back`) and the face steps run
 again.  The certificate is the first-order gap over the full support at the
 returned point: for concave F, F(P*) <= F(P) + max_j grad_j - grad . P over
-the simplex.
+the simplex.  `h_theta_bracket` brackets the value from the uniform point
+alone, for callers that only compare it with a threshold.
 
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
 min_theta max_P H_theta(P); the dual side minimises over the theta simplex
@@ -257,22 +258,7 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
         dist = Distribution(support, np.full(m, 1.0 / m))
         return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
 
-    idx = _solver_arrays(support)
-    active = [i for i in range(k) if theta_arr[i] > 0]
-    legs = [(idx[i], theta_arr[i]) for i in active]
-
-    def evaluate(p):
-        f, grad = 0.0, np.zeros(m)
-        for vals, w in legs:
-            marg = np.maximum(np.bincount(vals, weights=p), 1e-300)
-            logm = np.log2(marg)
-            f += w * float(-(marg * logm).sum())
-            grad -= w * logm[vals]
-        return f, grad
-
-    p = np.full(m, 1.0 / m)
-    _, grad = evaluate(p)
-    gap = float(grad.max() - grad @ p)
+    legs, evaluate, p, _, grad, gap = _uniform_start(support, theta_arr)
     rounds = 0
     while gap > tol and rounds < max_iter:
         if rounds:
@@ -284,8 +270,51 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
     mask = p > 1e-10
     kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
     dist = Distribution(support, p)
-    value = float(sum(theta_arr[i] * shannon_entropy(dist.marginals[i]) for i in active))
+    value = float(sum(theta_arr[i] * shannon_entropy(dist.marginals[i])
+                      for i in range(k) if theta_arr[i] > 0))
     return HThetaResult(value, dist, gap, kkt, max(rounds, 1), gap <= tol)
+
+
+def _uniform_start(support: SupportSet, theta_arr: np.ndarray):
+    """The program's objective and its uniform point, where every solve starts.
+
+    Returns (legs, evaluate, p, f, grad, gap): `legs` lists the (value
+    index, theta_i) pairs of the weighted legs, evaluate(q) gives H_theta(q)
+    in bits and its gradient, p is the uniform point, (f, grad) its
+    evaluation and gap = max_j grad_j - grad . p its first-order
+    certificate.
+    """
+    idx = _solver_arrays(support)
+    legs = [(idx[i], theta_arr[i]) for i in range(support.k) if theta_arr[i] > 0]
+    m = len(support)
+
+    def evaluate(q):
+        f, grad = 0.0, np.zeros(m)
+        for vals, w in legs:
+            marg = np.maximum(np.bincount(vals, weights=q), 1e-300)
+            logm = np.log2(marg)
+            f += w * float(-(marg * logm).sum())
+            grad -= w * logm[vals]
+        return f, grad
+
+    p = np.full(m, 1.0 / m)
+    f, grad = evaluate(p)
+    return legs, evaluate, p, f, grad, float(grad.max() - grad @ p)
+
+
+def h_theta_bracket(support: SupportSet, theta: ThetaWeights) -> tuple[float, float]:
+    """Certified bounds lo <= max_P H_theta(P) <= hi from the uniform point.
+
+    lo is H_theta at the uniform point, a feasible one.  hi is the lesser
+    of lo + gap, `max_H_theta`'s first-order certificate there, and the
+    dimension bound sum_i theta_i log2 |values of leg i|.  One-point and
+    diagonal supports give lo = hi = log2 |S|, the exact value.  Both ends
+    are floats, so they hold up to rounding.
+    """
+    if is_diagonal(support):
+        return (math.log2(len(support)),) * 2
+    legs, _, _, lo, _, gap = _uniform_start(support, theta.leg_array(support.k))
+    return lo, min(lo + gap, sum(w * math.log2(vals.max() + 1) for vals, w in legs))
 
 
 def _add_back(p: np.ndarray, j: int, evaluate) -> np.ndarray:

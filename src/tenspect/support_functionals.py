@@ -12,7 +12,11 @@ coefficients; the reported basis replays every step from the standard basis.
 The walk screens each transvection on the nonzero entries of the one slice
 it reads, and builds the new state only when the step removes a support
 point or, in the lower search, adds a point below no current point; no
-other step can gain.
+other step can gain.  It then brackets the candidate's entropy program at
+the uniform point (`h_theta_bracket`) and solves it only when the bracket
+cannot decide the step.  The bracket is widened by SCREEN_MARGIN = 1e-10
+bits, inside the walk's 1e-9 slack, for the rounding between the bracket
+and the solved value.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .entropy import ThetaWeights, max_H_theta
+from .entropy import ThetaWeights, h_theta_bracket, max_H_theta
 from .linalg import row_reduce
 from .supports import (SupportSet, TightnessCertificate, TightnessReport,
                        check_tight, downward_closure, is_diagonal, max_points,
@@ -37,6 +41,11 @@ NEG_INF = float("-inf")
 #: transvection coefficients of the basis search are the nonzero integers
 #: in [-MAX_COEFF, MAX_COEFF]
 MAX_COEFF = 3
+
+#: bits by which the basis search widens a candidate's bracket before it
+#: skips the solve: the rounding between the bracket's uniform-point sums and
+#: max_H_theta's final entropy sum, and the 4-ulp drops its face steps allow
+SCREEN_MARGIN = 1e-10
 
 
 def _scalar_record(v) -> str:
@@ -93,7 +102,7 @@ class SupportFunctionalReport:
     oblique_basis_found: bool
     tight_certificate: TightnessCertificate | None
     zeta_exact: int | None
-    evaluations: int
+    evaluations: int     # distinct scored supports valued, by bracket or by solve
 
     @property
     def zeta_upper(self) -> float:
@@ -265,27 +274,47 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     when the search minimises (a superset cannot lower H_theta), or when
     every point it adds lies below a current point (the maximal points stay
     the same); such a step is passed over before its state is built.
+    Each candidate's scored support is built once and first valued by a
+    bracket lo <= value <= hi at the uniform point (`h_theta_bracket`).
+    Its program is solved only when the bracket, widened by SCREEN_MARGIN
+    = 1e-10 bits for rounding, cannot decide the step, so a skipped solve
+    could not have gained and every decision is the one the solved value
+    would make.  `evaluations` counts the distinct scored supports valued
+    by bracket or by solve.
     `start_tight`, if given, is `check_tight` of the first pool state's
     support, reused when that support wins.
     """
     sign = 1.0 if minimise else -1.0
-    cache: dict[tuple, float] = {}     # support handed to max_H_theta -> value
-    # candidate support points -> value: a SupportSet and score (max_points)
-    # are made once per support, not once per candidate
-    scored: dict[tuple, float] = {}
+    # scored support points -> max_H_theta value, or its bracket (lo, hi)
+    exact: dict[tuple, float] = {}
+    brackets: dict[tuple, tuple[float, float]] = {}
+    # candidate support points -> scored support: a SupportSet and score
+    # (max_points) are made once per support, not once per candidate
+    scored: dict[tuple, SupportSet] = {}
 
     def entropy(supp: SupportSet) -> float:
-        if supp.points not in cache:
-            cache[supp.points] = max_H_theta(supp, theta).value
-        return cache[supp.points]
-
-    def value(pts: tuple) -> float:
-        if pts not in scored:
-            scored[pts] = entropy(score(SupportSet(t.dims, pts)))
-        return scored[pts]
+        if supp.points not in exact:
+            exact[supp.points] = max_H_theta(supp, theta).value
+        return exact[supp.points]
 
     def better(val: float, ref: float, slack: float) -> bool:
         return sign * val < sign * ref - slack
+
+    def gain(pts: tuple, ref: float, slack: float) -> float | None:
+        """The value of the scored support of pts if it is better than ref
+        by more than slack, else None; solved only when the bracket's end
+        on the gaining side is better by more than slack - SCREEN_MARGIN."""
+        if pts not in scored:
+            scored[pts] = score(SupportSet(t.dims, pts))
+        supp = scored[pts]
+        if supp.points not in exact:
+            if supp.points not in brackets:
+                brackets[supp.points] = h_theta_bracket(supp, theta)
+            lo, hi = brackets[supp.points]
+            if not better(lo if minimise else hi, ref, slack - SCREEN_MARGIN):
+                return None
+        val = entropy(supp)
+        return val if better(val, ref, slack) else None
 
     # the upper pool needs a gain over 1e-9 to leave its first state, the
     # lower pool takes any strict gain
@@ -293,8 +322,8 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     best_state, best_val, best_pts = None, sign * math.inf, None
     for state in pool:
         pts = state.points()
-        val = value(pts)
-        if better(val, best_val, pool_slack):
+        val = gain(pts, best_val, pool_slack)
+        if val is not None:
             best_state, best_val, best_pts = state, val, pts
 
     rng = np.random.default_rng(opts.seed)
@@ -317,8 +346,8 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             pts = cand.points()
             if not pts:
                 continue
-            val = value(pts)
-            if better(val, cur_val, 1e-9):
+            val = gain(pts, cur_val, 1e-9)
+            if val is not None:
                 cur, cur_val, cur_pts = cand, val, pts
         if better(cur_val, best_val, 1e-12):
             best_state, best_val, best_pts = cur, cur_val, cur_pts
@@ -338,7 +367,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         oblique_basis_found=len(best_top) == len(best_supp) or tight_report.tight,
         tight_certificate=tight_report.certificate if tight_report.tight else None,
         zeta_exact=len(best_supp) if is_diagonal(best_supp) else None,
-        evaluations=len(cache),
+        evaluations=len(exact.keys() | brackets.keys()),
     )
 
 

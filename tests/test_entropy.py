@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import tenspect as ts
 import tenspect.entropy as te
 from tenspect.entropy import (INNER_TOL, Distribution, ThetaWeights,
-                              binary_entropy, entropy_trick_check, kl_divergence,
-                              max_H_theta, max_min_entropy, shannon_entropy)
+                              binary_entropy, entropy_trick_check,
+                              h_theta_bracket, kl_divergence, max_H_theta,
+                              max_min_entropy, shannon_entropy)
 
 from conftest import random_support
 
@@ -409,6 +410,37 @@ def test_monotone_in_support(seed):
     theta = ThetaWeights.from_legs(rng.dirichlet(np.ones(3)))
     assert (max_H_theta(sub, theta).value
             <= max_H_theta(supp, theta).value + 1e-9)
+
+
+def _bracket_thetas(rng, k):
+    """theta at a vertex, uniform, and random with one or two zero weights."""
+    vertex = np.eye(k)[int(rng.integers(k))]
+    zeros = rng.dirichlet(np.ones(k))
+    zeros[rng.choice(k, size=int(rng.integers(1, 3)), replace=False)] = 0.0
+    return [ThetaWeights.from_legs(w) for w in (vertex, np.full(k, 1.0 / k), zeros / zeros.sum())]
+
+
+def test_bracket_holds_the_program_value():
+    """lo <= max_P H_theta(P) <= hi on seeded random supports of 3 and 4
+    legs and 2 to 36 points; one-point and diagonal supports are exact."""
+    rng = np.random.default_rng(25)
+    for case in range(60):
+        k = 3 + case % 2
+        bounds = tuple(int(b) for b in rng.integers(2, 5, size=k))
+        npts = int(rng.integers(2, min(36, math.prod(bounds)) + 1))
+        flat = rng.choice(math.prod(bounds), size=npts, replace=False)
+        supp = ts.SupportSet(bounds, tuple(sorted(
+            tuple(int(x) for x in np.unravel_index(i, bounds)) for i in flat)))
+        for theta in _bracket_thetas(rng, k):
+            lo, hi = h_theta_bracket(supp, theta)
+            value = max_H_theta(supp, theta).value
+            assert lo <= value + 1e-12 and value <= hi + 1e-12, (supp, theta, lo, value, hi)
+    for k in (3, 4):
+        for m in (1, 2, 3):
+            supp = ts.SupportSet((3,) * k, tuple((i,) * k for i in range(m)))
+            for theta in _bracket_thetas(rng, k):
+                assert h_theta_bracket(supp, theta) == (math.log2(m),) * 2
+                assert max_H_theta(supp, theta).value == math.log2(m)
 
 
 def test_grid_oracle_agreement_small():

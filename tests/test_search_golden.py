@@ -11,12 +11,14 @@ only when a change to the search results is intended.
 """
 
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
 
 import tenspect as ts
+import tenspect.support_functionals as sf
 from tenspect.entropy import ThetaWeights
 from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           lower_support_functional,
@@ -128,6 +130,33 @@ def test_diagonal_upper_walk_builds_no_candidate(golden, monkeypatch):
         counts.append(len(built))
     assert counts[0] == counts[1]
     assert _same(json.loads(json.dumps(rep.to_records())), golden[key]["upper"])
+
+
+def test_bracket_screen_changes_no_decision(monkeypatch):
+    """The walk solves a candidate's entropy program only when its bracket
+    cannot decide the step.  With a bracket that never decides, every
+    candidate is solved, and every record is the same; the screen solves
+    strictly fewer programs on matmul:2,2,2 and polymul:4."""
+    cases = {c[0]: c for c in _cases()}
+    solve, solves = sf.max_H_theta, []
+
+    def counting(*args, **kwargs):
+        solves.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sf, "max_H_theta", counting)
+    for key in ("matmul:2,2,2 Q half", "polymul:4 Fp:5 uniform",
+                "capset:3,3 Fp:3 uniform", "W/2+1/3 extra Q half"):
+        args = cases[key][1:]
+        solves.clear()
+        screened = _run(*args)
+        n_screened = len(solves)
+        solves.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sf, "h_theta_bracket", lambda supp, theta: (-math.inf, math.inf))
+            assert _run(*args) == screened, key
+        if key.startswith(("matmul", "polymul")):
+            assert n_screened < len(solves), (key, n_screened, len(solves))
 
 
 @pytest.mark.parametrize("key,spec,dom,theta_name,seed", _cases(),
