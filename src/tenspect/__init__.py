@@ -5,16 +5,13 @@ numerical optimisation elsewhere."""
 __version__ = "0.1.0"
 
 from .asymptotics import (AsymptoticSubrankResult, CapsetReport,
-                          DegenerationBound, SliceRankResult, ZResult,
-                          asympt_slicerank, asympt_subrank_tight3,
-                          capset_bound, degeneration_lower_bound,
+                          SliceRankResult, ZResult, asympt_slicerank,
+                          asympt_subrank_tight3, capset_bound,
                           modular_sum_support, reduced_polymult_support,
-                          slicerank_exact_combinatorial,
-                          slicerank_exact_for_tensor, z_of_n)
+                          slicerank_exact_combinatorial, z_of_n)
 from .entropy import (Distribution, HThetaResult, MinimaxEntropyResult,
-                      ThetaWeights, binary_entropy, entropy_trick_check,
-                      kl_divergence, max_H_theta, max_min_entropy,
-                      shannon_entropy)
+                      ThetaWeights, binary_entropy, max_H_theta,
+                      max_min_entropy, shannon_entropy)
 from .errors import BudgetExceededError, SingularBasisError
 from .partitions import (character, irrep_dimension, kronecker_coefficient,
                          lr_coefficient, partition_entropy, partitions)
@@ -36,8 +33,7 @@ from .supports import (CombDegenerationCertificate, SubrankResult, SupportSet,
 from .tensors import (COMPLEXFLOAT, RATIONAL, BasisTuple, Domain, FamilySpec,
                       Tensor, binomial_basis_matrix, build_family,
                       cap_set_tensor, coefficients_in_basis, convert, cw,
-                      dicke, direct_sum, dumps_tensor, entry_multiset,
-                      flattening_rank, from_nonzeros, load_tensor,
-                      loads_tensor, matmul, parse_family, permute_leg,
-                      poly_mult_mod, prime_field, restrict, save_tensor,
-                      tensor_product, unit, w_tensor, zeros)
+                      dicke, direct_sum, dumps_tensor, flattening_rank,
+                      from_nonzeros, load_tensor, loads_tensor, matmul,
+                      parse_family, poly_mult_mod, prime_field, restrict,
+                      save_tensor, tensor_product, unit, w_tensor, zeros)

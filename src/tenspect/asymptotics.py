@@ -1,6 +1,8 @@
 """Headline pipelines: the z(n) root equation, asymptotic subrank of tight
-3-supports, the cap-set bound, degeneration lower bounds, exact combinatorial
-slice rank, and asymptotic slice rank via a theta minimisation."""
+3-supports, the cap-set bound, exact combinatorial slice rank, and asymptotic
+slice rank via a theta minimisation.  A degeneration lower bound is the
+asymptotic subrank of the tight subset that `check_comb_degeneration`
+certifies (`tenspect degeneration --bound`)."""
 
 from __future__ import annotations
 
@@ -94,24 +96,6 @@ def asympt_subrank_tight3(support: SupportSet) -> AsymptoticSubrankResult:
         raise ValueError("support is not tight; the formula does not apply")
     mm = max_min_entropy(support)
     return AsymptoticSubrankResult(2.0 ** mm.value, mm.value, report, mm)
-
-
-@dataclass(frozen=True)
-class DegenerationBound:
-    value: float
-    certificate: CombDegenerationCertificate
-    inner: AsymptoticSubrankResult
-
-
-def degeneration_lower_bound(big: SupportSet, small: SupportSet
-                             ) -> DegenerationBound:
-    """Lower bound the big support's asymptotic subrank through a
-    combinatorial degeneration onto a tight subset."""
-    cert = check_comb_degeneration(big, small)
-    if cert is None:
-        raise ValueError("no combinatorial degeneration certificate found")
-    inner = asympt_subrank_tight3(small)
-    return DegenerationBound(inner.value, cert, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +217,6 @@ def slicerank_exact_combinatorial(support: SupportSet) -> SliceCover:
 
     extend([])
     return SliceCover(len(best), tuple(best))
-
-
-def slicerank_exact_for_tensor(t: Tensor) -> SliceCover:
-    """Exact combinatorial slice rank of t's support in the standard basis."""
-    return slicerank_exact_combinatorial(SupportSet.from_tensor(t))
 
 
 #: target (bits) of the slice-rank theta minimisation

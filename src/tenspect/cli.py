@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (ROOT_XTOL, SLICERANK_TOL, asympt_slicerank, asympt_subrank_tight3,
-                          capset_bound, slicerank_exact_for_tensor, z_of_n)
+                          capset_bound, slicerank_exact_combinatorial, z_of_n)
 from .entropy import INNER_TOL, MINIMAX_TOL, ThetaWeights
 from .errors import BudgetExceededError
 from .partitions import kronecker_coefficient, lr_coefficient
@@ -43,19 +43,20 @@ def parse_theta(text: str, k: int) -> ThetaWeights:
         return ThetaWeights.uniform(k)
     if text.startswith("bip:"):
         body = text[4:]
-        pat = re.compile(r"\{([\d\s,]*)\}\|\{([\d\s,]*)\}=([0-9.eE+-]+)")
+        item = r"\{([\d\s,]*)\}\|\{([\d\s,]*)\}=([0-9.eE+-]+)"
+        if not re.fullmatch(rf"{item}(?:,{item})*", body):
+            raise ValueError(f"cannot parse bipartition theta {text!r}")
         mapping = {}
-        consumed = 0
-        for m in pat.finditer(body):
+        for m in re.finditer(item, body):
             left = frozenset(int(x) - 1 for x in m.group(1).split(",") if x.strip())
             right = frozenset(int(x) - 1 for x in m.group(2).split(",") if x.strip())
             if left | right != frozenset(range(k)) or left & right:
                 raise ValueError(f"{m.group(0)!r} is not a bipartition of 1..{k}")
             side = left if 0 in left else right
+            if side in mapping:
+                named = ",".join(str(x + 1) for x in sorted(side))
+                raise ValueError(f"bipartition side {{{named}}} is given twice")
             mapping[side] = float(m.group(3))
-            consumed += 1
-        if not consumed:
-            raise ValueError(f"cannot parse bipartition theta {text!r}")
         return ThetaWeights.from_bipartitions(mapping, k)
     parts = [float(x) for x in text.split(",")]
     if len(parts) != k:
@@ -207,7 +208,6 @@ def cmd_degeneration(args) -> dict:
     if cert is not None:
         out["maps"] = [list(m) for m in cert.maps]
         if args.bound:
-            # degeneration_lower_bound's value, reusing the certificate above
             out["lower_bound"] = asympt_subrank_tight3(small).value
     return out
 
@@ -260,7 +260,7 @@ def cmd_capset(args) -> dict:
 def cmd_slicerank(args) -> dict:
     t = _load_input_tensor(args)
     if args.exact:
-        cover = slicerank_exact_for_tensor(t)
+        cover = slicerank_exact_combinatorial(SupportSet.from_tensor(t))
         return {"command": "slicerank", "mode": "exact",
                 "value": cover.size,
                 "slices": [{"leg": leg + 1, "value": val} for leg, val in cover.slices]}

@@ -69,18 +69,6 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1 - x) * math.log2(1 - x))
 
 
-def kl_divergence(p, q) -> float:
-    """Relative entropy D(p || q) in bits; requires supp p inside supp q."""
-    parr = np.asarray(p, dtype=float)
-    qarr = np.asarray(q, dtype=float)
-    if parr.shape != qarr.shape:
-        raise ValueError("shape mismatch")
-    mask = parr > 0
-    if np.any(qarr[mask] <= 0):
-        raise ValueError("kl divergence undefined: q vanishes where p does not")
-    return float((parr[mask] * (np.log2(parr[mask]) - np.log2(qarr[mask]))).sum())
-
-
 # ---------------------------------------------------------------------------
 # theta weights
 
@@ -203,10 +191,6 @@ class Distribution:
     def marginal_entropies(self) -> np.ndarray:
         return np.array([shannon_entropy(m) for m in self.marginals])
 
-    def h_theta(self, theta: ThetaWeights) -> float:
-        w = theta.leg_array(self.support.k)
-        return float(w @ self.marginal_entropies())
-
 
 # ---------------------------------------------------------------------------
 # the concave program: maximise H_theta over distributions on a support
@@ -251,9 +235,6 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
         raise ValueError("empty support")
     k, m = support.k, len(support)
     theta_arr = theta.leg_array(k)
-    if m == 1:
-        dist = Distribution(support, np.array([1.0]))
-        return HThetaResult(0.0, dist, 0.0, 0.0, 0, True, exact_power=1)
     if is_diagonal(support):
         dist = Distribution(support, np.full(m, 1.0 / m))
         return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
@@ -570,14 +551,3 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
     dual_value = max(dual.value + dual.gap, value)
     gap = dual_value - value
     return MinimaxEntropyResult(value, dual_value, gap, dist, ThetaWeights.from_legs(dual_theta))
-
-
-def entropy_trick_check(x: float, y: float) -> float:
-    """max over p in [0, 1] of 2^(p x + (1-p) y + h(p)), in closed form.
-
-    The exponent is concave in p and peaks at p = 2^x / (2^x + 2^y), where
-    it equals log2(2^x + 2^y).
-    """
-    if x < 0 or y < 0:
-        raise ValueError("arguments must be nonnegative")
-    return 2.0 ** x + 2.0 ** y

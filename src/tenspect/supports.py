@@ -62,23 +62,6 @@ class SupportSet:
     def from_tensor(cls, t: Tensor) -> "SupportSet":
         return cls(t.dims, tuple(t.nonzero_indices()))
 
-    def product(self, other: "SupportSet") -> "SupportSet":
-        """Box product with flattened composite indices per leg."""
-        if self.k != other.k:
-            raise ValueError("order mismatch")
-        bounds = tuple(a * b for a, b in zip(self.bounds, other.bounds))
-        pts = []
-        for p in self.points:
-            for q in other.points:
-                pts.append(tuple(pi * bo + qi for pi, qi, bo in zip(p, q, other.bounds)))
-        return SupportSet(bounds, tuple(pts))
-
-    def permute_legs(self, perm) -> "SupportSet":
-        perm = list(perm)
-        bounds = tuple(self.bounds[i] for i in perm)
-        pts = tuple(tuple(p[i] for i in perm) for p in self.points)
-        return SupportSet(bounds, pts)
-
     def relabel_leg(self, leg: int, mapping) -> "SupportSet":
         """Apply a value permutation to one leg: x -> mapping[x]."""
         mapping = list(mapping)

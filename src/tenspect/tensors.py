@@ -148,16 +148,6 @@ def restrict(t: Tensor, maps) -> Tensor:
     return Tensor(tuple(m.shape[0] for m in mats), t.domain, out)
 
 
-def permute_leg(t: Tensor, leg: int, perm) -> Tensor:
-    """Relabel the index values of one leg: new[.., j, ..] = old[.., perm[j], ..]."""
-    perm = list(perm)
-    n = t.dims[leg]
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation of the leg's index set")
-    out = np.take(t.entries, perm, axis=leg)
-    return Tensor(t.dims, t.domain, out)
-
-
 def flattening_matrix(t: Tensor, legs) -> np.ndarray:
     legs = sorted(set(int(i) for i in legs))
     if not legs or len(legs) >= t.k or any(i < 0 or i >= t.k for i in legs):
@@ -446,14 +436,6 @@ def save_tensor(t: Tensor, path) -> None:
 def load_tensor(path) -> Tensor:
     with open(path, "r", encoding="ascii") as fh:
         return loads_tensor(fh.read())
-
-
-def entry_multiset(t: Tensor):
-    """Sorted nonzero entries; useful for equality up to index relabeling."""
-    vals = [t.entries[idx] for idx in t.nonzero_indices()]
-    if t.domain.kind == "C":
-        return sorted((v.real, v.imag) for v in vals)
-    return sorted(vals)
 
 
 def binomial_basis_matrix(m: int, p: int) -> np.ndarray:

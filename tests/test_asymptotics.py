@@ -6,11 +6,9 @@ import pytest
 import tenspect as ts
 import tenspect.asymptotics as tasy
 from tenspect.asymptotics import (asympt_slicerank, asympt_subrank_tight3,
-                                  capset_bound, degeneration_lower_bound,
-                                  modular_sum_support,
+                                  capset_bound, modular_sum_support,
                                   reduced_polymult_support,
-                                  slicerank_exact_combinatorial,
-                                  slicerank_exact_for_tensor, z_of_n)
+                                  slicerank_exact_combinatorial, z_of_n)
 from tenspect.entropy import binary_entropy
 from tenspect.quantum import AscentOptions, lower_quantum_functional, state_array
 
@@ -74,12 +72,11 @@ def test_degeneration_lower_bound_pipeline():
     for m in (2, 3):
         psi = modular_sum_support(m)
         phi = reduced_polymult_support(m)
-        bound = degeneration_lower_bound(psi, phi)
-        assert bound.value == pytest.approx(z_of_n(m).z, abs=1e-4)
-        assert bound.certificate.verify(psi, phi)
+        cert = ts.check_comb_degeneration(psi, phi)
+        assert cert is not None and cert.verify(psi, phi)
+        assert asympt_subrank_tight3(phi).value == pytest.approx(z_of_n(m).z, abs=1e-4)
     phi = reduced_polymult_support(3)
-    self_bound = degeneration_lower_bound(phi, phi)
-    assert self_bound.value == pytest.approx(z_of_n(3).z, abs=1e-4)
+    assert ts.check_comb_degeneration(phi, phi) is not None
 
 
 def test_capset_bound_values():
@@ -105,7 +102,6 @@ def test_slicerank_exact_examples():
         ts.SupportSet.from_tensor(ts.unit(5))).size == 5
     single = ts.SupportSet((3, 3, 3), ((1, 2, 0),))
     assert slicerank_exact_combinatorial(single).size == 1
-    assert slicerank_exact_for_tensor(ts.w_tensor()).size == 2
 
 
 def test_slicerank_exact_cover_is_valid():

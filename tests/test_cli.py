@@ -150,6 +150,15 @@ def test_theta_parsing():
         parse_theta("0.5,0.5", 3)
     with pytest.raises(ValueError):
         parse_theta("bip:{1}|{2}=1.0", 3)
+    # the body is the items joined by commas and nothing else
+    for text in ("bip:{1}|{2,3}=1 garbage", "bip:xx{1}|{2,3}=1"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_theta(text, 3)
+    with pytest.raises(ValueError, match=r"side \{1\} is given twice"):
+        parse_theta("bip:{1}|{2,3}=0.5,{2,3}|{1}=0.5", 3)
+    code, out = run(["quantum-cert", "--family", "W",
+                     "--theta", "bip:{1}|{2,3}=0.5,{2,3}|{1}=0.5"])
+    assert (code, out) == (EXIT_VALIDATION, "error: bipartition side {1} is given twice\n")
 
 
 def test_exit_codes():

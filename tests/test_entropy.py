@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 import tenspect as ts
 import tenspect.entropy as te
 from tenspect.entropy import (INNER_TOL, Distribution, ThetaWeights,
-                              binary_entropy, entropy_trick_check,
-                              h_theta_bracket, kl_divergence, max_H_theta,
+                              binary_entropy, h_theta_bracket, max_H_theta,
                               max_min_entropy, shannon_entropy)
 
 from conftest import random_support
@@ -89,14 +88,6 @@ def test_shannon_entropy_basics():
         shannon_entropy([0.5, 0.6])
     with pytest.raises(ValueError):
         binary_entropy(1.5)
-
-
-def test_kl_divergence():
-    p = [0.2, 0.3, 0.5]
-    assert kl_divergence(p, p) == 0.0
-    assert kl_divergence([1, 0], [0.5, 0.5]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        kl_divergence([0.5, 0.5], [1.0, 0.0])
 
 
 def test_theta_weights_validation():
@@ -380,7 +371,7 @@ def test_value_never_below_feasible_points(seed):
     res = max_H_theta(supp, theta)
     for _ in range(10):
         probs = rng.dirichlet(np.ones(len(supp)))
-        candidate = Distribution(supp, probs).h_theta(theta)
+        candidate = theta.leg_array(3) @ Distribution(supp, probs).marginal_entropies()
         assert candidate <= res.value + 1e-7
 
 
@@ -391,7 +382,8 @@ def test_leg_permutation_symmetry(seed):
     supp = random_support(rng)
     theta_arr = rng.dirichlet(np.ones(3))
     perm = list(rng.permutation(3))
-    supp_p = supp.permute_legs(perm)
+    supp_p = ts.SupportSet(tuple(supp.bounds[i] for i in perm),
+                           tuple(tuple(p[i] for i in perm) for p in supp.points))
     theta_p = ThetaWeights.from_legs([theta_arr[i] for i in perm])
     v1 = max_H_theta(supp, ThetaWeights.from_legs(theta_arr)).value
     v2 = max_H_theta(supp_p, theta_p).value
@@ -569,15 +561,34 @@ def test_max_min_entropy_without_minimize(supp, monkeypatch):
         assert least - (lp.x[3] - 1e-12 * 3) <= te.MINIMAX_CUT_TOL
 
 
+def entropy_trick_max(x, y):
+    """max over p in [0, 1] of p x + (1 - p) y + h(p) and its maximiser,
+    by golden-section search (the objective is concave in p)."""
+    def objective(p):
+        return p * x + (1 - p) * y + binary_entropy(p)
+
+    ratio = (math.sqrt(5) - 1) / 2
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if objective(a) < objective(b):
+            lo = a
+        else:
+            hi = b
+    p = (lo + hi) / 2
+    return objective(p), p
+
+
 def test_entropy_trick():
-    assert entropy_trick_check(0, 0) == pytest.approx(2.0, abs=1e-9)
-    assert entropy_trick_check(1, 1) == pytest.approx(4.0, abs=1e-9)
-    assert entropy_trick_check(1, 2) == pytest.approx(6.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        entropy_trick_check(-1, 0)
+    # the paper's entropy trick: max_p [p x + (1-p) y + h(p)] = log2(2^x + 2^y)
+    for x, y, total in ((0, 0, 2.0), (1, 1, 4.0), (1, 2, 6.0)):
+        value, p = entropy_trick_max(x, y)
+        assert 2.0**value == pytest.approx(total, abs=1e-9)
+        assert p == pytest.approx(2.0**x / total, abs=1e-6)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0, 4), st.floats(0, 4))
 def test_entropy_trick_identity(x, y):
-    assert entropy_trick_check(x, y) == pytest.approx(2.0**x + 2.0**y, abs=1e-9)
+    value, _ = entropy_trick_max(x, y)
+    assert 2.0**value == pytest.approx(2.0**x + 2.0**y, abs=1e-9)

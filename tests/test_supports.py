@@ -219,7 +219,8 @@ def test_subrank_supermultiplicative(seed):
     rng = np.random.default_rng(seed)
     s = random_support(rng, bounds=(2, 2, 2), max_points=4)
     v = ts.subrank_set(s).value
-    prod = s.product(s)
+    t = ts.from_nonzeros(s.bounds, ts.RATIONAL, {p: 1 for p in s.points})
+    prod = ts.SupportSet.from_tensor(ts.tensor_product(t, t))
     assert ts.subrank_set(prod).value >= v * v
 
 
