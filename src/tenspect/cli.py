@@ -37,13 +37,22 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 
+def _theta_weight(text: str, weight: str) -> float:
+    try:
+        return float(weight)
+    except ValueError:
+        raise ValueError(f"theta {text!r} has a weight {weight!r} that is not a number") from None
+
+
 def parse_theta(text: str, k: int) -> ThetaWeights:
     text = text.strip()
     if text == "uniform":
         return ThetaWeights.uniform(k)
     if text.startswith("bip:"):
         body = text[4:]
-        item = r"\{([\d\s,]*)\}\|\{([\d\s,]*)\}=([0-9.eE+-]+)"
+        # a side is a comma-separated list of leg numbers, spaces around each
+        side = r"\s*(?:\d+\s*(?:,\s*\d+\s*)*)?"
+        item = rf"\{{({side})\}}\|\{{({side})\}}=([0-9.eE+-]+)"
         if not re.fullmatch(rf"{item}(?:,{item})*", body):
             raise ValueError(f"cannot parse bipartition theta {text!r}")
         mapping = {}
@@ -51,16 +60,16 @@ def parse_theta(text: str, k: int) -> ThetaWeights:
             left = frozenset(int(x) - 1 for x in m.group(1).split(",") if x.strip())
             right = frozenset(int(x) - 1 for x in m.group(2).split(",") if x.strip())
             if left | right != frozenset(range(k)) or left & right:
-                raise ValueError(f"{m.group(0)!r} is not a bipartition of 1..{k}")
+                raise ValueError(f"theta {text!r}: {m.group(0)!r} is not a bipartition of 1..{k}")
             side = left if 0 in left else right
             if side in mapping:
                 named = ",".join(str(x + 1) for x in sorted(side))
-                raise ValueError(f"bipartition side {{{named}}} is given twice")
-            mapping[side] = float(m.group(3))
+                raise ValueError(f"theta {text!r}: bipartition side {{{named}}} is given twice")
+            mapping[side] = _theta_weight(text, m.group(3))
         return ThetaWeights.from_bipartitions(mapping, k)
-    parts = [float(x) for x in text.split(",")]
+    parts = [_theta_weight(text, x) for x in text.split(",")]
     if len(parts) != k:
-        raise ValueError(f"theta needs {k} weights, got {len(parts)}")
+        raise ValueError(f"theta {text!r} needs {k} weights, got {len(parts)}")
     return ThetaWeights.from_legs(parts)
 
 

@@ -9,14 +9,15 @@ an antichain support is exact, anything else is an upper bound.
 Every search state is the standard basis plus a log of steps: a change of
 basis by a matrix on one leg, or a transvection.  A step changes only the
 coefficients; the reported basis replays every step from the standard basis.
-The walk screens each transvection on the nonzero entries of the one slice
-it reads, and builds the new state only when the step removes a support
-point or, in the lower search, adds a point below no current point; no
-other step can gain.  It then brackets the candidate's entropy program at
-the uniform point (`h_theta_bracket`) and solves it only when the bracket
-cannot decide the step.  The bracket is widened by SCREEN_MARGIN = 1e-10
-bits, inside the walk's 1e-9 slack, for the rounding between the bracket
-and the solved value.
+The walk draws its steps from batched 32-bit words of the seeded
+generator, as numpy's own `integers(high)` calls would (`_draws`).  It
+screens each transvection on the one slice it reads, which gives the
+support points the step removes and adds; no step that removes none can
+gain in the upper search, nor in the lower one when every point it adds
+lies below a current point.  It brackets each other candidate's entropy
+program at the uniform point (`h_theta_bracket`), solves it only when the
+bracket, widened by SCREEN_MARGIN = 1e-10 bits for rounding, cannot decide
+the step, and builds a new state only for a step it keeps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -46,6 +47,30 @@ MAX_COEFF = 3
 #: skips the solve: the rounding between the bracket's uniform-point sums and
 #: max_H_theta's final entropy sum, and the 4-ulp drops its face steps allow
 SCREEN_MARGIN = 1e-10
+
+#: 32-bit words `_draws` takes from the generator at a time
+DRAW_BATCH = 256
+
+
+def _draws(seed: int):
+    """`draw(high)` returns what the next `np.random.default_rng(seed)
+    .integers(high)` call would, for 1 <= high < 2**32.  numpy maps a 32-bit
+    word w to (w * high) >> 32 and draws again while the low 32 bits of
+    w * high are below 2**32 % high (Lemire's method); high = 1 takes no
+    word.  The words come in batches of DRAW_BATCH, the same stream."""
+    rng = np.random.default_rng(seed)
+    words = chain.from_iterable(iter(
+        lambda: rng.integers(2**32, size=DRAW_BATCH, dtype=np.uint32).tolist(), None))
+
+    def draw(high: int) -> int:
+        if high == 1:
+            return 0
+        m = next(words) * high
+        while m & 0xFFFFFFFF < (1 << 32) % high:
+            m = next(words) * high
+        return m >> 32
+
+    return draw
 
 
 def _scalar_record(v) -> str:
@@ -175,6 +200,10 @@ class _SearchState:
                 slices[leg][at].append((i, v))
         return slices
 
+    @property
+    def support(self) -> frozenset:
+        return self._entries[1]
+
     @cached_property
     def below(self) -> frozenset:
         """The indices below some support point in the product order, the
@@ -184,21 +213,23 @@ class _SearchState:
     def points(self) -> tuple:    # sorted and unique, as in SupportSet
         return self._entries[2]
 
-    def transvection_gain(self, leg: int, dst: int, src: int, c: int) -> list | None:
-        """The points that `apply_transvection(leg, dst, src, c)` adds to the
-        support, or None if it removes one.  Reads only the entries != 0 of
-        slice src, with the same scalar arithmetic as the dense update."""
+    def transvection_gain(self, leg: int, dst: int, src: int,
+                          c: int) -> tuple[list, list]:
+        """(removed, added): the points that `apply_transvection(leg, dst,
+        src, c)` removes from and adds to the support.  Reads only the
+        entries != 0 of slice src, with the same scalar arithmetic as the
+        dense update."""
         values, support, _ = self._entries
         reduce, is_zero = self.domain.reduce, self.domain.is_zero
-        added = []
+        removed, added = [], []
         for i, v in self._slices[leg][src]:
             at = i[:leg] + (dst,) + i[leg + 1:]
             if is_zero(reduce(values.get(at, 0) + c * v)):
                 if at in support:
-                    return None
+                    removed.append(at)
             elif at not in support:
                 added.append(at)
-        return added
+        return removed, added
 
     def apply(self, leg: int, mat) -> "_SearchState":
         """Apply an invertible matrix to one leg of the coefficients."""
@@ -270,10 +301,14 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     random elementary transvections with small integer coefficients,
     keeping a step that moves the value by more than 1e-9 in the given
     direction; a restart replaces the best state when it gains over 1e-12.
-    A step that removes no support point cannot gain when it adds none,
-    when the search minimises (a superset cannot lower H_theta), or when
-    every point it adds lies below a current point (the maximal points stay
-    the same); such a step is passed over before its state is built.
+    The steps come from `_draws(opts.seed)`, the values of successive
+    `integers(high)` calls of the seeded generator.  `transvection_gain`
+    gives the support points a step removes and adds.  A step that removes
+    none cannot gain when it adds none, when the search minimises (a
+    superset cannot lower H_theta), or when every point it adds lies below
+    a current point (the maximal points stay the same), and is passed over.
+    Any other candidate's support is the current one less the removed
+    points plus the added ones; its state is built only if the step is kept.
     Each candidate's scored support is built once and first valued by a
     bracket lo <= value <= hi at the uniform point (`h_theta_bracket`).
     Its program is solved only when the bracket, widened by SCREEN_MARGIN
@@ -326,29 +361,28 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         if val is not None:
             best_state, best_val, best_pts = state, val, pts
 
-    rng = np.random.default_rng(opts.seed)
+    draw = _draws(opts.seed)
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
     for _ in range(opts.restarts):
         cur, cur_val, cur_pts = best_state, best_val, best_pts
         for _ in range(opts.steps):
-            leg = int(rng.integers(t.k))
+            leg = draw(t.k)
             n = t.dims[leg]
             if n < 2:
                 continue
-            dst, src = int(rng.integers(n)), int(rng.integers(n))
+            dst, src = draw(n), draw(n)
             if dst == src:
                 continue
-            c = coeff_choices[int(rng.integers(len(coeff_choices)))]
-            added = cur.transvection_gain(leg, dst, src, c)
-            if added is not None and (minimise or cur.below.issuperset(added)):
+            c = coeff_choices[draw(len(coeff_choices))]
+            removed, added = cur.transvection_gain(leg, dst, src, c)
+            if not removed and (minimise or cur.below.issuperset(added)):
                 continue
-            cand = cur.apply_transvection(leg, dst, src, c)
-            pts = cand.points()
+            pts = tuple(sorted(cur.support.difference(removed).union(added)))
             if not pts:
                 continue
             val = gain(pts, cur_val, 1e-9)
             if val is not None:
-                cur, cur_val, cur_pts = cand, val, pts
+                cur, cur_val, cur_pts = cur.apply_transvection(leg, dst, src, c), val, pts
         if better(cur_val, best_val, 1e-12):
             best_state, best_val, best_pts = cur, cur_val, cur_pts
 

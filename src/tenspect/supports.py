@@ -131,18 +131,17 @@ def is_antichain(s: SupportSet) -> bool:
 
 
 def is_free(s: SupportSet) -> bool:
-    """Every pair of distinct points differs in at least two coordinates."""
-    for p, q in combinations(s.points, 2):
-        if sum(x != y for x, y in zip(p, q)) < 2:
-            return False
-    return True
+    """Every pair of distinct points differs in at least two coordinates:
+    dropping any one coordinate is injective on the points."""
+    n = len(s.points)
+    return all(len({p[:i] + p[i + 1:] for p in s.points}) == n for i in range(s.k))
 
 
 def is_diagonal(s: SupportSet) -> bool:
-    for p, q in combinations(s.points, 2):
-        if any(x == y for x, y in zip(p, q)):
-            return False
-    return True
+    """No two distinct points share a coordinate: every leg's values are
+    pairwise distinct, so there are at most min(bounds) points."""
+    n = len(s.points)
+    return n <= min(s.bounds) and all(len({p[i] for p in s.points}) == n for i in range(s.k))
 
 
 # ---------------------------------------------------------------------------

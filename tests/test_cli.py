@@ -146,19 +146,29 @@ def test_theta_parsing():
     th = parse_theta("bip:{1}|{2,3}=0.4,{1,2}|{3}=0.6", 3)
     assert th.mode == "bipartitions"
     assert sum(w for _, w in th.items) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        parse_theta("0.5,0.5", 3)
-    with pytest.raises(ValueError):
-        parse_theta("bip:{1}|{2}=1.0", 3)
     # the body is the items joined by commas and nothing else
     for text in ("bip:{1}|{2,3}=1 garbage", "bip:xx{1}|{2,3}=1"):
         with pytest.raises(ValueError, match="cannot parse"):
             parse_theta(text, 3)
-    with pytest.raises(ValueError, match=r"side \{1\} is given twice"):
-        parse_theta("bip:{1}|{2,3}=0.5,{2,3}|{1}=0.5", 3)
     code, out = run(["quantum-cert", "--family", "W",
                      "--theta", "bip:{1}|{2,3}=0.5,{2,3}|{1}=0.5"])
-    assert (code, out) == (EXIT_VALIDATION, "error: bipartition side {1} is given twice\n")
+    assert (code, out) == (EXIT_VALIDATION, "error: theta 'bip:{1}|{2,3}=0.5,{2,3}|{1}=0.5': "
+                                            "bipartition side {1} is given twice\n")
+    # a side is a comma-separated list of leg numbers; spaces may surround each
+    assert parse_theta("bip:{1, 2}|{3}=1", 3).items == ((frozenset({0, 1}), 1.0),)
+    # every error names the theta, and a bad weight is quoted
+    bad = {"0.5,0.5": r"theta '0.5,0.5' needs 3 weights, got 2",
+           "bip:{1}|{2}=1.0": r"theta 'bip:\{1\}\|\{2\}=1.0': '\{1\}\|\{2\}=1.0' is not a bipartition",
+           "bip:{1}|{2,3}=0.5,{2,3}|{1}=0.5": r"theta 'bip:.*=0.5': bipartition side \{1\} is given",
+           "bip:{1 2}|{3}=1": r"cannot parse bipartition theta 'bip:\{1 2\}\|\{3\}=1'",
+           "bip:{1,}|{2,3}=1": r"cannot parse bipartition theta",
+           "bip:{1}|{2,3}=1e": r"theta 'bip:\{1\}\|\{2,3\}=1e' has a weight '1e' that is not",
+           "0.5,0.5,x": r"theta '0.5,0.5,x' has a weight 'x' that is not a number"}
+    for text, message in bad.items():
+        with pytest.raises(ValueError, match=message):
+            parse_theta(text, 3)
+        code, out = run(["support-upper", "--family", "W", "--theta", text])
+        assert code == EXIT_VALIDATION and out.startswith("error: ") and repr(text) in out
 
 
 def test_exit_codes():

@@ -1,5 +1,8 @@
-"""The command-line scripts under scripts/ run to completion on small inputs."""
+"""The command-line scripts under scripts/ run to completion on small inputs,
+and the benchmark recorder assembles its record from canned runs."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +35,43 @@ def test_zn_table_agrees_with_minimax():
                                        ("sandwich_sweep.py", ("2",))])
 def test_script_runs(name, args):
     assert _run_script(name, *args)
+
+
+def _canned_run(wall_s, rss_mb):
+    """The last two stdout lines of a `perfbench/run.py --trace 0` run."""
+    metrics = {name: {"value": 1.0, "unit": "s"} for name in
+               ("setup_s", "ops_per_s", "op_p50_ms", "op_tail_ms")}
+    metrics["wall_s"] = {"value": wall_s, "unit": "s"}
+    metrics["peak_rss_mb"] = {"value": rss_mb, "unit": "MB"}
+    return ("progress\n" + json.dumps({"environment": {"seed": 1}, "detail": {"ops": 3}}) + "\n"
+            + json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}) + "\n")
+
+
+def test_bench_record_assembles_canned_runs():
+    """The record keeps both lines of every run and compares the sides'
+    medians round by round; no benchmark is started."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", os.path.join(ROOT, "scripts", "bench_record.py"))
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    walls = {"parent": [0.20, 0.21, 0.19], "this": [0.15, 0.22, 0.14]}
+    runs = []
+    for rnd in range(3):
+        for side in ("parent", "this"):
+            env_detail, result = bench_record.parse_run(_canned_run(walls[side][rnd], 80.0))
+            runs.append({"workload": "basis_search", "side": side, "round": rnd,
+                         "environment_detail": env_detail, "result": result})
+    bench = bench_record.load_spec()
+    record = json.loads(json.dumps(bench_record.assemble(bench, "t", 1, runs)))
+    assert record["label"] == "t" and len(record["runs"]) == 6
+    assert record["seconds"] == bench["run_seconds"]
+    assert set(record["summary"]["basis_search"]) == {m["name"] for m in bench["end_to_end"]}
+    assert record["runs"][0]["environment_detail"]["detail"] == {"ops": 3}
+    wall = record["summary"]["basis_search"]["wall_s"]
+    assert wall["parent_median"] == 0.20 and wall["this_median"] == 0.15
+    assert wall["change"] == pytest.approx(-0.25)
+    assert (wall["this_better"], wall["pairs"]) == (2, 3)
+    rss = record["summary"]["basis_search"]["peak_rss_mb"]
+    assert rss["change"] == 0.0 and rss["this_better"] == 0
+    with pytest.raises(ValueError):
+        bench_record.parse_run("one line\n")

@@ -278,9 +278,10 @@ def _screen_tensor(rng, domain):
 
 @pytest.mark.parametrize("label", ["Q", "Fp:5", "C"])
 def test_transvection_gain_matches_the_dense_step(label):
-    """The slice screen's verdict (same support, superset, or a point
-    removed) agrees with the dense update on seeded random walks, and where
-    the lower search passes a step over, the maximal points stay the same."""
+    """The slice screen's (removed, added) gives the dense update's support
+    on seeded random walks: new = (old - removed) | added, with removed
+    inside old and added outside it, and where the lower search passes a
+    step over, the maximal points stay the same."""
     domain = parse_domain(label)
     rng = np.random.default_rng(5)
     seen = {"same": 0, "superset": 0, "removed": 0, "dominated": 0}
@@ -291,15 +292,15 @@ def test_transvection_gain_matches_the_dense_step(label):
             leg = int(rng.integers(3))
             dst, src = (int(i) for i in rng.choice(t.dims[leg], 2, replace=False))
             c = int(rng.choice([-3, -2, -1, 1, 2, 3]))
-            added = state.transvection_gain(leg, dst, src, c)
+            removed, added = state.transvection_gain(leg, dst, src, c)
             cand = state.apply_transvection(leg, dst, src, c)
             old, new = set(state.points()), set(cand.points())
-            if added is None:
-                assert not old <= new
+            assert len(set(removed)) == len(removed) and set(removed) <= old
+            assert len(set(added)) == len(added) and not old & set(added)
+            assert new == (old - set(removed)) | set(added)
+            if removed:
                 seen["removed"] += 1
             else:
-                assert len(set(added)) == len(added) and not old & set(added)
-                assert new == old | set(added)
                 seen["same" if not added else "superset"] += 1
                 if added and state.below.issuperset(added):
                     seen["dominated"] += 1
@@ -318,7 +319,7 @@ def test_transvection_gain_sees_exact_cancellation(label):
     scale = 1 + 1j if label == "C" else 1
     vals = {(0, 0, 0): scale, (1, 0, 0): 2 * scale, (1, 1, 1): 1}
     state = _SearchState.start(ts.from_nonzeros((2, 2, 2), domain, vals))
-    assert state.transvection_gain(0, 1, 0, -2) is None
+    assert state.transvection_gain(0, 1, 0, -2) == ([(1, 0, 0)], [])
     assert (1, 0, 0) not in state.apply_transvection(0, 1, 0, -2).points()
 
 
@@ -329,6 +330,65 @@ def test_transvection_gain_reads_entries_under_the_zero_tolerance():
     arr[0, 0, 0], arr[0, 1, 0] = 1, 0.9 * COMPLEX_ZERO_TOL
     state = _SearchState.start(ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, arr))
     assert state.points() == ((0, 0, 0),)
-    added = state.transvection_gain(0, 1, 0, 3)
-    assert sorted(added) == [(1, 0, 0), (1, 1, 0)]
+    removed, added = state.transvection_gain(0, 1, 0, 3)
+    assert removed == [] and sorted(added) == [(1, 0, 0), (1, 1, 0)]
     assert state.apply_transvection(0, 1, 0, 3).points() == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+
+
+# highs whose redraw threshold 2**32 % high is large (near 2**31 + 1 half
+# of all words are redrawn) or trivial (powers of two, 2**32 - 1)
+WIDE_HIGHS = [2**31 - 1, 2**31, 2**31 + 1, 2**31 + 2**30 + 1, 2**32 - 2**30 - 1,
+              2**32 - 3, 2**32 - 2, 2**32 - 1]
+
+
+def test_draws_equal_generator_integers_call_for_call():
+    """The walk's batched draws give what one `integers(high)` call per draw
+    gives on the same seed: 50 seeds of 2,000 mixed small highs (high = 1
+    takes no word), every tenth followed by highs near 2**31 and 2**32 - 1,
+    where redraws are frequent, across several batches."""
+    for seed in range(50):
+        highs = np.random.default_rng(10_000 + seed).integers(1, 13, size=2000).tolist()
+        if seed % 10 == 0:
+            highs += WIDE_HIGHS * 300
+        draw, rng = sf._draws(seed), np.random.default_rng(seed)
+        got = [draw(h) for h in highs]
+        assert got == [int(rng.integers(h)) for h in highs], seed
+
+
+def _equivalence_cases():
+    c = parse_domain("C")
+    rng = np.random.default_rng(11)
+    tiny = [t for t in (_screen_tensor(rng, c) for _ in range(40))
+            if any(0 < abs(v) < COMPLEX_ZERO_TOL for v in t.entries.flat)][:3]
+    assert len(tiny) == 3
+    return ([("matmul:2,2,2 Q", ts.build_family(ts.parse_family("matmul:2,2,2"), ts.RATIONAL)),
+             ("polymul:4 F_5", ts.build_family(ts.parse_family("polymul:4"), parse_domain("Fp:5"))),
+             ("capset:3,3 F_3", ts.build_family(ts.parse_family("capset:3,3")))]
+            + [(f"C tiny {i}", t) for i, t in enumerate(tiny)])
+
+
+def test_batched_draws_change_no_decision(monkeypatch):
+    """With the draws taken one `Generator.integers` call at a time, every
+    search record is the same, on Q, F_5, F_3 and C with entries under the
+    zero tolerance."""
+    calls = []
+
+    def one_call_per_draw(seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(high):
+            calls.append(high)
+            return int(rng.integers(high))
+        return draw
+
+    thetas = (U3, ThetaWeights.from_legs([0.5, 0.25, 0.25]))
+    for name, t in _equivalence_cases():
+        for seed, theta in enumerate(thetas):
+            opts = BasisSearchOptions(restarts=4, steps=40, seed=seed)
+            searches = (upper_support_functional, lower_support_functional)
+            batched = [search(t, theta, opts).to_records() for search in searches]
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(sf, "_draws", one_call_per_draw)
+                assert [search(t, theta, opts).to_records() for search in searches] == batched, name
+            assert len(calls) >= 2 * 4 * 40, name

@@ -1,4 +1,4 @@
-from itertools import permutations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 
 import numpy as np
 import pytest
@@ -84,6 +84,31 @@ def test_antichain_and_free_examples():
     assert ts.is_free(two)
     notfree = ts.SupportSet((2, 2), ((0, 0), (0, 1)))
     assert not ts.is_free(notfree)
+
+
+@st.composite
+def _supports(draw):
+    """Supports of order 1 to 4 with legs of 1 to 3 values, from empty to
+    full; small legs make shared coordinates frequent."""
+    bounds = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    points = draw(st.lists(st.tuples(*(st.integers(0, b - 1) for b in bounds)), max_size=8))
+    return ts.SupportSet(bounds, tuple(points))
+
+
+@given(_supports())
+def test_free_and_diagonal_match_pairwise_definitions(s):
+    pairs = list(combinations(s.points, 2))
+    assert ts.is_free(s) == all(sum(x != y for x, y in zip(p, q)) >= 2 for p, q in pairs)
+    assert is_diagonal(s) == all(x != y for p, q in pairs for x, y in zip(p, q))
+
+
+def test_free_and_diagonal_edge_supports():
+    """Empty and one-point supports are both; at order 1 every support is
+    diagonal and only those of at most one point are free."""
+    for s in (ts.SupportSet((2, 3), ()), ts.SupportSet((2, 3), ((1, 2),))):
+        assert ts.is_free(s) and is_diagonal(s)
+    line = ts.SupportSet((3,), ((0,), (2,)))
+    assert is_diagonal(line) and not ts.is_free(line)
 
 
 def test_check_tight_examples():
