@@ -27,26 +27,36 @@ The upper certificate enumerates tuples of partitions whose isotypic
 projections leave a tensor power alive.  The public projector
 functions apply the permutation sum: each permutation is one transpose of
 the side's axes of the copy-major power, with the other legs in place.  The
-certificate only projects copy-symmetric vectors, on which the side's
-projection equals its complement's, so it acts on whichever of the two has
-the smaller dimension d.  The projector on (C^d)^{(x)n} is block diagonal
-by weight (the content of a word of [d]^n), and all blocks of one weight
-type share one real matrix, built from the integer class sums of S_n on
-that type's first block and cached per (d, n).  Each projection reads its
-input rows in block order and makes one batched matmul per weight type; only
-the norm is taken on the last side.  The first side gathers its input from
-the power; each later side gathers it straight from the previous side's
-projection through one flat index per pair of consecutive sides, built once
-per call, so no projection goes back to copy-major order.  Partitions with
-more rows than min(d_S, d_C) are skipped, since Schur-Weyl duality makes
-their projections of a copy-symmetric vector zero.
+certificate only projects copy-symmetric vectors, on which a side's
+projection equals its complement's and keeps them copy-symmetric, so each
+side acts on its own legs or on its complement's.  The sides are oriented
+onto pairwise disjoint legs where that is possible (every leg theta, every
+theta on 3 legs, every single bipartition); their projectors then act on
+different tensor factors and commute.  The projector on (C^d)^{(x)n} is
+block diagonal by weight (the content of a word of [d]^n), and all blocks
+of one weight type share one real orthogonal matrix whose rows, grouped by
+partition, are orthonormal bases of the isotypic components (eigenvectors
+of the integer class sums of S_n on that type's first block), cached per
+(d, n).  The certificate builds the power once, with one axis per side
+over its words in block order and a last axis over the other legs, moves
+every side's axis into isotypic coordinates by one batched matmul per
+weight type, and reads every tuple's norm from one table: the squared
+moduli summed over the last axis, then each side's axis summed by
+partition.  Where no orientation makes all sides disjoint (at least 4 legs
+with nested splits), the walk branches on the shortest prefix of sides
+whose remainder can be oriented: each surviving partition of a prefix side
+is projected back from its isotypic coordinates and gathered, through one
+flat index, into the next level's layout.  Partitions with more rows than
+a side's dimension d have no isotypic component, and Schur-Weyl duality
+makes those with more rows than min(d_S, d_C) vanish on copy-symmetric
+vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations as iter_permutations
 from math import factorial, prod
 
@@ -480,30 +490,31 @@ def bipartition_projector_apply(v: np.ndarray, dims, n: int, lam, side) -> np.nd
     return _young_project(symmetrize_copies(arr, n), lam, n, legs)
 
 
-@lru_cache(maxsize=None)
-def _weight_blocks(d: int, n: int):
-    """The words of [d]^n in block order, and the blocks of each weight type.
+def _class_sums(d: int, n: int):
+    """The words of [d]^n in block order, and each weight type's projector blocks.
 
     The lam-isotypic projector on (C^d)^{(x)n} permutes positions within a
     word, so it keeps the weight (the content of the word) and is block
     diagonal by weight.  Rows are ordered by weight type (the sorted
     content), then by weight, then within a block by the word of ranks
-    (each value replaced by its rank in the word's content, most frequent
-    first, ties by value).  Relabelling the values in [d] commutes with the
-    projector and maps one block of a type onto another in this order, so
-    every block of a type has one matrix, built from the class sums of the
-    type's first block: P_lam = (dim lam / n!) sum_kappa chi_lam(kappa) C_kappa.
+    (each letter replaced by the number of distinct letters of the word
+    before it, most frequent first, ties by value).  Relabelling the letters
+    in [d] commutes with the projector and maps one block of a type onto
+    another in this order, so every block of a type has one matrix, built
+    from the class sums of the type's first block:
+    P_lam = (dim lam / n!) sum_kappa chi_lam(kappa) C_kappa.
 
-    Returns (order, projectors): order[i] is the index in [d]^n (copy 0
-    most significant) of the word on row i, and projectors maps each
-    partition lam of n to one (rows, blocks, block size, real projector
-    block or None where it is zero) per weight type.  The result is cached
-    per (d, n), and its arrays are read-only.
+    Returns (order, types): order[i] is the index in [d]^n (copy 0 most
+    significant) of the word on row i, and types holds one (rows, blocks,
+    block size, mats) per weight type, mats[c] being the real projector
+    block of partitions(n)[c].
     """
     words = np.indices((d,) * n).reshape(n, -1).T
-    counts = (words[:, :, None] == np.arange(d)).sum(axis=1)
-    rank_of = np.argsort(np.argsort(-counts, axis=1, kind="stable"), axis=1)
-    ranks = np.take_along_axis(rank_of, words, axis=1)
+    same = words[:, :, None] == words[:, None, :]
+    key = (n - same.sum(axis=2)) * d + words
+    # a letter's rank counts the first occurrences of the letters before it
+    first = ~np.tril(same, -1).any(axis=2)
+    ranks = (first[:, None, :] & (key[:, None, :] < key[:, :, None])).sum(axis=2)
     powers = n ** np.arange(n - 1, -1, -1)
     # the sorted ranks spell the type, the sorted digits the weight
     type_codes = np.sort(ranks, axis=1) @ powers
@@ -516,7 +527,7 @@ def _weight_blocks(d: int, n: int):
     perms = list(iter_permutations(range(n)))
     kappa = np.array([lams.index(_cycle_type(perm)) for perm in perms])
     starts = [0] + (np.flatnonzero(type_codes[1:] != type_codes[:-1]) + 1).tolist() + [d ** n]
-    projectors = {lam: [] for lam in lams}
+    types = []
     for start, stop in zip(starts, starts[1:]):
         size = factorial(n) // prod(factorial(c) for c in np.bincount(ranks[start]))
         block = ranks[start:start + size]
@@ -526,112 +537,239 @@ def _weight_blocks(d: int, n: int):
         flat = (kappa * size + np.arange(size)[:, None]) * size + cols
         sums = np.bincount(flat.ravel(), minlength=len(lams) * size * size)
         mats = (chars @ sums.reshape(len(lams), -1)).reshape(-1, size, size) * scales
-        mats.flags.writeable = False
-        for lam, mat in zip(lams, mats):
-            projectors[lam].append((slice(start, stop), (stop - start) // size, size,
-                                    mat if mat.any() else None))
+        types.append((slice(start, stop), (stop - start) // size, size, mats))
+    return order, types
+
+
+@lru_cache(maxsize=None)
+def _weight_blocks(d: int, n: int):
+    """The words of [d]^n in block order, and an isotypic basis of each weight type.
+
+    Returns (order, types, onehot).  order is `_class_sums`'s.  types holds
+    one (rows, blocks, block size, q, spans) per weight type: q is a real
+    orthogonal matrix whose rows, grouped by partition in the order of
+    partitions(n), are orthonormal bases of the isotypic components of a
+    block (the eigenvalue-1 eigenvectors of its class-sum projector), and
+    spans[c] is the row slice of partitions(n)[c]'s group.  So W = q V moves
+    a block V into isotypic coordinates, ||P_lam V||^2 is the squared norm
+    of lam's rows of W, and P_lam V = q_lam^T W_lam.  onehot[i, c] is 1
+    where row i of the moved words lies in partitions(n)[c]'s group.  The
+    result is cached per (d, n), and its arrays are read-only.
+    """
+    order, class_types = _class_sums(d, n)
+    types, labels = [], []
+    for rows, blocks, size, mats in class_types:
+        # partition c's projector has eigenvalue c + 1 in this sum, so the
+        # eigenvectors, in ascending order, come grouped by partition
+        evals, vecs = np.linalg.eigh(np.tensordot(np.arange(1.0, len(mats) + 1), mats, 1))
+        label = np.rint(evals).astype(int) - 1
+        bounds = np.searchsorted(label, np.arange(len(mats) + 1)).tolist()
+        spans = {c: slice(lo, hi) for c, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+                 if hi > lo}
+        q = np.ascontiguousarray(vecs.T)
+        q.flags.writeable = False
+        types.append((rows, blocks, size, q, spans))
+        labels.append(np.tile(label, blocks))
+    onehot = np.eye(len(mats))[np.concatenate(labels)]
+    onehot.flags.writeable = False
     order.flags.writeable = False
-    return order, projectors
+    return order, types, onehot
 
 
-def _side_plan(dims, side, n: int):
-    """(d, axes, rows, projectors) of a side's projection at power n.
+def _orient(dims, sides) -> tuple[int, list[tuple[int, ...]]]:
+    """(p, legs): the legs each side's projection acts on, and the number p
+    of sides the survivor walk branches on.
 
     On copy-symmetric vectors a side's projection equals its complement's,
-    so it acts on the legs of smaller dimension d.  `axes` puts those legs
-    of every copy first in the copy-major power, and `rows` indexes their
-    words in the order of `_weight_blocks(d, n)`, whose projectors it holds.
+    and it keeps them copy-symmetric, so each side may act on its own legs
+    or on its complement's.  sides[p:] take pairwise disjoint legs, with p
+    the least for which that is possible, so their projectors act on
+    different tensor factors and commute.  Each side tries the smaller of
+    its two leg sets first, which is all that a side of sides[:p] takes.
     """
     k = len(dims)
-    comp = tuple(i for i in range(k) if i not in side)
-    legs = min(tuple(side), comp, key=lambda ls: prod(dims[i] for i in ls))
-    d = prod(dims[i] for i in legs)
-    order, projectors = _weight_blocks(d, n)
-    axes = [m * k + leg for m in range(n) for leg in legs]
-    axes += [a for a in range(n * k) if a not in axes]
-    return d, axes, np.unravel_index(order, [dims[i] for i in legs] * n), projectors
+    choices = [sorted((side, tuple(i for i in range(k) if i not in side)),
+                      key=lambda legs: prod(dims[i] for i in legs)) for side in sides]
+    for p in range(len(sides)):
+        # the last side alone always succeeds
+        legs = _disjoint(choices[p:], frozenset())
+        if legs is not None:
+            break
+    return p, [choice[0] for choice in choices[:p]] + legs
 
 
-def _block_order(arr: np.ndarray, plan) -> np.ndarray:
-    """A copy-major power as the (d^n, rest) matrix a side projects."""
-    _, axes, rows, _ = plan
-    return arr.transpose(axes)[rows].reshape(len(rows[0]), -1)
+def _disjoint(choices, taken: frozenset):
+    """The first list of one leg set per entry of `choices`, pairwise
+    disjoint and disjoint from `taken`; None if there is none."""
+    if not choices:
+        return []
+    for legs in choices[0]:
+        if taken.isdisjoint(legs):
+            rest = _disjoint(choices[1:], taken | set(legs))
+            if rest is not None:
+                return [legs] + rest
+    return None
 
 
-def _step_indices(dims, n: int, plans) -> list[np.ndarray]:
-    """For each pair of consecutive sides, the flat index inv_here[pos_next]
-    that gathers the next side's matrix from this side's projection, where
-    pos holds the copy-major index of each entry of a side's matrix.  int32
-    suffices: `_check_budget` keeps the power under 2^31 entries."""
-    flat = np.arange(prod(dims) ** n, dtype=np.int32)
-    pos = [_block_order(flat.reshape(tuple(dims) * n), plan) for plan in plans]
-    steps = []
-    for here, after in zip(pos, pos[1:]):
-        inv = np.empty_like(flat)
-        inv[here.ravel()] = flat
-        steps.append(inv[after])
-    return steps
+def _grouped_power(t_arr: np.ndarray, n: int, groups) -> np.ndarray:
+    """t^{(x)n} as a flat array with one axis per nonempty leg group, over
+    the group's words in [d]^n.  Each step is one Kronecker product on every
+    axis, the new copy outermost; the power is symmetric in its copies, so
+    the words may take either end as their most significant copy."""
+    groups = [g for g in groups if g]
+    base = t_arr.transpose([i for g in groups for i in g]).reshape(
+        [prod(t_arr.shape[i] for i in g) for g in groups])
+    out = base
+    for _ in range(n - 1):
+        out = (base.reshape([x for e in base.shape for x in (e, 1)])
+               * out.reshape([x for a in out.shape for x in (1, a)])
+               ).reshape([e * a for e, a in zip(base.shape, out.shape)])
+    return out.reshape(-1)
 
 
-def _block_projections(moved, out, d: int, projectors, last: bool):
-    """Yield each partition lam of n whose projection of the (d^n, rest)
-    matrix `moved` does not vanish, leaving the projection in `out`.
-
-    Each weight type's blocks are projected by one batched matmul.
-    Schur-Weyl: a partition with more than d rows gives zero.  On the `last`
-    side only the norm is needed, so vanishing blocks are not cleared.
-    """
-    moved = moved.view(float)
-    out = out.view(float)
-    for lam, blocks_of_lam in projectors.items():
-        if len(lam) > d:
-            continue
-        norm2 = 0.0
-        for rows, blocks, size, mat in blocks_of_lam:
-            if mat is not None:
-                part = out[rows].reshape(blocks, size, -1)
-                np.matmul(mat, moved[rows].reshape(blocks, size, -1), out=part)
-                norm2 += float(np.vdot(part, part))
-            elif not last:
-                out[rows] = 0.0
-        if math.sqrt(norm2) > ZERO_TOL:
-            yield lam
-
-
-def _surviving_tuples(power, dims, sides):
-    """Yield, depth first, each tuple of (side, lam), one per side in order,
-    whose successive projections of the copy-symmetric power do not vanish.
-
-    Only the first side gathers from the power, which is then let go; each
-    later side gathers straight from the previous side's projection by one
-    `np.take`.  Each depth has its own input buffer; one output buffer serves
-    all, as a projection is dead once the next side has gathered it.
-    """
-    n = power.ndim // len(dims)
-    plans = [_side_plan(dims, side, n) for side in sides]
-    first = _block_order(power, plans[0])
-    del power
-    out = np.empty(first.size, dtype=complex)
-    levels = []
-    for side, plan, step in zip(sides, plans, [None] + _step_indices(dims, n, plans)):
-        moved = first if step is None else np.empty(step.shape, dtype=complex)
-        levels.append((side, plan[0], plan[3], step, moved, out.reshape(moved.shape)))
-    yield from _walk(levels)
-
-
-def _walk(levels):
-    """The survivors of the sides in `levels`; below depth 0, the shared
-    output buffer holds the previous side's projection on entry."""
-    if not levels:
-        yield ()
-        return
-    side, d, projectors, step, moved, out = levels[0]
-    if step is not None:
+def _gather(src: np.ndarray, orders, out: np.ndarray):
+    """out[i, j, ..., r] = src[orders[0][i], orders[1][j], ..., r] for the
+    flat layouts src and out, one axis per entry of `orders` and a last
+    axis; one take per i."""
+    sizes = [len(order) for order in orders]
+    sizes.append(len(src) // prod(sizes))
+    offsets = [order * prod(sizes[j + 1:]) for j, order in enumerate(orders)]
+    inner = reduce(np.add.outer, offsets[1:] + [np.arange(sizes[-1])]).ravel()
+    for row, base in zip(out.reshape(sizes[0], -1), offsets[0]):
         # the index is in range; mode "raise" would buffer the output
-        np.take(out, step, out=moved, mode="clip")
-    for lam in _block_projections(moved, out, d, projectors, last=len(levels) == 1):
-        for tail in _walk(levels[1:]):
-            yield ((side, lam),) + tail
+        np.take(src, inner + base, out=row, mode="clip")
+
+
+def _positions(dims, n: int, groups, orders) -> np.ndarray:
+    """The copy-major index of each entry of the layout with one axis per
+    leg group, over its words in `orders`, and a last axis over the words of
+    the other legs (copy 0 most significant)."""
+    rest = tuple(i for i in range(len(dims)) if not any(i in g for g in groups))
+    total = prod(dims)
+    offsets = []
+    for legs, words in zip(groups + [rest], orders + [np.arange(prod(dims[i] for i in rest) ** n)]):
+        offset = np.zeros(len(words), dtype=np.intp)
+        if legs:
+            digits = np.unravel_index(words, [dims[i] for i in legs] * n)
+            strides = [total ** (n - 1 - m) * prod(dims[leg + 1:])
+                       for m in range(n) for leg in legs]
+            for digit, stride in zip(digits, strides):
+                offset += digit * stride
+        offsets.append(offset)
+    return reduce(np.add.outer, offsets).ravel()
+
+
+def _branch(buf: np.ndarray, scratch: np.ndarray, types, onehot):
+    """Yield the index in partitions(n) of each lam whose projection of the
+    (words, rest) layout in `buf` does not vanish, leaving the projection, in
+    the same layout, in `scratch`.  `buf` is moved into isotypic coordinates
+    in place first, by one batched matmul per weight type."""
+    x = buf.view(float).reshape(len(onehot), -1)
+    for rows, blocks, size, q, _ in types:
+        part = x[rows].reshape(blocks, size, -1)
+        part[...] = q @ part
+    y = scratch.view(float).reshape(x.shape)
+    for c in np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", x, x) @ onehot) > ZERO_TOL).tolist():
+        for rows, blocks, size, q, spans in types:
+            if c in spans:
+                np.matmul(q[spans[c]].T, x[rows].reshape(blocks, size, -1)[:, spans[c]],
+                          out=y[rows].reshape(blocks, size, -1))
+            else:
+                y[rows] = 0.0
+        yield c
+
+
+def _norm_table(buf: np.ndarray, spare: np.ndarray, bases) -> np.ndarray:
+    """Squared norm of the projection of the layout in `buf`, one axis per
+    entry (types, onehot) of `bases` and a last axis for the other legs, by
+    every tuple of partitions, one per axis; `buf` and `spare` hold as many
+    complex entries and are overwritten.
+
+    Each axis is moved into isotypic coordinates by one batched matmul per
+    weight type, into the other buffer; each but the last is written as the
+    last axis, so that the next one comes first.  The squared moduli are
+    then summed over the other legs and real and imaginary parts, and each
+    side's axis over its partitions' rows.
+    """
+    src, dst = buf.view(float), spare.view(float)
+    for types, onehot in bases[:-1]:
+        x = src.reshape(len(onehot), -1)
+        y = dst.reshape(-1, len(onehot))
+        for rows, blocks, size, q, _ in types:
+            np.matmul(x[rows].reshape(blocks, size, -1).transpose(0, 2, 1), q.T,
+                      out=y[:, rows].reshape(-1, blocks, size).transpose(1, 0, 2))
+        src, dst = dst, src
+    types, onehot = bases[-1]
+    x = src.reshape(len(onehot), -1)
+    y = dst.reshape(x.shape)
+    for rows, blocks, size, q, _ in types:
+        np.matmul(q, x[rows].reshape(blocks, size, -1), out=y[rows].reshape(blocks, size, -1))
+    # the moved axes come after the other legs and real/imaginary
+    y = y.reshape(len(onehot), -1, prod(len(other) for _, other in bases[:-1]))
+    table = np.einsum("ijk,ijk->ik", y, y, out=src[:len(y) * y.shape[2]].reshape(len(y), -1))
+    table = (onehot.T @ table).T
+    for _, other in bases[:-1]:
+        table = table.reshape(len(other), -1).T @ other
+    return np.moveaxis(table.reshape([onehot.shape[1]] * len(bases)), 0, -1)
+
+
+def _walk(levels, scratch: np.ndarray):
+    """The survivors of the sides in `levels`, as (side, partition index)
+    tuples; each level but the last branches on one side, and the last
+    decides its sides from one table of norms."""
+    sides, buf, bases, step = levels[0]
+    if step is not None:
+        np.take(scratch, step, out=buf, mode="clip")
+    if len(levels) == 1:
+        table = _norm_table(buf, scratch, bases)
+        for index in zip(*np.nonzero(np.sqrt(table) > ZERO_TOL)):
+            yield tuple(zip(sides, index))
+        return
+    for c in _branch(buf, scratch, *bases[0]):
+        for tail in _walk(levels[1:], scratch):
+            yield ((sides[0], c),) + tail
+
+
+def _surviving_tuples(t_arr: np.ndarray, n: int, sides):
+    """Yield each tuple of (side, lam), one per side in order, whose
+    successive projections of the copy-symmetric power do not vanish, in
+    the order of the sides and, for each, of partitions(n).
+
+    The walk branches on the first p sides of `_orient`, one level each:
+    a level moves its input into isotypic coordinates, and projects each lam
+    that survives back and gathers it for the next level through one flat
+    index.  The last level holds the other sides, on disjoint legs, in one
+    layout with an axis per side, and one table of norms decides all their
+    tuples.  The power is built once, grouped by the first level's legs,
+    and put in that level's block order; its buffer, overwritten, then holds
+    each projection and serves the last level as its second buffer.
+    """
+    dims = t_arr.shape
+    p, legs = _orient(dims, sides)
+    levels = []
+    for sides_here, groups in [([side], [g]) for side, g in zip(sides, legs[:p])] \
+            + [(sides[p:], legs[p:])]:
+        blocks = [_weight_blocks(prod(dims[i] for i in g), n) for g in groups]
+        orders = [order for order, _, _ in blocks]
+        step = None
+        if levels:
+            buf = np.empty_like(scratch)
+        else:
+            rest = tuple(i for i in range(len(dims)) if not any(i in g for g in groups))
+            scratch = _grouped_power(t_arr, n, groups + [rest])
+            buf = np.empty_like(scratch)
+            _gather(scratch, orders, buf)
+        if p:
+            pos = _positions(dims, n, groups, orders)
+            if levels:
+                step = inverse[pos]
+            if len(levels) < p:
+                inverse = np.empty_like(pos)
+                inverse[pos] = np.arange(len(pos))
+        levels.append((sides_here, buf, [(types, onehot) for _, types, onehot in blocks], step))
+    lams = list(partitions(n))
+    for chosen in _walk(levels, scratch):
+        yield tuple((side, lams[c]) for side, c in chosen)
 
 
 @dataclass(frozen=True)
@@ -673,8 +811,7 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int) -> Certifi
     best_val = -math.inf
     best_tuple = None
     surviving = 0
-    for chosen in _surviving_tuples(tensor_power_array(t_arr / norm, n), dims,
-                                    [side for side, _ in sides]):
+    for chosen in _surviving_tuples(t_arr / norm, n, [side for side, _ in sides]):
         surviving += 1
         weight_sum = 0.0
         for (_, w), (_, lam) in zip(sides, chosen):

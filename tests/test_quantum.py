@@ -18,7 +18,8 @@ from tenspect.partitions import irrep_dimension, partition_entropy, partitions
 from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
                               _dimension_bound, _objective,
                               _objective_and_grads, _scaling_legs,
-                              _block_order, _block_projections, _side_plan,
+                              _branch, _class_sums, _gather, _grouped_power,
+                              _norm_table, _orient, _positions,
                               _weight_blocks, _young_project,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
@@ -435,16 +436,21 @@ def test_certificate_at_power_five_matches_the_permutation_sums():
     assert (res.surviving, res.witness, res.value) == _dense_certificate(arr, U3, 5)
 
 
-# (dims, theta, powers): certificates with more than one side, where each
-# side after the first reads the previous side's projection
+# (dims, theta, powers): certificates with more than one side, where one
+# table of norms decides the sides on disjoint legs
 BIP4 = ThetaWeights.from_bipartitions({frozenset({0}): 0.5, frozenset({0, 1}): 0.5}, 4)
+# noncrossing, but no choice of side or complement makes all five disjoint:
+# the walk branches on {0} and {0, 1}, and one table decides the other three
+NESTED4 = ThetaWeights.from_bipartitions(
+    {frozenset(side): 0.2 for side in ({0}, {0, 1}, {0, 1, 2}, {0, 1, 3}, {0, 2, 3})}, 4)
 MULTI_SIDE_CASES = [((2, 3, 2), U3, (2, 3)), ((2, 1, 3), U3, (2, 3)),
                     ((2, 3, 2), ThetaWeights.from_legs([0.5, 0.5, 0.0]), (2, 3)),
-                    ((2, 2, 2, 2), BIP4, (2, 3, 4))]
+                    ((2, 2, 2, 2), BIP4, (2, 3, 4)), ((2, 2, 2, 2), NESTED4, (2, 3))]
 
 
 @pytest.mark.parametrize("dims,theta,powers", MULTI_SIDE_CASES,
-                         ids=["2x3x2-legs", "2x1x3-legs", "2x3x2-two-legs", "2x2x2x2-bip"])
+                         ids=["2x3x2-legs", "2x1x3-legs", "2x3x2-two-legs", "2x2x2x2-bip",
+                              "2x2x2x2-nested"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_multi_side_certificate_matches_the_permutation_sums(dims, theta, powers, seed):
     rng = np.random.default_rng(seed)
@@ -477,16 +483,31 @@ def test_certificate_calls_carry_no_state():
 
 
 def test_weight_blocks_are_cached_and_read_only():
-    order, projectors = _weight_blocks(3, 3)
+    order, types, onehot = _weight_blocks(3, 3)
     again = _weight_blocks(3, 3)
-    assert again[0] is order and again[1] is projectors
-    with pytest.raises(ValueError):
-        order[0] = 1
-    for blocks_of_lam in projectors.values():
-        for _, _, _, mat in blocks_of_lam:
-            if mat is not None:
-                with pytest.raises(ValueError):
-                    mat[0, 0] = 1.0
+    assert again[0] is order and again[1] is types and again[2] is onehot
+    for arr in (order, onehot):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    for (rows, blocks, size, q, spans), (_, _, _, mats) in zip(types, _class_sums(3, 3)[1]):
+        with pytest.raises(ValueError):
+            q[0, 0] = 1.0
+        assert np.abs(q @ q.T - np.eye(size)).max() < 1e-12
+        # each partition's rows span its isotypic component: q_lam^T q_lam is
+        # the class-sum projector, zero where the partition has no rows
+        for c, mat in enumerate(mats):
+            basis = q[spans[c]] if c in spans else np.zeros((0, size))
+            assert np.abs(basis.T @ basis - mat).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims,theta,p,legs", [
+    ((2, 3, 2), U3, 0, [(0,), (1,), (2,)]),
+    ((2, 2, 3), ThetaWeights.from_bipartitions({frozenset({0, 1}): 1.0}, 3), 0, [(2,)]),
+    ((2, 2, 2, 2), BIP4, 0, [(0,), (2, 3)]),
+    ((2, 2, 2, 2), NESTED4, 2, [(0,), (0, 1), (3,), (2,), (1,)])])
+def test_orientation_branches_only_where_sides_cannot_be_disjoint(dims, theta, p, legs):
+    sides = [tuple(sorted(side)) for side, w in theta.bipartition_sides(len(dims)) if w > 0]
+    assert _orient(dims, sides) == (p, legs)
 
 
 def test_certificate_below_support_entropy(rng):
@@ -513,10 +534,11 @@ def _schur_at_ones(lam, d):
 def _blocks(d, n, lam):
     """Each weight block of the lam-projector on (C^d)^{(x)n}: its rows in
     [d]^n and its matrix, None where the block vanishes."""
-    order, projectors = _weight_blocks(d, n)
-    for rows, blocks, size, mat in projectors[lam]:
+    order, types = _class_sums(d, n)
+    for rows, blocks, size, mats in types:
+        mat = mats[list(partitions(n)).index(lam)]
         for block in order[rows].reshape(blocks, size):
-            yield block, mat
+            yield block, mat if mat.any() else None
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -586,21 +608,46 @@ def test_block_projection_matches_the_permutation_sum(case, n, seed):
     rng = np.random.default_rng(seed)
     shape = dims * n
     arr = symmetrize_copies(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n)
-    plan = _side_plan(dims, side, n)
-    d, _, _, projectors = plan
-    moved = _block_order(arr, plan)
+    (legs,) = _orient(dims, [side])[1]
+    order, types, onehot = _weight_blocks(math.prod(dims[i] for i in legs), n)
+    pos = _positions(dims, n, [legs], [order])
+
+    def layout(power):
+        return power.reshape(-1)[pos]
+
+    table = _norm_table(layout(arr), np.empty(arr.size, dtype=complex), [(types, onehot)])
+    moved = layout(arr)
     out = np.empty_like(moved)
+    lams = list(partitions(n))
     got = {}
-    for lam in _block_projections(moved, out, d, projectors, last=False):
-        got[lam] = out.copy()
-    for lam in partitions(n):
+    for c in _branch(moved, out, types, onehot):
+        got[lams[c]] = out.copy()
+    for c, lam in enumerate(lams):
         want = _young_project(arr, lam, n, list(side))
+        assert table[c] == pytest.approx(np.linalg.norm(want) ** 2, rel=0, abs=1e-10)
         if lam in got:
-            assert np.abs(got[lam] - _block_order(want, plan)).max() < 1e-10
+            assert np.abs(got[lam] - layout(want)).max() < 1e-10
         else:
             assert np.linalg.norm(want) <= ZERO_TOL + 1e-10
-    last = list(_block_projections(moved, np.empty_like(moved), d, projectors, last=True))
-    assert last == list(got)
+    assert [lams[c] for c in np.flatnonzero(np.sqrt(table) > ZERO_TOL)] == list(got)
+
+
+@pytest.mark.parametrize("dims,groups,n", [
+    ((2, 3, 2), [(0,), (1,), (2,)], 3), ((3, 3, 3), [(0,)], 2), ((2, 2, 3), [(2,), (0,)], 4),
+    ((2, 2, 2, 2), [(0,), (2, 3)], 3), ((2, 1, 3), [(1,), (0, 2)], 3), ((2, 3), [(1,)], 1)])
+def test_gathered_power_is_the_power_at_its_positions(dims, groups, n):
+    # the power built group by group and put in block order holds, at each
+    # entry, the copy-major power's entry at that entry's position
+    rng = np.random.default_rng(n)
+    arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    rest = tuple(i for i in range(len(dims)) if not any(i in g for g in groups))
+    orders = [_weight_blocks(math.prod(dims[i] for i in g), n)[0] for g in groups]
+    power = _grouped_power(arr, n, groups + [rest])
+    out = np.empty_like(power)
+    _gather(power, orders, out)
+    pos = _positions(dims, n, groups, orders)
+    assert sorted(pos) == list(range(power.size))
+    assert np.abs(out - tensor_power_array(arr, n).reshape(-1)[pos]).max() < 1e-14
 
 
 @pytest.mark.parametrize("d,n", [(7, 3), (10, 3), (20, 2)])
