@@ -239,13 +239,13 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
         dist = Distribution(support, np.full(m, 1.0 / m))
         return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
 
-    legs, evaluate, p, _, grad, gap = _uniform_start(support, theta_arr)
+    legs, evaluate, p, f, grad, gap = _uniform_start(support, theta_arr)
     rounds = 0
     while gap > tol and rounds < max_iter:
         if rounds:
             p = _add_back(p, int(grad.argmax()), evaluate)
-        p = _face_polish(p, evaluate, legs)
-        _, grad = evaluate(p)
+            f, grad = evaluate(p)
+        p, f, grad = _face_polish(p, f, grad, evaluate, legs)
         gap = float(grad.max() - grad @ p)
         rounds += 1
     mask = p > 1e-10
@@ -319,21 +319,21 @@ def _add_back(p: np.ndarray, j: int, evaluate) -> np.ndarray:
     return toward(lo)
 
 
-def _face_polish(q: np.ndarray, evaluate, legs) -> np.ndarray:
+def _face_polish(q: np.ndarray, f: float, grad: np.ndarray, evaluate, legs):
     """Newton steps for H_theta on the face of q's positive coordinates.
 
-    The face loses every coordinate that `_face_step` trims and gains none.
-    `legs` lists the (value index, theta_i) pairs of the weighted legs.  The
-    Hessian is singular along directions that keep every weighted marginal,
-    so the KKT system with the simplex row is solved in the least-squares
-    sense, scaled by the square roots of the Hessian's diagonal (a mass can
-    be 1e-280, its Hessian entry 1e280).  Its right-hand side is the face
-    gradient less grad . q, so that rounding scales with the gap and a tiny
-    mass moves by an accurate fraction of itself.  The steps stop once the
-    face gap max_face grad - grad . q is at most 1e-14 or no longer shrinks
-    (rounding level), or after 30 steps.
+    (f, grad) is evaluate(q); returns the last point and its evaluation,
+    (q, f, grad).  The face loses every coordinate that `_face_step` trims
+    and gains none.  `legs` lists the (value index, theta_i) pairs of the
+    weighted legs.  The Hessian is singular along directions that keep
+    every weighted marginal, so the KKT system with the simplex row is
+    solved in the least-squares sense, scaled by the square roots of the
+    Hessian's diagonal (a mass can be 1e-280, its Hessian entry 1e280).  Its
+    right-hand side is the face gradient less grad . q, so that rounding
+    scales with the gap and a tiny mass moves by an accurate fraction of
+    itself.  The steps stop once the face gap max_face grad - grad . q is at
+    most 1e-14 or no longer shrinks (rounding level), or after 30 steps.
     """
-    f, grad = evaluate(q)
     last = np.inf
     for _ in range(30):
         face = np.flatnonzero(q)
@@ -352,7 +352,7 @@ def _face_polish(q: np.ndarray, evaluate, legs) -> np.ndarray:
         if step is None:
             break
         q, (f, grad) = step
-    return q
+    return q, f, grad
 
 
 def _face_hessian(q: np.ndarray, face: np.ndarray, legs) -> np.ndarray:

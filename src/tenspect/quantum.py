@@ -37,19 +37,23 @@ block diagonal by weight (the content of a word of [d]^n), and all blocks
 of one weight type share one real orthogonal matrix whose rows, grouped by
 partition, are orthonormal bases of the isotypic components (eigenvectors
 of the integer class sums of S_n on that type's first block), cached per
-(d, n).  The certificate builds the power once, with one axis per side
-over its words in block order and a last axis over the other legs, moves
-every side's axis into isotypic coordinates by one batched matmul per
-weight type, and reads every tuple's norm from one table: the squared
-moduli summed over the last axis, then each side's axis summed by
-partition.  Where no orientation makes all sides disjoint (at least 4 legs
-with nested splits), the walk branches on the shortest prefix of sides
-whose remainder can be oriented: each surviving partition of a prefix side
-is projected back from its isotypic coordinates and gathered, through one
-flat index, into the next level's layout.  Partitions with more rows than
-a side's dimension d have no isotypic component, and Schur-Weyl duality
-makes those with more rows than min(d_S, d_C) vanish on copy-symmetric
-vectors.
+(d, n).  Every projection acts on the legs U of the oriented sides, so its
+norm depends only on the reduced state of U; where the other legs span more
+than d_U, they are first collapsed into one leg of dimension d_U that keeps
+that state (the QR factor of psi as a d_U x d_R matrix), so the power has
+d_U^(2n) entries, while the size limit still counts the input's.  The
+certificate builds the power once, with one axis per side over its words
+in block order and a last axis over the other legs, moves every side's
+axis into isotypic coordinates by one batched matmul per weight type, and
+reads every tuple's norm from one table: the squared moduli summed over
+the last axis, then each side's axis summed by partition.  Where no
+orientation makes all sides disjoint (at least 4 legs with nested splits),
+the walk branches on the shortest prefix of sides whose remainder can be
+oriented: each surviving partition of a prefix side is projected back from
+its isotypic coordinates and gathered, through one flat index, into the
+next level's layout.  Partitions with more rows than a side's dimension d
+have no isotypic component, and Schur-Weyl duality makes those with more
+rows than min(d_S, d_C) vanish on copy-symmetric vectors.
 """
 
 from __future__ import annotations
@@ -598,6 +602,27 @@ def _orient(dims, sides) -> tuple[int, list[tuple[int, ...]]]:
     return p, [choice[0] for choice in choices[:p]] + legs
 
 
+def _collapse_rest(t_arr: np.ndarray, legs):
+    """(t_arr, legs) with the legs that no entry of `legs` uses collapsed into
+    one last leg of the used legs' dimension d_U, when they span more.
+
+    Every projection acts on the used legs U, so its norm depends only on the
+    reduced state of U.  With psi as the d_U x d_R matrix M (the used legs in
+    sorted order) and M^H = QR, the matrix L = R^H has L L^H = M M^H, the same
+    reduced state on d_U columns.  Each leg set is renumbered into U.
+    """
+    used = sorted(set().union(*legs))
+    rest = [i for i in range(t_arr.ndim) if i not in used]
+    d_u = prod(t_arr.shape[i] for i in used)
+    if prod(t_arr.shape[i] for i in rest) <= d_u:
+        return t_arr, legs
+    m = t_arr.transpose(used + rest).reshape(d_u, -1)
+    low = np.linalg.qr(m.conj().T, mode="r").conj().T
+    renumber = {leg: j for j, leg in enumerate(used)}
+    return (low.reshape([t_arr.shape[i] for i in used] + [d_u]),
+            [tuple(renumber[i] for i in g) for g in legs])
+
+
 def _disjoint(choices, taken: frozenset):
     """The first list of one leg set per entry of `choices`, pairwise
     disjoint and disjoint from `taken`; None if there is none."""
@@ -740,12 +765,15 @@ def _surviving_tuples(t_arr: np.ndarray, n: int, sides):
     that survives back and gathers it for the next level through one flat
     index.  The last level holds the other sides, on disjoint legs, in one
     layout with an axis per side, and one table of norms decides all their
-    tuples.  The power is built once, grouped by the first level's legs,
-    and put in that level's block order; its buffer, overwritten, then holds
-    each projection and serves the last level as its second buffer.
+    tuples.  The legs that no level acts on are collapsed first
+    (`_collapse_rest`).  The power is built once, grouped by the first
+    level's legs, and put in that level's block order; its buffer,
+    overwritten, then holds each projection and serves the last level as
+    its second buffer.
     """
+    p, legs = _orient(t_arr.shape, sides)
+    t_arr, legs = _collapse_rest(t_arr, legs)
     dims = t_arr.shape
-    p, legs = _orient(dims, sides)
     levels = []
     for sides_here, groups in [([side], [g]) for side, g in zip(sides, legs[:p])] \
             + [(sides[p:], legs[p:])]:

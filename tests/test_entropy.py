@@ -342,9 +342,9 @@ def test_face_polish_converges_quadratically(monkeypatch):
     # polish from the uniform point and count the evaluations
     face_polish, args = te._face_polish, []
 
-    def capture(p, evaluate, legs):
+    def capture(p, f, grad, evaluate, legs):
         args.append((evaluate, legs))
-        return p
+        return p, f, grad
 
     monkeypatch.setattr(te, "_face_polish", capture)
     max_H_theta(SIX_POINTS, UNIFORM3, max_iter=1)
@@ -355,9 +355,12 @@ def test_face_polish_converges_quadratically(monkeypatch):
         calls.append(p)
         return evaluate(p)
 
-    q = face_polish(np.full(6, 1 / 6), counted, legs)
+    start = np.full(6, 1 / 6)
+    q, f, grad = face_polish(start, *counted(start), counted, legs)
     assert len(calls) <= 8
-    _, grad = evaluate(q)
+    # the polish returns its last point's evaluation
+    want_f, want_grad = evaluate(q)
+    assert f == want_f and np.array_equal(grad, want_grad)
     assert grad.max() - grad @ q <= 1e-14
 
 

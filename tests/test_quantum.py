@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import reduce
@@ -18,8 +19,8 @@ from tenspect.partitions import irrep_dimension, partition_entropy, partitions
 from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
                               _dimension_bound, _objective,
                               _objective_and_grads, _scaling_legs,
-                              _branch, _class_sums, _gather, _grouped_power,
-                              _norm_table, _orient, _positions,
+                              _branch, _class_sums, _collapse_rest, _gather,
+                              _grouped_power, _norm_table, _orient, _positions,
                               _weight_blocks, _young_project,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
@@ -459,6 +460,71 @@ def test_multi_side_certificate_matches_the_permutation_sums(dims, theta, powers
     for n in powers:
         res = upper_quantum_certificate(t, theta, n)
         assert (res.surviving, res.witness, res.value) == _dense_certificate(arr, theta, n)
+
+
+def _random_array(rng, dims):
+    return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+
+def _rank_two_rest(rng):
+    # leg 0's reduced state has rank 2 < 3, so the compressed rest has a zero row
+    slices = _random_array(rng, (2, 3, 3))
+    return np.tensordot(rng.standard_normal((3, 2)), slices, 1)
+
+
+BIP0_3 = ThetaWeights.from_bipartitions({frozenset({0}): 1.0}, 3)
+# (array maker, theta, powers): theta whose sides leave legs of larger
+# dimension untouched, which the certificate collapses into one leg
+REST_CASES = [
+    (lambda rng: _random_array(rng, (3, 3, 3)), BIP0_3, (3, 4)),
+    (lambda rng: _random_array(rng, (2, 2, 4)), ThetaWeights.from_legs([1.0, 0.0, 0.0]), (3, 4)),
+    (lambda rng: _random_array(rng, (2, 5)),
+     ThetaWeights.from_bipartitions({frozenset({0}): 1.0}, 2), (3, 4)),
+    (lambda rng: _random_array(rng, (2, 2, 2, 3)),
+     ThetaWeights.from_bipartitions({frozenset({0, 1}): 1.0}, 4), (2, 3)),
+    # a (x) B with B of rank 1, and a random 3x3 on legs 0 and 1 times a vector
+    (lambda rng: np.multiply.outer(_random_array(rng, 3), np.outer(*_random_array(rng, (2, 3)))),
+     BIP0_3, (3, 4)),
+    (lambda rng: np.multiply.outer(_random_array(rng, (3, 3)), _random_array(rng, 3)),
+     BIP0_3, (3,)),
+    (_rank_two_rest, BIP0_3, (3, 4)),
+    (lambda rng: _random_array(rng, (3, 3, 3)) * (rng.random((3, 3, 3)) < 0.4), BIP0_3, (3,)),
+]
+
+
+@pytest.mark.parametrize("make,theta,powers", REST_CASES,
+                         ids=["3x3x3-bip0", "2x2x4-leg0", "2x5-bip0", "2x2x2x3-bip01",
+                              "product-rank1", "matrix-times-vector", "rank2-rest",
+                              "sparse-3x3x3"])
+def test_collapsed_rest_matches_the_permutation_sums(make, theta, powers):
+    arr = make(np.random.default_rng(3))
+    t = ts.Tensor(arr.shape, ts.COMPLEXFLOAT, arr)
+    for n in powers:
+        res = upper_quantum_certificate(t, theta, n)
+        assert (res.surviving, res.witness, res.value) == _dense_certificate(arr, theta, n)
+
+
+def test_collapsed_rest_keeps_the_reduced_state():
+    arr = _random_array(np.random.default_rng(4), (2, 3, 4))
+    arr /= np.linalg.norm(arr)
+    low, legs = _collapse_rest(arr, [(1,)])
+    assert low.shape == (3, 3) and legs == [(0,)]
+    assert np.abs(low @ low.conj().T - marginal(arr, (1,))).max() < 1e-12
+    # legs of the larger dimension are kept as they are
+    assert _collapse_rest(arr, [(1, 2)])[0] is arr
+
+
+def test_single_bipartition_at_power_five_stays_small():
+    # leg 0 alone: the power is built on 3 x 3 entries, not on the 27 of the
+    # tensor (about 460 MB of traced allocations without the collapse)
+    tracemalloc.start()
+    try:
+        res = upper_quantum_certificate(_random_333(), BIP0_3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.power == 5 and res.surviving > 0
+    assert peak < 32 * 2 ** 20
 
 
 def test_certificate_calls_carry_no_state():
