@@ -6,7 +6,8 @@ each checkout) on every workload BENCHMARK.json names, for its
 `run_seconds`, in ten rounds that alternate the parent checkout (when given)
 and this one, and which of them runs first, so that drift of a shared
 machine falls on both sides alike.  The record holds the environment/detail
-line and the result line of every run, and per workload and end-to-end
+line and the result line of every run, per side the commit checked out and
+whether tracked files differ from it, and per workload and end-to-end
 metric the median of each side, the relative change of the medians, and in
 how many rounds this checkout did better.
 
@@ -50,6 +51,24 @@ def run_once(spec: dict, checkout: str, workload: str, seed: int) -> tuple[dict,
     return parse_run(proc.stdout)
 
 
+def _git(checkout: str, *args) -> str | None:
+    """stdout of `git -C checkout args`, stripped; None if git fails."""
+    try:
+        proc = subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True,
+                              check=False)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def provenance(checkout: str) -> dict:
+    """The commit checked out in `checkout`, and whether its tracked files
+    differ from that commit; each None where git cannot tell."""
+    status = _git(checkout, "status", "--porcelain", "--untracked-files=no")
+    return {"commit": _git(checkout, "rev-parse", "HEAD"),
+            "dirty": None if status is None else bool(status)}
+
+
 def summarise(spec: dict, runs: list[dict]) -> dict:
     """workload -> metric -> the median of each side, the relative change of
     the medians (this / parent - 1), and the rounds in which this side did
@@ -78,10 +97,10 @@ def summarise(spec: dict, runs: list[dict]) -> dict:
     return out
 
 
-def assemble(spec: dict, label: str, seed: int, runs: list[dict]) -> dict:
+def assemble(spec: dict, label: str, seed: int, checkouts: dict, runs: list[dict]) -> dict:
     return {"label": label, "seed": seed, "seconds": spec["run_seconds"],
             "command": " ".join(spec["command"]) + " --workload W --seed S --seconds T",
-            "summary": summarise(spec, runs), "runs": runs}
+            "checkouts": checkouts, "summary": summarise(spec, runs), "runs": runs}
 
 
 def main(argv=None) -> int:
@@ -93,6 +112,7 @@ def main(argv=None) -> int:
     spec = load_spec()
     sides = [("parent", os.path.abspath(args.parent))] if args.parent else []
     sides.append(("this", ROOT))
+    checkouts = {side: provenance(checkout) for side, checkout in sides}
     runs = []
     for workload in (w["name"] for w in spec["workloads"]):
         for rnd in range(ROUNDS):
@@ -104,7 +124,7 @@ def main(argv=None) -> int:
                       f"{result['metrics']['wall_s']['value']:.4f}", flush=True)
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(assemble(spec, args.label, args.seed, runs), fh, indent=1)
+        json.dump(assemble(spec, args.label, args.seed, checkouts, runs), fh, indent=1)
         fh.write("\n")
     print(f"wrote {path}")
     return 0

@@ -42,18 +42,20 @@ norm depends only on the reduced state of U; where the other legs span more
 than d_U, they are first collapsed into one leg of dimension d_U that keeps
 that state (the QR factor of psi as a d_U x d_R matrix), so the power has
 d_U^(2n) entries, while the size limit still counts the input's.  The
-certificate builds the power once, with one axis per side over its words
-in block order and a last axis over the other legs, moves every side's
-axis into isotypic coordinates by one batched matmul per weight type, and
-reads every tuple's norm from one table: the squared moduli summed over
-the last axis, then each side's axis summed by partition.  Where no
+certificate builds the copy-major power once (`tensor_power_array`) and
+reads it, through one table of offsets per level, in a layout with one
+axis per side over its words in block order and a last axis over the other
+legs.  Every level moves its sides' axes into isotypic coordinates by one
+batched matmul per weight type and reads every tuple's norm from one
+table: the squared moduli summed over the last axis, then each side's axis
+summed by partition; one test on that table decides every level.  Where no
 orientation makes all sides disjoint (at least 4 legs with nested splits),
 the walk branches on the shortest prefix of sides whose remainder can be
 oriented: each surviving partition of a prefix side is projected back from
-its isotypic coordinates and gathered, through one flat index, into the
-next level's layout.  Partitions with more rows than a side's dimension d
-have no isotypic component, and Schur-Weyl duality makes those with more
-rows than min(d_S, d_C) vanish on copy-symmetric vectors.
+its isotypic coordinates and taken into the next level's layout.
+Partitions with more rows than a side's dimension d have no isotypic
+component, and Schur-Weyl duality makes those with more rows than
+min(d_S, d_C) vanish on copy-symmetric vectors.
 """
 
 from __future__ import annotations
@@ -636,39 +638,11 @@ def _disjoint(choices, taken: frozenset):
     return None
 
 
-def _grouped_power(t_arr: np.ndarray, n: int, groups) -> np.ndarray:
-    """t^{(x)n} as a flat array with one axis per nonempty leg group, over
-    the group's words in [d]^n.  Each step is one Kronecker product on every
-    axis, the new copy outermost; the power is symmetric in its copies, so
-    the words may take either end as their most significant copy."""
-    groups = [g for g in groups if g]
-    base = t_arr.transpose([i for g in groups for i in g]).reshape(
-        [prod(t_arr.shape[i] for i in g) for g in groups])
-    out = base
-    for _ in range(n - 1):
-        out = (base.reshape([x for e in base.shape for x in (e, 1)])
-               * out.reshape([x for a in out.shape for x in (1, a)])
-               ).reshape([e * a for e, a in zip(base.shape, out.shape)])
-    return out.reshape(-1)
-
-
-def _gather(src: np.ndarray, orders, out: np.ndarray):
-    """out[i, j, ..., r] = src[orders[0][i], orders[1][j], ..., r] for the
-    flat layouts src and out, one axis per entry of `orders` and a last
-    axis; one take per i."""
-    sizes = [len(order) for order in orders]
-    sizes.append(len(src) // prod(sizes))
-    offsets = [order * prod(sizes[j + 1:]) for j, order in enumerate(orders)]
-    inner = reduce(np.add.outer, offsets[1:] + [np.arange(sizes[-1])]).ravel()
-    for row, base in zip(out.reshape(sizes[0], -1), offsets[0]):
-        # the index is in range; mode "raise" would buffer the output
-        np.take(src, inner + base, out=row, mode="clip")
-
-
-def _positions(dims, n: int, groups, orders) -> np.ndarray:
-    """The copy-major index of each entry of the layout with one axis per
-    leg group, over its words in `orders`, and a last axis over the words of
-    the other legs (copy 0 most significant)."""
+def _offsets(dims, n: int, groups, orders) -> list[np.ndarray]:
+    """The copy-major offset (copy 0 most significant) of each word of each
+    leg group, over its words in `orders`, and of each word of the other
+    legs, in order: the entry of the layout with one axis per group and a
+    last axis for the other legs lies at the sum of its words' offsets."""
     rest = tuple(i for i in range(len(dims)) if not any(i in g for g in groups))
     total = prod(dims)
     offsets = []
@@ -681,34 +655,37 @@ def _positions(dims, n: int, groups, orders) -> np.ndarray:
             for digit, stride in zip(digits, strides):
                 offset += digit * stride
         offsets.append(offset)
-    return reduce(np.add.outer, offsets).ravel()
+    return offsets
 
 
-def _branch(buf: np.ndarray, scratch: np.ndarray, types, onehot):
-    """Yield the index in partitions(n) of each lam whose projection of the
-    (words, rest) layout in `buf` does not vanish, leaving the projection, in
-    the same layout, in `scratch`.  `buf` is moved into isotypic coordinates
-    in place first, by one batched matmul per weight type."""
-    x = buf.view(float).reshape(len(onehot), -1)
-    for rows, blocks, size, q, _ in types:
-        part = x[rows].reshape(blocks, size, -1)
-        part[...] = q @ part
-    y = scratch.view(float).reshape(x.shape)
-    for c in np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", x, x) @ onehot) > ZERO_TOL).tolist():
-        for rows, blocks, size, q, spans in types:
-            if c in spans:
-                np.matmul(q[spans[c]].T, x[rows].reshape(blocks, size, -1)[:, spans[c]],
-                          out=y[rows].reshape(blocks, size, -1))
-            else:
-                y[rows] = 0.0
-        yield c
+def _gather(src: np.ndarray, offsets, out: np.ndarray):
+    """out[i, j, ..., r] = src[offsets[0][i] + offsets[1][j] + ... + offsets[-1][r]]
+    for the flat arrays src and out; one take per i."""
+    inner = reduce(np.add.outer, offsets[1:]).ravel()
+    for row, base in zip(out.reshape(len(offsets[0]), -1), offsets[0]):
+        # the index is in range; mode "raise" would buffer the output
+        np.take(src, inner + base, out=row, mode="clip")
+
+
+def _project(src: np.ndarray, out: np.ndarray, types, c: int):
+    """Write P_lam V = q_lam^T W_lam, lam = partitions(n)[c], into `out`, for
+    the (words, rest) layout `src` that holds V in isotypic coordinates W."""
+    x = src.view(float).reshape(types[-1][0].stop, -1)
+    y = out.view(float).reshape(x.shape)
+    for rows, blocks, size, q, spans in types:
+        if c in spans:
+            np.matmul(q[spans[c]].T, x[rows].reshape(blocks, size, -1)[:, spans[c]],
+                      out=y[rows].reshape(blocks, size, -1))
+        else:
+            y[rows] = 0.0
 
 
 def _norm_table(buf: np.ndarray, spare: np.ndarray, bases) -> np.ndarray:
     """Squared norm of the projection of the layout in `buf`, one axis per
     entry (types, onehot) of `bases` and a last axis for the other legs, by
     every tuple of partitions, one per axis; `buf` and `spare` hold as many
-    complex entries and are overwritten.
+    complex entries and are overwritten.  With one axis, `spare` is left
+    holding the layout in isotypic coordinates.
 
     Each axis is moved into isotypic coordinates by one batched matmul per
     weight type, into the other buffer; each but the last is written as the
@@ -738,20 +715,24 @@ def _norm_table(buf: np.ndarray, spare: np.ndarray, bases) -> np.ndarray:
     return np.moveaxis(table.reshape([onehot.shape[1]] * len(bases)), 0, -1)
 
 
-def _walk(levels, scratch: np.ndarray):
+def _walk(levels, scratch: np.ndarray, spare: np.ndarray):
     """The survivors of the sides in `levels`, as (side, partition index)
-    tuples; each level but the last branches on one side, and the last
-    decides its sides from one table of norms."""
+    tuples.  Each level but the first takes its input from `scratch` into
+    `spare` through its step, and one table of norms, read as `spare` is
+    moved into the level's buffer, decides its sides.  Each level but the
+    last branches on its one side: its buffer keeps the isotypic
+    coordinates, and each survivor is projected back into `scratch`."""
     sides, buf, bases, step = levels[0]
     if step is not None:
-        np.take(scratch, step, out=buf, mode="clip")
-    if len(levels) == 1:
-        table = _norm_table(buf, scratch, bases)
-        for index in zip(*np.nonzero(np.sqrt(table) > ZERO_TOL)):
+        np.take(scratch, step, out=spare, mode="clip")
+    table = _norm_table(spare, buf, bases)
+    for index in zip(*np.nonzero(np.sqrt(table) > ZERO_TOL)):
+        if len(levels) == 1:
             yield tuple(zip(sides, index))
-        return
-    for c in _branch(buf, scratch, *bases[0]):
-        for tail in _walk(levels[1:], scratch):
+            continue
+        (c,) = index
+        _project(buf, scratch, bases[0][0], c)
+        for tail in _walk(levels[1:], scratch, spare):
             yield ((sides[0], c),) + tail
 
 
@@ -760,43 +741,39 @@ def _surviving_tuples(t_arr: np.ndarray, n: int, sides):
     successive projections of the copy-symmetric power do not vanish, in
     the order of the sides and, for each, of partitions(n).
 
-    The walk branches on the first p sides of `_orient`, one level each:
-    a level moves its input into isotypic coordinates, and projects each lam
-    that survives back and gathers it for the next level through one flat
-    index.  The last level holds the other sides, on disjoint legs, in one
-    layout with an axis per side, and one table of norms decides all their
-    tuples.  The legs that no level acts on are collapsed first
-    (`_collapse_rest`).  The power is built once, grouped by the first
-    level's legs, and put in that level's block order; its buffer,
-    overwritten, then holds each projection and serves the last level as
-    its second buffer.
+    The walk branches on the first p sides of `_orient`, one level each,
+    and the last level holds the other sides, on disjoint legs, with an
+    axis per side.  The legs that no level acts on are collapsed first
+    (`_collapse_rest`).  The copy-major power is built once in `scratch`,
+    and each level's layout is read through `_offsets`: the first level's
+    is gathered from the power into `spare`, and each later level's step
+    is the index, in the level before, of each of its entries.  `scratch`
+    then holds each projection, and is the last level's buffer.
     """
     p, legs = _orient(t_arr.shape, sides)
     t_arr, legs = _collapse_rest(t_arr, legs)
     dims = t_arr.shape
+    scratch = tensor_power_array(t_arr, n).reshape(-1)
+    spare = np.empty_like(scratch)
     levels = []
     for sides_here, groups in [([side], [g]) for side, g in zip(sides, legs[:p])] \
             + [(sides[p:], legs[p:])]:
         blocks = [_weight_blocks(prod(dims[i] for i in g), n) for g in groups]
-        orders = [order for order, _, _ in blocks]
+        offsets = _offsets(dims, n, groups, [order for order, _, _ in blocks])
         step = None
-        if levels:
-            buf = np.empty_like(scratch)
-        else:
-            rest = tuple(i for i in range(len(dims)) if not any(i in g for g in groups))
-            scratch = _grouped_power(t_arr, n, groups + [rest])
-            buf = np.empty_like(scratch)
-            _gather(scratch, orders, buf)
+        if not levels:
+            _gather(scratch, offsets, spare)
         if p:
-            pos = _positions(dims, n, groups, orders)
+            pos = reduce(np.add.outer, offsets).ravel()
             if levels:
                 step = inverse[pos]
             if len(levels) < p:
                 inverse = np.empty_like(pos)
                 inverse[pos] = np.arange(len(pos))
+        buf = scratch if len(levels) == p else np.empty_like(scratch)
         levels.append((sides_here, buf, [(types, onehot) for _, types, onehot in blocks], step))
     lams = list(partitions(n))
-    for chosen in _walk(levels, scratch):
+    for chosen in _walk(levels, scratch, spare):
         yield tuple((side, lams[c]) for side, c in chosen)
 
 

@@ -19,9 +19,9 @@ from tenspect.partitions import irrep_dimension, partition_entropy, partitions
 from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
                               _dimension_bound, _objective,
                               _objective_and_grads, _scaling_legs,
-                              _branch, _class_sums, _collapse_rest, _gather,
-                              _grouped_power, _norm_table, _orient, _positions,
-                              _weight_blocks, _young_project,
+                              _class_sums, _collapse_rest, _gather,
+                              _norm_table, _offsets, _orient, _project,
+                              _surviving_tuples, _weight_blocks, _young_project,
                               bipartition_projector_apply,
                               isotypic_projector_apply,
                               lower_quantum_functional, marginal, state_array,
@@ -529,11 +529,14 @@ def test_single_bipartition_at_power_five_stays_small():
 
 def test_certificate_calls_carry_no_state():
     rng = np.random.default_rng(7)
-    a, b = [(ts.Tensor(dims, ts.COMPLEXFLOAT,
-                       rng.standard_normal(dims) + 1j * rng.standard_normal(dims)), theta, n)
-            for dims, theta, n in [((2, 3, 2), U3, 4), ((2, 2, 2, 2), BIP4, 3)]]
+    # the NESTED4 call runs the branch levels' buffers across threads
+    a, b, c = [(ts.Tensor(dims, ts.COMPLEXFLOAT,
+                          rng.standard_normal(dims) + 1j * rng.standard_normal(dims)), theta, n)
+               for dims, theta, n in [((2, 3, 2), U3, 4), ((2, 2, 2, 2), BIP4, 3),
+                                      ((2, 2, 2, 2), NESTED4, 3)]]
     first_a = upper_quantum_certificate(*a)
     first_b = upper_quantum_certificate(*b)
+    first_c = upper_quantum_certificate(*c)
     assert upper_quantum_certificate(*a) == first_a
     # two at once, from an empty cache, switching threads often
     _weight_blocks.cache_clear()
@@ -542,10 +545,10 @@ def test_certificate_calls_carry_no_state():
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = list(pool.map(lambda call: upper_quantum_certificate(*call),
-                                    [a, b] * 8, timeout=120))
+                                    [a, b, c] * 8, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert results == [first_a, first_b] * 8
+    assert results == [first_a, first_b, first_c] * 8
 
 
 def test_weight_blocks_are_cached_and_read_only():
@@ -574,6 +577,24 @@ def test_weight_blocks_are_cached_and_read_only():
 def test_orientation_branches_only_where_sides_cannot_be_disjoint(dims, theta, p, legs):
     sides = [tuple(sorted(side)) for side, w in theta.bipartition_sides(len(dims)) if w > 0]
     assert _orient(dims, sides) == (p, legs)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_survivors_do_not_depend_on_the_order_of_the_sides(n):
+    # noncrossing side projectors commute on copy-symmetric vectors; these
+    # orders of NESTED4's sides branch on 1, 2 and 3 of them
+    rng = np.random.default_rng(11)
+    arr = _random_array(rng, (2, 2, 2, 2))
+    arr /= np.linalg.norm(arr)
+    own = [tuple(sorted(side)) for side, w in NESTED4.bipartition_sides(4) if w > 0]
+    orders = {1: [(0, 1), (0,), (0, 1, 2), (0, 1, 3), (0, 2, 3)], 2: own,
+              3: [(0,), (0, 1, 2), (0, 1), (0, 1, 3), (0, 2, 3)]}
+    found = []
+    for p, sides in orders.items():
+        assert _orient((2, 2, 2, 2), sides)[0] == p
+        found.append({frozenset(chosen) for chosen in _surviving_tuples(arr, n, sides)})
+    assert found[0] == found[1] == found[2]
+    assert len(found[0]) == {3: 14, 4: 60}[n]
 
 
 def test_certificate_below_support_entropy(rng):
@@ -676,44 +697,44 @@ def test_block_projection_matches_the_permutation_sum(case, n, seed):
     arr = symmetrize_copies(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n)
     (legs,) = _orient(dims, [side])[1]
     order, types, onehot = _weight_blocks(math.prod(dims[i] for i in legs), n)
-    pos = _positions(dims, n, [legs], [order])
+    pos = reduce(np.add.outer, _offsets(dims, n, [legs], [order])).ravel()
 
     def layout(power):
         return power.reshape(-1)[pos]
 
-    table = _norm_table(layout(arr), np.empty(arr.size, dtype=complex), [(types, onehot)])
-    moved = layout(arr)
+    moved = np.empty(arr.size, dtype=complex)
+    table = _norm_table(layout(arr), moved, [(types, onehot)])
     out = np.empty_like(moved)
-    lams = list(partitions(n))
-    got = {}
-    for c in _branch(moved, out, types, onehot):
-        got[lams[c]] = out.copy()
-    for c, lam in enumerate(lams):
+    for c, lam in enumerate(partitions(n)):
         want = _young_project(arr, lam, n, list(side))
         assert table[c] == pytest.approx(np.linalg.norm(want) ** 2, rel=0, abs=1e-10)
-        if lam in got:
-            assert np.abs(got[lam] - layout(want)).max() < 1e-10
-        else:
+        _project(moved, out, types, c)
+        assert np.abs(out - layout(want)).max() < 1e-10
+        if np.sqrt(table[c]) <= ZERO_TOL:
             assert np.linalg.norm(want) <= ZERO_TOL + 1e-10
-    assert [lams[c] for c in np.flatnonzero(np.sqrt(table) > ZERO_TOL)] == list(got)
 
 
 @pytest.mark.parametrize("dims,groups,n", [
     ((2, 3, 2), [(0,), (1,), (2,)], 3), ((3, 3, 3), [(0,)], 2), ((2, 2, 3), [(2,), (0,)], 4),
     ((2, 2, 2, 2), [(0,), (2, 3)], 3), ((2, 1, 3), [(1,), (0, 2)], 3), ((2, 3), [(1,)], 1)])
 def test_gathered_power_is_the_power_at_its_positions(dims, groups, n):
-    # the power built group by group and put in block order holds, at each
-    # entry, the copy-major power's entry at that entry's position
+    # the copy-major power laid out through the offsets holds, at each entry,
+    # the power at that entry's group words in block order, and reads every
+    # copy-major index once
     rng = np.random.default_rng(n)
     arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
     rest = tuple(i for i in range(len(dims)) if not any(i in g for g in groups))
     orders = [_weight_blocks(math.prod(dims[i] for i in g), n)[0] for g in groups]
-    power = _grouped_power(arr, n, groups + [rest])
-    out = np.empty_like(power)
-    _gather(power, orders, out)
-    pos = _positions(dims, n, groups, orders)
-    assert sorted(pos) == list(range(power.size))
-    assert np.abs(out - tensor_power_array(arr, n).reshape(-1)[pos]).max() < 1e-14
+    offsets = _offsets(dims, n, groups, orders)
+    power = tensor_power_array(arr, n)
+    out = np.empty(power.size, dtype=complex)
+    _gather(power.reshape(-1), offsets, out)
+    assert sorted(reduce(np.add.outer, offsets).ravel()) == list(range(power.size))
+    axes = [m * len(dims) + i for g in groups + [rest] for m in range(n) for i in g]
+    want = power.transpose(axes).reshape([math.prod(dims[i] for i in g) ** n
+                                          for g in groups + [rest]])
+    want = want[np.ix_(*orders, np.arange(want.shape[-1]))]
+    assert (out == want.reshape(-1)).all()
 
 
 @pytest.mark.parametrize("d,n", [(7, 3), (10, 3), (20, 2)])

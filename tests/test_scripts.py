@@ -4,6 +4,7 @@ and the benchmark recorder assembles its record from canned runs."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -47,7 +48,7 @@ def _canned_run(wall_s, rss_mb):
             + json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}) + "\n")
 
 
-def test_bench_record_assembles_canned_runs():
+def test_bench_record_assembles_canned_runs(tmp_path, monkeypatch):
     """The record keeps both lines of every run and compares the sides'
     medians round by round; no benchmark is started."""
     spec = importlib.util.spec_from_file_location(
@@ -62,8 +63,11 @@ def test_bench_record_assembles_canned_runs():
             runs.append({"workload": "basis_search", "side": side, "round": rnd,
                          "environment_detail": env_detail, "result": result})
     bench = bench_record.load_spec()
-    record = json.loads(json.dumps(bench_record.assemble(bench, "t", 1, runs)))
+    checkouts = {"parent": {"commit": None, "dirty": None},
+                 "this": {"commit": "ab" * 20, "dirty": True}}
+    record = json.loads(json.dumps(bench_record.assemble(bench, "t", 1, checkouts, runs)))
     assert record["label"] == "t" and len(record["runs"]) == 6
+    assert record["checkouts"] == checkouts
     assert record["seconds"] == bench["run_seconds"]
     assert set(record["summary"]["basis_search"]) == {m["name"] for m in bench["end_to_end"]}
     assert record["runs"][0]["environment_detail"]["detail"] == {"ops": 3}
@@ -75,3 +79,30 @@ def test_bench_record_assembles_canned_runs():
     assert rss["change"] == 0.0 and rss["this_better"] == 0
     with pytest.raises(ValueError):
         bench_record.parse_run("one line\n")
+    _check_provenance(bench_record, tmp_path, monkeypatch)
+
+
+def _check_provenance(bench_record, tmp_path, monkeypatch):
+    """A side's commit is its HEAD, and it is dirty only when a tracked file
+    changed; both are None outside a git checkout."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    # git looks for no repository above tmp_path
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert bench_record.provenance(str(tmp_path)) == {"commit": None, "dirty": None}
+    repo = tmp_path / "checkout"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                               "-c", "commit.gpgsign=false", *args], capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("a\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    head = git("rev-parse", "HEAD")
+    (repo / "untracked.txt").write_text("u\n")
+    assert bench_record.provenance(str(repo)) == {"commit": head, "dirty": False}
+    (repo / "a.txt").write_text("b\n")
+    assert bench_record.provenance(str(repo)) == {"commit": head, "dirty": True}
