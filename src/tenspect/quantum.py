@@ -3,22 +3,34 @@ isotypic projections on tensor powers.
 
 The lower functional maximises the theta-weighted marginal von Neumann
 entropy of (g_1 x ... x g_k) t over invertible g_i (per-step
-renormalisation, seeded multi-start).  Each iteration first tries one
-operator-scaling sweep: g_i <- rho_i^{-1/2} g_i on each leg that is a
-weighted side or the one-leg complement of one, in turn, which reaches the
-optimum at a linear rate where it has uniform marginals (every semistable
-tensor).  The sweep is kept if it passes the Armijo test of a gradient step
-of the current trial length; otherwise the iteration is a gradient step with
-an Armijo line search (analytic Wirtinger gradient).  Both must gain more
-than 4 ulps, so a saturated maximum stops without depending on the last
-bits.  Before its starts, the ascent computes a certified upper bound, the
-least of the dimension bound sum_S w_S log2 min(d_S, d_C) and, when each
-weighted side is one leg or the complement of one, the support bound
+renormalisation, seeded multi-start).  The scaling legs are the legs that
+are a weighted side or the one-leg complement of one.  Where the optimum
+has uniform marginals on them (every semistable tensor), it is the
+minimiser of the Kempf-Ness potential log ||(x_i e^{X_i/2}) psi||^2 -
+sum_i tr X_i / d_i over Hermitian X_i on the scaling legs, and the ascent
+is tensor scaling.  An iteration tries up to three steps, each kept if it
+passes the Armijo test of a gradient step of the current trial length:
+- a Newton step on that potential, g_i <- e^{X_i/2} g_i with X solving the
+  Hessian system over the traceless directions and scaled down to largest
+  |eigenvalue| NEWTON_RADIUS (where the supremum lies on the boundary, the
+  potential has no minimiser).  It is tried after an accepted Newton step,
+  and after an accepted sweep that followed a scaling step and left more
+  than NEWTON_AFTER of the certified gap; never where the support bound
+  (below) certifies less than the value at uniform marginals;
+- one operator-scaling sweep, g_i <- rho_i^{-1/2} g_i on each scaling leg
+  in turn, which converges at a linear rate;
+- a gradient step with an Armijo line search (analytic Wirtinger
+  gradient).
+Every step must gain more than 4 ulps, so a saturated maximum stops without
+depending on the last bits.  Before its starts, the ascent computes a
+certified upper bound, the least of the dimension bound
+sum_S w_S log2 min(d_S, d_C) (the value at uniform marginals) and, when
+each weighted side is one leg or the complement of one, the support bound
 max_P H_theta(P) + gap over the support of t (every nonzero entry) in leg
 weights: log2 of Strassen's rho^theta at the standard basis, which bounds
 zeta^theta >= F^theta.  A start stops once it is within BOUND_TOL of that
 bound, a certified maximum, and no later start runs; the result names the
-reason the best start stopped.
+reason the best start stopped and the kind of each step it took.
 Line-search trials evaluate the objective alone (one eigvalsh per weighted
 side); the gradient is computed once per accepted step.  Each leg product
 is one matmul on the (legs before, leg, legs after) view of the array.
@@ -84,9 +96,10 @@ __all__ = [
 ]
 
 # the entropy ascent stops when its value is within BOUND_TOL of its
-# certified upper bound, when the gradient norm falls below GRAD_TOL, at the
-# iteration cap, when a transform's condition number exceeds COND_LIMIT, or
-# when no step gains
+# certified upper bound, when the gradient norm falls below GRAD_TOL (a stop
+# named "singular" if a scaling leg's marginal fails the SINGULAR test), at
+# the iteration cap, when a transform's condition number exceeds COND_LIMIT,
+# or when no step gains
 BOUND_TOL = 1e-13
 GRAD_TOL = 1e-7
 COND_LIMIT = 1e8
@@ -97,6 +110,11 @@ SINGULAR = 1e-12
 STEP0 = 1.0
 ARMIJO = 1e-4
 BACKTRACK = 0.5
+#: largest |eigenvalue| of a Newton step's X_i
+NEWTON_RADIUS = 0.5
+#: a Newton step follows a sweep only if that sweep left more than this
+#: fraction of the certified gap; a faster sweep is tried again first
+NEWTON_AFTER = 0.01
 #: size of the random perturbation of the identity at every start but the first
 PERTURBATION = 0.3
 
@@ -157,12 +175,17 @@ class LowerQuantumResult:
     transforms: tuple[np.ndarray, ...]
     trace: tuple[float, ...]        # monotone objective trace of the best start
     start_values: tuple[float, ...]  # of the starts that ran, best first
-    # why the best start stopped: "bound", "gradient", "iteration_cap",
-    # "condition_limit" or "no_step"
+    # why the best start stopped: "bound", "gradient", "singular" (the
+    # gradient stop where a scaling leg's marginal is singular, so no scaling
+    # step applies and the value may lie far below the optimum),
+    # "iteration_cap", "condition_limit" or "no_step"
     stop: str
     # von Neumann entropy (bits) of every leg's marginal, weighted or not,
     # of the best start's final state
     leg_entropies: tuple[float, ...]
+    # the kind of each accepted step of the best start, one per trace entry
+    # after the first: "newton", "sweep" or "gradient"
+    steps: tuple[str, ...]
 
     @property
     def functional(self) -> float:
@@ -254,6 +277,11 @@ def _scaling_legs(k: int, sides) -> list[int]:
     return sorted(legs)
 
 
+def _singular(evals) -> bool:
+    """A marginal's ascending eigenvalues fail the SINGULAR test."""
+    return evals[0] <= SINGULAR * evals[-1]
+
+
 def _scaling_sweep(psi, gs, legs):
     """The transforms after g_i <- rho_i^{-1/2} g_i on each leg in turn, with
     rho_i leg i's marginal of the state so far; None if a marginal is
@@ -261,12 +289,75 @@ def _scaling_sweep(psi, gs, legs):
     gs = list(gs)
     for leg in legs:
         evals, vecs = np.linalg.eigh(marginal(psi, [leg]))
-        if evals[0] <= SINGULAR * evals[-1]:
+        if _singular(evals):
             return None
         scale = (vecs / np.sqrt(evals)) @ vecs.conj().T
         gs[leg] = scale @ gs[leg]
         dims = psi.shape
         psi = np.matmul(scale, psi.reshape(prod(dims[:leg]), dims[leg], -1)).reshape(dims)
+    return gs
+
+
+@lru_cache(maxsize=None)
+def _traceless_basis(d: int) -> np.ndarray:
+    """An orthonormal basis, under (X, Y) -> tr XY, of the traceless Hermitian
+    d x d matrices: a read-only (d^2 - 1, d, d) array."""
+    mats = np.zeros((d * d - 1, d, d), dtype=complex)
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    for k, (a, b) in enumerate(pairs):
+        mats[2 * k, a, b] = mats[2 * k, b, a] = math.sqrt(0.5)
+        mats[2 * k + 1, a, b], mats[2 * k + 1, b, a] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    # the diagonal ones: the Helmert basis of the vectors that sum to zero
+    for m in range(1, d):
+        mats[2 * len(pairs) + m - 1, range(m + 1), range(m + 1)] = (
+            np.r_[np.ones(m), -m] / math.sqrt(m * (m + 1)))
+    mats.flags.writeable = False
+    return mats
+
+
+def _kempf_ness(psi, legs):
+    """Gradient and Hessian at X = 0 of the Kempf-Ness potential
+    log ||(x_i e^{X_i/2}) psi||^2 - sum_i tr X_i / d_i over traceless
+    Hermitian X_i on `legs`, in the coordinates of `_traceless_basis`.
+
+    For basis matrices E and F they are <E> and Re <E F> - <E><F>, with <.>
+    the expectation in psi: the inner products of the real vectors of psi
+    and of every E psi.  The identity directions, which only rescale psi,
+    are the Hessian's null space and are left out.
+    """
+    dims = psi.shape
+    moved = np.concatenate([
+        np.matmul(_traceless_basis(dims[leg])[:, None],
+                  psi.reshape(prod(dims[:leg]), dims[leg], -1)).reshape(dims[leg] ** 2 - 1, psi.size)
+        for leg in legs]).view(float)
+    flat = psi.reshape(-1).view(float)
+    norm2 = flat @ flat
+    grad = moved @ flat / norm2
+    return grad, moved @ moved.T / norm2 - np.outer(grad, grad)
+
+
+def _newton_step(psi, gs, legs):
+    """The transforms after g_i <- e^{X_i/2} g_i on `legs`, with X the Newton
+    step of the Kempf-Ness potential at psi scaled down to NEWTON_RADIUS; None
+    if its Hessian is singular."""
+    grad, hess = _kempf_ness(psi, legs)
+    try:
+        step = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        return None
+    spectra = []
+    for leg in legs:
+        d = psi.shape[leg]
+        spectra.append(np.linalg.eigh((step[:d * d - 1] @ _traceless_basis(d).reshape(-1, d * d))
+                                      .reshape(d, d)))
+        step = step[d * d - 1:]
+    radius = max(np.abs(evals).max() for evals, _ in spectra)
+    if not np.isfinite(radius):
+        return None
+    half = 0.5 * NEWTON_RADIUS / max(radius, NEWTON_RADIUS)
+    gs = list(gs)
+    for leg, (evals, vecs) in zip(legs, spectra):
+        gs[leg] = ((vecs * np.exp(half * evals)) @ vecs.conj().T) @ gs[leg]
     return gs
 
 
@@ -288,31 +379,50 @@ def _armijo_step(t_arr, gs, grads, sides, value, gnorm2, step):
     return None
 
 
-def _ascend(t_arr, gs, sides, legs, bound, opts: AscentOptions):
-    """One start: (value, transforms, trace, stop reason), or None if the
-    start state vanishes."""
+def _ascend(t_arr, gs, sides, legs, bound, scalable, opts: AscentOptions):
+    """One start: (value, transforms, trace, stop reason, step kinds), or None
+    if the start state vanishes.
+
+    Each iteration keeps the first of these steps that passes the Armijo
+    test: a Newton step (tried only if `scalable`, after a Newton step or a
+    slow sweep that followed a scaling step), a scaling sweep, and a gradient
+    step by backtracking.
+    """
     res = _objective_and_grads(t_arr, gs, sides)
     if res is None:
         return None
     value, grads, psi = res
     trace = [value]
+    kinds = []
     step = STEP0
+    newton = False
     for it in range(opts.max_iter + 1):
         gnorm2 = sum(float(np.vdot(g, g).real) for g in grads)
         if value >= bound - BOUND_TOL:
-            return value, gs, trace, "bound"
+            return value, gs, trace, "bound", kinds
         if math.sqrt(gnorm2) < GRAD_TOL:
-            return value, gs, trace, "gradient"
+            singular = any(_singular(np.linalg.eigvalsh(marginal(psi, [leg]))) for leg in legs)
+            return value, gs, trace, "singular" if singular else "gradient", kinds
         if it == opts.max_iter:
-            return value, gs, trace, "iteration_cap"
-        cand = _scaling_sweep(psi, gs, legs) if legs else None
-        if cand is None or not _gains(_objective(t_arr, cand, sides), value,
-                                      ARMIJO * step * gnorm2):
+            return value, gs, trace, "iteration_cap", kinds
+        least = ARMIJO * step * gnorm2
+        kind = None
+        if newton:
+            cand = _newton_step(psi, gs, legs)
+            if cand is not None and _gains(_objective(t_arr, cand, sides), value, least):
+                kind = "newton"
+        if kind is None and legs:
+            cand = _scaling_sweep(psi, gs, legs)
+            if cand is not None and _gains(_objective(t_arr, cand, sides), value, least):
+                kind = "sweep"
+        if kind is None:
             found = _armijo_step(t_arr, gs, grads, sides, value, gnorm2, step)
             if found is None:
-                return value, gs, trace, "no_step"
+                return value, gs, trace, "no_step", kinds
             cand, alpha = found
             step = min(alpha * 2.0, 8.0)
+            kind = "gradient"
+        kinds.append(kind)
         gs = [g / (np.linalg.norm(g) / math.sqrt(g.shape[0])) for g in cand]
         conds = []
         for g in gs:
@@ -320,11 +430,18 @@ def _ascend(t_arr, gs, sides, legs, bound, opts: AscentOptions):
             conds.append(sv[0] / max(sv[-1], 1e-300))
         res = _objective_and_grads(t_arr, gs, sides)
         if res is None:
-            return value, gs, trace, "no_step"
+            return value, gs, trace, "no_step", kinds
+        gap = bound - value
         value, grads, psi = res
         trace.append(value)
+        # Newton follows a Newton step, or a sweep that left more than
+        # NEWTON_AFTER of the certified gap; not the first sweep after a
+        # gradient step or the start, whose gain is the start's transient
+        after = kinds[-2] if len(kinds) > 1 else "gradient"
+        newton = scalable and (kind == "newton" or (
+            kind == "sweep" and after != "gradient" and bound - value > NEWTON_AFTER * gap))
         if max(conds) > COND_LIMIT:
-            return value, gs, trace, "condition_limit"
+            return value, gs, trace, "condition_limit", kinds
 
 
 def _dimension_bound(dims, sides) -> float:
@@ -362,6 +479,9 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
                              ) -> LowerQuantumResult:
     """Seeded multi-start entropy ascent; returns the best lower bound.
 
+    Each iteration takes a Newton step on the Kempf-Ness potential, a
+    scaling sweep or a gradient step (`_ascend`); Newton steps are tried only
+    where the support bound does not certify less than the dimension bound.
     The starts end after the first one that stops at the certified upper
     bound `upper`, the least of the dimension and support bounds.
     """
@@ -372,7 +492,12 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
     k = t_arr.ndim
     sides = [(list(side), w) for side, w in theta.bipartition_sides(k) if w > 0]
     legs = _scaling_legs(k, sides)
-    bound = min(_dimension_bound(t_arr.shape, sides), _support_bound(t_arr, sides))
+    dimension = _dimension_bound(t_arr.shape, sides)
+    bound = min(dimension, _support_bound(t_arr, sides))
+    # the dimension bound is the value at uniform marginals; where the
+    # support bound certifies less, no state of the orbit closure has them,
+    # the Kempf-Ness potential has no minimiser and no Newton step is tried
+    scalable = bound >= dimension - BOUND_TOL
     rng = np.random.default_rng(opts.seed)
     results = []
     for start in range(opts.starts):
@@ -383,9 +508,9 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
                   + PERTURBATION * (rng.standard_normal((d, d))
                                     + 1j * rng.standard_normal((d, d)))
                   for d in t_arr.shape]
-        out = _ascend(t_arr, gs, sides, legs, bound, opts)
+        out = _ascend(t_arr, gs, sides, legs, bound, scalable, opts)
         if out is not None:
-            results.append((out[0], start, out[1], out[2], out[3]))
+            results.append((out[0], start, *out[1:]))
             if out[3] == "bound":
                 break
     if not results:
@@ -399,6 +524,7 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
                               trace=tuple(best[3]),
                               start_values=tuple(r[0] for r in results),
                               stop=best[4],
+                              steps=tuple(best[5]),
                               leg_entropies=tuple(von_neumann_entropy(marginal(psi, [i]))
                                                   for i in range(k)))
 

@@ -8,6 +8,12 @@ and stop must come back equal and the values within 1e-12.  Regenerate with
 `PYTHONPATH=src python tests/test_ascent_golden.py` only when a change to the
 ascent's iterates is intended.
 
+History of the re-captures: the operator-scaling sweeps (the first one); the
+early stop at the certified support bound; and the Newton steps on the
+Kempf-Ness potential, which took the random records that end at "bound"
+from 9-133 trace entries to 5-8 and kept the 2x2x2 uniform and skew ones,
+where the sweep already converges fast, at 4.
+
 `ascent_bounds.json` keeps the values and start values frozen before the
 first such re-capture (the first-order ascent, before scaling sweeps).  It is
 never regenerated.  Every value is a lower bound on log2 F_theta, so a

@@ -8,6 +8,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,9 @@ from tenspect.entropy import ThetaWeights, binary_entropy, max_H_theta
 from tenspect.errors import BudgetExceededError
 from tenspect.partitions import irrep_dimension, partition_entropy, partitions
 from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
-                              _dimension_bound, _objective,
+                              _dimension_bound, _kempf_ness, _objective,
                               _objective_and_grads, _scaling_legs,
+                              _traceless_basis,
                               _class_sums, _collapse_rest, _gather,
                               _norm_table, _offsets, _orient, _project,
                               _surviving_tuples, _weight_blocks, _young_project,
@@ -223,18 +225,78 @@ def test_w_support_bound_certifies_the_ascent(legs):
 def test_support_bound_keeps_tiny_entries():
     # W with one entry scaled down to 1e-12: the orbit scales it back up, so
     # F = h(1/3), and the bound keeps the entry (without it the support
-    # bound is 2/3 bit, where the ascent would stop)
+    # bound is 2/3 bit, where the ascent would stop).  Leg 0's marginal is
+    # singular, so no scaling step applies and the gradient toward scaling
+    # the entry up is of order 1e-24: the ascent stays at 2/3 bit, and its
+    # stop says why
     arr = state_array(ts.w_tensor())
     arr[1, 0, 0] = 1e-12
     res = lower_quantum_functional(ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, arr), U3, FAST)
     assert res.upper >= H13 - 1e-12
-    assert res.stop != "bound"
+    assert res.stop == "singular"
+    assert res.value == pytest.approx(2 / 3, rel=0, abs=1e-15)
 
 
 def test_scaling_sweep_reaches_log2_3_on_random_333():
     res = lower_quantum_functional(_random_333(), U3, AscentOptions(starts=1, max_iter=400))
     assert res.value == pytest.approx(math.log2(3), rel=0, abs=1e-8)
     assert res.stop == "bound"
+
+
+def test_newton_steps_reach_log2_3_on_random_333_within_20_iterations():
+    res = lower_quantum_functional(_random_333(), U3, AscentOptions(starts=1, max_iter=400))
+    assert res.stop == "bound" and len(res.trace) <= 21
+    assert len(res.steps) == len(res.trace) - 1 and "newton" in res.steps
+    assert set(res.steps) <= {"newton", "sweep", "gradient"}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_traceless_basis_is_orthonormal_hermitian_and_traceless(d):
+    basis = _traceless_basis(d)
+    assert basis.shape == (d * d - 1, d, d) and not basis.flags.writeable
+    assert np.allclose(basis, basis.conj().transpose(0, 2, 1), rtol=0, atol=1e-15)
+    assert np.allclose(np.trace(basis, axis1=1, axis2=2), 0.0, rtol=0, atol=1e-15)
+    gram = np.einsum("kab,lba->kl", basis, basis)
+    assert np.allclose(gram, np.eye(d * d - 1), rtol=0, atol=1e-15)
+
+
+def _kempf_ness_potential(psi, legs, coords):
+    """log ||(x_i e^{X_i/2}) psi||^2 - sum_i tr X_i / d_i, X_i from coords."""
+    out, traces = psi, 0.0
+    for leg in legs:
+        d = psi.shape[leg]
+        x = np.tensordot(coords[:d * d - 1], _traceless_basis(d), axes=1)
+        coords = coords[d * d - 1:]
+        out = np.moveaxis(np.tensordot(scipy.linalg.expm(x / 2), out, axes=([1], [leg])), 0, leg)
+        traces += np.trace(x).real / d
+    return math.log(np.vdot(out, out).real) - traces
+
+
+@pytest.mark.parametrize("legs", [[0, 1, 2], [0, 2], [1]])
+def test_kempf_ness_derivatives_match_finite_differences(legs):
+    rng = np.random.default_rng(24)
+    psi = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    grad, hess = _kempf_ness(psi, legs)
+    m = sum(psi.shape[leg] ** 2 - 1 for leg in legs)
+    assert grad.shape == (m,) and hess.shape == (m, m)
+    unit = np.eye(m)
+
+    def potential(coords):
+        return _kempf_ness_potential(psi, legs, coords)
+
+    eps = 1e-5
+    fd_grad = np.array([(potential(eps * e) - potential(-eps * e)) / (2 * eps) for e in unit])
+    assert np.abs(fd_grad - grad).max() <= 1e-6 * np.abs(grad).max()
+
+    eps = 3e-4
+    fd_hess = np.empty((m, m))
+    for k in range(m):
+        for j in range(k, m):
+            plus, minus = unit[k] + unit[j], unit[k] - unit[j]
+            fd_hess[k, j] = fd_hess[j, k] = (
+                potential(eps * plus) - potential(eps * minus)
+                - potential(-eps * minus) + potential(-eps * plus)) / (4 * eps * eps)
+    assert np.abs(fd_hess - hess).max() <= 1e-6 * np.abs(hess).max()
 
 
 def test_scaling_legs_and_dimension_bound():
