@@ -66,11 +66,16 @@ def parse_theta(text: str, k: int) -> ThetaWeights:
                 named = ",".join(str(x + 1) for x in sorted(side))
                 raise ValueError(f"theta {text!r}: bipartition side {{{named}}} is given twice")
             mapping[side] = _theta_weight(text, m.group(3))
-        return ThetaWeights.from_bipartitions(mapping, k)
-    parts = [_theta_weight(text, x) for x in text.split(",")]
-    if len(parts) != k:
-        raise ValueError(f"theta {text!r} needs {k} weights, got {len(parts)}")
-    return ThetaWeights.from_legs(parts)
+        make, args = ThetaWeights.from_bipartitions, (mapping, k)
+    else:
+        parts = [_theta_weight(text, x) for x in text.split(",")]
+        if len(parts) != k:
+            raise ValueError(f"theta {text!r} needs {k} weights, got {len(parts)}")
+        make, args = ThetaWeights.from_legs, (parts,)
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise ValueError(f"theta {text!r}: {err}") from None
 
 
 def _load_input_tensor(args) -> Tensor:

@@ -88,6 +88,8 @@ class ThetaWeights:
             raise ValueError(f"unknown theta mode {self.mode!r}")
         total = 0.0
         for key, w in self.items:
+            if not math.isfinite(w):
+                raise ValueError(f"theta weight {w} is not finite")
             if w < -1e-12:
                 raise ValueError("negative theta weight")
             total += w

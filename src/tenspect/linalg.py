@@ -72,14 +72,16 @@ class Domain:
         return self.kind if self.kind != "Fp" else f"Fp:{self.p}"
 
     def coerce(self, value):
-        """One scalar of the domain.  Over F_p a rational a/b maps to
-        a * b^-1 mod p; a denominator divisible by p, or a float that is not
-        an integer, raises `ValueError`."""
+        """One scalar of the domain.  Over Q a float is exact unless a fraction
+        of denominator <= 10^12 is the same float (0.1 is 1/10).  Over F_p a
+        rational a/b maps to a * b^-1 mod p; a denominator divisible by p, or
+        a float that is not an integer, raises `ValueError`."""
         if self.kind == "Q":
             if isinstance(value, Fraction):
                 return value
             if isinstance(value, float):
-                return Fraction(value).limit_denominator(10**12)
+                near = Fraction(value).limit_denominator(10**12)
+                return near if float(near) == value else Fraction(value)
             return Fraction(value)
         if self.kind == "C":
             return complex(value)

@@ -31,9 +31,11 @@ weights: log2 of Strassen's rho^theta at the standard basis, which bounds
 zeta^theta >= F^theta.  A start stops once it is within BOUND_TOL of that
 bound, a certified maximum, and no later start runs; the result names the
 reason the best start stopped and the kind of each step it took.
-Line-search trials evaluate the objective alone (one eigvalsh per weighted
-side); the gradient is computed once per accepted step.  Each leg product
-is one matmul on the (legs before, leg, legs after) view of the array.
+Every trial (Newton, sweep and line search) evaluates the objective alone,
+by the same evaluation as an accepted state's value (one eigh per weighted
+side, normalised by ||psi||^2); the gradient is computed once per accepted
+step.  Each leg product is one matmul on the (legs before, leg, legs after)
+view of the array.
 
 The upper certificate enumerates tuples of partitions whose isotypic
 projections leave a tensor power alive.  The public projector
@@ -48,8 +50,8 @@ different tensor factors and commute.  The projector on (C^d)^{(x)n} is
 block diagonal by weight (the content of a word of [d]^n), and all blocks
 of one weight type share one real orthogonal matrix whose rows, grouped by
 partition, are orthonormal bases of the isotypic components (eigenvectors
-of the integer class sums of S_n on that type's first block), cached per
-(d, n).  Every projection acts on the legs U of the oriented sides, so its
+of one weighted sum of the integer class sums of S_n on that type's first
+block), cached per (d, n).  Every projection acts on the legs U of the oriented sides, so its
 norm depends only on the reduced state of U; where the other legs span more
 than d_U, they are first collapsed into one leg of dimension d_U that keeps
 that state (the QR factor of psi as a d_U x d_R matrix), so the power has
@@ -146,10 +148,8 @@ def marginal(psi: np.ndarray, side) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits of a density matrix, over `_spectrum_mask`'s eigenvalues."""
-    evals = np.linalg.eigvalsh(rho)
-    evals = evals[_spectrum_mask(evals)]
-    return float(-(evals * np.log2(evals)).sum())
+    """Entropy in bits of a density matrix, over the eigenvalues `_entropy` keeps."""
+    return _entropy(rho)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +192,20 @@ class LowerQuantumResult:
         return 2.0 ** self.value
 
 
-def _apply_transforms(t_arr: np.ndarray, gs, skip: int | None = None) -> np.ndarray:
-    """(g_0 x ... x g_{k-1}) t, leaving the leg `skip` untouched.
+def _leg_product(mat: np.ndarray, arr: np.ndarray, leg: int) -> np.ndarray:
+    """A square matrix, or each of a stack of them (whose axes come first),
+    applied to leg `leg` of arr: one matmul on its (before, leg, after) view."""
+    dims = arr.shape
+    return np.matmul(mat[..., None, :, :], arr.reshape(prod(dims[:leg]), dims[leg], -1)
+                     ).reshape(mat.shape[:-2] + dims)
 
-    Each leg product is one matmul on the (legs before, leg, legs after)
-    view of the array.
-    """
+
+def _apply_transforms(t_arr: np.ndarray, gs, skip: int | None = None) -> np.ndarray:
+    """(g_0 x ... x g_{k-1}) t, leaving the leg `skip` untouched."""
     out = t_arr
     for leg, g in enumerate(gs):
-        if leg == skip:
-            continue
-        dims = out.shape
-        out = np.matmul(g, out.reshape(prod(dims[:leg]), dims[leg], -1)).reshape(dims)
+        if leg != skip:
+            out = _leg_product(g, out, leg)
     return out
 
 
@@ -223,18 +225,30 @@ def _side_view(psi: np.ndarray, side) -> tuple[np.ndarray, list[int]]:
     return psi.transpose(order).reshape(prod(psi.shape[i] for i in axes), -1), order
 
 
-def _spectrum_mask(evals: np.ndarray) -> np.ndarray:
-    # eigenvalues come in ascending order, so the last one is the largest
-    return evals > max(evals[-1], 1e-300) * 1e-14
+def _entropy(rho: np.ndarray):
+    """(entropy in bits, kept eigenvalues, their eigenvectors) of a density
+    matrix, from one eigh.  It keeps the eigenvalues above 1e-14 times the
+    largest, which comes last in ascending order."""
+    evals, vecs = np.linalg.eigh(rho)
+    keep = evals > max(evals[-1], 1e-300) * 1e-14
+    lam = evals[keep]
+    return float(-(lam * np.log2(lam)).sum()), lam, vecs[:, keep]
+
+
+def _side_entropy(psi: np.ndarray, norm2: float, side):
+    """`_entropy` of psi's marginal on `side`, with norm2 = ||psi||^2: every
+    value the ascent compares, and every leg entropy it reports, is this."""
+    mat, _ = _side_view(psi, side)
+    return _entropy(mat @ mat.conj().T / norm2)
 
 
 def _objective(t_arr, gs, sides):
-    """Objective in bits alone: one eigvalsh per weighted side."""
+    """Objective in bits alone: the value of `_objective_and_grads`."""
     state = _state(t_arr, gs)
     if state is None:
         return None
-    psi, _ = state
-    return sum(w * von_neumann_entropy(marginal(psi, side)) for side, w in sides)
+    psi, norm2 = state
+    return sum(w * _side_entropy(psi, norm2, side)[0] for side, w in sides)
 
 
 def _objective_and_grads(t_arr, gs, sides):
@@ -246,25 +260,17 @@ def _objective_and_grads(t_arr, gs, sides):
     value = 0.0
     gpsi = np.zeros_like(psi)
     for side, w in sides:
-        mat, order = _side_view(psi, side)
-        evals, vecs = np.linalg.eigh(mat @ mat.conj().T / norm2)
-        keep = _spectrum_mask(evals)
-        lam = evals[keep]
-        u = vecs[:, keep]
-        h_s = float(-(lam * np.log2(lam)).sum())
+        h_s, lam, u = _side_entropy(psi, norm2, side)
         value += w * h_s
+        mat, order = _side_view(psi, side)
         lpsi = ((u * np.log2(lam)) @ u.conj().T @ mat).reshape([psi.shape[i] for i in order])
         gpsi += w * (lpsi.transpose(np.argsort(order)) + h_s * psi)
     gpsi = -gpsi / norm2
     grads = []
-    for leg, d in enumerate(psi.shape):
-        # contract over every other leg: one matmul of the (before, leg, after)
-        # views flattened to (leg, rest) and (rest, leg), the same product
-        # tensordot over those legs forms
-        phi = _apply_transforms(t_arr, gs, skip=leg).reshape(prod(psi.shape[:leg]), d, -1)
-        w_mat = (np.conj(gpsi).reshape(phi.shape).transpose(1, 0, 2).reshape(d, -1)
-                 @ phi.transpose(0, 2, 1).reshape(-1, d))
-        grads.append(2.0 * np.conj(w_mat))
+    for leg in range(psi.ndim):
+        # contract over every other leg: one matmul of the (leg, rest) views
+        phi, _ = _side_view(_apply_transforms(t_arr, gs, skip=leg), [leg])
+        grads.append(2.0 * (_side_view(gpsi, [leg])[0] @ phi.conj().T))
     return value, grads, psi
 
 
@@ -293,8 +299,7 @@ def _scaling_sweep(psi, gs, legs):
             return None
         scale = (vecs / np.sqrt(evals)) @ vecs.conj().T
         gs[leg] = scale @ gs[leg]
-        dims = psi.shape
-        psi = np.matmul(scale, psi.reshape(prod(dims[:leg]), dims[leg], -1)).reshape(dims)
+        psi = _leg_product(scale, psi, leg)
     return gs
 
 
@@ -325,11 +330,8 @@ def _kempf_ness(psi, legs):
     and of every E psi.  The identity directions, which only rescale psi,
     are the Hessian's null space and are left out.
     """
-    dims = psi.shape
-    moved = np.concatenate([
-        np.matmul(_traceless_basis(dims[leg])[:, None],
-                  psi.reshape(prod(dims[:leg]), dims[leg], -1)).reshape(dims[leg] ** 2 - 1, psi.size)
-        for leg in legs]).view(float)
+    moved = np.concatenate([_leg_product(_traceless_basis(psi.shape[leg]), psi, leg)
+                            .reshape(-1, psi.size) for leg in legs]).view(float)
     flat = psi.reshape(-1).view(float)
     norm2 = flat @ flat
     grad = moved @ flat / norm2
@@ -517,7 +519,7 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
         raise RuntimeError("every ascent start failed")
     results.sort(key=lambda r: (-r[0], r[1]))
     best = results[0]
-    psi = _apply_transforms(t_arr, best[2])
+    psi, norm2 = _state(t_arr, best[2])
     return LowerQuantumResult(value=best[0],
                               upper=bound,
                               transforms=tuple(best[2]),
@@ -525,7 +527,7 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
                               start_values=tuple(r[0] for r in results),
                               stop=best[4],
                               steps=tuple(best[5]),
-                              leg_entropies=tuple(von_neumann_entropy(marginal(psi, [i]))
+                              leg_entropies=tuple(_side_entropy(psi, norm2, [i])[0]
                                                   for i in range(k)))
 
 
@@ -622,24 +624,32 @@ def bipartition_projector_apply(v: np.ndarray, dims, n: int, lam, side) -> np.nd
     return _young_project(symmetrize_copies(arr, n), lam, n, legs)
 
 
-def _class_sums(d: int, n: int):
-    """The words of [d]^n in block order, and each weight type's projector blocks.
+@lru_cache(maxsize=None)
+def _weight_blocks(d: int, n: int):
+    """The words of [d]^n in block order, and an isotypic basis of each weight type.
 
-    The lam-isotypic projector on (C^d)^{(x)n} permutes positions within a
-    word, so it keeps the weight (the content of the word) and is block
-    diagonal by weight.  Rows are ordered by weight type (the sorted
-    content), then by weight, then within a block by the word of ranks
-    (each letter replaced by the number of distinct letters of the word
-    before it, most frequent first, ties by value).  Relabelling the letters
-    in [d] commutes with the projector and maps one block of a type onto
-    another in this order, so every block of a type has one matrix, built
-    from the class sums of the type's first block:
+    The lam-isotypic projector P_lam on (C^d)^{(x)n} permutes positions
+    within a word, so it is block diagonal by weight (the content of the
+    word).  Rows are ordered by weight type (the sorted content), then by
+    weight, then within a block by the word of ranks (each letter replaced
+    by the number of distinct letters of the word before it, most frequent
+    first, ties by value).  Relabelling the letters in [d] commutes with the
+    projector and maps one block of a type onto another in this order, so
+    all blocks of a type share one basis: the eigenvectors of
+    sum_c (c + 1) P_c over partitions(n), whose eigenvalue c + 1 marks
+    partition c's component, formed in one contraction of the integer class
+    sums C_kappa of the type's first block, as
     P_lam = (dim lam / n!) sum_kappa chi_lam(kappa) C_kappa.
 
-    Returns (order, types): order[i] is the index in [d]^n (copy 0 most
-    significant) of the word on row i, and types holds one (rows, blocks,
-    block size, mats) per weight type, mats[c] being the real projector
-    block of partitions(n)[c].
+    Returns (order, types, onehot).  order[i] is the index in [d]^n (copy 0
+    most significant) of the word on row i.  types holds one (rows, blocks,
+    block size, q, spans) per weight type: q is the real orthogonal matrix
+    of those eigenvectors as rows, grouped by partition, and spans[c] is the
+    row slice of partitions(n)[c]'s group.  So W = q V moves a block V into
+    isotypic coordinates, ||P_lam V||^2 is the squared norm of lam's rows of
+    W, and P_lam V = q_lam^T W_lam.  onehot[i, c] is 1 where row i of the
+    moved words lies in partitions(n)[c]'s group.  The result is cached per
+    (d, n), and its arrays are read-only.
     """
     words = np.indices((d,) * n).reshape(n, -1).T
     same = words[:, :, None] == words[:, None, :]
@@ -655,11 +665,13 @@ def _class_sums(d: int, n: int):
     ranks, type_codes = ranks[order], type_codes[order]
     lams = list(partitions(n))
     chars = np.array([[character(lam, kappa) for kappa in lams] for lam in lams])
-    scales = np.array([irrep_dimension(lam) / factorial(n) for lam in lams])[:, None, None]
+    # w_kappa = sum_c (c + 1) (dim lams[c] / n!) chi_lams[c](kappa)
+    weights = np.array([(c + 1) * irrep_dimension(lam) / factorial(n)
+                        for c, lam in enumerate(lams)]) @ chars
     perms = list(iter_permutations(range(n)))
     kappa = np.array([lams.index(_cycle_type(perm)) for perm in perms])
     starts = [0] + (np.flatnonzero(type_codes[1:] != type_codes[:-1]) + 1).tolist() + [d ** n]
-    types = []
+    types, labels = [], []
     for start, stop in zip(starts, starts[1:]):
         size = factorial(n) // prod(factorial(c) for c in np.bincount(ranks[start]))
         block = ranks[start:start + size]
@@ -668,41 +680,17 @@ def _class_sums(d: int, n: int):
         cols = np.searchsorted(block @ powers, block[:, perms] @ powers)
         flat = (kappa * size + np.arange(size)[:, None]) * size + cols
         sums = np.bincount(flat.ravel(), minlength=len(lams) * size * size)
-        mats = (chars @ sums.reshape(len(lams), -1)).reshape(-1, size, size) * scales
-        types.append((slice(start, stop), (stop - start) // size, size, mats))
-    return order, types
-
-
-@lru_cache(maxsize=None)
-def _weight_blocks(d: int, n: int):
-    """The words of [d]^n in block order, and an isotypic basis of each weight type.
-
-    Returns (order, types, onehot).  order is `_class_sums`'s.  types holds
-    one (rows, blocks, block size, q, spans) per weight type: q is a real
-    orthogonal matrix whose rows, grouped by partition in the order of
-    partitions(n), are orthonormal bases of the isotypic components of a
-    block (the eigenvalue-1 eigenvectors of its class-sum projector), and
-    spans[c] is the row slice of partitions(n)[c]'s group.  So W = q V moves
-    a block V into isotypic coordinates, ||P_lam V||^2 is the squared norm
-    of lam's rows of W, and P_lam V = q_lam^T W_lam.  onehot[i, c] is 1
-    where row i of the moved words lies in partitions(n)[c]'s group.  The
-    result is cached per (d, n), and its arrays are read-only.
-    """
-    order, class_types = _class_sums(d, n)
-    types, labels = [], []
-    for rows, blocks, size, mats in class_types:
-        # partition c's projector has eigenvalue c + 1 in this sum, so the
-        # eigenvectors, in ascending order, come grouped by partition
-        evals, vecs = np.linalg.eigh(np.tensordot(np.arange(1.0, len(mats) + 1), mats, 1))
+        # the eigenvectors, in ascending order, come grouped by partition
+        evals, vecs = np.linalg.eigh(np.tensordot(weights, sums.reshape(-1, size, size), 1))
         label = np.rint(evals).astype(int) - 1
-        bounds = np.searchsorted(label, np.arange(len(mats) + 1)).tolist()
+        bounds = np.searchsorted(label, np.arange(len(lams) + 1)).tolist()
         spans = {c: slice(lo, hi) for c, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
                  if hi > lo}
         q = np.ascontiguousarray(vecs.T)
         q.flags.writeable = False
-        types.append((rows, blocks, size, q, spans))
-        labels.append(np.tile(label, blocks))
-    onehot = np.eye(len(mats))[np.concatenate(labels)]
+        types.append((slice(start, stop), (stop - start) // size, size, q, spans))
+        labels.append(np.tile(label, (stop - start) // size))
+    onehot = np.eye(len(lams))[np.concatenate(labels)]
     onehot.flags.writeable = False
     order.flags.writeable = False
     return order, types, onehot
@@ -740,14 +728,12 @@ def _collapse_rest(t_arr: np.ndarray, legs):
     reduced state on d_U columns.  Each leg set is renumbered into U.
     """
     used = sorted(set().union(*legs))
-    rest = [i for i in range(t_arr.ndim) if i not in used]
-    d_u = prod(t_arr.shape[i] for i in used)
-    if prod(t_arr.shape[i] for i in rest) <= d_u:
+    m, _ = _side_view(t_arr, used)
+    if m.shape[1] <= m.shape[0]:
         return t_arr, legs
-    m = t_arr.transpose(used + rest).reshape(d_u, -1)
     low = np.linalg.qr(m.conj().T, mode="r").conj().T
     renumber = {leg: j for j, leg in enumerate(used)}
-    return (low.reshape([t_arr.shape[i] for i in used] + [d_u]),
+    return (low.reshape([t_arr.shape[i] for i in used] + [len(m)]),
             [tuple(renumber[i] for i in g) for g in legs])
 
 

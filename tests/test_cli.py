@@ -166,7 +166,8 @@ def test_theta_parsing():
            "bip:{1 2}|{3}=1": r"cannot parse bipartition theta 'bip:\{1 2\}\|\{3\}=1'",
            "bip:{1,}|{2,3}=1": r"cannot parse bipartition theta",
            "bip:{1}|{2,3}=1e": r"theta 'bip:\{1\}\|\{2,3\}=1e' has a weight '1e' that is not",
-           "0.5,0.5,x": r"theta '0.5,0.5,x' has a weight 'x' that is not a number"}
+           "0.5,0.5,x": r"theta '0.5,0.5,x' has a weight 'x' that is not a number",
+           "nan,0.5,0.5": r"theta 'nan,0.5,0.5': theta weight nan is not finite"}
     for text, message in bad.items():
         with pytest.raises(ValueError, match=message):
             parse_theta(text, 3)

@@ -95,6 +95,12 @@ def test_theta_weights_validation():
         ThetaWeights.from_legs([0.5, 0.6])
     with pytest.raises(ValueError):
         ThetaWeights.from_legs([-0.1, 1.1])
+    # NaN passes both the sign and the sum test unless it is rejected by name
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            ThetaWeights.from_legs([bad, 0.5, 0.5])
+        with pytest.raises(ValueError, match="not finite"):
+            ThetaWeights.from_bipartitions({frozenset({0}): bad}, 3)
     th = ThetaWeights.from_bipartitions({frozenset({1}): 0.4,
                                          frozenset({0, 1}): 0.6}, 3)
     # keys are canonicalised to the side containing leg 0

@@ -21,7 +21,7 @@ from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
                               _dimension_bound, _kempf_ness, _objective,
                               _objective_and_grads, _scaling_legs,
                               _traceless_basis,
-                              _class_sums, _collapse_rest, _gather,
+                              _collapse_rest, _gather,
                               _norm_table, _offsets, _orient, _project,
                               _surviving_tuples, _weight_blocks, _young_project,
                               bipartition_projector_apply,
@@ -113,15 +113,19 @@ def test_gradient_matches_finite_differences(rng):
                 assert (f1 - f0) / eps == pytest.approx(grads[leg][a, b].imag, abs=1e-5)
 
 
-def test_value_only_objective_matches_full_evaluation(rng):
-    for dims, sides in [((2, 3, 4), [([0], 0.5), ([1, 2], 0.25), ([1], 0.25)]),
-                        ((2, 2, 3, 2), [([0, 1], 0.5), ([0, 2], 0.3), ([3], 0.2)])]:
+def test_value_only_objective_matches_full_evaluation():
+    # trials and accepted states are compared at rounding level, so their
+    # values must be one computation, bit for bit
+    rng = np.random.default_rng(0)
+    for dims, sides in 8 * [((2, 3, 4), [([0], 0.5), ([1, 2], 0.25), ([1], 0.25)]),
+                            ((2, 2, 3, 2), [([0, 1], 0.5), ([0, 2], 0.3), ([3], 0.2)]),
+                            ((3, 3, 3), [([0], 1 / 3), ([1], 1 / 3), ([2], 1 / 3)]),
+                            ((2, 2, 2), [([0, 1], 0.6), ([1], 0.4)])]:
         t_arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
         gs = [np.eye(d, dtype=complex) + 0.3 * (rng.standard_normal((d, d))
                                                + 1j * rng.standard_normal((d, d)))
               for d in dims]
-        assert _objective(t_arr, gs, sides) == pytest.approx(
-            _objective_and_grads(t_arr, gs, sides)[0], rel=0, abs=1e-12)
+        assert _objective(t_arr, gs, sides) == _objective_and_grads(t_arr, gs, sides)[0]
 
 
 def test_lower_functional_normalisation():
@@ -620,15 +624,11 @@ def test_weight_blocks_are_cached_and_read_only():
     for arr in (order, onehot):
         with pytest.raises(ValueError):
             arr[0] = 1
-    for (rows, blocks, size, q, spans), (_, _, _, mats) in zip(types, _class_sums(3, 3)[1]):
+    # test_projector_matrix checks that q_lam^T q_lam is each block's projector
+    for rows, blocks, size, q, spans in types:
         with pytest.raises(ValueError):
             q[0, 0] = 1.0
         assert np.abs(q @ q.T - np.eye(size)).max() < 1e-12
-        # each partition's rows span its isotypic component: q_lam^T q_lam is
-        # the class-sum projector, zero where the partition has no rows
-        for c, mat in enumerate(mats):
-            basis = q[spans[c]] if c in spans else np.zeros((0, size))
-            assert np.abs(basis.T @ basis - mat).max() < 1e-12
 
 
 @pytest.mark.parametrize("dims,theta,p,legs", [
@@ -682,12 +682,13 @@ def _schur_at_ones(lam, d):
 
 def _blocks(d, n, lam):
     """Each weight block of the lam-projector on (C^d)^{(x)n}: its rows in
-    [d]^n and its matrix, None where the block vanishes."""
-    order, types = _class_sums(d, n)
-    for rows, blocks, size, mats in types:
-        mat = mats[list(partitions(n)).index(lam)]
+    [d]^n and its matrix q_lam^T q_lam, None where lam has no rows."""
+    order, types, _ = _weight_blocks(d, n)
+    c = list(partitions(n)).index(lam)
+    for rows, blocks, size, q, spans in types:
+        mat = q[spans[c]].T @ q[spans[c]] if c in spans else None
         for block in order[rows].reshape(blocks, size):
-            yield block, mat if mat.any() else None
+            yield block, mat
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -721,7 +722,7 @@ def test_projector_matrix(d, n, rng):
 def test_projector_matrix_is_the_permutation_sum(d, n):
     # the permutation sum applied to the copy-major power of eye(d), rows on
     # leg 0 and columns on leg 1 of each copy; zero off the weight blocks and
-    # equal to the last bit on each block
+    # q_lam^T q_lam on each block, to rounding
     eye_power = reduce(np.multiply.outer, [np.eye(d)] * n)
     for lam in partitions(n):
         want = _young_project(eye_power, lam, n, [0])
@@ -734,8 +735,7 @@ def test_projector_matrix_is_the_permutation_sum(d, n):
             if got is None:
                 assert not block.any()
                 continue
-            assert got.dtype == block.dtype
-            assert got.tobytes() == block.tobytes()
+            assert np.abs(got - block).max() < 1e-12
         assert not want[~inside].any()
 
 

@@ -52,6 +52,19 @@ def test_prime_field_coercion_is_a_field_map():
         BasisTuple.make([[[2.5]]], f5)
 
 
+def test_rational_coercion_keeps_every_float():
+    # a float maps to a small fraction only where that is the same float
+    assert ts.RATIONAL.coerce(0.1) == Fraction(1, 10)
+    assert ts.RATIONAL.coerce(1 / 3) == Fraction(1, 3)
+    # otherwise exactly: the nearest fractions of denominator <= 10^12 are
+    # 0, 0 and 1/666666666667
+    for tiny in (1e-13, 3e-13, 1.5e-12):
+        assert ts.RATIONAL.coerce(tiny) == Fraction(tiny)
+    t = ts.Tensor((2, 2), ts.RATIONAL, np.array([[1.0, 1e-13], [0.0, 0.5]]))
+    assert t[0, 1] == Fraction(1e-13) and t[1, 1] == Fraction(1, 2)
+    assert ts.SupportSet.from_tensor(t).points == ((0, 0), (0, 1), (1, 1))
+
+
 def test_unit_product_multiset():
     prod = ts.tensor_product(ts.unit(2), ts.unit(3))
     assert prod.dims == (6, 6, 6)
