@@ -4,12 +4,15 @@
 For each case the script runs `lower_quantum_functional` with the default
 options and prints the wall time, the value and the certified upper bound
 (bits), the stop reason, the trace length of the best start, the number of
-starts that ran and how many accepted steps of each kind (Newton, sweep,
-gradient) the best start took.  It checks nothing; CI prints it.
+starts that ran and how many accepted steps of each kind (Newton on the
+Kempf-Ness potential, sweep, Newton on the objective, gradient) the best
+start took.  It checks nothing; CI prints it.
 
 The cases:
 - W at theta = (1/2, 1/2, 0): the supremum 1 bit lies on the boundary of
   the orbit;
+- W at theta = (1/4, 1/4, 1/2): the optimum is attained but not at uniform
+  marginals, so every sweep is rejected;
 - R (x) W, with R the random complex 3x3x3 tensor below, at uniform theta:
   the optimum log2 3 + h(1/3) is attained but not at uniform marginals;
 - W_eps = e_010 + e_001 + eps e_100 at eps = 1e-6 over C, at uniform theta:
@@ -68,6 +71,7 @@ def _cases():
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     uniform = ThetaWeights.uniform(3)
     yield "W theta=(1/2,1/2,0)", w, ThetaWeights.from_legs([0.5, 0.5, 0.0])
+    yield "W theta=(1/4,1/4,1/2)", w, ThetaWeights.from_legs([0.25, 0.25, 0.5])
     yield "R(x)W uniform", ts.tensor_product(_random_333(), ts.convert(w, ts.COMPLEXFLOAT)), uniform
     yield "W_eps eps=1e-6 uniform", _complex(w_eps), uniform
     yield "non-concise LIFT.BASE uniform", ts.restrict(base, [LIFT, eye, eye]), uniform
@@ -81,14 +85,15 @@ def _cases():
 def main():
     wanted = sys.argv[1:]
     print(f"{'case':34} {'time s':>8} {'value':>10} {'upper':>10} {'stop':>14} "
-          f"{'trace':>6} {'starts':>6}  newton/sweep/gradient")
+          f"{'trace':>6} {'starts':>6}  newton/sweep/entropy_newton/gradient")
     for name, t, theta in _cases():
         if wanted and not any(text in name for text in wanted):
             continue
         start = time.perf_counter()
         res = lower_quantum_functional(t, theta)
         wall = time.perf_counter() - start
-        kinds = "/".join(str(res.steps.count(kind)) for kind in ("newton", "sweep", "gradient"))
+        kinds = "/".join(str(res.steps.count(kind))
+                         for kind in ("newton", "sweep", "entropy_newton", "gradient"))
         print(f"{name:34} {wall:8.3f} {res.value:10.7f} {res.upper:10.7f} {res.stop:>14} "
               f"{len(res.trace):6d} {len(res.start_values):6d}  {kinds}", flush=True)
 

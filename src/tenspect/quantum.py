@@ -8,8 +8,8 @@ are a weighted side or the one-leg complement of one.  Where the optimum
 has uniform marginals on them (every semistable tensor), it is the
 minimiser of the Kempf-Ness potential log ||(x_i e^{X_i/2}) psi||^2 -
 sum_i tr X_i / d_i over Hermitian X_i on the scaling legs, and the ascent
-is tensor scaling.  An iteration tries up to three steps, each kept if it
-passes the Armijo test of a gradient step of the current trial length:
+is tensor scaling.  An iteration tries up to four steps in turn and keeps
+the first that passes its Armijo test:
 - a Newton step on that potential, g_i <- e^{X_i/2} g_i with X solving the
   Hessian system over the traceless directions and scaled down to largest
   |eigenvalue| NEWTON_RADIUS (where the supremum lies on the boundary, the
@@ -19,8 +19,18 @@ passes the Armijo test of a gradient step of the current trial length:
   (below) certifies less than the value at uniform marginals;
 - one operator-scaling sweep, g_i <- rho_i^{-1/2} g_i on each scaling leg
   in turn, which converges at a linear rate;
+- a Newton step on the objective itself ("entropy_newton"), over traceless
+  Hermitian X_i on every leg: the exact gradient and Hessian of
+  sum_S w_S H(rho_S), the Hessian's second-order part from the
+  Daleckii-Krein divided differences of log in each side's eigenbasis, its
+  eigenvalues replaced by -max(|lambda|, floor) so that the step ascends,
+  backtracked from length 1 (capped at NEWTON_RADIUS).  It serves the
+  optima that are not at uniform marginals, where every sweep is rejected;
+  it needs every weighted side's marginal at full rank;
 - a gradient step with an Armijo line search (analytic Wirtinger
-  gradient).
+  gradient), where no other step gains.
+Newton and sweep trials pass the Armijo test of a gradient step of the
+current trial length, entropy_newton trials that of their own direction.
 Every step must gain more than 4 ulps, so a saturated maximum stops without
 depending on the last bits.  Before its starts, the ascent computes a
 certified upper bound, the least of the dimension bound
@@ -31,11 +41,11 @@ weights: log2 of Strassen's rho^theta at the standard basis, which bounds
 zeta^theta >= F^theta.  A start stops once it is within BOUND_TOL of that
 bound, a certified maximum, and no later start runs; the result names the
 reason the best start stopped and the kind of each step it took.
-Every trial (Newton, sweep and line search) evaluates the objective alone,
-by the same evaluation as an accepted state's value (one eigh per weighted
-side, normalised by ||psi||^2); the gradient is computed once per accepted
-step.  Each leg product is one matmul on the (legs before, leg, legs after)
-view of the array.
+Every trial (Newton, sweep, entropy_newton and line search) evaluates the
+objective alone, by the same evaluation as an accepted state's value (one
+eigh per weighted side, normalised by ||psi||^2); the gradient is computed
+once per accepted step.  Each leg product is one matmul on the (legs
+before, leg, legs after) view of the array.
 
 The upper certificate enumerates tuples of partitions whose isotypic
 projections leave a tensor power alive.  The public projector
@@ -76,7 +86,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import permutations as iter_permutations
 from math import factorial, prod
 
@@ -184,7 +194,8 @@ class LowerQuantumResult:
     # of the best start's final state
     leg_entropies: tuple[float, ...]
     # the kind of each accepted step of the best start, one per trace entry
-    # after the first: "newton", "sweep" or "gradient"
+    # after the first: "newton" (Kempf-Ness), "sweep", "entropy_newton" or
+    # "gradient"
     steps: tuple[str, ...]
 
     @property
@@ -200,22 +211,18 @@ def _leg_product(mat: np.ndarray, arr: np.ndarray, leg: int) -> np.ndarray:
                      ).reshape(mat.shape[:-2] + dims)
 
 
-def _apply_transforms(t_arr: np.ndarray, gs, skip: int | None = None) -> np.ndarray:
-    """(g_0 x ... x g_{k-1}) t, leaving the leg `skip` untouched."""
-    out = t_arr
-    for leg, g in enumerate(gs):
-        if leg != skip:
-            out = _leg_product(g, out, leg)
-    return out
-
-
 def _state(t_arr, gs):
-    """The transformed tensor and its squared norm, or None if it vanishes."""
-    psi = _apply_transforms(t_arr, gs)
+    """(psi, ||psi||^2, prefixes) for psi = (g_0 x ... x g_{k-1}) t, with
+    prefixes[i] = t with the transforms of legs 0..i-1 applied; None if psi
+    vanishes."""
+    prefixes = [t_arr]
+    for leg, g in enumerate(gs):
+        prefixes.append(_leg_product(g, prefixes[-1], leg))
+    psi = prefixes.pop()
     norm2 = float(np.vdot(psi, psi).real)
     if not np.isfinite(norm2) or norm2 < 1e-250:
         return None
-    return psi, norm2
+    return psi, norm2, prefixes
 
 
 def _side_view(psi: np.ndarray, side) -> tuple[np.ndarray, list[int]]:
@@ -247,30 +254,38 @@ def _objective(t_arr, gs, sides):
     state = _state(t_arr, gs)
     if state is None:
         return None
-    psi, norm2 = state
+    psi, norm2, _ = state
     return sum(w * _side_entropy(psi, norm2, side)[0] for side, w in sides)
 
 
-def _objective_and_grads(t_arr, gs, sides):
-    """Objective in bits plus per-leg Wirtinger ascent directions."""
+def _objective_and_grads(t_arr, gs, sides, bound=math.inf):
+    """Objective in bits plus per-leg Wirtinger ascent directions, or None
+    for the directions where the value is within BOUND_TOL of `bound`."""
     state = _state(t_arr, gs)
     if state is None:
         return None
-    psi, norm2 = state
+    psi, norm2, prefixes = state
+    spectra = [_side_entropy(psi, norm2, side) for side, _ in sides]
     value = 0.0
-    gpsi = np.zeros_like(psi)
-    for side, w in sides:
-        h_s, lam, u = _side_entropy(psi, norm2, side)
+    for (_, w), (h_s, _, _) in zip(sides, spectra):
         value += w * h_s
+    if value >= bound - BOUND_TOL:
+        return value, None, psi
+    gpsi = np.zeros_like(psi)
+    for (side, w), (h_s, lam, u) in zip(sides, spectra):
         mat, order = _side_view(psi, side)
         lpsi = ((u * np.log2(lam)) @ u.conj().T @ mat).reshape([psi.shape[i] for i in order])
         gpsi += w * (lpsi.transpose(np.argsort(order)) + h_s * psi)
     gpsi = -gpsi / norm2
     grads = []
     for leg in range(psi.ndim):
-        # contract over every other leg: one matmul of the (leg, rest) views
-        phi, _ = _side_view(_apply_transforms(t_arr, gs, skip=leg), [leg])
-        grads.append(2.0 * (_side_view(gpsi, [leg])[0] @ phi.conj().T))
+        # t with every transform but leg's, from the prefix that stops
+        # before leg; then contract over every other leg: one matmul of the
+        # (leg, rest) views
+        phi = prefixes[leg]
+        for later in range(leg + 1, psi.ndim):
+            phi = _leg_product(gs[later], phi, later)
+        grads.append(2.0 * (_side_view(gpsi, [leg])[0] @ _side_view(phi, [leg])[0].conj().T))
     return value, grads, psi
 
 
@@ -291,7 +306,12 @@ def _singular(evals) -> bool:
 def _scaling_sweep(psi, gs, legs):
     """The transforms after g_i <- rho_i^{-1/2} g_i on each leg in turn, with
     rho_i leg i's marginal of the state so far; None if a marginal is
-    singular."""
+    singular.
+
+    rho_i is `marginal`'s, normalised by its own view of psi rather than by
+    `_state`'s ||psi||^2: the two differ by a scalar, which moves only the
+    scale of g_i, and every accepted g_i is renormalised, so the choice moves
+    only rounding (the trace lengths of some records hang on those bits)."""
     gs = list(gs)
     for leg in legs:
         evals, vecs = np.linalg.eigh(marginal(psi, [leg]))
@@ -320,6 +340,13 @@ def _traceless_basis(d: int) -> np.ndarray:
     return mats
 
 
+def _moved(psi, legs) -> np.ndarray:
+    """E psi for every `_traceless_basis` matrix E of each leg in `legs`, in
+    that order: an (m, *psi.shape) array, m = sum_i (d_i^2 - 1)."""
+    return np.concatenate([_leg_product(_traceless_basis(psi.shape[leg]), psi, leg)
+                           for leg in legs])
+
+
 def _kempf_ness(psi, legs):
     """Gradient and Hessian at X = 0 of the Kempf-Ness potential
     log ||(x_i e^{X_i/2}) psi||^2 - sum_i tr X_i / d_i over traceless
@@ -330,37 +357,134 @@ def _kempf_ness(psi, legs):
     and of every E psi.  The identity directions, which only rescale psi,
     are the Hessian's null space and are left out.
     """
-    moved = np.concatenate([_leg_product(_traceless_basis(psi.shape[leg]), psi, leg)
-                            .reshape(-1, psi.size) for leg in legs]).view(float)
+    moved = _moved(psi, legs).reshape(-1, psi.size).view(float)
     flat = psi.reshape(-1).view(float)
     norm2 = flat @ flat
     grad = moved @ flat / norm2
     return grad, moved @ moved.T / norm2 - np.outer(grad, grad)
 
 
+def _entropy_derivatives(psi, sides):
+    """Gradient and Hessian at X = 0 of the objective sum_S w_S H(rho_S) in
+    bits at (x_i e^{X_i/2}) psi, over traceless Hermitian X_i on every leg, in
+    the coordinates of `_traceless_basis`; None if a weighted side's marginal
+    keeps fewer eigenvalues than its dimension (where log^[1] is unbounded).
+
+    Each side is read on the smaller of itself and its complement, which
+    has the same entropy.  With psi normalised, sigma_S its unnormalised
+    marginal, L_S = log rho_S + H_S (nats) and E_a the basis matrices:
+    - the norm terms: d_a ||psi||^2 = g_a = Re <psi, E_a psi>;
+    - the gradient: -l_a, with phi = sum_S w_S L_S psi and l_a = Re <phi, E_a psi>;
+    - the first-order term: with d_ab psi = (E_a E_b + E_b E_a) psi / 8, the
+      sum of w_S tr(L_S d_ab sigma_S) is (G_ab + G_ba) / 4 + P_ab / 2, with
+      G_ab = Re <E_a phi, E_b psi> and P_ab = sum_S w_S Re <E_a psi, L_S E_b psi>;
+    - the second-order term: w_S sum_jk (U^H d_a sigma U)_jk^* (U^H d_b sigma U)_jk
+      log^[1](s_j, s_k) in side S's eigenbasis (Daleckii-Krein);
+    - the quotient rule for rho = sigma / ||psi||^2 adds l g^T + g l^T +
+      (sum_S w_S) g g^T.
+    The Hessian is minus the first- and second-order terms plus the last one.
+    """
+    k = psi.ndim
+    psi = psi / math.sqrt(float(np.vdot(psi, psi).real))
+    views = []
+    for side, w in sides:
+        comp = [i for i in range(k) if i not in side]
+        side = min(side, comp, key=lambda s: prod(psi.shape[i] for i in s))
+        mat, order = _side_view(psi, side)
+        h, lam, u = _entropy(mat @ mat.conj().T)
+        if len(lam) < len(mat):
+            return None
+        views.append((side, w, mat, order, h * math.log(2), lam, u))
+    moved = _moved(psi, range(k))
+    m = len(moved)
+    rows = moved.reshape(m, -1).view(float)
+    norm_grad = rows @ psi.reshape(-1).view(float)
+    phi = np.zeros_like(psi)
+    hess = sum(w for _, w in sides) * np.outer(norm_grad, norm_grad)
+    for side, w, mat, order, h, lam, u in views:
+        logs = np.log(lam) + h
+        vmat = u.conj().T @ mat
+        phi += w * (u @ (logs[:, None] * vmat)).reshape([psi.shape[i] for i in order]) \
+            .transpose(np.argsort(order))
+        # U^H M_a, with M_a = E_a psi in the side's view, as (j, a, rest)
+        rot = (u.conj().T @ _side_view(moved, [i + 1 for i in side])[0]).reshape(len(mat), m, -1)
+        # U^H (d_a sigma) U = (Y_a + Y_a^H) / 2 with Y_a = U^H M_a M^H U, as (j, a, k)
+        y = rot @ vmat.conj().T
+        dsig = (y + y.conj().transpose(2, 1, 0)) / 2
+        ratio = lam[:, None] / lam - 1
+        divided = np.divide(np.log1p(ratio), ratio, out=np.ones_like(ratio), where=ratio != 0) / lam
+        # P / 2 and the Daleckii-Krein sum, as one real Gram
+        left, right = (np.concatenate(parts, axis=2).transpose(1, 0, 2).reshape(m, -1).view(float)
+                       for parts in ([rot, dsig], [logs[:, None, None] / 2 * rot,
+                                                   divided[:, None, :] * dsig]))
+        hess -= w * left @ right.T
+    lgrad = rows @ phi.reshape(-1).view(float)
+    asym = np.outer(lgrad, norm_grad) - _moved(phi, range(k)).reshape(m, -1).view(float) @ rows.T / 4
+    hess += asym + asym.T
+    return -lgrad / math.log(2), hess / math.log(2)
+
+
+def _exponential_step(gs, legs, coords, length=1.0):
+    """(transforms, length): g_i <- e^{s X_i/2} g_i on `legs`, with X the
+    traceless Hermitian X_i that `coords` gives in `_traceless_basis`
+    coordinates and s the given length, cut down where s X has an
+    |eigenvalue| above NEWTON_RADIUS; None if X is not finite."""
+    spectra = []
+    for leg in legs:
+        d = gs[leg].shape[0]
+        spectra.append(np.linalg.eigh((coords[:d * d - 1] @ _traceless_basis(d).reshape(-1, d * d))
+                                      .reshape(d, d)))
+        coords = coords[d * d - 1:]
+    radius = max(np.abs(evals).max() for evals, _ in spectra)
+    if not np.isfinite(radius):
+        return None
+    length *= NEWTON_RADIUS / max(radius * length, NEWTON_RADIUS)
+    gs = list(gs)
+    for leg, (evals, vecs) in zip(legs, spectra):
+        gs[leg] = ((vecs * np.exp(0.5 * length * evals)) @ vecs.conj().T) @ gs[leg]
+    return gs, length
+
+
 def _newton_step(psi, gs, legs):
-    """The transforms after g_i <- e^{X_i/2} g_i on `legs`, with X the Newton
-    step of the Kempf-Ness potential at psi scaled down to NEWTON_RADIUS; None
-    if its Hessian is singular."""
+    """The transforms after the Newton step of the Kempf-Ness potential at
+    psi on `legs` (`_exponential_step`); None if its Hessian is singular."""
     grad, hess = _kempf_ness(psi, legs)
     try:
         step = np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
         return None
-    spectra = []
-    for leg in legs:
-        d = psi.shape[leg]
-        spectra.append(np.linalg.eigh((step[:d * d - 1] @ _traceless_basis(d).reshape(-1, d * d))
-                                      .reshape(d, d)))
-        step = step[d * d - 1:]
-    radius = max(np.abs(evals).max() for evals, _ in spectra)
-    if not np.isfinite(radius):
+    found = _exponential_step(gs, legs, step)
+    return None if found is None else found[0]
+
+
+def _entropy_newton(t_arr, psi, gs, sides, value):
+    """The transforms after a modified Newton step of the objective at psi
+    over every leg, or None.
+
+    The direction solves the Hessian system with each Hessian eigenvalue
+    replaced by -max(|lambda|, floor), floor the rank tolerance of
+    `np.linalg.matrix_rank`, so it ascends.  The step backtracks from length
+    1, capped at NEWTON_RADIUS (`_exponential_step`), with the Armijo slope
+    of that direction (`_backtrack`).
+    None where `_entropy_derivatives` gives none, the Hessian's eigh fails,
+    the direction is not finite or does not ascend, or no trial gains.
+    """
+    derivs = _entropy_derivatives(psi, sides)
+    if derivs is None or not np.isfinite(derivs[1]).all():
         return None
-    half = 0.5 * NEWTON_RADIUS / max(radius, NEWTON_RADIUS)
-    gs = list(gs)
-    for leg, (evals, vecs) in zip(legs, spectra):
-        gs[leg] = ((vecs * np.exp(half * evals)) @ vecs.conj().T) @ gs[leg]
-    return gs
+    grad, hess = derivs
+    try:
+        evals, vecs = np.linalg.eigh(hess)
+    except np.linalg.LinAlgError:
+        return None
+    floor = np.abs(evals).max() * len(evals) * np.finfo(float).eps
+    coords = vecs @ ((grad @ vecs) / np.maximum(np.abs(evals), floor))
+    slope = grad @ coords
+    if not slope > 0:
+        return None
+    found = _backtrack(t_arr, sides, value, slope, 1.0,
+                       partial(_exponential_step, gs, range(len(gs)), coords))
+    return None if found is None else found[0]
 
 
 def _gains(cand_value, value, least):
@@ -369,15 +493,18 @@ def _gains(cand_value, value, least):
             and cand_value - value > 4 * math.ulp(value))
 
 
-def _armijo_step(t_arr, gs, grads, sides, value, gnorm2, step):
-    """Backtracking from `step` along the gradient: (transforms, step length)
-    of the first trial with Armijo ascent, or None."""
-    alpha = step
+def _backtrack(t_arr, sides, value, slope, length, trial):
+    """(transforms, length) of the first of up to 40 trials, from `length`
+    down by BACKTRACK, that gains ARMIJO * length * slope, or None;
+    trial(length) gives (transforms, the length it took) or None."""
     for _ in range(40):
-        cand = [g + alpha * d for g, d in zip(gs, grads)]
-        if _gains(_objective(t_arr, cand, sides), value, ARMIJO * alpha * gnorm2):
-            return cand, alpha
-        alpha *= BACKTRACK
+        found = trial(length)
+        if found is None:
+            return None
+        cand, length = found
+        if _gains(_objective(t_arr, cand, sides), value, ARMIJO * length * slope):
+            return cand, length
+        length *= BACKTRACK
     return None
 
 
@@ -385,12 +512,14 @@ def _ascend(t_arr, gs, sides, legs, bound, scalable, opts: AscentOptions):
     """One start: (value, transforms, trace, stop reason, step kinds), or None
     if the start state vanishes.
 
-    Each iteration keeps the first of these steps that passes the Armijo
-    test: a Newton step (tried only if `scalable`, after a Newton step or a
-    slow sweep that followed a scaling step), a scaling sweep, and a gradient
-    step by backtracking.
+    Each iteration keeps the first of these steps that passes its Armijo
+    test: a Newton step on the Kempf-Ness potential (tried only if
+    `scalable`, after a Newton step or a slow sweep that followed a scaling
+    step), a scaling sweep, a Newton step on the objective
+    (`_entropy_newton`), and a gradient step by backtracking, the fallback
+    where none of the others gains.
     """
-    res = _objective_and_grads(t_arr, gs, sides)
+    res = _objective_and_grads(t_arr, gs, sides, bound)
     if res is None:
         return None
     value, grads, psi = res
@@ -399,9 +528,9 @@ def _ascend(t_arr, gs, sides, legs, bound, scalable, opts: AscentOptions):
     step = STEP0
     newton = False
     for it in range(opts.max_iter + 1):
-        gnorm2 = sum(float(np.vdot(g, g).real) for g in grads)
         if value >= bound - BOUND_TOL:
             return value, gs, trace, "bound", kinds
+        gnorm2 = sum(float(np.vdot(g, g).real) for g in grads)
         if math.sqrt(gnorm2) < GRAD_TOL:
             singular = any(_singular(np.linalg.eigvalsh(marginal(psi, [leg]))) for leg in legs)
             return value, gs, trace, "singular" if singular else "gradient", kinds
@@ -418,7 +547,13 @@ def _ascend(t_arr, gs, sides, legs, bound, scalable, opts: AscentOptions):
             if cand is not None and _gains(_objective(t_arr, cand, sides), value, least):
                 kind = "sweep"
         if kind is None:
-            found = _armijo_step(t_arr, gs, grads, sides, value, gnorm2, step)
+            cand = _entropy_newton(t_arr, psi, gs, sides, value)
+            if cand is not None:
+                kind = "entropy_newton"
+        if kind is None:
+            # the Armijo line search along the gradient
+            found = _backtrack(t_arr, sides, value, gnorm2, step,
+                               lambda alpha: ([g + alpha * d for g, d in zip(gs, grads)], alpha))
             if found is None:
                 return value, gs, trace, "no_step", kinds
             cand, alpha = found
@@ -430,7 +565,7 @@ def _ascend(t_arr, gs, sides, legs, bound, scalable, opts: AscentOptions):
         for g in gs:
             sv = np.linalg.svd(g, compute_uv=False)
             conds.append(sv[0] / max(sv[-1], 1e-300))
-        res = _objective_and_grads(t_arr, gs, sides)
+        res = _objective_and_grads(t_arr, gs, sides, bound)
         if res is None:
             return value, gs, trace, "no_step", kinds
         gap = bound - value
@@ -438,10 +573,12 @@ def _ascend(t_arr, gs, sides, legs, bound, scalable, opts: AscentOptions):
         trace.append(value)
         # Newton follows a Newton step, or a sweep that left more than
         # NEWTON_AFTER of the certified gap; not the first sweep after a
-        # gradient step or the start, whose gain is the start's transient
-        after = kinds[-2] if len(kinds) > 1 else "gradient"
+        # step that is not a scaling step, or after the start, whose gain is
+        # the start's transient
+        after = kinds[-2] if len(kinds) > 1 else None
         newton = scalable and (kind == "newton" or (
-            kind == "sweep" and after != "gradient" and bound - value > NEWTON_AFTER * gap))
+            kind == "sweep" and after in ("newton", "sweep")
+            and bound - value > NEWTON_AFTER * gap))
         if max(conds) > COND_LIMIT:
             return value, gs, trace, "condition_limit", kinds
 
@@ -482,8 +619,10 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
     """Seeded multi-start entropy ascent; returns the best lower bound.
 
     Each iteration takes a Newton step on the Kempf-Ness potential, a
-    scaling sweep or a gradient step (`_ascend`); Newton steps are tried only
-    where the support bound does not certify less than the dimension bound.
+    scaling sweep, a Newton step on the objective itself or, where none of
+    those gains, a gradient step (`_ascend`); Kempf-Ness Newton steps are
+    tried only where the support bound does not certify less than the
+    dimension bound.
     The starts end after the first one that stops at the certified upper
     bound `upper`, the least of the dimension and support bounds.
     """
@@ -519,7 +658,7 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
         raise RuntimeError("every ascent start failed")
     results.sort(key=lambda r: (-r[0], r[1]))
     best = results[0]
-    psi, norm2 = _state(t_arr, best[2])
+    psi, norm2, _ = _state(t_arr, best[2])
     return LowerQuantumResult(value=best[0],
                               upper=bound,
                               transforms=tuple(best[2]),

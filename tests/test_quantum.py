@@ -18,7 +18,8 @@ from tenspect.entropy import ThetaWeights, binary_entropy, max_H_theta
 from tenspect.errors import BudgetExceededError
 from tenspect.partitions import irrep_dimension, partition_entropy, partitions
 from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
-                              _dimension_bound, _kempf_ness, _objective,
+                              _dimension_bound, _entropy_derivatives,
+                              _kempf_ness, _objective,
                               _objective_and_grads, _scaling_legs,
                               _traceless_basis,
                               _collapse_rest, _gather,
@@ -251,7 +252,30 @@ def test_newton_steps_reach_log2_3_on_random_333_within_20_iterations():
     res = lower_quantum_functional(_random_333(), U3, AscentOptions(starts=1, max_iter=400))
     assert res.stop == "bound" and len(res.trace) <= 21
     assert len(res.steps) == len(res.trace) - 1 and "newton" in res.steps
-    assert set(res.steps) <= {"newton", "sweep", "gradient"}
+    assert set(res.steps) <= {"newton", "sweep", "entropy_newton", "gradient"}
+
+
+def test_entropy_newton_certifies_w_at_a_non_uniform_optimum():
+    # W at theta = (1/4, 1/4, 1/2): the optimum is not at uniform marginals,
+    # so every sweep is rejected; Newton steps on the objective reach the
+    # support bound
+    theta = ThetaWeights.from_legs([0.25, 0.25, 0.5])
+    res = lower_quantum_functional(ts.w_tensor(), theta, AscentOptions(starts=2, max_iter=150))
+    assert res.stop == "bound" and len(res.trace) <= 5
+    assert "entropy_newton" in res.steps
+
+
+def test_entropy_newton_on_a_w_class_tensor():
+    # (g_0 x g_1 x g_2) W with complex g_i from default_rng(1), as in
+    # scripts/ascent_cases.py; the first-order ascent took 356 trace entries
+    # to the value below
+    rng = np.random.default_rng(1)
+    gs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+    arr = np.einsum("ia,jb,kc,abc->ijk", *gs, state_array(ts.w_tensor()))
+    theta = ThetaWeights.from_legs([1 / 2, 1 / 3, 1 / 6])
+    res = lower_quantum_functional(ts.Tensor((2, 2, 2), ts.COMPLEXFLOAT, arr), theta)
+    assert len(res.trace) <= 30
+    assert res.value >= 0.93224129747985 - 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -301,6 +325,54 @@ def test_kempf_ness_derivatives_match_finite_differences(legs):
                 potential(eps * plus) - potential(eps * minus)
                 - potential(-eps * minus) + potential(-eps * plus)) / (4 * eps * eps)
     assert np.abs(fd_hess - hess).max() <= 1e-6 * np.abs(hess).max()
+
+
+def _objective_at(psi, sides, coords):
+    """The objective at (x_i e^{X_i/2}) psi over every leg, X_i from coords."""
+    gs = []
+    for d in psi.shape:
+        gs.append(scipy.linalg.expm(np.tensordot(coords[:d * d - 1], _traceless_basis(d), axes=1) / 2))
+        coords = coords[d * d - 1:]
+    return _objective(psi, gs, sides)
+
+
+@pytest.mark.parametrize("dims,sides", [
+    ((2, 3, 4), [([0], 0.5), ([1], 0.5), ([2], 0.0)]),
+    ((2, 3, 4), [([0, 1], 0.5), ([0], 0.5)]),
+    ((2, 2, 2, 2), [([0, 1], 0.5), ([0, 2], 0.3), ([3], 0.2)])])
+def test_entropy_derivatives_match_finite_differences(dims, sides):
+    rng = np.random.default_rng(33)
+    psi = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    sides = [(side, w) for side, w in sides if w > 0]
+    grad, hess = _entropy_derivatives(psi, sides)
+    m = sum(d * d - 1 for d in dims)
+    assert grad.shape == (m,) and hess.shape == (m, m)
+    unit = np.eye(m)
+
+    def objective(coords):
+        return _objective_at(psi, sides, coords)
+
+    eps = 1e-5
+    fd_grad = np.array([(objective(eps * e) - objective(-eps * e)) / (2 * eps) for e in unit])
+    assert np.abs(fd_grad - grad).max() <= 1e-6 * np.abs(grad).max()
+
+    eps = 3e-4
+    fd_hess = np.empty((m, m))
+    for k in range(m):
+        for j in range(k, m):
+            plus, minus = unit[k] + unit[j], unit[k] - unit[j]
+            fd_hess[k, j] = fd_hess[j, k] = (
+                objective(eps * plus) - objective(eps * minus)
+                - objective(-eps * minus) + objective(-eps * plus)) / (4 * eps * eps)
+    assert np.abs(fd_hess - hess).max() <= 1e-4 * np.abs(hess).max()
+
+
+def test_entropy_derivatives_need_full_rank_marginals():
+    # W_eps at eps = 0: leg 0's marginal has rank 1, where log^[1] is unbounded
+    psi = state_array(ts.w_tensor())
+    psi[1, 0, 0] = 0.0
+    assert _entropy_derivatives(psi, [([0], 0.5), ([1], 0.5)]) is None
+    assert _entropy_derivatives(psi, [([1], 0.5), ([2], 0.5)]) is not None
 
 
 def test_scaling_legs_and_dimension_bound():
