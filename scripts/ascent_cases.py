@@ -4,7 +4,9 @@
 For each case the script runs `lower_quantum_functional` with the default
 options and prints the wall time, the value and the certified upper bound
 (bits), the stop reason, the trace length of the best start, the number of
-starts that ran and how many accepted steps of each kind (Newton on the
+starts that ran, the number of state evaluations (calls of
+`quantum._state`, counted by a wrapper: one per start and one per trial)
+over all starts, and how many accepted steps of each kind (Newton on the
 Kempf-Ness potential, sweep, Newton on the objective, gradient) the best
 start took.  It checks nothing; CI prints it.
 
@@ -37,8 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 import tenspect as ts
+import tenspect.quantum as tq
 from tenspect.entropy import ThetaWeights
-from tenspect.quantum import lower_quantum_functional
 
 BASE = [[[2, -1, -1], [1, 2, -1], [-1, -2, 2]],
         [[2, 1, 0], [0, 1, 1], [0, 1, 0]]]
@@ -84,18 +86,28 @@ def _cases():
 
 def main():
     wanted = sys.argv[1:]
+    evaluations = [0]
+    state = tq._state
+
+    def counted(*args):
+        evaluations[0] += 1
+        return state(*args)
+
+    tq._state = counted
     print(f"{'case':34} {'time s':>8} {'value':>10} {'upper':>10} {'stop':>14} "
-          f"{'trace':>6} {'starts':>6}  newton/sweep/entropy_newton/gradient")
+          f"{'trace':>6} {'starts':>6} {'evals':>6}  newton/sweep/entropy_newton/gradient")
     for name, t, theta in _cases():
         if wanted and not any(text in name for text in wanted):
             continue
+        evaluations[0] = 0
         start = time.perf_counter()
-        res = lower_quantum_functional(t, theta)
+        res = tq.lower_quantum_functional(t, theta)
         wall = time.perf_counter() - start
         kinds = "/".join(str(res.steps.count(kind))
                          for kind in ("newton", "sweep", "entropy_newton", "gradient"))
         print(f"{name:34} {wall:8.3f} {res.value:10.7f} {res.upper:10.7f} {res.stop:>14} "
-              f"{len(res.trace):6d} {len(res.start_values):6d}  {kinds}", flush=True)
+              f"{len(res.trace):6d} {len(res.start_values):6d} {evaluations[0]:6d}  {kinds}",
+              flush=True)
 
 
 if __name__ == "__main__":

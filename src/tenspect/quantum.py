@@ -41,11 +41,10 @@ weights: log2 of Strassen's rho^theta at the standard basis, which bounds
 zeta^theta >= F^theta.  A start stops once it is within BOUND_TOL of that
 bound, a certified maximum, and no later start runs; the result names the
 reason the best start stopped and the kind of each step it took.
-Every trial (Newton, sweep, entropy_newton and line search) evaluates the
-objective alone, by the same evaluation as an accepted state's value (one
-eigh per weighted side, normalised by ||psi||^2); the gradient is computed
-once per accepted step.  Each leg product is one matmul on the (legs
-before, leg, legs after) view of the array.
+Every trial (Newton, sweep, entropy_newton, line search) is rescaled to
+||g_i|| = sqrt(d_i) and evaluated once (one eigh per weighted side, over
+||psi||^2); the trial that passes is the next state, and the gradient is
+read from it.  Each leg product is one matmul on the (before, leg, after) view.
 
 The upper certificate enumerates tuples of partitions whose isotypic
 projections leave a tensor power alive.  The public projector
@@ -85,6 +84,7 @@ min(d_S, d_C) vanish on copy-symmetric vectors.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import permutations as iter_permutations
@@ -249,18 +249,14 @@ def _side_entropy(psi: np.ndarray, norm2: float, side):
     return _entropy(mat @ mat.conj().T / norm2)
 
 
-def _objective(t_arr, gs, sides):
-    """Objective in bits alone: the value of `_objective_and_grads`."""
-    state = _state(t_arr, gs)
-    if state is None:
-        return None
-    psi, norm2, _ = state
-    return sum(w * _side_entropy(psi, norm2, side)[0] for side, w in sides)
+#: the ascent's state at transforms gs: the objective sum_S w_S H(rho_S) in
+#: bits, psi = (g_0 x ... x g_{k-1}) t, its ||psi||^2 and prefixes (`_state`)
+#: and the `_side_entropy` of each weighted side
+_Evaluation = namedtuple("_Evaluation", "gs value psi norm2 prefixes spectra")
 
 
-def _objective_and_grads(t_arr, gs, sides, bound=math.inf):
-    """Objective in bits plus per-leg Wirtinger ascent directions, or None
-    for the directions where the value is within BOUND_TOL of `bound`."""
+def _evaluate(t_arr, gs, sides):
+    """The `_Evaluation` at transforms gs, or None if psi vanishes."""
     state = _state(t_arr, gs)
     if state is None:
         return None
@@ -269,14 +265,18 @@ def _objective_and_grads(t_arr, gs, sides, bound=math.inf):
     value = 0.0
     for (_, w), (h_s, _, _) in zip(sides, spectra):
         value += w * h_s
-    if value >= bound - BOUND_TOL:
-        return value, None, psi
+    return _Evaluation(gs, value, psi, norm2, prefixes, spectra)
+
+
+def _gradient(state, sides):
+    """Per-leg Wirtinger ascent directions of the objective at `state`."""
+    psi, gs, prefixes = state.psi, state.gs, state.prefixes
     gpsi = np.zeros_like(psi)
-    for (side, w), (h_s, lam, u) in zip(sides, spectra):
+    for (side, w), (h_s, lam, u) in zip(sides, state.spectra):
         mat, order = _side_view(psi, side)
         lpsi = ((u * np.log2(lam)) @ u.conj().T @ mat).reshape([psi.shape[i] for i in order])
         gpsi += w * (lpsi.transpose(np.argsort(order)) + h_s * psi)
-    gpsi = -gpsi / norm2
+    gpsi = -gpsi / state.norm2
     grads = []
     for leg in range(psi.ndim):
         # t with every transform but leg's, from the prefix that stops
@@ -286,7 +286,7 @@ def _objective_and_grads(t_arr, gs, sides, bound=math.inf):
         for later in range(leg + 1, psi.ndim):
             phi = _leg_product(gs[later], phi, later)
         grads.append(2.0 * (_side_view(gpsi, [leg])[0] @ _side_view(phi, [leg])[0].conj().T))
-    return value, grads, psi
+    return grads
 
 
 def _scaling_legs(k: int, sides) -> list[int]:
@@ -457,8 +457,8 @@ def _newton_step(psi, gs, legs):
     return None if found is None else found[0]
 
 
-def _entropy_newton(t_arr, psi, gs, sides, value):
-    """The transforms after a modified Newton step of the objective at psi
+def _entropy_newton(t_arr, state, sides):
+    """The state after a modified Newton step of the objective at `state`
     over every leg, or None.
 
     The direction solves the Hessian system with each Hessian eigenvalue
@@ -469,7 +469,7 @@ def _entropy_newton(t_arr, psi, gs, sides, value):
     None where `_entropy_derivatives` gives none, the Hessian's eigh fails,
     the direction is not finite or does not ascend, or no trial gains.
     """
-    derivs = _entropy_derivatives(psi, sides)
+    derivs = _entropy_derivatives(state.psi, sides)
     if derivs is None or not np.isfinite(derivs[1]).all():
         return None
     grad, hess = derivs
@@ -482,95 +482,93 @@ def _entropy_newton(t_arr, psi, gs, sides, value):
     slope = grad @ coords
     if not slope > 0:
         return None
-    found = _backtrack(t_arr, sides, value, slope, 1.0,
-                       partial(_exponential_step, gs, range(len(gs)), coords))
+    found = _backtrack(t_arr, sides, state.value, slope, 1.0,
+                       partial(_exponential_step, state.gs, range(len(state.gs)), coords))
     return None if found is None else found[0]
 
 
-def _gains(cand_value, value, least):
-    """cand_value beats value by at least `least` and by more than 4 ulps."""
-    return (cand_value is not None and cand_value >= value + least
-            and cand_value - value > 4 * math.ulp(value))
+def _accepted(t_arr, cand, sides, value, least):
+    """The state at transforms `cand` rescaled to ||g_i|| = sqrt(d_i), if its
+    value beats `value` by at least `least` and by more than 4 ulps; None if
+    it does not or `cand` is None."""
+    if cand is None:
+        return None
+    state = _evaluate(t_arr, [g / (np.linalg.norm(g) / math.sqrt(g.shape[0])) for g in cand], sides)
+    if state is None or not (state.value >= value + least
+                             and state.value - value > 4 * math.ulp(value)):
+        return None
+    return state
 
 
 def _backtrack(t_arr, sides, value, slope, length, trial):
-    """(transforms, length) of the first of up to 40 trials, from `length`
-    down by BACKTRACK, that gains ARMIJO * length * slope, or None;
+    """(state, length) of the first of up to 40 trials, from `length` down
+    by BACKTRACK, that gains ARMIJO * length * slope (`_accepted`), or None;
     trial(length) gives (transforms, the length it took) or None."""
     for _ in range(40):
         found = trial(length)
         if found is None:
             return None
         cand, length = found
-        if _gains(_objective(t_arr, cand, sides), value, ARMIJO * length * slope):
-            return cand, length
+        state = _accepted(t_arr, cand, sides, value, ARMIJO * length * slope)
+        if state is not None:
+            return state, length
         length *= BACKTRACK
     return None
 
 
 def _ascend(t_arr, gs, sides, legs, bound, scalable, opts: AscentOptions):
-    """One start: (value, transforms, trace, stop reason, step kinds), or None
-    if the start state vanishes.
+    """One start: (final state, trace, stop reason, step kinds), or None if
+    the start state vanishes.
 
     Each iteration keeps the first of these steps that passes its Armijo
     test: a Newton step on the Kempf-Ness potential (tried only if
     `scalable`, after a Newton step or a slow sweep that followed a scaling
     step), a scaling sweep, a Newton step on the objective
     (`_entropy_newton`), and a gradient step by backtracking, the fallback
-    where none of the others gains.
+    where none of the others gains.  The start is evaluated as given; the
+    trial that passes (`_accepted`) is the next state, evaluated once.
     """
-    res = _objective_and_grads(t_arr, gs, sides, bound)
-    if res is None:
+    state = _evaluate(t_arr, gs, sides)
+    if state is None:
         return None
-    value, grads, psi = res
-    trace = [value]
+    trace = [state.value]
     kinds = []
     step = STEP0
     newton = False
     for it in range(opts.max_iter + 1):
+        value, psi, gs = state.value, state.psi, state.gs
         if value >= bound - BOUND_TOL:
-            return value, gs, trace, "bound", kinds
+            return state, trace, "bound", kinds
+        grads = _gradient(state, sides)
         gnorm2 = sum(float(np.vdot(g, g).real) for g in grads)
         if math.sqrt(gnorm2) < GRAD_TOL:
             singular = any(_singular(np.linalg.eigvalsh(marginal(psi, [leg]))) for leg in legs)
-            return value, gs, trace, "singular" if singular else "gradient", kinds
+            return state, trace, "singular" if singular else "gradient", kinds
         if it == opts.max_iter:
-            return value, gs, trace, "iteration_cap", kinds
+            return state, trace, "iteration_cap", kinds
         least = ARMIJO * step * gnorm2
-        kind = None
+        cand = None
         if newton:
-            cand = _newton_step(psi, gs, legs)
-            if cand is not None and _gains(_objective(t_arr, cand, sides), value, least):
-                kind = "newton"
-        if kind is None and legs:
-            cand = _scaling_sweep(psi, gs, legs)
-            if cand is not None and _gains(_objective(t_arr, cand, sides), value, least):
-                kind = "sweep"
-        if kind is None:
-            cand = _entropy_newton(t_arr, psi, gs, sides, value)
-            if cand is not None:
-                kind = "entropy_newton"
-        if kind is None:
+            cand = _accepted(t_arr, _newton_step(psi, gs, legs), sides, value, least)
+            kind = "newton"
+        if cand is None and legs:
+            cand = _accepted(t_arr, _scaling_sweep(psi, gs, legs), sides, value, least)
+            kind = "sweep"
+        if cand is None:
+            cand = _entropy_newton(t_arr, state, sides)
+            kind = "entropy_newton"
+        if cand is None:
             # the Armijo line search along the gradient
             found = _backtrack(t_arr, sides, value, gnorm2, step,
                                lambda alpha: ([g + alpha * d for g, d in zip(gs, grads)], alpha))
             if found is None:
-                return value, gs, trace, "no_step", kinds
+                return state, trace, "no_step", kinds
             cand, alpha = found
             step = min(alpha * 2.0, 8.0)
             kind = "gradient"
         kinds.append(kind)
-        gs = [g / (np.linalg.norm(g) / math.sqrt(g.shape[0])) for g in cand]
-        conds = []
-        for g in gs:
-            sv = np.linalg.svd(g, compute_uv=False)
-            conds.append(sv[0] / max(sv[-1], 1e-300))
-        res = _objective_and_grads(t_arr, gs, sides, bound)
-        if res is None:
-            return value, gs, trace, "no_step", kinds
-        gap = bound - value
-        value, grads, psi = res
-        trace.append(value)
+        state = cand
+        trace.append(state.value)
         # Newton follows a Newton step, or a sweep that left more than
         # NEWTON_AFTER of the certified gap; not the first sweep after a
         # step that is not a scaling step, or after the start, whose gain is
@@ -578,9 +576,9 @@ def _ascend(t_arr, gs, sides, legs, bound, scalable, opts: AscentOptions):
         after = kinds[-2] if len(kinds) > 1 else None
         newton = scalable and (kind == "newton" or (
             kind == "sweep" and after in ("newton", "sweep")
-            and bound - value > NEWTON_AFTER * gap))
-        if max(conds) > COND_LIMIT:
-            return value, gs, trace, "condition_limit", kinds
+            and bound - state.value > NEWTON_AFTER * (bound - value)))
+        if max(np.linalg.cond(g) for g in state.gs) > COND_LIMIT:
+            return state, trace, "condition_limit", kinds
 
 
 def _dimension_bound(dims, sides) -> float:
@@ -651,22 +649,17 @@ def lower_quantum_functional(t: Tensor, theta: ThetaWeights,
                   for d in t_arr.shape]
         out = _ascend(t_arr, gs, sides, legs, bound, scalable, opts)
         if out is not None:
-            results.append((out[0], start, *out[1:]))
-            if out[3] == "bound":
+            results.append((out[0].value, start, *out))
+            if out[2] == "bound":
                 break
     if not results:
         raise RuntimeError("every ascent start failed")
     results.sort(key=lambda r: (-r[0], r[1]))
-    best = results[0]
-    psi, norm2, _ = _state(t_arr, best[2])
-    return LowerQuantumResult(value=best[0],
-                              upper=bound,
-                              transforms=tuple(best[2]),
-                              trace=tuple(best[3]),
-                              start_values=tuple(r[0] for r in results),
-                              stop=best[4],
-                              steps=tuple(best[5]),
-                              leg_entropies=tuple(_side_entropy(psi, norm2, [i])[0]
+    _, _, state, trace, stop, kinds = results[0]
+    return LowerQuantumResult(value=state.value, upper=bound, transforms=tuple(state.gs),
+                              trace=tuple(trace), start_values=tuple(r[0] for r in results),
+                              stop=stop, steps=tuple(kinds),
+                              leg_entropies=tuple(_side_entropy(state.psi, state.norm2, [i])[0]
                                                   for i in range(k)))
 
 
@@ -734,7 +727,9 @@ MAX_POWER_ELEMENTS = 20_000_000
 
 
 def _check_budget(dims, n: int):
-    if n < 1 or n > 5:
+    if n < 1:
+        raise ValueError(f"tensor power n = {n} must be at least 1")
+    if n > 5:
         raise BudgetExceededError("tensor power limited to 1 <= n <= 5")
     if prod(dims) ** n > MAX_POWER_ELEMENTS:
         raise BudgetExceededError("tensor power too large for dense projection")
@@ -1048,8 +1043,9 @@ def upper_quantum_certificate(t: Tensor, theta: ThetaWeights, n: int) -> Certifi
     bipartitions, do not annihilate the n-th power.  There is no projector
     order to choose: crossing weights raise ValueError.  The value is
     a point of the entanglement polytope: a lower bound on log2 F^theta.
-    Like the public projectors, it raises BudgetExceededError unless
-    1 <= n <= 5 and the power has at most MAX_POWER_ELEMENTS entries.
+    Like the public projectors, it raises ValueError if n < 1 and
+    BudgetExceededError unless n <= 5 and the power has at most
+    MAX_POWER_ELEMENTS entries.
     """
     t_arr = state_array(t)
     norm = math.sqrt(float(np.vdot(t_arr, t_arr).real))

@@ -430,8 +430,10 @@ def subrank_set(s: SupportSet, budget: int = 5000) -> SubrankResult:
     """Exact maximum free diagonal via branch and bound.
 
     Prunes with the minimum marginal support size; a support of more than
-    `budget` points raises BudgetExceededError.
+    `budget` points raises BudgetExceededError, a negative budget ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget {budget} must be nonnegative")
     pts = list(s.points)
     if len(pts) > budget:
         raise BudgetExceededError(f"support size {len(pts)} beyond budget {budget}")

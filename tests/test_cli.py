@@ -195,6 +195,9 @@ def test_exit_codes():
     ["quantum-lower", "--family", "W", "--starts", "0"],
     ["quantum-lower", "--family", "W", "--iters", "-1"],
     ["slicerank", "--family", "W", "--starts", "0"],
+    ["quantum-cert", "--family", "W", "--power", "0"],
+    ["quantum-cert", "--family", "W", "--power", "-1"],
+    ["subrank-exact", "--family", "W", "--budget", "-1"],
 ], ids=lambda argv: " ".join(argv[argv.index("W") + 1:]))
 def test_invalid_budgets_are_validation_errors(argv):
     code, out = run(argv)

@@ -19,8 +19,8 @@ from tenspect.errors import BudgetExceededError
 from tenspect.partitions import irrep_dimension, partition_entropy, partitions
 from tenspect.quantum import (MAX_POWER_ELEMENTS, ZERO_TOL, AscentOptions,
                               _dimension_bound, _entropy_derivatives,
-                              _kempf_ness, _objective,
-                              _objective_and_grads, _scaling_legs,
+                              _evaluate, _gradient, _kempf_ness,
+                              _scaling_legs, _side_entropy,
                               _traceless_basis,
                               _collapse_rest, _gather,
                               _norm_table, _offsets, _orient, _project,
@@ -98,7 +98,8 @@ def test_gradient_matches_finite_differences(rng):
     gs = [np.eye(2, dtype=complex) + 0.2 * rng.standard_normal((2, 2)),
           np.eye(3, dtype=complex), np.eye(2, dtype=complex)]
     sides = [([0], 0.5), ([1, 2], 0.25), ([1], 0.25)]
-    f0, grads, _ = _objective_and_grads(t_arr, gs, sides)
+    state = _evaluate(t_arr, gs, sides)
+    f0, grads = state.value, _gradient(state, sides)
     eps = 1e-7
     for leg in range(3):
         n = gs[leg].shape[0]
@@ -106,27 +107,47 @@ def test_gradient_matches_finite_differences(rng):
             for b in range(n):
                 bumped = [g.copy() for g in gs]
                 bumped[leg][a, b] += eps
-                f1, _, _ = _objective_and_grads(t_arr, bumped, sides)
+                f1 = _evaluate(t_arr, bumped, sides).value
                 assert (f1 - f0) / eps == pytest.approx(grads[leg][a, b].real, abs=1e-5)
                 bumped = [g.copy() for g in gs]
                 bumped[leg][a, b] += 1j * eps
-                f1, _, _ = _objective_and_grads(t_arr, bumped, sides)
+                f1 = _evaluate(t_arr, bumped, sides).value
                 assert (f1 - f0) / eps == pytest.approx(grads[leg][a, b].imag, abs=1e-5)
 
 
-def test_value_only_objective_matches_full_evaluation():
-    # trials and accepted states are compared at rounding level, so their
-    # values must be one computation, bit for bit
-    rng = np.random.default_rng(0)
-    for dims, sides in 8 * [((2, 3, 4), [([0], 0.5), ([1, 2], 0.25), ([1], 0.25)]),
-                            ((2, 2, 3, 2), [([0, 1], 0.5), ([0, 2], 0.3), ([3], 0.2)]),
-                            ((3, 3, 3), [([0], 1 / 3), ([1], 1 / 3), ([2], 1 / 3)]),
-                            ((2, 2, 2), [([0, 1], 0.6), ([1], 0.4)])]:
-        t_arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-        gs = [np.eye(d, dtype=complex) + 0.3 * (rng.standard_normal((d, d))
-                                               + 1j * rng.standard_normal((d, d)))
-              for d in dims]
-        assert _objective(t_arr, gs, sides) == _objective_and_grads(t_arr, gs, sides)[0]
+@pytest.mark.parametrize("dims,legs", [
+    ((2, 3, 4), [0.5, 0.3, 0.2]),
+    ((2, 3, 4), None),
+    ((2, 2, 2, 2), None)])
+def test_result_is_the_evaluated_final_state(dims, legs):
+    # the trial that passes its gain test is the kept state: its value ends
+    # the trace, and evaluating its transforms again gives it bit for bit
+    rng = np.random.default_rng(34)
+    arr = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    t = ts.Tensor(dims, ts.COMPLEXFLOAT, arr)
+    theta = (ThetaWeights.from_legs(legs) if legs else
+             ThetaWeights.from_bipartitions({(0,): 0.5, (0, 1): 0.5}, len(dims)))
+    res = lower_quantum_functional(t, theta, AscentOptions(starts=2, max_iter=150))
+    assert len(res.steps) > 0
+    sides = [(list(side), w) for side, w in theta.bipartition_sides(len(dims)) if w > 0]
+    state = _evaluate(arr, list(res.transforms), sides)
+    assert res.value == res.trace[-1] == state.value
+    assert res.leg_entropies == tuple(_side_entropy(state.psi, state.norm2, [i])[0]
+                                      for i in range(len(dims)))
+
+
+def test_ascent_at_bound_evaluates_once(monkeypatch):
+    calls = []
+    state = tq._state
+
+    def counted(*args):
+        calls.append(args)
+        return state(*args)
+
+    monkeypatch.setattr(tq, "_state", counted)
+    res = lower_quantum_functional(ts.w_tensor(), U3, FAST)
+    assert res.stop == "bound" and len(res.trace) == 1
+    assert len(calls) == 1
 
 
 def test_lower_functional_normalisation():
@@ -333,7 +354,7 @@ def _objective_at(psi, sides, coords):
     for d in psi.shape:
         gs.append(scipy.linalg.expm(np.tensordot(coords[:d * d - 1], _traceless_basis(d), axes=1) / 2))
         coords = coords[d * d - 1:]
-    return _objective(psi, gs, sides)
+    return _evaluate(psi, gs, sides).value
 
 
 @pytest.mark.parametrize("dims,sides", [
@@ -526,12 +547,14 @@ def test_certificate_budget_and_crossing():
 @pytest.mark.parametrize("dims,n", [((2, 2, 2), 0), ((2, 2, 2), 6), ((4, 4, 4), 5)])
 def test_power_limit_is_one_check(dims, n):
     # the certificate and both public projectors share one limit:
-    # 1 <= n <= 5 and at most MAX_POWER_ELEMENTS entries (64^5 is above it)
+    # n <= 5 and at most MAX_POWER_ELEMENTS entries (64^5 is above it); a
+    # power below 1 is not a budget overrun but an invalid argument
     t = ts.Tensor(dims, ts.COMPLEXFLOAT, np.ones(dims, dtype=complex))
-    with pytest.raises(BudgetExceededError):
+    error = ValueError if n < 1 else BudgetExceededError
+    with pytest.raises(error):
         upper_quantum_certificate(t, U3, n)
     for project in (isotypic_projector_apply, bipartition_projector_apply):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(error):
             project(np.ones(1), dims, n, (n,), [0])
     assert n in (0, 6) or math.prod(dims) ** n > MAX_POWER_ELEMENTS
 
