@@ -12,6 +12,17 @@ returned point: for concave F, F(P*) <= F(P) + max_j grad_j - grad . P over
 the simplex.  `h_theta_bracket` brackets the value from the uniform point
 alone, for callers that only compare it with a threshold.
 
+Callers that need only the value call `h_theta_value`, which starts the same
+Newton rounds (`_newton_rounds`) from a Sinkhorn-scaled point: sweeps that
+make each weighted leg's marginal uniform in turn (`_sweep`).  The optimum
+is the dimension bound sum_i theta_i log2 |V_i| exactly when the uniform
+weighted marginals lie in the support's marginal polytope, the torus case
+of moment-polytope membership, and there the sweeps certify it, mostly with
+no Newton step.  `max_H_theta` keeps the uniform start: its maximiser feeds
+the minimax's cutting planes, and where a leg has weight 0 the maximiser is
+not unique, so another start can return another maximiser of equal value
+and move the minimax's theta.
+
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
 min_theta max_P H_theta(P); the dual side minimises over the theta simplex
 with `_theta_cutting_planes` and reports the least certified bound
@@ -242,6 +253,63 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
         return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
 
     legs, evaluate, p, f, grad, gap = _uniform_start(support, theta_arr)
+    p, grad, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, legs, tol, max_iter)
+    mask = p > 1e-10
+    kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
+    return HThetaResult(_value(p, legs), Distribution(support, p), gap, kkt,
+                        max(rounds, 1), gap <= tol)
+
+
+def h_theta_value(support: SupportSet, theta: ThetaWeights) -> tuple[float, float]:
+    """max_P H_theta(P) as (value, gap): `max_H_theta` at INNER_TOL from a
+    Sinkhorn-scaled start.
+
+    `_sweep`s run from the uniform point until the gap is <= 1e-14, a sweep
+    does not halve it, or 30 sweeps; the point of least gap, the uniform
+    one included, is kept, and `_newton_rounds` run from it while its gap
+    is > INNER_TOL.  value is H_theta at the last point, summed as
+    `max_H_theta` sums its own, and value + gap bounds the optimum.
+    Diagonal supports give (log2 |S|, 0).
+    """
+    if len(support) == 0:
+        raise ValueError("empty support")
+    if is_diagonal(support):
+        return math.log2(len(support)), 0.0
+    legs, evaluate, p, f, grad, gap = _uniform_start(support, theta.leg_array(support.k))
+    q, last = p, gap
+    for _ in range(30):
+        if last <= 1e-14:
+            break
+        q = _sweep(q, legs)
+        g, grad_q = evaluate(q)
+        gap_q = float(grad_q.max() - grad_q @ q)
+        if gap_q < gap:
+            p, f, grad, gap = q, g, grad_q, gap_q
+        if gap_q > 0.5 * last:
+            break
+        last = gap_q
+    p, _, gap, _ = _newton_rounds(p, f, grad, gap, evaluate, legs, INNER_TOL, 50)
+    return _value(p, legs), gap
+
+
+def _sweep(q: np.ndarray, legs) -> np.ndarray:
+    """One Sinkhorn sweep: q <- q / (|V_i| m_i(q))[v_i] over the weighted
+    legs in order, each of which leaves leg i's marginal uniform."""
+    for vals, _ in legs:
+        marg = np.bincount(vals, weights=q)
+        q = q / (marg.size * marg)[vals]
+    return q
+
+
+def _newton_rounds(p, f, grad, gap, evaluate, legs, tol, max_iter):
+    """The active-set Newton rounds of the program from the point p.
+
+    (f, grad) is evaluate(p) and gap its first-order certificate.  While
+    gap > tol, at most max_iter rounds: each runs the face steps of
+    `_face_polish`, and each after the first starts by adding back the
+    coordinate of largest gradient (`_add_back`).  Returns the last point,
+    its gradient and gap, and the number of rounds.
+    """
     rounds = 0
     while gap > tol and rounds < max_iter:
         if rounds:
@@ -250,12 +318,12 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
         p, f, grad = _face_polish(p, f, grad, evaluate, legs)
         gap = float(grad.max() - grad @ p)
         rounds += 1
-    mask = p > 1e-10
-    kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
-    dist = Distribution(support, p)
-    value = float(sum(theta_arr[i] * shannon_entropy(dist.marginals[i])
-                      for i in range(k) if theta_arr[i] > 0))
-    return HThetaResult(value, dist, gap, kkt, max(rounds, 1), gap <= tol)
+    return p, grad, gap, rounds
+
+
+def _value(p: np.ndarray, legs) -> float:
+    """H_theta(p) in bits, summed leg by leg from each marginal's entropy."""
+    return float(sum(w * shannon_entropy(np.bincount(vals, weights=p)) for vals, w in legs))
 
 
 def _uniform_start(support: SupportSet, theta_arr: np.ndarray):

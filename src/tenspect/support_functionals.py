@@ -15,9 +15,10 @@ screens each transvection on the one slice it reads, which gives the
 support points the step removes and adds; no step that removes none can
 gain in the upper search, nor in the lower one when every point it adds
 lies below a current point.  It brackets each other candidate's entropy
-program at the uniform point (`h_theta_bracket`), solves it only when the
-bracket, widened by SCREEN_MARGIN = 1e-10 bits for rounding, cannot decide
-the step, and builds a new state only for a step it keeps.
+program at the uniform point (`h_theta_bracket`), solves it for its value
+(`h_theta_value`) only when the bracket, widened by SCREEN_MARGIN = 1e-10
+bits for rounding, cannot decide the step, and builds a new state only for
+a step it keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .entropy import ThetaWeights, h_theta_bracket, max_H_theta
+from .entropy import ThetaWeights, h_theta_bracket, h_theta_value
 from .linalg import row_reduce
 from .supports import (SupportSet, TightnessCertificate, TightnessReport,
                        check_tight, downward_closure, is_diagonal, max_points,
@@ -45,7 +46,7 @@ MAX_COEFF = 3
 
 #: bits by which the basis search widens a candidate's bracket before it
 #: skips the solve: the rounding between the bracket's uniform-point sums and
-#: max_H_theta's final entropy sum, and the 4-ulp drops its face steps allow
+#: h_theta_value's final entropy sum, and a solve's gap up to this margin
 SCREEN_MARGIN = 1e-10
 
 #: 32-bit words `_draws` takes from the generator at a time
@@ -88,14 +89,14 @@ def rho_upper_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights) -> flo
     supp = support_at_basis(t, basis)
     if len(supp) == 0:
         return NEG_INF
-    return max_H_theta(supp, theta).value
+    return h_theta_value(supp, theta)[0]
 
 
 def rho_lower_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights) -> float:
     supp = support_at_basis(t, basis)
     if len(supp) == 0:
         return NEG_INF
-    return max_H_theta(max_points(supp), theta).value
+    return h_theta_value(max_points(supp), theta)[0]
 
 
 def gauge_points(t: Tensor) -> tuple[int, ...]:
@@ -311,16 +312,18 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     points plus the added ones; its state is built only if the step is kept.
     Each candidate's scored support is built once and first valued by a
     bracket lo <= value <= hi at the uniform point (`h_theta_bracket`).
-    Its program is solved only when the bracket, widened by SCREEN_MARGIN
-    = 1e-10 bits for rounding, cannot decide the step, so a skipped solve
-    could not have gained and every decision is the one the solved value
-    would make.  `evaluations` counts the distinct scored supports valued
-    by bracket or by solve.
+    Its program is solved (`h_theta_value`) only when the bracket, widened
+    by SCREEN_MARGIN = 1e-10 bits for rounding, cannot decide the step.  A
+    solved value is at most hi, and at least lo less the solve's own gap;
+    so a skipped solve could not have gained, and every decision is the one
+    the solved value would make, in the lower search always and in the
+    upper search whenever that gap is at most SCREEN_MARGIN.  `evaluations`
+    counts the distinct scored supports valued by bracket or by solve.
     `start_tight`, if given, is `check_tight` of the first pool state's
     support, reused when that support wins.
     """
     sign = 1.0 if minimise else -1.0
-    # scored support points -> max_H_theta value, or its bracket (lo, hi)
+    # scored support points -> h_theta_value value, or its bracket (lo, hi)
     exact: dict[tuple, float] = {}
     brackets: dict[tuple, tuple[float, float]] = {}
     # candidate support points -> scored support: a SupportSet and score
@@ -329,7 +332,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
 
     def entropy(supp: SupportSet) -> float:
         if supp.points not in exact:
-            exact[supp.points] = max_H_theta(supp, theta).value
+            exact[supp.points] = h_theta_value(supp, theta)[0]
         return exact[supp.points]
 
     def better(val: float, ref: float, slack: float) -> bool:

@@ -252,12 +252,16 @@ def test_criterion_12_cli_determinism():
         code2, out2 = cli_run(argv)
         assert code1 == code2 == 0
         assert out1.encode() == out2.encode(), argv
-    # separate processes as well
+    # separate processes as well, importing the package this test imports
+    import os
     import subprocess
     import sys
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ts.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "tenspect.cli", "zn", "--from", "2",
             "--to", "5", "--format", "json"]
-    runs = [subprocess.run(argv, capture_output=True, check=True).stdout
+    runs = [subprocess.run(argv, capture_output=True, check=True, env=env).stdout
             for _ in range(2)]
     assert runs[0] == runs[1]
     _report("criterion 12: byte-identical machine output for repeated runs",

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import tenspect as ts
 import tenspect.entropy as te
 from tenspect.entropy import (INNER_TOL, Distribution, ThetaWeights,
-                              binary_entropy, h_theta_bracket, max_H_theta,
-                              max_min_entropy, shannon_entropy)
+                              binary_entropy, h_theta_bracket, h_theta_value,
+                              max_H_theta, max_min_entropy, shannon_entropy)
 
 from conftest import random_support
 
@@ -442,6 +442,88 @@ def test_bracket_holds_the_program_value():
             for theta in _bracket_thetas(rng, k):
                 assert h_theta_bracket(supp, theta) == (math.log2(m),) * 2
                 assert max_H_theta(supp, theta).value == math.log2(m)
+
+
+THETA_GRID = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+              (1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (0.5, 0.0, 0.5),
+              (0.0, 0.5, 0.5), (0.5, 0.25, 0.25), (0.25, 0.5, 0.25),
+              (0.25, 0.25, 0.5)]
+
+
+def _value_path_cases():
+    """(support, theta) pairs: the supports of density-0.8 random complex
+    tensors of the sandwich dims and of W at the 10 grid theta, random
+    12-point supports in 4x4x4, and random 4-leg supports."""
+    rng = np.random.default_rng(35)
+    cases = []
+    for dims in 2 * [(2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3),
+                     (2, 2, 4), (2, 3, 4), (3, 2, 4), (3, 3, 4)]:
+        arr = (rng.standard_normal(dims) + 1j * rng.standard_normal(dims)) * (rng.random(dims) < 0.8)
+        supp = ts.SupportSet.from_tensor(ts.Tensor(dims, ts.COMPLEXFLOAT, arr))
+        cases += [(supp, ThetaWeights.from_legs(th)) for th in THETA_GRID]
+    w = ts.SupportSet.from_tensor(ts.w_tensor())
+    cases += [(w, ThetaWeights.from_legs(th)) for th in THETA_GRID]
+    def drawn(bounds, npts):
+        flat = rng.choice(math.prod(bounds), size=npts, replace=False)
+        return ts.SupportSet(bounds, tuple(sorted(
+            tuple(int(x) for x in np.unravel_index(j, bounds)) for j in flat)))
+
+    for i in range(12):
+        supp = drawn((4, 4, 4), 12)
+        cases += [(supp, ThetaWeights.from_legs(THETA_GRID[j])) for j in (i % 10, 3)]
+    for _ in range(12):
+        bounds = tuple(int(b) for b in rng.integers(2, 4, size=4))
+        supp = drawn(bounds, int(rng.integers(4, math.prod(bounds) + 1)))
+        cases.append((supp, ThetaWeights.from_legs(rng.dirichlet(np.ones(4)))))
+    return cases
+
+
+def test_value_path_matches_the_solve():
+    """h_theta_value's scaled start gives max_H_theta's value within 1e-12,
+    a gap <= INNER_TOL, and value + gap bounds max_H_theta's value up to 4
+    ulps of rounding in the two gaps."""
+    cases = _value_path_cases()
+    assert len({supp.points for supp, _ in cases}) >= 40
+    for supp, theta in cases:
+        value, gap = h_theta_value(supp, theta)
+        ref = max_H_theta(supp, theta).value
+        assert abs(value - ref) <= 1e-12, (supp, theta, value, ref)
+        assert gap <= INNER_TOL, (supp, theta, gap)
+        assert value + gap >= ref - 4 * np.spacing(ref), (supp, theta, value, gap, ref)
+
+
+def test_one_leg_theta_certifies_after_one_sweep(monkeypatch):
+    """At a one-leg theta, one sweep makes that leg's marginal uniform, the
+    optimum; no face step runs."""
+    sweeps = []
+    sweep = te._sweep
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(te, "_sweep", counted)
+    monkeypatch.setattr(te, "_face_polish", None)
+    rng = np.random.default_rng(36)
+    for leg in range(3):
+        theta = ThetaWeights.from_legs(np.eye(3)[leg])
+        while True:
+            # a support whose uniform point does not certify
+            supp = random_support(rng, max_points=8)
+            lo, hi = h_theta_bracket(supp, theta)
+            if hi - lo > 1e-9:
+                break
+        sweeps.clear()
+        value, gap = h_theta_value(supp, theta)
+        assert len(sweeps) == 1 and gap <= 1e-14
+        assert value == pytest.approx(math.log2(len(supp.values(leg))), abs=1e-14)
+
+
+def test_diagonal_support_value_is_exact():
+    for k in (3, 4):
+        for m in (1, 2, 4):
+            supp = ts.SupportSet((4,) * k, tuple((i,) * k for i in range(m)))
+            assert h_theta_value(supp, ThetaWeights.uniform(k)) == (math.log2(m), 0.0)
 
 
 def test_grid_oracle_agreement_small():

@@ -150,6 +150,32 @@ def test_ascent_at_bound_evaluates_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("legs", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)])
+def test_leg_entropies_reuse_the_weighted_legs(monkeypatch, legs):
+    # a weighted leg's entropy is read from the final state's spectra; only
+    # the legs of weight 0 take a marginal of their own
+    evals, sides = [], []
+    evaluate, side_entropy = tq._evaluate, tq._side_entropy
+
+    def counted_evaluate(*args):
+        evals.append(args)
+        return evaluate(*args)
+
+    def counted_side(*args):
+        sides.append(args)
+        return side_entropy(*args)
+
+    monkeypatch.setattr(tq, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(tq, "_side_entropy", counted_side)
+    rng = np.random.default_rng(35)
+    t = ts.Tensor((2, 3, 3), ts.COMPLEXFLOAT,
+                  rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3)))
+    res = lower_quantum_functional(t, ThetaWeights.from_legs(legs), FAST)
+    weighted = sum(w > 0 for w in legs)
+    assert len(sides) == weighted * len(evals) + 3 - weighted
+    assert len(res.leg_entropies) == 3
+
+
 def test_lower_functional_normalisation():
     for r in (1, 2, 3):
         res = lower_quantum_functional(ts.unit(r), U3, FAST)
