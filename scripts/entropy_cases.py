@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Time the entropy programs and print their Newton work and worst gap.
+
+The cases:
+- max_H_theta on `count` seeded 12-point supports in 4x4x4 (12 distinct
+  points each, drawn by default_rng(seed)), at uniform theta and at
+  theta = (1/2, 1/4, 1/4);
+- max_min_entropy on reduced_polymult_support(n), n = 2..8, the supports
+  of the cap-set bound.
+Per case it prints the microseconds per solve (the least of five passes,
+after a warm-up pass), the face steps (KKT solves, the saddle polish's
+included) and rounds (face polishes) per solve, counted in one more pass,
+and the worst gap.  It checks nothing; CI prints it.
+
+Usage: python scripts/entropy_cases.py [count] [seed]
+"""
+
+import sys
+import time
+
+import numpy as np
+
+import tenspect as ts
+import tenspect.entropy as te
+from tenspect.asymptotics import reduced_polymult_support
+
+
+def counted(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+def report(label, solve, inputs):
+    """Time `solve` over the inputs, count its face steps and rounds, and
+    print one line; `solve` returns the gap of its result."""
+    for args in inputs:
+        solve(*args)
+    best = min(_timed(solve, inputs) for _ in range(5))
+    calls = {"steps": 0, "rounds": 0}
+    norm_solve, face_polish = te._min_norm_solve, te._face_polish
+    te._min_norm_solve = counted(calls, "steps", norm_solve)
+    te._face_polish = counted(calls, "rounds", face_polish)
+    try:
+        worst = max(solve(*args) for args in inputs)
+    finally:
+        te._min_norm_solve, te._face_polish = norm_solve, face_polish
+    n = len(inputs)
+    print(f"{label}: {n} solves, {1e6 * best / n:.0f} us per solve, "
+          f"{calls['steps'] / n:.2f} face steps and {calls['rounds'] / n:.2f} rounds per solve, "
+          f"worst gap {worst:.2e}", flush=True)
+
+
+def _timed(solve, inputs):
+    start = time.perf_counter()
+    for args in inputs:
+        solve(*args)
+    return time.perf_counter() - start
+
+
+def main():
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else 40
+    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
+    rng = np.random.default_rng(seed)
+    supports = [ts.SupportSet((4, 4, 4), tuple(zip(*np.unravel_index(flat, (4, 4, 4)))))
+                for flat in (rng.choice(64, size=12, replace=False) for _ in range(count))]
+    for name, weights in (("uniform", (1 / 3, 1 / 3, 1 / 3)), ("(1/2, 1/4, 1/4)", (0.5, 0.25, 0.25))):
+        theta = te.ThetaWeights.from_legs(weights)
+        report(f"max_H_theta, 12 points in 4x4x4, theta {name}",
+               lambda supp: te.max_H_theta(supp, theta).gap, [(supp,) for supp in supports])
+    for n in range(2, 9):
+        report(f"max_min_entropy, reduced_polymult_support({n})",
+               lambda supp: te.max_min_entropy(supp).gap, [(reduced_polymult_support(n),)])
+
+
+if __name__ == "__main__":
+    main()

@@ -7,10 +7,13 @@ point: Newton steps on the simplex face (`_face_polish`) converge
 quadratically and trim the masses that vanish at the optimum, and while the
 point does not certify, the coordinate of largest gradient is added back by
 an exact line search toward its vertex (`_add_back`) and the face steps run
-again.  The certificate is the first-order gap over the full support at the
-returned point: for concave F, F(P*) <= F(P) + max_j grad_j - grad . P over
-the simplex.  `h_theta_bracket` brackets the value from the uniform point
-alone, for callers that only compare it with a threshold.
+again.  A face step costs two small products on one 0/1 incidence matrix,
+points x values (`_face_hessian`), and one LAPACK minimum-norm solve of its
+KKT system (`_min_norm_solve`).  The certificate is the first-order gap
+over the full support at the returned point: for concave F, F(P*) <= F(P)
++ max_j grad_j - grad . P over the simplex.  `h_theta_bracket` brackets the
+value from the uniform point alone, for callers that only compare it with
+a threshold.
 
 Callers that need only the value call `h_theta_value`, which starts the same
 Newton rounds (`_newton_rounds`) from a Sinkhorn-scaled point: sweeps that
@@ -36,6 +39,7 @@ theta simplex; the asymptotic slice rank runs it too, over entropy ascents.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -220,13 +224,17 @@ class HThetaResult:
     exact_power: int | None = None   # 2**value as an exact integer, when known
 
 
-def _solver_arrays(support: SupportSet) -> list[np.ndarray]:
-    """Per leg, the index of each point's value among the leg's values."""
-    idx = []
+def _incidence(support: SupportSet):
+    """(idx, inc, cols): per leg, the index of each point's value among the
+    leg's values, and the 0/1 matrices points x values of every leg (1 where
+    the point takes the value) and values x legs."""
+    idx, sizes = [], []
     for i in range(support.k):
         lookup = {v: j for j, v in enumerate(support.values(i))}
         idx.append(np.array([lookup[p[i]] for p in support.points]))
-    return idx
+        sizes.append(len(lookup))
+    inc = np.hstack([vals[:, None] == np.arange(n) for vals, n in zip(idx, sizes)])
+    return idx, inc.astype(float), np.repeat(np.eye(support.k), sizes, axis=0)
 
 
 def max_H_theta(support: SupportSet, theta: ThetaWeights,
@@ -246,14 +254,13 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights,
     """
     if len(support) == 0:
         raise ValueError("empty support")
-    k, m = support.k, len(support)
-    theta_arr = theta.leg_array(k)
+    m = len(support)
     if is_diagonal(support):
         dist = Distribution(support, np.full(m, 1.0 / m))
         return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
 
-    legs, evaluate, p, f, grad, gap = _uniform_start(support, theta_arr)
-    p, grad, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, legs, tol, max_iter)
+    legs, inc, w, evaluate, p, f, grad, gap = _uniform_start(support, theta)
+    p, grad, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol, max_iter)
     mask = p > 1e-10
     kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
     return HThetaResult(_value(p, legs), Distribution(support, p), gap, kkt,
@@ -267,16 +274,17 @@ def h_theta_value(support: SupportSet, theta: ThetaWeights) -> tuple[float, floa
     `_sweep`s run from the uniform point until the gap is <= 1e-14, a sweep
     does not halve it, or 30 sweeps; the point of least gap, the uniform
     one included, is kept, and `_newton_rounds` run from it while its gap
-    is > INNER_TOL.  value is H_theta at the last point, summed as
-    `max_H_theta` sums its own, and value + gap bounds the optimum.
-    Diagonal supports give (log2 |S|, 0).
+    is > INNER_TOL.  value, the greater of H_theta at the last point (summed
+    as `max_H_theta` sums its own) and at the uniform point, is at least the
+    bracket's lo, and value + gap bounds the optimum.  Diagonal supports
+    give (log2 |S|, 0).
     """
     if len(support) == 0:
         raise ValueError("empty support")
     if is_diagonal(support):
         return math.log2(len(support)), 0.0
-    legs, evaluate, p, f, grad, gap = _uniform_start(support, theta.leg_array(support.k))
-    q, last = p, gap
+    legs, inc, w, evaluate, p, lo, grad, gap = _uniform_start(support, theta)
+    f, q, last = lo, p, gap
     for _ in range(30):
         if last <= 1e-14:
             break
@@ -288,8 +296,8 @@ def h_theta_value(support: SupportSet, theta: ThetaWeights) -> tuple[float, floa
         if gap_q > 0.5 * last:
             break
         last = gap_q
-    p, _, gap, _ = _newton_rounds(p, f, grad, gap, evaluate, legs, INNER_TOL, 50)
-    return _value(p, legs), gap
+    p, _, gap, _ = _newton_rounds(p, f, grad, gap, evaluate, inc, w, INNER_TOL, 50)
+    return max(_value(p, legs), lo), gap
 
 
 def _sweep(q: np.ndarray, legs) -> np.ndarray:
@@ -301,7 +309,7 @@ def _sweep(q: np.ndarray, legs) -> np.ndarray:
     return q
 
 
-def _newton_rounds(p, f, grad, gap, evaluate, legs, tol, max_iter):
+def _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol, max_iter):
     """The active-set Newton rounds of the program from the point p.
 
     (f, grad) is evaluate(p) and gap its first-order certificate.  While
@@ -315,7 +323,7 @@ def _newton_rounds(p, f, grad, gap, evaluate, legs, tol, max_iter):
         if rounds:
             p = _add_back(p, int(grad.argmax()), evaluate)
             f, grad = evaluate(p)
-        p, f, grad = _face_polish(p, f, grad, evaluate, legs)
+        p, f, grad = _face_polish(p, f, grad, evaluate, inc, w)
         gap = float(grad.max() - grad @ p)
         rounds += 1
     return p, grad, gap, rounds
@@ -326,31 +334,29 @@ def _value(p: np.ndarray, legs) -> float:
     return float(sum(w * shannon_entropy(np.bincount(vals, weights=p)) for vals, w in legs))
 
 
-def _uniform_start(support: SupportSet, theta_arr: np.ndarray):
-    """The program's objective and its uniform point, where every solve starts.
-
-    Returns (legs, evaluate, p, f, grad, gap): `legs` lists the (value
-    index, theta_i) pairs of the weighted legs, evaluate(q) gives H_theta(q)
-    in bits and its gradient, p is the uniform point, (f, grad) its
-    evaluation and gap = max_j grad_j - grad . p its first-order
-    certificate.
-    """
-    idx = _solver_arrays(support)
+@functools.lru_cache(maxsize=1)
+def _uniform_start(support: SupportSet, theta: ThetaWeights):
+    """The program at theta and its uniform point, where every solve starts:
+    (legs, inc, w, evaluate, p, f, grad, gap).  `legs` lists the (value
+    index, theta_i) pairs of the weighted legs, inc is their incidence matrix
+    and w the theta_i of its columns, evaluate(q) gives H_theta(q) in bits
+    and its gradient, (f, grad) = evaluate(p) and gap = max_j grad_j - grad
+    . p.  The last pair's start is kept, so a solve after `h_theta_bracket`
+    builds nothing again; callers never write its arrays."""
+    theta_arr = theta.leg_array(support.k)
+    idx, inc, cols = _incidence(support)
     legs = [(idx[i], theta_arr[i]) for i in range(support.k) if theta_arr[i] > 0]
-    m = len(support)
+    w = cols @ theta_arr
+    inc, w = inc[:, w > 0], w[w > 0]
 
     def evaluate(q):
-        f, grad = 0.0, np.zeros(m)
-        for vals, w in legs:
-            marg = np.maximum(np.bincount(vals, weights=q), 1e-300)
-            logm = np.log2(marg)
-            f += w * float(-(marg * logm).sum())
-            grad -= w * logm[vals]
-        return f, grad
+        marg = q @ inc
+        wlog = w * np.log2(np.maximum(marg, 1e-300))
+        return -float(marg @ wlog), inc @ -wlog
 
-    p = np.full(m, 1.0 / m)
+    p = np.full(len(support), 1.0 / len(support))
     f, grad = evaluate(p)
-    return legs, evaluate, p, f, grad, float(grad.max() - grad @ p)
+    return legs, inc, w, evaluate, p, f, grad, float(grad.max() - grad @ p)
 
 
 def h_theta_bracket(support: SupportSet, theta: ThetaWeights) -> tuple[float, float]:
@@ -364,7 +370,7 @@ def h_theta_bracket(support: SupportSet, theta: ThetaWeights) -> tuple[float, fl
     """
     if is_diagonal(support):
         return (math.log2(len(support)),) * 2
-    legs, _, _, lo, _, gap = _uniform_start(support, theta.leg_array(support.k))
+    legs, _, _, _, _, lo, _, gap = _uniform_start(support, theta)
     return lo, min(lo + gap, sum(w * math.log2(vals.max() + 1) for vals, w in legs))
 
 
@@ -389,20 +395,20 @@ def _add_back(p: np.ndarray, j: int, evaluate) -> np.ndarray:
     return toward(lo)
 
 
-def _face_polish(q: np.ndarray, f: float, grad: np.ndarray, evaluate, legs):
+def _face_polish(q: np.ndarray, f: float, grad: np.ndarray, evaluate, inc, w):
     """Newton steps for H_theta on the face of q's positive coordinates.
 
     (f, grad) is evaluate(q); returns the last point and its evaluation,
     (q, f, grad).  The face loses every coordinate that `_face_step` trims
-    and gains none.  `legs` lists the (value index, theta_i) pairs of the
-    weighted legs.  The Hessian is singular along directions that keep
-    every weighted marginal, so the KKT system with the simplex row is
-    solved in the least-squares sense, scaled by the square roots of the
-    Hessian's diagonal (a mass can be 1e-280, its Hessian entry 1e280).  Its
-    right-hand side is the face gradient less grad . q, so that rounding
-    scales with the gap and a tiny mass moves by an accurate fraction of
-    itself.  The steps stop once the face gap max_face grad - grad . q is at
-    most 1e-14 or no longer shrinks (rounding level), or after 30 steps.
+    and gains none.  The Hessian (`_face_hessian` of inc and w) is singular
+    along directions that keep every weighted marginal, so the KKT system
+    with the simplex row takes its minimum-norm solution (`_min_norm_solve`),
+    scaled by the square roots of the Hessian's diagonal (a mass can be
+    1e-280, its Hessian entry 1e280).  Its right-hand side is the face
+    gradient less grad . q, so that rounding scales with the gap and a tiny
+    mass moves by an accurate fraction of itself.  The steps stop once the
+    face gap max_face grad - grad . q is at most 1e-14 or no longer shrinks
+    (rounding level), or after 30 steps.
     """
     last = np.inf
     for _ in range(30):
@@ -412,12 +418,12 @@ def _face_polish(q: np.ndarray, f: float, grad: np.ndarray, evaluate, legs):
         if gap <= 1e-14 or gap >= last:
             break
         last, n = gap, face.size
-        hess = _face_hessian(q, face, legs)
+        hess = _face_hessian(q, face, inc, w)
         scale = 1.0 / np.sqrt(-hess.diagonal())
         kkt = np.zeros((n + 1, n + 1))
         kkt[:n, :n] = hess * scale * scale[:, None]
         kkt[n, :n] = kkt[:n, n] = scale
-        sol = np.linalg.lstsq(kkt, np.append((g @ q[face] - g) * scale, 0.0))[0]
+        sol = _min_norm_solve(kkt, np.append((g @ q[face] - g) * scale, 0.0))
         step = _face_step(q, face, scale * sol[:n], evaluate, f)
         if step is None:
             break
@@ -425,17 +431,28 @@ def _face_polish(q: np.ndarray, f: float, grad: np.ndarray, evaluate, legs):
     return q, f, grad
 
 
-def _face_hessian(q: np.ndarray, face: np.ndarray, legs) -> np.ndarray:
-    """Hessian of sum_i w_i H_i (bits) at q on the face.
+def _face_hessian(q: np.ndarray, face: np.ndarray, inc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hessian of sum_i w_i H_i (bits) at q on the face, -(1/ln 2) B diag(w /
+    marg) B^T with B the face's rows of the incidence matrix inc, w its column
+    weights and marg = q inc; a marginal of 0 reads as 1e-300, so that its
+    column adds 0, not 0 * inf."""
+    rows = inc[face]
+    return -((rows * (w / np.maximum(q @ inc, 1e-300))) @ rows.T) / LN2
 
-    It is -(1/ln 2) sum_i w_i A_i^T diag(1/marg_i) A_i, with A_i leg i's
-    value-incidence matrix; `legs` lists the (value index, w_i) pairs.
-    """
-    hess = np.zeros((face.size, face.size))
-    for vals, w in legs:
-        v = vals[face]
-        hess -= (v[:, None] == v) * (w / LN2 / np.bincount(vals, weights=q)[v])[:, None]
-    return hess
+
+def _min_norm_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of the square system a x = b:
+    LAPACK's complete orthogonal factorisation (dgelsy) at lstsq's cutoff."""
+    return _gelsy(b.size)(a, b[:, None], np.zeros(b.size, np.int32))[1][:, 0]
+
+
+@functools.cache
+def _gelsy(n: int):
+    """dgelsy for n x n systems at lstsq's rcond n eps, its workspace queried once."""
+    from scipy.linalg.lapack import dgelsy, dgelsy_lwork
+
+    rcond = n * np.finfo(float).eps
+    return functools.partial(dgelsy, cond=rcond, lwork=int(dgelsy_lwork(n, n, 1, rcond)[0]))
 
 
 def _face_step(q: np.ndarray, face: np.ndarray, d: np.ndarray, evaluate, f: float):
@@ -537,21 +554,23 @@ def _saddle_polish(support: SupportSet, p: np.ndarray, theta: np.ndarray) -> np.
     on the legs with theta_i > 0.  Each step takes the legs with theta_i > 0
     or H_i within 1e-9 of min_i H_i (binding legs of weight 0 included) and
     solves the linearised system for the face direction of P and the new
-    theta on those legs (clipped at 0 and normalised): `_face_hessian`
-    bordered by the legs' entropy gradients and the simplex rows of P and
-    theta, in the least-squares sense.  A binding leg of weight 0 enters the
-    Hessian with weight 1/(number of legs), renormalised, since without its
-    curvature its entropy would be modelled as linear near its own maximum.
-    The face and step rule are `_face_polish`'s, with min_i H_i as the
-    objective; it stops once the residual is at most 1e-13, once a step no
-    longer raises the objective, or after 30 steps.
+    theta on those legs (clipped at 0 and normalised) by `_min_norm_solve`:
+    `_face_hessian` bordered by the legs' entropy gradients, all read from
+    the incidence matrix, and the simplex rows of P and theta.  A binding
+    leg of weight 0 enters the Hessian with weight 1/(number of legs),
+    renormalised, since without its curvature its entropy would be modelled
+    as linear near its own maximum.  The face and step rule are
+    `_face_polish`'s, with min_i H_i as the objective; it stops once the
+    residual is at most 1e-13, once a step no longer raises the objective,
+    or after 30 steps.
     """
-    idx = _solver_arrays(support)
+    _, inc, cols = _incidence(support)
 
     def evaluate(q):
-        margs = [np.maximum(np.bincount(ix, weights=q), 1e-300) for ix in idx]
-        h = np.array([float(-(mg * np.log2(mg)).sum()) for mg in margs])
-        return float(h.min()), h, np.array([-np.log2(mg[ix]) for mg, ix in zip(margs, idx)])
+        marg = q @ inc
+        logm = np.log2(np.maximum(marg, 1e-300))
+        h = -(marg * logm) @ cols
+        return float(h.min()), h, -((inc * logm) @ cols).T
 
     q = np.where(p > 1e-6 * p.max(), p, 0.0)
     q /= q.sum()
@@ -566,13 +585,13 @@ def _saddle_polish(support: SupportSet, p: np.ndarray, theta: np.ndarray) -> np.
             break
         kkt = np.zeros((n + a + 2, n + a + 2))
         w = np.where(theta[legs] > 0, theta[legs], 1.0 / a)
-        kkt[:n, :n] = _face_hessian(q, face, [(idx[i], wi) for i, wi in zip(legs, w / w.sum())])
+        kkt[:n, :n] = _face_hessian(q, face, inc, cols[:, legs] @ (w / w.sum()))
         kkt[:n, n:n + a] = g
         kkt[n:n + a, :n] = g.T
         kkt[:n, n + a] = kkt[n + a, :n] = 1.0
         kkt[n:n + a, n + a + 1] = kkt[n + a + 1, n:n + a] = 1.0
         rhs = np.concatenate([np.zeros(n), -h[legs], [0.0, 1.0]])
-        sol = np.linalg.lstsq(kkt, rhs)[0]
+        sol = _min_norm_solve(kkt, rhs)
         step = _face_step(q, face, sol[:n], evaluate, f)
         if step is None or step[1][0] <= f:
             break

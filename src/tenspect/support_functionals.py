@@ -45,8 +45,8 @@ NEG_INF = float("-inf")
 MAX_COEFF = 3
 
 #: bits by which the basis search widens a candidate's bracket before it
-#: skips the solve: the rounding between the bracket's uniform-point sums and
-#: h_theta_value's final entropy sum, and a solve's gap up to this margin
+#: skips the solve: the rounding between the bracket's sums and
+#: h_theta_value's final entropy sum
 SCREEN_MARGIN = 1e-10
 
 #: 32-bit words `_draws` takes from the generator at a time
@@ -313,14 +313,14 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     Each candidate's scored support is built once and first valued by a
     bracket lo <= value <= hi at the uniform point (`h_theta_bracket`).
     Its program is solved (`h_theta_value`) only when the bracket, widened
-    by SCREEN_MARGIN = 1e-10 bits for rounding, cannot decide the step.  A
-    solved value is at most hi, and at least lo less the solve's own gap;
+    by SCREEN_MARGIN = 1e-10 bits for rounding, cannot decide the step; the
+    solve starts from the program the bracket built.  A solved value is at
+    least lo and at most hi up to that rounding, whatever the solve's gap;
     so a skipped solve could not have gained, and every decision is the one
-    the solved value would make, in the lower search always and in the
-    upper search whenever that gap is at most SCREEN_MARGIN.  `evaluations`
-    counts the distinct scored supports valued by bracket or by solve.
-    `start_tight`, if given, is `check_tight` of the first pool state's
-    support, reused when that support wins.
+    the solved value would make.  `evaluations` counts the distinct scored
+    supports valued by bracket or by solve.  `start_tight`, if given, is
+    `check_tight` of the first pool state's support, reused when that
+    support wins.
     """
     sign = 1.0 if minimise else -1.0
     # scored support points -> h_theta_value value, or its bracket (lo, hi)

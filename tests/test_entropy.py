@@ -348,13 +348,13 @@ def test_face_polish_converges_quadratically(monkeypatch):
     # polish from the uniform point and count the evaluations
     face_polish, args = te._face_polish, []
 
-    def capture(p, f, grad, evaluate, legs):
-        args.append((evaluate, legs))
+    def capture(p, f, grad, evaluate, inc, w):
+        args.append((evaluate, inc, w))
         return p, f, grad
 
     monkeypatch.setattr(te, "_face_polish", capture)
     max_H_theta(SIX_POINTS, UNIFORM3, max_iter=1)
-    evaluate, legs = args[0]
+    evaluate, inc, w = args[0]
     calls = []
 
     def counted(p):
@@ -362,12 +362,130 @@ def test_face_polish_converges_quadratically(monkeypatch):
         return evaluate(p)
 
     start = np.full(6, 1 / 6)
-    q, f, grad = face_polish(start, *counted(start), counted, legs)
+    q, f, grad = face_polish(start, *counted(start), counted, inc, w)
     assert len(calls) <= 8
     # the polish returns its last point's evaluation
     want_f, want_grad = evaluate(q)
     assert f == want_f and np.array_equal(grad, want_grad)
     assert grad.max() - grad @ q <= 1e-14
+
+
+def _kernel_cases():
+    """Seeded 3- and 4-leg supports, each at a theta with a zero weight, at
+    an interior point and at a point with zero masses."""
+    rng = np.random.default_rng(361)
+    cases = []
+    for case in range(12):
+        k = 3 + case % 2
+        supp = random_support(rng, bounds=(3,) * k, max_points=10)
+        if len(supp) < 3:
+            continue
+        theta = rng.dirichlet(np.ones(k))
+        theta[int(rng.integers(k))] = 0.0
+        theta = ThetaWeights.from_legs(theta / theta.sum())
+        interior = rng.dirichlet(np.ones(len(supp)))
+        face = interior * (rng.random(len(supp)) < 0.6)
+        face[int(rng.integers(len(supp)))] += 0.5
+        cases += [(supp, theta, interior), (supp, theta, face / face.sum())]
+    return cases
+
+
+def _per_leg_objective(supp, theta, q):
+    """H_theta(q) in bits and its gradient, summed leg by leg from bincounts."""
+    f, grad = 0.0, np.zeros(len(supp))
+    for leg, w in enumerate(theta.leg_array(supp.k)):
+        if w > 0:
+            vals = np.array([supp.values(leg).index(p[leg]) for p in supp.points])
+            marg = np.bincount(vals, weights=q)
+            logm = np.log2(np.maximum(marg, 1e-300))
+            f -= w * float(marg @ logm)
+            grad -= w * logm[vals]
+    return f, grad
+
+
+def test_evaluate_matches_the_per_leg_formula():
+    cases = _kernel_cases()
+    assert len(cases) >= 16
+    for supp, theta, q in cases:
+        evaluate = te._uniform_start(supp, theta)[3]
+        f, grad = evaluate(q)
+        want_f, want_grad = _per_leg_objective(supp, theta, q)
+        assert f == pytest.approx(want_f, rel=1e-13, abs=1e-13)
+        assert np.allclose(grad, want_grad, rtol=1e-13, atol=1e-13)
+
+
+def test_face_hessian_matches_finite_differences_of_the_gradient():
+    for supp, theta, q in _kernel_cases():
+        _, inc, w, evaluate = te._uniform_start(supp, theta)[:4]
+        face = np.flatnonzero(q)
+        hess = te._face_hessian(q, face, inc, w)
+        step = 1e-7 * q[face].min()
+        for col, j in enumerate(face):
+            up, down = q.copy(), q.copy()
+            up[j] += step
+            down[j] -= step
+            diff = (evaluate(up)[1] - evaluate(down)[1])[face] / (2 * step)
+            assert np.allclose(hess[:, col], diff, rtol=1e-5, atol=1e-5 * np.abs(hess).max())
+
+
+def test_min_norm_solve_matches_lstsq(monkeypatch):
+    """On the KKT systems of seeded face polishes, most of them singular and
+    some with masses near 1e-280, the dgelsy solution is lstsq's minimum-norm
+    one to 1e-12 relative.  The saddle polish's systems grow ill-conditioned
+    as it converges (condition up to about 1e14 on the nonzero singular
+    values), so there the two agree to the forward-error bound 16 eps kappa
+    of a backward-stable solve."""
+    solve, systems = te._min_norm_solve, []
+
+    def recording(a, b):
+        systems.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    monkeypatch.setattr(te, "_min_norm_solve", recording)
+    for points in DEGENERATE_SUPPORTS:
+        for theta in DEGENERATE_THETAS:
+            max_H_theta(ts.SupportSet((4, 4, 4), points), ThetaWeights.from_legs(theta))
+    for bounds, points, theta, tol in SMALL_THETA_CASES:
+        theta = ThetaWeights.from_legs(np.array(theta) / sum(theta))
+        max_H_theta(ts.SupportSet(bounds, _points(points)), theta, tol=tol)
+    for supp in _suite_supports()[:10]:
+        max_H_theta(supp, UNIFORM3)
+    polishes = len(systems)
+    rng = np.random.default_rng(362)
+    for supp in [ts.SupportSet.from_tensor(ts.w_tensor())] + [
+            random_support(rng, max_points=8) for _ in range(4)]:
+        max_min_entropy(supp)
+    assert polishes >= 100 and len(systems) - polishes >= 100
+    singular = 0
+    for index, (a, b) in enumerate(systems):
+        want = np.linalg.lstsq(a, b)[0]
+        sv = np.linalg.svd(a, compute_uv=False)
+        rank = int((sv > sv[0] * b.size * np.finfo(float).eps).sum())
+        singular += rank < b.size
+        bound = 1e-12 if index < polishes else 16 * np.finfo(float).eps * sv[0] / sv[rank - 1]
+        assert np.linalg.norm(solve(a, b) - want) <= bound * np.linalg.norm(want), index
+    assert singular >= len(systems) // 3
+
+
+def test_solve_reuses_the_bracket_program(monkeypatch):
+    """A solve after the bracket of the same (support, theta) builds no
+    incidence matrix again."""
+    incidence, builds = te._incidence, []
+
+    def counting(support):
+        builds.append(support)
+        return incidence(support)
+
+    monkeypatch.setattr(te, "_incidence", counting)
+    te._uniform_start.cache_clear()
+    supp = _suite_supports()[0]
+    lo, hi = h_theta_bracket(supp, UNIFORM3)
+    value, gap = h_theta_value(supp, UNIFORM3)
+    assert lo <= value <= hi + 1e-12
+    assert max_H_theta(supp, UNIFORM3).value == pytest.approx(value, abs=1e-12)
+    assert len(builds) == 1
+    h_theta_value(supp, ThetaWeights.from_legs([0.5, 0.25, 0.25]))
+    assert len(builds) == 2
 
 
 @settings(max_examples=25, deadline=None)

@@ -35,7 +35,8 @@ def test_zn_table_agrees_with_minimax():
 @pytest.mark.parametrize("name,args", [("capset_report.py", ("3", "3")),
                                        ("sandwich_sweep.py", ("2",)),
                                        ("ascent_cases.py", ("random", "1/4,1/4")),
-                                       ("certificate_cases.py", ("random", "4"))])
+                                       ("certificate_cases.py", ("random", "4")),
+                                       ("entropy_cases.py", ("2",))])
 def test_script_runs(name, args):
     assert _run_script(name, *args)
 

@@ -6,7 +6,8 @@ import pytest
 
 import tenspect as ts
 import tenspect.support_functionals as sf
-from tenspect.entropy import ThetaWeights, binary_entropy
+from tenspect.entropy import (INNER_TOL, ThetaWeights, binary_entropy, h_theta_bracket,
+                              h_theta_value)
 from tenspect.linalg import COMPLEX_ZERO_TOL
 from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           _sparsify, gauge_points,
@@ -392,3 +393,30 @@ def test_batched_draws_change_no_decision(monkeypatch):
                 m.setattr(sf, "_draws", one_call_per_draw)
                 assert [search(t, theta, opts).to_records() for search in searches] == batched, name
             assert len(calls) >= 2 * 4 * 40, name
+
+
+# the solve of this support at theta = (1/4, 1/4, 1/2) ends with a gap of
+# 9.0e-10, between SCREEN_MARGIN and INNER_TOL, with no Newton round
+GAP_SUPPORT = ts.SupportSet((2, 2, 3), ((0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1),
+                                        (1, 0, 0), (1, 0, 2), (1, 1, 0), (1, 1, 2)))
+
+
+def test_screen_decides_as_the_solve_above_the_margin():
+    """The basis search skips a solve when the bracket end on the gaining
+    side, widened by SCREEN_MARGIN, is not better than the reference by the
+    slack.  For a solve whose gap exceeds SCREEN_MARGIN, every reference
+    near the ends of the bracket and the solved value gets the decision of
+    the solved value, in both directions; the solved value is at least lo."""
+    theta = ThetaWeights.from_legs([0.25, 0.25, 0.5])
+    lo, hi = h_theta_bracket(GAP_SUPPORT, theta)
+    value, gap = h_theta_value(GAP_SUPPORT, theta)
+    assert sf.SCREEN_MARGIN < gap <= INNER_TOL
+    assert lo <= value <= hi + sf.SCREEN_MARGIN
+    slack = 1e-9
+    for sign, end in ((1.0, lo), (-1.0, hi)):
+        for base in (lo, hi, value, value - gap, value + gap):
+            for shift in (-2 * gap, -gap, -sf.SCREEN_MARGIN, 0.0, sf.SCREEN_MARGIN, gap, 2 * gap):
+                ref = base + sign * (slack + shift)
+                solved = sign * value < sign * ref - slack
+                screened = sign * end < sign * ref - (slack - sf.SCREEN_MARGIN)
+                assert screened or not solved, (sign, base, shift)
