@@ -50,14 +50,16 @@ def z_of_n(n: int) -> ZResult:
         raise ValueError("n must be >= 2")
 
     def f(g):
-        # delta = g - 1; g^n - 1 via expm1/log1p avoids cancellation near 1
+        # delta = g - 1; g^n - 1 via expm1/log1p avoids cancellation near 1;
+        # n / (g^n - 1) reads 0 where g^n would overflow (above e^709)
         delta = g - 1.0
-        return 1.0 / delta - n / math.expm1(n * math.log1p(delta)) - (n - 1.0) / 3.0
+        power = n * math.log1p(delta)
+        tail = n / math.expm1(power) if power <= 709.0 else 0.0
+        return 1.0 / delta - tail - (n - 1.0) / 3.0
 
-    lo, hi = 1.0 + 1e-9, 4.0
-    while f(lo) * f(hi) > 0 and hi < 2 ** 40:
-        hi *= 2.0
-    gamma = brentq(f, lo, hi, xtol=ROOT_XTOL, rtol=8.9e-16, maxiter=200)
+    # f(4) < 1/3 - (n - 1)/3 < 0, and f(1 + 1e-9) is about (n - 1)/6 > 0
+    # while n 1e-9 is small
+    gamma = brentq(f, 1.0 + 1e-9, 4.0, xtol=ROOT_XTOL, rtol=8.9e-16, maxiter=200)
     z = math.expm1(n * math.log1p(gamma - 1.0)) / (gamma - 1.0) \
         * gamma ** (-2.0 * (n - 1.0) / 3.0)
     return ZResult(n, float(z), float(gamma))

@@ -2,39 +2,36 @@
 
 The central program maximises the theta-weighted sum of marginal Shannon
 entropies over all probability distributions on a support set.  It is
-concave.  The solver is one active-set Newton method from the uniform
-point: Newton steps on the simplex face (`_face_polish`) converge
-quadratically and trim the masses that vanish at the optimum, and while the
-point does not certify, the coordinate of largest gradient is added back by
-an exact line search toward its vertex (`_add_back`) and the face steps run
-again.  A face step costs two small products on one 0/1 incidence matrix,
-points x values (`_face_hessian`), and one LAPACK minimum-norm solve of its
-KKT system (`_min_norm_solve`).  The certificate is the first-order gap
-over the full support at the returned point: for concave F, F(P*) <= F(P)
-+ max_j grad_j - grad . P over the simplex.  `h_theta_bracket` brackets the
-value from the uniform point alone, for callers that only compare it with
-a threshold.
-
-Callers that need only the value call `h_theta_value`, which starts the same
-Newton rounds (`_newton_rounds`) from a Sinkhorn-scaled point: sweeps that
-make each weighted leg's marginal uniform in turn (`_sweep`).  The optimum
-is the dimension bound sum_i theta_i log2 |V_i| exactly when the uniform
-weighted marginals lie in the support's marginal polytope, the torus case
-of moment-polytope membership, and there the sweeps certify it, mostly with
-no Newton step.  `max_H_theta` keeps the uniform start: its maximiser feeds
-the minimax's cutting planes, and where a leg has weight 0 the maximiser is
-not unique, so another start can return another maximiser of equal value
-and move the minimax's theta.
+concave, and `max_H_theta` is its one public solve.  It starts from a
+Sinkhorn-scaled point: sweeps that make each weighted leg's marginal uniform
+in turn (`_sweep`).  The optimum is the dimension bound sum_i theta_i log2
+|V_i| exactly when the uniform weighted marginals lie in the support's
+marginal polytope, the torus case of moment-polytope membership, and there
+the sweeps certify it, mostly with no Newton step.  Elsewhere active-set
+Newton rounds follow (`_newton_rounds`): Newton steps on the simplex face
+(`_face_polish`) converge quadratically and trim the masses that vanish at
+the optimum, and while the point does not certify, the coordinate of
+largest gradient is added back by an exact line search toward its vertex
+(`_add_back`) and the face steps run again.  A face step costs two small
+products on one 0/1 incidence matrix, points x values (`_face_hessian`),
+and one LAPACK minimum-norm solve of its KKT system (`_min_norm_solve`).
+The certificate is the first-order gap over the full support at the
+returned point: for concave F, F(P*) <= F(P) + max_j grad_j - grad . P over
+the simplex.  `h_theta_bracket` brackets the value from the uniform point
+alone, for callers that only compare it with a threshold.
 
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
-min_theta max_P H_theta(P); the dual side minimises over the theta simplex
-with `_theta_cutting_planes` and reports the least certified bound
-value + gap among the evaluated theta.  The primal side mixes the inner
-maximisers with the LP's dual cut weights and polishes the mixture with
-Newton steps on the saddle KKT system (`_saddle_polish`, sharing the face
-Hessian and step rule of `_face_polish`), so the pair comes with an
-explicit duality gap.  `_theta_cutting_planes` is the one LP loop over the
-theta simplex; the asymptotic slice rank runs it too, over entropy ascents.
+min_theta max_P H_theta(P); its inner solves run the same Newton rounds
+from the uniform point (`_uniform_solve`), since the cuts read the
+maximiser, which is not unique where a leg has weight 0.  The dual side
+minimises over the theta simplex with `_theta_cutting_planes` and reports
+the least certified bound value + gap among the evaluated theta.  The primal
+side mixes the inner maximisers with the LP's dual cut weights and polishes
+the mixture with Newton steps on the saddle KKT system (`_saddle_polish`,
+sharing the face Hessian and step rule of `_face_polish`), so the pair
+comes with an explicit duality gap.  `_theta_cutting_planes` is the one LP
+loop over the theta simplex; the asymptotic slice rank runs it too, over
+entropy ascents.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from .supports import SupportSet, is_diagonal
 
 LN2 = math.log(2.0)
 
-#: default certificate tolerance (bits) for the inner concave program
+#: certificate tolerance (bits) of `max_H_theta`
 INNER_TOL = 1e-9
 
 #: duality gap tolerance (bits) for the minimax program
@@ -64,6 +61,9 @@ MINIMAX_INNER_TOL = 1e-10
 
 #: round limit of the minimax's cutting planes
 MINIMAX_ROUNDS = 80
+
+#: round limit of the active-set Newton rounds of every entropy-program solve
+MAX_ROUNDS = 50
 
 
 def shannon_entropy(p) -> float:
@@ -220,7 +220,7 @@ class HThetaResult:
     gap: float                   # certified suboptimality bound, bits
     kkt_residual: float          # spread of the active-gradient components
     iterations: int
-    converged: bool              # gap <= the requested tolerance
+    converged: bool              # gap <= the solve's tolerance
     exact_power: int | None = None   # 2**value as an exact integer, when known
 
 
@@ -237,55 +237,51 @@ def _incidence(support: SupportSet):
     return idx, inc.astype(float), np.repeat(np.eye(support.k), sizes, axis=0)
 
 
-def max_H_theta(support: SupportSet, theta: ThetaWeights,
-                tol: float = INNER_TOL, max_iter: int = 50) -> HThetaResult:
-    """Maximise the theta-weighted marginal entropy over P(support).
-
-    An active-set Newton method from the uniform point, which is returned
-    if its gap is <= tol.  Otherwise each round runs the Newton face steps
-    of `_face_polish`, and the solve ends once the gap is <= tol.  The face
-    steps can drop a coordinate but never add one, so each round after the
-    first starts by adding back the coordinate of largest gradient
-    (`_add_back`).  `iterations` counts the rounds, at most max_iter; 1
-    means the uniform point or the first Newton solve certified.  The
-    reported gap is max_j grad_j - grad . P over the full support at the
-    returned point and bounds the distance to the true optimum; `converged`
-    says gap <= tol.  Supports that form a diagonal are solved exactly.
-    """
-    if len(support) == 0:
-        raise ValueError("empty support")
-    m = len(support)
-    if is_diagonal(support):
-        dist = Distribution(support, np.full(m, 1.0 / m))
-        return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
-
-    legs, inc, w, evaluate, p, f, grad, gap = _uniform_start(support, theta)
-    p, grad, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol, max_iter)
-    mask = p > 1e-10
-    kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
-    return HThetaResult(_value(p, legs), Distribution(support, p), gap, kkt,
-                        max(rounds, 1), gap <= tol)
-
-
-def h_theta_value(support: SupportSet, theta: ThetaWeights) -> tuple[float, float]:
-    """max_P H_theta(P) as (value, gap): `max_H_theta` at INNER_TOL from a
+def max_H_theta(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
+    """Maximise the theta-weighted marginal entropy over P(support), from a
     Sinkhorn-scaled start.
 
     `_sweep`s run from the uniform point until the gap is <= 1e-14, a sweep
-    does not halve it, or 30 sweeps; the point of least gap, the uniform
-    one included, is kept, and `_newton_rounds` run from it while its gap
-    is > INNER_TOL.  value, the greater of H_theta at the last point (summed
-    as `max_H_theta` sums its own) and at the uniform point, is at least the
-    bracket's lo, and value + gap bounds the optimum.  Diagonal supports
-    give (log2 |S|, 0).
+    does not halve it, or 30 sweeps; the point of least gap, the uniform one
+    included, is kept, and `_newton_rounds` run from it while its gap is >
+    INNER_TOL.  The reported gap is max_j grad_j - grad . P over the full
+    support at the returned point and bounds the distance to the true
+    optimum; `converged` says gap <= INNER_TOL.  value, the greater of
+    H_theta at the returned point (`_value`) and at the uniform point, is at
+    least the bracket's lo, and value + gap bounds the optimum.  `iterations`
+    counts the rounds, at most MAX_ROUNDS; 1 means the start point or the
+    first Newton solve certified.  Supports that form a diagonal are solved
+    exactly.
     """
+    return _solve(support, theta, INNER_TOL, scaled=True)
+
+
+def _uniform_solve(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
+    """`max_H_theta` from the uniform point, with no sweep, at
+    MINIMAX_INNER_TOL and with value `_value` at the returned point: the
+    inner solve of `max_min_entropy`.
+
+    Where a leg has weight 0 the maximiser is not unique, and the minimax's
+    cuts read its marginal entropies on that leg.  The scaled start returns
+    another maximiser of equal value there: on theta_golden.json's random22
+    it raised the dual value by 4.3e-11 and moved theta by 9.7e-5.
+    """
+    return _solve(support, theta, MINIMAX_INNER_TOL, scaled=False)
+
+
+def _solve(support: SupportSet, theta: ThetaWeights, tol: float, scaled: bool) -> HThetaResult:
+    """The program solved to gap <= tol: from the Sinkhorn-scaled start with
+    value at least the uniform point's if `scaled`, else from the uniform
+    point with value `_value` at the returned point."""
     if len(support) == 0:
         raise ValueError("empty support")
     if is_diagonal(support):
-        return math.log2(len(support)), 0.0
-    legs, inc, w, evaluate, p, lo, grad, gap = _uniform_start(support, theta)
-    f, q, last = lo, p, gap
-    for _ in range(30):
+        m = len(support)
+        dist = Distribution(support, np.full(m, 1.0 / m))
+        return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
+    legs, inc, w, evaluate, p, f, grad, gap = _uniform_start(support, theta)
+    lo, q, last = (f if scaled else -math.inf), p, gap
+    for _ in range(30 if scaled else 0):
         if last <= 1e-14:
             break
         q = _sweep(q, legs)
@@ -296,8 +292,11 @@ def h_theta_value(support: SupportSet, theta: ThetaWeights) -> tuple[float, floa
         if gap_q > 0.5 * last:
             break
         last = gap_q
-    p, _, gap, _ = _newton_rounds(p, f, grad, gap, evaluate, inc, w, INNER_TOL, 50)
-    return max(_value(p, legs), lo), gap
+    p, grad, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol)
+    mask = p > 1e-10
+    kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
+    return HThetaResult(max(_value(p, legs), lo), Distribution(support, p), gap, kkt,
+                        max(rounds, 1), gap <= tol)
 
 
 def _sweep(q: np.ndarray, legs) -> np.ndarray:
@@ -309,17 +308,17 @@ def _sweep(q: np.ndarray, legs) -> np.ndarray:
     return q
 
 
-def _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol, max_iter):
+def _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol):
     """The active-set Newton rounds of the program from the point p.
 
     (f, grad) is evaluate(p) and gap its first-order certificate.  While
-    gap > tol, at most max_iter rounds: each runs the face steps of
+    gap > tol, at most MAX_ROUNDS rounds: each runs the face steps of
     `_face_polish`, and each after the first starts by adding back the
     coordinate of largest gradient (`_add_back`).  Returns the last point,
     its gradient and gap, and the number of rounds.
     """
     rounds = 0
-    while gap > tol and rounds < max_iter:
+    while gap > tol and rounds < MAX_ROUNDS:
         if rounds:
             p = _add_back(p, int(grad.argmax()), evaluate)
             f, grad = evaluate(p)
@@ -628,7 +627,7 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
                                     exact_power=m)
 
     def evaluate(theta_vec):
-        res = max_H_theta(support, ThetaWeights.from_legs(theta_vec), tol=MINIMAX_INNER_TOL)
+        res = _uniform_solve(support, ThetaWeights.from_legs(theta_vec))
         return res.value, res.distribution.marginal_entropies(), res
 
     evals, weights = _theta_cutting_planes(k, evaluate, MINIMAX_CUT_TOL, MINIMAX_ROUNDS)

@@ -37,7 +37,7 @@ certified upper bound, the least of the dimension bound
 sum_S w_S log2 min(d_S, d_C) (the value at uniform marginals) and, when
 each weighted side is one leg or the complement of one, the support bound
 max_P H_theta(P) + gap over the support of t (every nonzero entry) in leg
-weights (`h_theta_value`): log2 of Strassen's rho^theta at the standard
+weights (`max_H_theta`): log2 of Strassen's rho^theta at the standard
 basis, which bounds zeta^theta >= F^theta.  A start stops once it is within BOUND_TOL of that
 bound, a certified maximum, and no later start runs; the result names the
 reason the best start stopped and the kind of each step it took.
@@ -92,7 +92,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .entropy import ThetaWeights, h_theta_value
+from .entropy import ThetaWeights, max_H_theta
 from .errors import BudgetExceededError
 from .partitions import (character, irrep_dimension, normalize_partition,
                          partition_entropy, partitions)
@@ -607,8 +607,8 @@ def _support_bound(t_arr: np.ndarray, sides) -> float:
             return math.inf
         weights[part[0]] += w
     supp = SupportSet(t_arr.shape, tuple(map(tuple, np.argwhere(t_arr != 0).tolist())))
-    value, gap = h_theta_value(supp, ThetaWeights.from_legs(weights))
-    return value + max(gap, 0.0)
+    res = max_H_theta(supp, ThetaWeights.from_legs(weights))
+    return res.value + max(res.gap, 0.0)
 
 
 def lower_quantum_functional(t: Tensor, theta: ThetaWeights,

@@ -16,7 +16,7 @@ support points the step removes and adds; no step that removes none can
 gain in the upper search, nor in the lower one when every point it adds
 lies below a current point.  It brackets each other candidate's entropy
 program at the uniform point (`h_theta_bracket`), solves it for its value
-(`h_theta_value`) only when the bracket, widened by SCREEN_MARGIN = 1e-10
+(`max_H_theta`) only when the bracket, widened by SCREEN_MARGIN = 1e-10
 bits for rounding, cannot decide the step, and builds a new state only for
 a step it keeps.
 """
@@ -30,7 +30,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .entropy import ThetaWeights, h_theta_bracket, h_theta_value
+from .entropy import ThetaWeights, h_theta_bracket, max_H_theta
 from .linalg import row_reduce
 from .supports import (SupportSet, TightnessCertificate, TightnessReport,
                        check_tight, downward_closure, is_diagonal, max_points,
@@ -46,7 +46,7 @@ MAX_COEFF = 3
 
 #: bits by which the basis search widens a candidate's bracket before it
 #: skips the solve: the rounding between the bracket's sums and
-#: h_theta_value's final entropy sum
+#: max_H_theta's final entropy sum
 SCREEN_MARGIN = 1e-10
 
 #: 32-bit words `_draws` takes from the generator at a time
@@ -89,14 +89,14 @@ def rho_upper_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights) -> flo
     supp = support_at_basis(t, basis)
     if len(supp) == 0:
         return NEG_INF
-    return h_theta_value(supp, theta)[0]
+    return max_H_theta(supp, theta).value
 
 
 def rho_lower_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights) -> float:
     supp = support_at_basis(t, basis)
     if len(supp) == 0:
         return NEG_INF
-    return h_theta_value(max_points(supp), theta)[0]
+    return max_H_theta(max_points(supp), theta).value
 
 
 def gauge_points(t: Tensor) -> tuple[int, ...]:
@@ -312,7 +312,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     points plus the added ones; its state is built only if the step is kept.
     Each candidate's scored support is built once and first valued by a
     bracket lo <= value <= hi at the uniform point (`h_theta_bracket`).
-    Its program is solved (`h_theta_value`) only when the bracket, widened
+    Its program is solved (`max_H_theta`) only when the bracket, widened
     by SCREEN_MARGIN = 1e-10 bits for rounding, cannot decide the step; the
     solve starts from the program the bracket built.  A solved value is at
     least lo and at most hi up to that rounding, whatever the solve's gap;
@@ -323,7 +323,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     support wins.
     """
     sign = 1.0 if minimise else -1.0
-    # scored support points -> h_theta_value value, or its bracket (lo, hi)
+    # scored support points -> max_H_theta value, or its bracket (lo, hi)
     exact: dict[tuple, float] = {}
     brackets: dict[tuple, tuple[float, float]] = {}
     # candidate support points -> scored support: a SupportSet and score
@@ -332,7 +332,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
 
     def entropy(supp: SupportSet) -> float:
         if supp.points not in exact:
-            exact[supp.points] = h_theta_value(supp, theta)[0]
+            exact[supp.points] = max_H_theta(supp, theta).value
         return exact[supp.points]
 
     def better(val: float, ref: float, slack: float) -> bool:

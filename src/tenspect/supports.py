@@ -46,12 +46,6 @@ class SupportSet:
     def __len__(self):
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, p):
-        return tuple(p) in set(self.points)
-
     def values(self, leg: int) -> list[int]:
         return sorted({p[leg] for p in self.points})
 

@@ -31,6 +31,16 @@ def test_zn_single_value():
     assert rows[0]["gamma"] == pytest.approx(2.0, abs=1e-10)
 
 
+def test_zn_past_the_overflow_of_four_to_the_n():
+    # n ln 4 > 709 from n = 513 on, where the root function's n / (g^n - 1)
+    # at the bracket end g = 4 reads 0
+    z = {n: tasy.z_of_n(n).z for n in (512, 513, 600)}
+    assert z[600] == pytest.approx(505.16, abs=0.01)
+    assert z[512] < z[513] < z[600]
+    rows = json.loads(run_ok(["zn", "--n", "600", "--format", "json"]))["table"]
+    assert rows[0]["n"] == 600 and rows[0]["z"] == pytest.approx(505.16, abs=0.01)
+
+
 def test_capset_report():
     out = run_ok(["capset", "--m", "3", "--p", "3", "--format", "json"])
     rep = json.loads(out)
@@ -103,6 +113,15 @@ def test_tight_one_point_support_is_linear(tmp_path):
     maps = rep["maps"]
     assert maps[0][2] + maps[1][1] + maps[2][0] == 0
     assert all(len(set(m)) == len(m) for m in maps)
+
+
+def test_tight_reports_the_forced_equal_values(tmp_path):
+    # the parity support: its weights force equal values 0 and 1 on leg 1
+    path = tmp_path / "parity.txt"
+    ts.save_support(ts.SupportSet((2, 2, 2), ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))), path)
+    rep = json.loads(run_ok(["tight", "--support", str(path), "--format", "json"]))
+    assert rep["tight"] is False
+    assert rep["forced_equal"] == {"leg": 1, "values": [0, 1]}
 
 
 def test_quantum_cert_crossing_theta_is_an_error():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import tenspect as ts
 import tenspect.entropy as te
-from tenspect.entropy import (INNER_TOL, Distribution, ThetaWeights,
-                              binary_entropy, h_theta_bracket, h_theta_value,
+from tenspect.entropy import (INNER_TOL, MINIMAX_INNER_TOL, Distribution,
+                              ThetaWeights, binary_entropy, h_theta_bracket,
                               max_H_theta, max_min_entropy, shannon_entropy)
 
 from conftest import random_support
@@ -264,11 +264,13 @@ def test_results_do_not_depend_on_blas_threads():
     assert results[0] == results[1]
 
 
-def test_converged_flag():
+def test_converged_flag(monkeypatch):
     supp = ts.SupportSet((4, 4, 4), ((0, 1, 3), (0, 3, 0), (1, 1, 1), (1, 3, 2),
                                      (2, 0, 2), (2, 1, 3), (2, 2, 3), (2, 3, 0),
                                      (2, 3, 3), (3, 0, 1), (3, 0, 3), (3, 3, 2)))
-    cut = max_H_theta(supp, UNIFORM3, max_iter=1)
+    with monkeypatch.context() as m:
+        m.setattr(te, "MAX_ROUNDS", 1)
+        cut = max_H_theta(supp, UNIFORM3)
     assert cut.converged is False
     assert cut.gap > INNER_TOL
     full = max_H_theta(supp, UNIFORM3)
@@ -320,19 +322,21 @@ def test_active_set_adds_back_a_trimmed_coordinate(theta):
 
 
 # a small theta_i on a value that only one point uses: the optimum puts a
-# mass far below 1e-12 on that point
+# mass far below 1e-12 on that point; the 1e-10 case is the minimax's inner
+# solve
 SMALL_THETA_CASES = [
     ((2, 2, 5, 4), "0000 0041 0142 1010 1032", (0.13, 0.173, 0.693, 0.004), 1e-9),
     ((4, 4, 5), "012 030 034 103 202 323 332", (0.687, 0.004, 0.309), 1e-9),
     ((4, 3, 4), "123 200 213 220 221 302 323", (0.001, 0.842, 0.157), 1e-9),
-    ((4, 5, 5), "031 132 202 230", (0.002, 0.673, 0.325), 1e-10),
+    ((4, 5, 5), "031 132 202 230", (0.002, 0.673, 0.325), MINIMAX_INNER_TOL),
 ]
+SOLVES = {INNER_TOL: max_H_theta, MINIMAX_INNER_TOL: te._uniform_solve}
 
 
 @pytest.mark.parametrize("bounds,points,theta,tol", SMALL_THETA_CASES)
 def test_small_theta_certifies_in_few_rounds(bounds, points, theta, tol):
     theta = ThetaWeights.from_legs(np.array(theta) / sum(theta))
-    res = max_H_theta(ts.SupportSet(bounds, _points(points)), theta, tol=tol)
+    res = SOLVES[tol](ts.SupportSet(bounds, _points(points)), theta)
     assert res.gap <= tol
     assert res.iterations <= 3
 
@@ -353,7 +357,8 @@ def test_face_polish_converges_quadratically(monkeypatch):
         return p, f, grad
 
     monkeypatch.setattr(te, "_face_polish", capture)
-    max_H_theta(SIX_POINTS, UNIFORM3, max_iter=1)
+    monkeypatch.setattr(te, "MAX_ROUNDS", 1)
+    max_H_theta(SIX_POINTS, UNIFORM3)
     evaluate, inc, w = args[0]
     calls = []
 
@@ -442,14 +447,15 @@ def test_min_norm_solve_matches_lstsq(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(te, "_min_norm_solve", recording)
+    # the uniform start: from the scaled one, fewer systems are singular
     for points in DEGENERATE_SUPPORTS:
         for theta in DEGENERATE_THETAS:
-            max_H_theta(ts.SupportSet((4, 4, 4), points), ThetaWeights.from_legs(theta))
-    for bounds, points, theta, tol in SMALL_THETA_CASES:
+            te._uniform_solve(ts.SupportSet((4, 4, 4), points), ThetaWeights.from_legs(theta))
+    for bounds, points, theta, _ in SMALL_THETA_CASES:
         theta = ThetaWeights.from_legs(np.array(theta) / sum(theta))
-        max_H_theta(ts.SupportSet(bounds, _points(points)), theta, tol=tol)
+        te._uniform_solve(ts.SupportSet(bounds, _points(points)), theta)
     for supp in _suite_supports()[:10]:
-        max_H_theta(supp, UNIFORM3)
+        te._uniform_solve(supp, UNIFORM3)
     polishes = len(systems)
     rng = np.random.default_rng(362)
     for supp in [ts.SupportSet.from_tensor(ts.w_tensor())] + [
@@ -480,11 +486,11 @@ def test_solve_reuses_the_bracket_program(monkeypatch):
     te._uniform_start.cache_clear()
     supp = _suite_supports()[0]
     lo, hi = h_theta_bracket(supp, UNIFORM3)
-    value, gap = h_theta_value(supp, UNIFORM3)
+    value = max_H_theta(supp, UNIFORM3).value
     assert lo <= value <= hi + 1e-12
-    assert max_H_theta(supp, UNIFORM3).value == pytest.approx(value, abs=1e-12)
+    assert te._uniform_solve(supp, UNIFORM3).value == pytest.approx(value, abs=1e-12)
     assert len(builds) == 1
-    h_theta_value(supp, ThetaWeights.from_legs([0.5, 0.25, 0.25]))
+    max_H_theta(supp, ThetaWeights.from_legs([0.5, 0.25, 0.25]))
     assert len(builds) == 2
 
 
@@ -597,14 +603,15 @@ def _value_path_cases():
 
 
 def test_value_path_matches_the_solve():
-    """h_theta_value's scaled start gives max_H_theta's value within 1e-12,
-    a gap <= INNER_TOL, and value + gap bounds max_H_theta's value up to 4
-    ulps of rounding in the two gaps."""
+    """max_H_theta's scaled start gives the uniform start's value within
+    1e-12, a gap <= INNER_TOL, and value + gap bounds the uniform start's
+    value up to 4 ulps of rounding in the two gaps."""
     cases = _value_path_cases()
     assert len({supp.points for supp, _ in cases}) >= 40
     for supp, theta in cases:
-        value, gap = h_theta_value(supp, theta)
-        ref = max_H_theta(supp, theta).value
+        res = max_H_theta(supp, theta)
+        value, gap = res.value, res.gap
+        ref = te._uniform_solve(supp, theta).value
         assert abs(value - ref) <= 1e-12, (supp, theta, value, ref)
         assert gap <= INNER_TOL, (supp, theta, gap)
         assert value + gap >= ref - 4 * np.spacing(ref), (supp, theta, value, gap, ref)
@@ -632,16 +639,17 @@ def test_one_leg_theta_certifies_after_one_sweep(monkeypatch):
             if hi - lo > 1e-9:
                 break
         sweeps.clear()
-        value, gap = h_theta_value(supp, theta)
-        assert len(sweeps) == 1 and gap <= 1e-14
-        assert value == pytest.approx(math.log2(len(supp.values(leg))), abs=1e-14)
+        res = max_H_theta(supp, theta)
+        assert len(sweeps) == 1 and res.gap <= 1e-14
+        assert res.value == pytest.approx(math.log2(len(supp.values(leg))), abs=1e-14)
 
 
 def test_diagonal_support_value_is_exact():
     for k in (3, 4):
         for m in (1, 2, 4):
             supp = ts.SupportSet((4,) * k, tuple((i,) * k for i in range(m)))
-            assert h_theta_value(supp, ThetaWeights.uniform(k)) == (math.log2(m), 0.0)
+            res = max_H_theta(supp, ThetaWeights.uniform(k))
+            assert (res.value, res.gap) == (math.log2(m), 0.0)
 
 
 def test_grid_oracle_agreement_small():

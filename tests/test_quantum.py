@@ -248,6 +248,26 @@ def test_stop_reasons():
     assert lower_quantum_functional(ts.w_tensor(), U3, FAST).stop == "bound"
 
 
+def test_condition_limit_stop(monkeypatch):
+    # every step from the identity leaves a transform of condition > 1.5
+    monkeypatch.setattr(tq, "COND_LIMIT", 1.5)
+    res = lower_quantum_functional(_random_333(), U3, AscentOptions(starts=2, max_iter=50))
+    assert res.stop == "condition_limit"
+    assert len(res.trace) == 2
+    assert res.value <= res.upper
+
+
+def test_no_step_stop(monkeypatch):
+    # no sweep, no entropy-Newton step and no gradient step: the start,
+    # below its bound, is where the ascent stops
+    for name in ("_scaling_sweep", "_entropy_newton", "_backtrack"):
+        monkeypatch.setattr(tq, name, lambda *args: None)
+    res = lower_quantum_functional(_random_333(), U3, AscentOptions(starts=2, max_iter=50))
+    assert res.stop == "no_step"
+    assert res.trace == (res.value,) and res.steps == ()
+    assert res.value < res.upper
+
+
 @pytest.mark.parametrize("spec", ["unit:3", "cw:2"])
 def test_ascent_stops_after_first_start_at_bound(monkeypatch, spec):
     calls = []

@@ -138,13 +138,13 @@ def test_bracket_screen_changes_no_decision(monkeypatch):
     candidate is solved, and every record is the same; the screen solves
     strictly fewer programs on matmul:2,2,2 and polymul:4."""
     cases = {c[0]: c for c in _cases()}
-    solve, solves = sf.h_theta_value, []
+    solve, solves = sf.max_H_theta, []
 
     def counting(*args, **kwargs):
         solves.append(args[0])
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(sf, "h_theta_value", counting)
+    monkeypatch.setattr(sf, "max_H_theta", counting)
     for key in ("matmul:2,2,2 Q half", "polymul:4 Fp:5 uniform",
                 "capset:3,3 Fp:3 uniform", "W/2+1/3 extra Q half"):
         args = cases[key][1:]

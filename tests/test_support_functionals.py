@@ -7,7 +7,7 @@ import pytest
 import tenspect as ts
 import tenspect.support_functionals as sf
 from tenspect.entropy import (INNER_TOL, ThetaWeights, binary_entropy, h_theta_bracket,
-                              h_theta_value)
+                              max_H_theta)
 from tenspect.linalg import COMPLEX_ZERO_TOL
 from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           _sparsify, gauge_points,
@@ -409,7 +409,8 @@ def test_screen_decides_as_the_solve_above_the_margin():
     the solved value, in both directions; the solved value is at least lo."""
     theta = ThetaWeights.from_legs([0.25, 0.25, 0.5])
     lo, hi = h_theta_bracket(GAP_SUPPORT, theta)
-    value, gap = h_theta_value(GAP_SUPPORT, theta)
+    res = max_H_theta(GAP_SUPPORT, theta)
+    value, gap = res.value, res.gap
     assert sf.SCREEN_MARGIN < gap <= INNER_TOL
     assert lo <= value <= hi + sf.SCREEN_MARGIN
     slack = 1e-9

@@ -325,8 +325,8 @@ def test_convert_between_domains():
 
 
 def test_field_rules_are_not_parameters():
-    # the zero tolerance, rank cutoff and singularity test are fixed linalg
-    # rules; only max_H_theta's convergence tolerance is a caller's choice
+    # the zero tolerance, rank cutoff, singularity test and max_H_theta's
+    # convergence tolerance are fixed rules, not a caller's choice
     knobs = {"tol", "rel_tol", "require_injective", "max_points"}
     found = []
     for module in (ts, linalg):
@@ -343,7 +343,7 @@ def test_field_rules_are_not_parameters():
                     continue
                 found += [f"{label}({p})" for p in inspect.signature(fn).parameters
                           if p in knobs]
-    assert found == ["max_H_theta(tol)"]
+    assert found == []
 
 
 def _random_rational_matrix(rng):

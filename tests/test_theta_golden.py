@@ -3,7 +3,7 @@
 `theta_golden.json` holds, for fixed supports, tensors and seeds:
 
 * `max_min_entropy`: value, dual value, gap, theta and the number of inner
-  `max_H_theta` solves;
+  solves (`entropy._uniform_solve`);
 * `asympt_slicerank`: value, route, theta and the evaluated
   (theta, value) pairs of the quantum route (none on the support route);
 * the JSON text of two CLI calls that run these minimisations.
@@ -98,7 +98,7 @@ def _slicerank_tensors():
 
 
 def _run_minimax(supp):
-    with mock.patch.object(te, "max_H_theta", wraps=te.max_H_theta) as inner:
+    with mock.patch.object(te, "_uniform_solve", wraps=te._uniform_solve) as inner:
         res = te.max_min_entropy(supp)
     return {"value": res.value, "dual_value": res.dual_value, "gap": res.gap,
             "theta": res.theta.to_records()["weights"], "inner_calls": inner.call_count}
