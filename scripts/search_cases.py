@@ -6,14 +6,13 @@ counts, the entropy-program solves (`max_H_theta` calls from the search),
 how many of those the Sinkhorn-scaled start certified with no face step (a
 `_sweep` ran and `_face_polish` did not), the steps drawn, and the states
 built (`_SearchState.apply_transvection` calls), all counted by wrappers.
-The tensor is a family over Q at uniform theta, `matmul:2,2,2` with 4
-restarts of 40 steps by default.  It checks nothing; CI prints it.
+The tensor is `matmul:2,2,2` over Q at uniform theta, searched with 4
+restarts of 40 steps.  It checks nothing; CI prints it.
 
-Usage: python scripts/search_cases.py [family] [restarts] [steps]
+Usage: python scripts/search_cases.py
 """
 
 import collections
-import sys
 import time
 
 import tenspect as ts
@@ -23,9 +22,6 @@ from tenspect.entropy import ThetaWeights
 
 
 def main():
-    spec = sys.argv[1] if len(sys.argv) > 1 else "matmul:2,2,2"
-    restarts = int(sys.argv[2]) if len(sys.argv) > 2 else 4
-    steps = int(sys.argv[3]) if len(sys.argv) > 3 else 40
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -48,12 +44,12 @@ def main():
     sf.max_H_theta = solve_counted
     state = sf._SearchState
     state.apply_transvection = counted("built", state.apply_transvection)
-    t = ts.build_family(ts.parse_family(spec), ts.RATIONAL)
-    opts = sf.BasisSearchOptions(restarts=restarts, steps=steps)
+    t = ts.build_family(ts.parse_family("matmul:2,2,2"), ts.RATIONAL)
+    opts = sf.BasisSearchOptions(restarts=4, steps=40)
     for search in (sf.upper_support_functional, sf.lower_support_functional):
         calls.clear()
         start = time.perf_counter()
-        rep = search(t, ThetaWeights.uniform(t.k), opts)
+        rep = search(t, ThetaWeights.uniform(3), opts)
         wall = time.perf_counter() - start
         print(f"{search.__name__}: {wall:.3f} s, {rep.evaluations} evaluations, "
               f"{calls['solves']} max_H_theta solves, "

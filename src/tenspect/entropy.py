@@ -248,10 +248,10 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
     support at the returned point and bounds the distance to the true
     optimum; `converged` says gap <= INNER_TOL.  value, the greater of
     H_theta at the returned point (`_value`) and at the uniform point, is at
-    least the bracket's lo, and value + gap bounds the optimum.  `iterations`
-    counts the rounds, at most MAX_ROUNDS; 1 means the start point or the
-    first Newton solve certified.  Supports that form a diagonal are solved
-    exactly.
+    least the bracket's lo and at most gap above H_theta at the returned
+    distribution; value + gap bounds the optimum.  `iterations` counts the
+    rounds, at most MAX_ROUNDS; 1 means the start point or the first Newton
+    solve certified.  Supports that form a diagonal are solved exactly.
     """
     return _solve(support, theta, INNER_TOL, scaled=True)
 

@@ -605,12 +605,16 @@ def _value_path_cases():
 def test_value_path_matches_the_solve():
     """max_H_theta's scaled start gives the uniform start's value within
     1e-12, a gap <= INNER_TOL, and value + gap bounds the uniform start's
-    value up to 4 ulps of rounding in the two gaps."""
+    value up to 4 ulps of rounding in the two gaps.  The value, which may be
+    the uniform point's, lies in [H_theta, H_theta + gap] at the returned
+    distribution up to 1e-12 of rounding between the two entropy sums."""
     cases = _value_path_cases()
     assert len({supp.points for supp, _ in cases}) >= 40
     for supp, theta in cases:
         res = max_H_theta(supp, theta)
         value, gap = res.value, res.gap
+        at_dist = theta.leg_array(supp.k) @ res.distribution.marginal_entropies()
+        assert at_dist - 1e-12 <= value <= at_dist + gap + 1e-12, (supp, theta, value, at_dist)
         ref = te._uniform_solve(supp, theta).value
         assert abs(value - ref) <= 1e-12, (supp, theta, value, ref)
         assert gap <= INNER_TOL, (supp, theta, gap)

@@ -32,7 +32,7 @@ def test_zn_table_agrees_with_minimax():
         assert float(row.split()[4]) <= 1e-6, row
 
 
-@pytest.mark.parametrize("name,args", [("search_cases.py", ("W", "1", "5")),
+@pytest.mark.parametrize("name,args", [("search_cases.py", ()),
                                        ("sandwich_sweep.py", ("2",)),
                                        ("ascent_cases.py", ("random", "1/4,1/4")),
                                        ("certificate_cases.py", ("random", "4")),
