@@ -9,9 +9,9 @@ from .asymptotics import (AsymptoticSubrankResult, CapsetReport,
                           asympt_subrank_tight3, capset_bound,
                           modular_sum_support, reduced_polymult_support,
                           slicerank_exact_combinatorial, z_of_n)
-from .entropy import (Distribution, HThetaResult, MinimaxEntropyResult,
-                      ThetaWeights, binary_entropy, max_H_theta,
-                      max_min_entropy, shannon_entropy)
+from .entropy import (HThetaResult, MinimaxEntropyResult, ThetaWeights,
+                      binary_entropy, max_H_theta, max_min_entropy,
+                      shannon_entropy)
 from .errors import BudgetExceededError, SingularBasisError
 from .partitions import (character, irrep_dimension, kronecker_coefficient,
                          lr_coefficient, partition_entropy, partitions)

@@ -30,6 +30,10 @@ from .tensors import (Tensor, binomial_basis_matrix, cap_set_tensor, invert_matr
 #: absolute tolerance of the gamma root in z_of_n
 ROOT_XTOL = 1e-15
 
+#: the largest n of z_of_n: its bracket's low end 1 + 1e-3 / n nears 1.0 beyond
+#: it, and rounds to 1.0 from about n = 9e12
+Z_MAX_N = 10 ** 12
+
 
 @dataclass(frozen=True)
 class ZResult:
@@ -48,6 +52,8 @@ def z_of_n(n: int) -> ZResult:
 
     if n < 2:
         raise ValueError("n must be >= 2")
+    if n > Z_MAX_N:
+        raise ValueError(f"n must be <= {Z_MAX_N}, got {n}")
 
     def f(g):
         # delta = g - 1; g^n - 1 via expm1/log1p avoids cancellation near 1;
@@ -57,9 +63,10 @@ def z_of_n(n: int) -> ZResult:
         tail = n / math.expm1(power) if power <= 709.0 else 0.0
         return 1.0 / delta - tail - (n - 1.0) / 3.0
 
-    # f(4) < 1/3 - (n - 1)/3 < 0, and f(1 + 1e-9) is about (n - 1)/6 > 0
-    # while n 1e-9 is small
-    gamma = brentq(f, 1.0 + 1e-9, 4.0, xtol=ROOT_XTOL, rtol=8.9e-16, maxiter=200)
+    # f(4) < 1/3 - (n - 1)/3 < 0, and f(1 + d) is about (n - 1)/6 > 0 while
+    # n d is small: d = 1e-9 up to n = 10^6, 1e-3 / n above
+    gamma = brentq(f, 1.0 + min(1e-9, 1e-3 / n), 4.0, xtol=ROOT_XTOL, rtol=8.9e-16,
+                   maxiter=200)
     z = math.expm1(n * math.log1p(gamma - 1.0)) / (gamma - 1.0) \
         * gamma ** (-2.0 * (n - 1.0) / 3.0)
     return ZResult(n, float(z), float(gamma))

@@ -410,6 +410,8 @@ def run(argv=None) -> tuple[int, str]:
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), ""
     try:
+        if args.digits < 0:
+            raise ValueError(f"--digits {args.digits} is negative")
         report = args.func(args)
     except BudgetExceededError as exc:
         return EXIT_BUDGET, f"budget exhausted: {exc}\n"

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -174,51 +174,14 @@ class ThetaWeights:
 
 
 # ---------------------------------------------------------------------------
-# distributions on a support
-
-
-def marginal_vectors(support: SupportSet, probs: np.ndarray) -> list[np.ndarray]:
-    pts = np.array(support.points)
-    return [np.bincount(pts[:, i], weights=probs, minlength=support.bounds[i])
-            for i in range(support.k)]
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """Probability distribution on the points of a support set."""
-
-    support: SupportSet
-    probs: np.ndarray
-    marginals: tuple[np.ndarray, ...] = field(default=(), init=False)
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (len(self.support),):
-            raise ValueError("probability vector length must match the support")
-        if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        probs = probs.copy()
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        margs = tuple(marginal_vectors(self.support, probs))
-        for m in margs:
-            m.setflags(write=False)
-        object.__setattr__(self, "marginals", margs)
-
-    def marginal_entropies(self) -> np.ndarray:
-        return np.array([shannon_entropy(m) for m in self.marginals])
-
-
-# ---------------------------------------------------------------------------
 # the concave program: maximise H_theta over distributions on a support
 
 
 @dataclass(frozen=True)
 class HThetaResult:
     value: float                 # bits
-    distribution: Distribution
+    probs: np.ndarray            # the returned point over support.points, read-only
     gap: float                   # certified suboptimality bound, bits
-    kkt_residual: float          # spread of the active-gradient components
     iterations: int
     converged: bool              # gap <= the solve's tolerance
     exact_power: int | None = None   # 2**value as an exact integer, when known
@@ -249,7 +212,7 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
     optimum; `converged` says gap <= INNER_TOL.  value, the greater of
     H_theta at the returned point (`_value`) and at the uniform point, is at
     least the bracket's lo and at most gap above H_theta at the returned
-    distribution; value + gap bounds the optimum.  `iterations` counts the
+    `probs`; value + gap bounds the optimum.  `iterations` counts the
     rounds, at most MAX_ROUNDS; 1 means the start point or the first Newton
     solve certified.  Supports that form a diagonal are solved exactly.
     """
@@ -261,10 +224,9 @@ def _uniform_solve(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
     MINIMAX_INNER_TOL and with value `_value` at the returned point: the
     inner solve of `max_min_entropy`.
 
-    Where a leg has weight 0 the maximiser is not unique, and the minimax's
-    cuts read its marginal entropies on that leg.  The scaled start returns
-    another maximiser of equal value there: on theta_golden.json's random22
-    it raised the dual value by 4.3e-11 and moved theta by 9.7e-5.
+    The scaled start returns another maximiser of equal value where a leg
+    has weight 0: on theta_golden.json's random22 it raised the minimax's
+    dual value by 4.3e-11 and moved theta by 9.7e-5.
     """
     return _solve(support, theta, MINIMAX_INNER_TOL, scaled=False)
 
@@ -272,13 +234,12 @@ def _uniform_solve(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
 def _solve(support: SupportSet, theta: ThetaWeights, tol: float, scaled: bool) -> HThetaResult:
     """The program solved to gap <= tol: from the Sinkhorn-scaled start with
     value at least the uniform point's if `scaled`, else from the uniform
-    point with value `_value` at the returned point."""
+    point with value `_value` at the returned point, which is read-only."""
     if len(support) == 0:
         raise ValueError("empty support")
     if is_diagonal(support):
         m = len(support)
-        dist = Distribution(support, np.full(m, 1.0 / m))
-        return HThetaResult(math.log2(m), dist, 0.0, 0.0, 0, True, exact_power=m)
+        return HThetaResult(math.log2(m), _read_only(np.full(m, 1.0 / m)), 0.0, 0, True, m)
     legs, inc, w, evaluate, p, f, grad, gap = _uniform_start(support, theta)
     lo, q, last = (f if scaled else -math.inf), p, gap
     for _ in range(30 if scaled else 0):
@@ -292,11 +253,13 @@ def _solve(support: SupportSet, theta: ThetaWeights, tol: float, scaled: bool) -
         if gap_q > 0.5 * last:
             break
         last = gap_q
-    p, grad, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol)
-    mask = p > 1e-10
-    kkt = float(grad[mask].max() - grad[mask].min()) if mask.any() else 0.0
-    return HThetaResult(max(_value(p, legs), lo), Distribution(support, p), gap, kkt,
-                        max(rounds, 1), gap <= tol)
+    p, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol)
+    return HThetaResult(max(_value(p, legs), lo), _read_only(p), gap, max(rounds, 1), gap <= tol)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _sweep(q: np.ndarray, legs) -> np.ndarray:
@@ -315,7 +278,7 @@ def _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol):
     gap > tol, at most MAX_ROUNDS rounds: each runs the face steps of
     `_face_polish`, and each after the first starts by adding back the
     coordinate of largest gradient (`_add_back`).  Returns the last point,
-    its gradient and gap, and the number of rounds.
+    its gap and the number of rounds.
     """
     rounds = 0
     while gap > tol and rounds < MAX_ROUNDS:
@@ -325,7 +288,7 @@ def _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol):
         p, f, grad = _face_polish(p, f, grad, evaluate, inc, w)
         gap = float(grad.max() - grad @ p)
         rounds += 1
-    return p, grad, gap, rounds
+    return p, gap, rounds
 
 
 def _value(p: np.ndarray, legs) -> float:
@@ -341,7 +304,7 @@ def _uniform_start(support: SupportSet, theta: ThetaWeights):
     and w the theta_i of its columns, evaluate(q) gives H_theta(q) in bits
     and its gradient, (f, grad) = evaluate(p) and gap = max_j grad_j - grad
     . p.  The last pair's start is kept, so a solve after `h_theta_bracket`
-    builds nothing again; callers never write its arrays."""
+    builds nothing again; its arrays are read-only."""
     theta_arr = theta.leg_array(support.k)
     idx, inc, cols = _incidence(support)
     legs = [(idx[i], theta_arr[i]) for i in range(support.k) if theta_arr[i] > 0]
@@ -355,6 +318,8 @@ def _uniform_start(support: SupportSet, theta: ThetaWeights):
 
     p = np.full(len(support), 1.0 / len(support))
     f, grad = evaluate(p)
+    for arr in (inc, w, p, grad, *(vals for vals, _ in legs)):
+        _read_only(arr)
     return legs, inc, w, evaluate, p, f, grad, float(grad.max() - grad @ p)
 
 
@@ -488,7 +453,7 @@ class MinimaxEntropyResult:
     value: float                     # primal value, bits
     dual_value: float                # least inner value + gap over evaluated theta, >= value; bits
     gap: float
-    distribution: Distribution
+    probs: np.ndarray                # the primal point over support.points, read-only
     theta: ThetaWeights
     exact_power: int | None = None
 
@@ -621,21 +586,26 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
     k = support.k
     if is_diagonal(support):
         m = len(support)
-        dist = Distribution(support, np.full(m, 1.0 / m))
-        theta = ThetaWeights.uniform(k)
-        return MinimaxEntropyResult(math.log2(m), math.log2(m), 0.0, dist, theta,
-                                    exact_power=m)
+        probs, theta = _read_only(np.full(m, 1.0 / m)), ThetaWeights.uniform(k)
+        return MinimaxEntropyResult(math.log2(m), math.log2(m), 0.0, probs, theta, m)
 
     def evaluate(theta_vec):
         res = _uniform_solve(support, ThetaWeights.from_legs(theta_vec))
-        return res.value, res.distribution.marginal_entropies(), res
+        return res.value, _leg_entropies(support, res.probs), res
 
     evals, weights = _theta_cutting_planes(k, evaluate, MINIMAX_CUT_TOL, MINIMAX_ROUNDS)
     _, dual_theta, _, dual = min(evals, key=lambda e: e[3].value + e[3].gap)
 
-    mix = weights @ [e[3].distribution.probs for e in evals[:weights.size]] / weights.sum()
-    dist = Distribution(support, _saddle_polish(support, mix, dual_theta))
-    value = float(min(shannon_entropy(np.asarray(m)) for m in dist.marginals))
+    mix = weights @ [e[3].probs for e in evals[:weights.size]] / weights.sum()
+    probs = _read_only(_saddle_polish(support, mix, dual_theta))
+    value = float(_leg_entropies(support, probs).min())
     dual_value = max(dual.value + dual.gap, value)
     gap = dual_value - value
-    return MinimaxEntropyResult(value, dual_value, gap, dist, ThetaWeights.from_legs(dual_theta))
+    return MinimaxEntropyResult(value, dual_value, gap, probs, ThetaWeights.from_legs(dual_theta))
+
+
+def _leg_entropies(support: SupportSet, probs: np.ndarray) -> np.ndarray:
+    """Each leg's marginal entropy (bits) of probs over support.points."""
+    pts = np.array(support.points)
+    return np.array([shannon_entropy(np.bincount(pts[:, i], weights=probs, minlength=n))
+                     for i, n in enumerate(support.bounds)])

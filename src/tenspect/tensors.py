@@ -317,9 +317,17 @@ def cap_set_tensor(m: int, p: int) -> Tensor:
     return from_nonzeros((m, m, m), dom, vals)
 
 
+#: the parameter counts each family takes; dicke takes any
+_FAMILY_PARAM_COUNTS = {"unit": (1, 2), "cw": (1,), "polymul": (1,), "matmul": (3,), "capset": (2,)}
+
+
 def build_family(spec: FamilySpec, domain: Domain | None = None) -> Tensor:
     kind = spec.kind
     params = spec.params
+    counts = _FAMILY_PARAM_COUNTS.get(kind)
+    if counts and len(params) not in counts:
+        raise ValueError(f"family {kind!r} takes {' or '.join(map(str, counts))} parameter(s), "
+                         f"got {len(params)}")
     if kind == "unit":
         r = params[0]
         k = params[1] if len(params) > 1 else 3

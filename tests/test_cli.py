@@ -41,6 +41,25 @@ def test_zn_past_the_overflow_of_four_to_the_n():
     assert rows[0]["n"] == 600 and rows[0]["z"] == pytest.approx(505.16, abs=0.01)
 
 
+@pytest.mark.parametrize("n", [3 * 10**9, 10**12])
+def test_zn_beyond_a_million(n):
+    # the bracket's low end 1 + 1e-3 / n keeps f > 0 there; z / n tends to
+    # 0.8414344 (z(n) ~ 0.84 n) and gamma - 1 to about 2.15 / n
+    res = tasy.z_of_n(n)
+    assert res.z / n == pytest.approx(0.8414344, abs=1e-6)
+    assert 1.0 < res.gamma < 1.0 + 3.0 / n
+    rows = json.loads(run_ok(["zn", "--n", str(n), "--format", "json", "--digits", "12"]))["table"]
+    assert rows[0]["z"] / n == pytest.approx(0.8414344, abs=1e-6)
+
+
+def test_zn_above_the_limit_is_a_validation_error():
+    code, out = run(["zn", "--n", "10000000000000"])
+    assert code == EXIT_VALIDATION
+    assert out == f"error: n must be <= {tasy.Z_MAX_N}, got 10000000000000\n"
+    with pytest.raises(ValueError, match="n must be <= 1000000000000"):
+        tasy.z_of_n(10**12 + 1)
+
+
 def test_capset_report():
     out = run_ok(["capset", "--m", "3", "--p", "3", "--format", "json"])
     rep = json.loads(out)
@@ -247,6 +266,18 @@ def test_formats_and_digits():
     assert csv_out.splitlines()[0] == "key,value"
     js = run_ok(["zn", "--n", "3", "--format", "json", "--digits", "9"])
     assert json.loads(js)["table"][0]["z"] == pytest.approx(2.75510461, abs=1e-7)
+
+
+def test_negative_digits_is_a_validation_error():
+    code, out = run(["zn", "--n", "3", "--digits", "-1"])
+    assert (code, out) == (EXIT_VALIDATION, "error: --digits -1 is negative\n")
+    assert tcli.main(["zn", "--n", "3", "--digits", "-1"]) == EXIT_VALIDATION
+
+
+def test_family_with_a_wrong_parameter_count_is_a_validation_error():
+    code, out = run(["family", "--spec", "unit:2,3,4"])
+    assert (code, out) == (EXIT_VALIDATION,
+                           "error: family 'unit' takes 1 or 2 parameter(s), got 3\n")
 
 
 def test_machine_output_deterministic():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import tenspect as ts
 import tenspect.entropy as te
-from tenspect.entropy import (INNER_TOL, MINIMAX_INNER_TOL, Distribution,
-                              ThetaWeights, binary_entropy, h_theta_bracket,
-                              max_H_theta, max_min_entropy, shannon_entropy)
+from tenspect.entropy import (INNER_TOL, MINIMAX_INNER_TOL, ThetaWeights,
+                              binary_entropy, h_theta_bracket, max_H_theta,
+                              max_min_entropy, shannon_entropy)
 
 from conftest import random_support
 
@@ -136,25 +136,56 @@ def test_noncrossing_detection():
     assert pairs == 129
 
 
-def test_marginal_vectors_match_pointwise_sums():
-    """One bincount per leg adds the masses in the order of the points."""
+def test_leg_entropies_match_pointwise_sums():
+    """One bincount per leg adds the masses in the order of the points, so
+    each leg's entropy is that of the pointwise-summed marginal, bitwise."""
     rng = np.random.default_rng(11)
     for _ in range(20):
         supp = random_support(rng, bounds=(3, 4, 2), max_points=10)
         probs = rng.dirichlet(np.ones(len(supp)))
-        for i, got in enumerate(te.marginal_vectors(supp, probs)):
-            want = np.zeros(supp.bounds[i])
+        want = []
+        for i in range(supp.k):
+            marg = np.zeros(supp.bounds[i])
             for p, w in zip(supp.points, probs):
-                want[p[i]] += w
-            assert got.tobytes() == want.tobytes()
+                marg[p[i]] += w
+            want.append(shannon_entropy(marg))
+        assert te._leg_entropies(supp, probs).tobytes() == np.array(want).tobytes()
 
 
-def test_distribution_invariants():
-    supp = ts.SupportSet.from_tensor(ts.w_tensor())
-    d = Distribution(supp, np.array([0.5, 0.25, 0.25]))
-    assert d.marginals[0][0] == pytest.approx(0.75)
+def _returned_probs():
+    """(support, probs) of max_H_theta on the suite supports at both suite
+    theta and of max_min_entropy on reduced_polymult_support(n), n = 2..6."""
+    out = [(supp, max_H_theta(supp, ThetaWeights.from_legs(w)).probs)
+           for w in ((1 / 3, 1 / 3, 1 / 3), (0.5, 0.25, 0.25)) for supp in _suite_supports()]
+    for n in range(2, 7):
+        supp = ts.reduced_polymult_support(n)
+        out.append((supp, max_min_entropy(supp).probs))
+    return out
+
+
+def test_returned_probs_are_read_only_distributions():
+    cases = _returned_probs()
+    assert len(cases) == 85
+    for supp, probs in cases:
+        assert not probs.flags.writeable
+        assert probs.dtype == np.float64 and probs.shape == (len(supp),)
+        assert probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-12, supp
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: max_H_theta(ts.modular_sum_support(3), UNIFORM3),
+    lambda: max_H_theta(_suite_supports()[0], UNIFORM3),
+    lambda: max_min_entropy(ts.reduced_polymult_support(4)),
+], ids=["start certifies", "newton rounds", "minimax"])
+def test_writing_into_probs_raises_and_leaves_later_solves_alone(solve):
+    """Where the uniform start certifies (modular_sum_support(3) at uniform
+    theta), the returned probs is the cached start itself, which a write
+    would change for every later solve of the program."""
+    probs = solve().probs
+    before = probs.copy()
     with pytest.raises(ValueError):
-        Distribution(supp, np.array([0.5, 0.6, 0.1]))
+        probs[0] = 0.5
+    assert solve().probs.tobytes() == before.tobytes()
 
 
 def test_max_h_theta_unit():
@@ -179,7 +210,7 @@ def test_max_h_theta_certificate_fields():
                                      (2, 2, 2), (1, 0, 1)))
     res = max_H_theta(supp, ThetaWeights.from_legs([0.6, 0.3, 0.1]))
     assert res.gap <= 1e-7
-    assert res.kkt_residual <= 1e-6
+    assert res.converged and res.iterations >= 1
 
 
 def test_max_h_theta_leaves_warning_filters_alone(monkeypatch):
@@ -504,7 +535,7 @@ def test_value_never_below_feasible_points(seed):
     res = max_H_theta(supp, theta)
     for _ in range(10):
         probs = rng.dirichlet(np.ones(len(supp)))
-        candidate = theta.leg_array(3) @ Distribution(supp, probs).marginal_entropies()
+        candidate = theta.leg_array(3) @ te._leg_entropies(supp, probs)
         assert candidate <= res.value + 1e-7
 
 
@@ -613,7 +644,7 @@ def test_value_path_matches_the_solve():
     for supp, theta in cases:
         res = max_H_theta(supp, theta)
         value, gap = res.value, res.gap
-        at_dist = theta.leg_array(supp.k) @ res.distribution.marginal_entropies()
+        at_dist = theta.leg_array(supp.k) @ te._leg_entropies(supp, res.probs)
         assert at_dist - 1e-12 <= value <= at_dist + gap + 1e-12, (supp, theta, value, at_dist)
         ref = te._uniform_solve(supp, theta).value
         assert abs(value - ref) <= 1e-12, (supp, theta, value, ref)
@@ -712,10 +743,10 @@ def test_saddle_polish_uses_binding_legs_of_weight_zero():
                                      (1, 3, 2), (2, 0, 1), (2, 1, 0), (2, 2, 0), (2, 3, 2)))
     best = np.array([2, 1, 0, 0, 0, 1, 0, 0, 1, 1]) / 6
     start = (1 - 1e-5) * best + 1e-6
-    ents = Distribution(supp, start).marginal_entropies()
+    ents = te._leg_entropies(supp, start)
     assert abs(ents[0] - ents[2]) <= 1e-9 < ents[1] - ents[0]
     q = te._saddle_polish(supp, start, np.array([1.0, 0.0, 0.0]))
-    assert Distribution(supp, q).marginal_entropies().min() == pytest.approx(
+    assert te._leg_entropies(supp, q).min() == pytest.approx(
         math.log2(3), abs=1e-14)
 
 
@@ -727,7 +758,7 @@ def test_max_min_entropy_duality_gap():
         assert res.gap <= 1e-6
         assert res.value <= res.dual_value + 1e-9
         # primal is feasible: value equals min marginal entropy of the dist
-        ents = res.distribution.marginal_entropies()
+        ents = te._leg_entropies(supp, res.probs)
         assert res.value == pytest.approx(float(ents.min()), abs=1e-12)
 
 
@@ -772,7 +803,7 @@ def test_max_min_entropy_without_minimize(supp, monkeypatch):
     monkeypatch.setattr(te, "_theta_cutting_planes", recording(te._theta_cutting_planes, planes))
     res = max_min_entropy(supp)
     assert res.value <= res.dual_value + 1e-12
-    assert res.value == pytest.approx(float(res.distribution.marginal_entropies().min()),
+    assert res.value == pytest.approx(float(te._leg_entropies(supp, res.probs).min()),
                                       abs=1e-12)
     if supp is FIVE_POINTS:
         # the cutting planes reach their own stop target

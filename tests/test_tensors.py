@@ -1,4 +1,5 @@
 import inspect
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,17 @@ def test_build_family_and_parse():
         ts.build_family(ts.FamilySpec("capset", (4, 4)))  # modulus must be prime
     # power-of-p is only required by the bound pipeline, not the tensor
     ts.build_family(ts.FamilySpec("capset", (4, 2)))
+
+
+@pytest.mark.parametrize("spec, takes", [
+    ("unit:2,3,4", "1 or 2"), ("matmul:1,1", "3"), ("cw:1,2", "1"), ("capset:3", "2"),
+    ("polymul:2,2", "1"), ("matmul:1,1,1,1", "3"),
+])
+def test_build_family_checks_the_parameter_count(spec, takes):
+    kind, _, params = spec.partition(":")
+    message = f"family '{kind}' takes {takes} parameter(s), got {len(params.split(','))}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ts.build_family(ts.parse_family(spec))
 
 
 def test_io_roundtrip_rational_and_fp(rng):
