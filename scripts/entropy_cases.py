@@ -6,13 +6,15 @@ The cases:
   points each, drawn by default_rng(seed)), at uniform theta and at
   theta = (1/2, 1/4, 1/4);
 - max_min_entropy on reduced_polymult_support(n), n = 2..8, the supports
-  of the cap-set bound.
+  of the cap-set bound, and on a five-point support in 3x3x3 whose cutting
+  planes run 31 rounds.
 Per case it prints the microseconds per solve (the least of five passes,
 after a warm-up pass), the face steps (KKT solves, the saddle polish's
 included) and rounds (face polishes) per solve, counted in one more pass,
 and the worst gap.  For max_H_theta it also prints how many solves the
 Sinkhorn-scaled start certified with no face step (a `_sweep` ran and
-`_face_polish` did not).  It checks nothing; CI prints it.
+`_face_polish` did not); for max_min_entropy, the scipy.optimize.linprog
+calls of its cutting planes per solve.  It checks nothing; CI prints it.
 
 Usage: python scripts/entropy_cases.py [count] [seed]
 """
@@ -21,31 +23,37 @@ import sys
 import time
 
 import numpy as np
+import scipy.optimize
 
 import tenspect as ts
 import tenspect.entropy as te
 from tenspect.asymptotics import reduced_polymult_support
 
+FIVE_POINTS = ts.SupportSet((3, 3, 3), ((0, 0, 0), (1, 1, 1), (1, 2, 0), (2, 0, 1), (2, 1, 2)))
+
 
 def counted(calls, name, fn):
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls[name] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
     return wrapper
 
 
-def report(label, solve, inputs, scaled=False):
+def report(label, solve, inputs, scaled=False, lps=False):
     """Time `solve` over the inputs, count its face steps and rounds (and,
-    if `scaled`, the solves the scaled start certified), and print one line;
-    `solve` returns the gap of its result."""
+    if `scaled`, the solves the scaled start certified; if `lps`, its
+    linprog calls), and print one line; `solve` returns the gap of its
+    result."""
     for args in inputs:
         solve(*args)
     best = min(_timed(solve, inputs) for _ in range(5))
-    calls = {"steps": 0, "rounds": 0, "sweeps": 0, "certified": 0}
+    calls = {"steps": 0, "rounds": 0, "sweeps": 0, "certified": 0, "lps": 0}
     norm_solve, face_polish, sweep = te._min_norm_solve, te._face_polish, te._sweep
+    linprog = scipy.optimize.linprog
     te._min_norm_solve = counted(calls, "steps", norm_solve)
     te._face_polish = counted(calls, "rounds", face_polish)
     te._sweep = counted(calls, "sweeps", sweep)
+    scipy.optimize.linprog = counted(calls, "lps", linprog)
     worst = 0.0
     try:
         for args in inputs:
@@ -54,12 +62,14 @@ def report(label, solve, inputs, scaled=False):
             calls["certified"] += calls["sweeps"] > before[0] and calls["rounds"] == before[1]
     finally:
         te._min_norm_solve, te._face_polish, te._sweep = norm_solve, face_polish, sweep
+        scipy.optimize.linprog = linprog
     n = len(inputs)
     certified = (f"{calls['certified']} certified by the scaled start with no face step, "
                  if scaled else "")
+    lp_calls = f"{calls['lps'] / n:.2f} linprog calls per solve, " if lps else ""
     print(f"{label}: {n} solves, {1e6 * best / n:.0f} us per solve, "
           f"{calls['steps'] / n:.2f} face steps and {calls['rounds'] / n:.2f} rounds per solve, "
-          f"{certified}worst gap {worst:.2e}", flush=True)
+          f"{certified}{lp_calls}worst gap {worst:.2e}", flush=True)
 
 
 def _timed(solve, inputs):
@@ -82,7 +92,10 @@ def main():
                scaled=True)
     for n in range(2, 9):
         report(f"max_min_entropy, reduced_polymult_support({n})",
-               lambda supp: te.max_min_entropy(supp).gap, [(reduced_polymult_support(n),)])
+               lambda supp: te.max_min_entropy(supp).gap, [(reduced_polymult_support(n),)],
+               lps=True)
+    report("max_min_entropy, five points in 3x3x3", lambda supp: te.max_min_entropy(supp).gap,
+           [(FIVE_POINTS,)], lps=True)
 
 
 if __name__ == "__main__":

@@ -25,13 +25,14 @@ min_theta max_P H_theta(P); its inner solves run the same Newton rounds
 from the uniform point (`_uniform_solve`), since the cuts read the
 maximiser, which is not unique where a leg has weight 0.  The dual side
 minimises over the theta simplex with `_theta_cutting_planes` and reports
-the least certified bound value + gap among the evaluated theta.  The primal
-side mixes the inner maximisers with the LP's dual cut weights and polishes
-the mixture with Newton steps on the saddle KKT system (`_saddle_polish`,
-sharing the face Hessian and step rule of `_face_polish`), so the pair
-comes with an explicit duality gap.  `_theta_cutting_planes` is the one LP
-loop over the theta simplex; the asymptotic slice rank runs it too, over
-entropy ascents.
+the least certified bound value + gap among the evaluated theta; where the
+first cut already closes the gap (its LP bound is min_i h_i) no LP runs.
+The primal side mixes the inner maximisers with the LP's dual cut weights
+(the one cut's weight is 1) and polishes the mixture with Newton steps on
+the saddle KKT system (`_saddle_polish`, sharing the face Hessian and step
+rule of `_face_polish`), so the pair comes with an explicit duality gap.
+`_theta_cutting_planes` is the one LP loop over the theta simplex; the
+asymptotic slice rank runs it too, over entropy ascents.
 """
 
 from __future__ import annotations
@@ -458,6 +459,26 @@ class MinimaxEntropyResult:
     exact_power: int | None = None
 
 
+def _cut_lp(cuts: list[np.ndarray], k: int):
+    """HiGHS on `_theta_cutting_planes`' LP over the given cuts."""
+    from scipy.optimize import linprog
+
+    # variables theta, z, slack s >= |theta - uniform|; the cut rows,
+    # then theta_i - s_i <= 1/k and -theta_i - s_i <= -1/k per leg
+    ncuts = len(cuts)
+    rows = np.hstack([cuts, -np.ones((ncuts, 1)), np.zeros((ncuts, k))])
+    eye, zero = np.eye(k), np.zeros((k, 1))
+    pull = np.stack([np.hstack([eye, zero, -eye]), np.hstack([-eye, zero, -eye])], axis=1)
+    a_ub = np.vstack([rows, pull.reshape(2 * k, -1)])
+    b_ub = np.concatenate([np.zeros(ncuts), np.tile([1.0 / k, -1.0 / k], k)])
+    c = np.concatenate([np.zeros(k), [1.0], np.full(k, 1e-12)])
+    a_eq = np.concatenate([np.ones(k), np.zeros(k + 1)])[None, :]
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]),
+                   bounds=[(0.0, 1.0)] * k + [(None, None)] + [(0.0, 1.0)] * k,
+                   method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                            "dual_feasibility_tolerance": 1e-10})
+
+
 def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int):
     """Cutting planes for a convex g over the theta simplex of k legs.
 
@@ -467,38 +488,29 @@ def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int):
     theta . h_s <= z over the simplex, with a 1e-12 L1 pull toward the
     uniform theta to break ties, so that z - 1e-12 k bounds min g from
     below; HiGHS runs at feasibility tolerances of 1e-10, below the callers'
-    gap_tol.  The next theta is the LP's, clipped at 0 and normalised.  The
-    loop stops when the LP fails, when the least value is within gap_tol of
-    the LP bound, when the next theta is within 1e-14 of an evaluated one,
-    or after max_rounds rounds.  Returns the (value, theta, h, payload)
-    evaluations in order and the cut weights (duals) of the last LP that
-    succeeded, over the evaluations it saw; [1.0] if none succeeded.
+    gap_tol.  With one cut h the LP's value is min_i h_i, at a vertex, and
+    the cut's weight is 1, so the first round tests that bound directly and
+    runs no LP when it closes the gap.  The next theta is the LP's, clipped
+    at 0 and normalised.  The loop stops when the LP fails, when the least
+    value is within gap_tol of the LP bound, when the next theta is within
+    1e-14 of an evaluated one, or after max_rounds rounds.  Returns the
+    (value, theta, h, payload) evaluations in order and the cut weights
+    (duals) of the last LP that succeeded, over the evaluations it saw;
+    [1.0] if no LP ran or none succeeded.
     """
-    from scipy.optimize import linprog
-
     evals = []
     weights = np.ones(1)
     theta = np.full(k, 1.0 / k)
     for _ in range(max_rounds):
         value, h, payload = evaluate(theta)
         evals.append((value, theta, h, payload))
-        # variables theta, z, slack s >= |theta - uniform|; the cut rows,
-        # then theta_i - s_i <= 1/k and -theta_i - s_i <= -1/k per leg
-        ncuts = len(evals)
-        cuts = np.hstack([[e[2] for e in evals], -np.ones((ncuts, 1)), np.zeros((ncuts, k))])
-        eye, zero = np.eye(k), np.zeros((k, 1))
-        pull = np.stack([np.hstack([eye, zero, -eye]), np.hstack([-eye, zero, -eye])], axis=1)
-        a_ub = np.vstack([cuts, pull.reshape(2 * k, -1)])
-        b_ub = np.concatenate([np.zeros(ncuts), np.tile([1.0 / k, -1.0 / k], k)])
-        c = np.concatenate([np.zeros(k), [1.0], np.full(k, 1e-12)])
-        a_eq = np.concatenate([np.ones(k), np.zeros(k + 1)])[None, :]
-        lp = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.array([1.0]),
-                     bounds=[(0.0, 1.0)] * k + [(None, None)] + [(0.0, 1.0)] * k,
-                     method="highs", options={"primal_feasibility_tolerance": 1e-10,
-                                              "dual_feasibility_tolerance": 1e-10})
+        # one cut: the LP's value is min_i h_i, at a vertex, with weight 1
+        if len(evals) == 1 and value - (h.min() - 1e-12 * k) <= gap_tol:
+            break
+        lp = _cut_lp([e[2] for e in evals], k)
         if not lp.success:
             break
-        weights = -lp.ineqlin.marginals[:ncuts]
+        weights = -lp.ineqlin.marginals[:len(evals)]
         # the tie-break pull can lift z above the pure cut bound by at most
         # its total weight
         lower = float(lp.x[k]) - 1e-12 * k

@@ -190,10 +190,13 @@ def _extend_to_full_maps(s: SupportSet, partial: list[dict]) -> tuple[tuple[int,
 def _generic_points(basis: list[list[Fraction]], limit: int):
     """Primitive integer points of sum_j m^j basis[j] for m = 1..limit; a
     hyperplane through 0 not containing the span meets at most
-    len(basis) - 1 of them (Vandermonde)."""
+    len(basis) - 1 of them (Vandermonde).  The sums run in Python ints over
+    the basis cleared of denominators once: a positive multiple of a point
+    has the same primitive point."""
+    ints, _ = linalg.RATIONAL.integral(np.array(basis, dtype=object))
+    cols = list(zip(*ints))
     for m in range(1, limit + 1):
-        yield linalg.clear_denominators(
-            [sum(m ** j * x for j, x in enumerate(col)) for col in zip(*basis)])
+        yield linalg._primitive([sum(m ** j * x for j, x in enumerate(col)) for col in cols])
 
 
 def _linear_ansatz(s: SupportSet, used: list[list[int]]) -> TightnessCertificate | None:

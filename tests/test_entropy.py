@@ -813,6 +813,65 @@ def test_max_min_entropy_without_minimize(supp, monkeypatch):
         assert least - (lp.x[3] - 1e-12 * 3) <= te.MINIMAX_CUT_TOL
 
 
+def _one_cut_supports():
+    """reduced_polymult_support(2..8), W's support and the theta golden's
+    minimax supports that make one inner solve."""
+    from test_theta_golden import GOLDEN, _minimax_supports
+
+    with open(GOLDEN, encoding="ascii") as fh:
+        golden = json.load(fh)["max_min_entropy"]
+    out = {f"polymult {n}": ts.reduced_polymult_support(n) for n in range(2, 9)}
+    out["W"] = ts.SupportSet.from_tensor(ts.w_tensor())
+    for key, supp in _minimax_supports().items():
+        if golden[key]["inner_calls"] == 1:
+            out[f"golden {key}"] = supp
+    return out
+
+
+def _counted_linprog(monkeypatch):
+    """The list that each later scipy.optimize.linprog call appends to."""
+    import scipy.optimize
+
+    calls, linprog = [], scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
+
+
+@pytest.mark.parametrize("key", list(_one_cut_supports()))
+def test_one_cut_lp_is_the_least_cut(key, monkeypatch):
+    # with one cut h the LP stops at a vertex with value min_i h_i and the
+    # cut's weight is 1, so the cutting planes stop at round 1 with weights
+    # [1.0] and no LP; where the legs tie to an ulp (polymult 4) HiGHS may
+    # pick a vertex whose h_i is an ulp above the least, and the stop test
+    # decides the same on either bound
+    supp = _one_cut_supports()[key]
+    k = supp.k
+    res = te._uniform_solve(supp, ThetaWeights.uniform(k))
+    h = te._leg_entropies(supp, res.probs)
+    lp = te._cut_lp([h], k)
+    assert lp.success
+    assert lp.x[k] in h
+    assert 0.0 <= lp.x[k] - h.min() <= 2 * np.spacing(h.min())
+    assert -lp.ineqlin.marginals[0] == 1.0
+    assert res.value - (h.min() - 1e-12 * k) <= te.MINIMAX_CUT_TOL
+    assert res.value - (lp.x[k] - 1e-12 * k) <= te.MINIMAX_CUT_TOL
+
+    calls = _counted_linprog(monkeypatch)
+    max_min_entropy(supp)
+    assert calls == []
+
+
+def test_several_cuts_still_solve_the_lp(monkeypatch):
+    calls = _counted_linprog(monkeypatch)
+    max_min_entropy(FIVE_POINTS)
+    assert calls
+
+
 def entropy_trick_max(x, y):
     """max over p in [0, 1] of p x + (1 - p) y + h(p) and its maximiser,
     by golden-section search (the objective is concave in p)."""

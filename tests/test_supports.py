@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenspect as ts
-from tenspect.supports import (is_diagonal, relabel_support,
+from tenspect import linalg
+from tenspect.supports import (_generic_points, is_diagonal, relabel_support,
                                tight_antichain_relabel)
 
 from conftest import random_support
@@ -134,6 +136,26 @@ def test_check_tight_one_point(bounds, point):
     rep = ts.check_tight(single)
     assert rep.tight and rep.method == "linear"
     assert rep.certificate.verify(single)
+
+
+def _rational_basis(rng, size, length):
+    return [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+             for _ in range(length)] for _ in range(size)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generic_points_match_the_fraction_sums(seed):
+    # the integer sums over the basis cleared of denominators once give the
+    # same primitive points as Fraction sums cleared point by point
+    rng = np.random.default_rng(seed)
+    bases = [[]] + [_rational_basis(rng, size, int(rng.integers(1, 7)))
+                    for size in (1, 2, 3, 4)]
+    for basis in bases:
+        limit = 4 * max(len(basis), 1) + 3
+        want = [linalg.clear_denominators(
+                    [sum(m ** j * x for j, x in enumerate(col)) for col in zip(*basis)])
+                for m in range(1, limit + 1)]
+        assert list(_generic_points(basis, limit)) == want
 
 
 def test_check_tight_zero_nullspace():
