@@ -4,10 +4,13 @@
 For each search it prints the wall time, the evaluations the report
 counts, the entropy-program solves (`max_H_theta` calls from the search),
 how many of those the Sinkhorn-scaled start certified with no face step (a
-`_sweep` ran and `_face_polish` did not), the steps drawn, and the states
-built (`_SearchState.apply_transvection` calls), all counted by wrappers.
-The tensor is `matmul:2,2,2` over Q at uniform theta, searched with 4
-restarts of 40 steps.  It checks nothing; CI prints it.
+`_sweep` ran and `_face_polish` did not), whether the pool's best support
+was tight (the search then draws no step over Q), the draws (calls of the
+`draw` that `_draws` returns, up to four per step) and the states built
+(`_SearchState.apply_transvection` calls), all counted by wrappers.  The
+tensors are `matmul:2,2,2` (tight) and `cw:3` (not tight) over Q at uniform
+theta, searched with 4 restarts of 40 steps.  It checks nothing; CI prints
+it.
 
 Usage: python scripts/search_cases.py
 """
@@ -42,20 +45,32 @@ def main():
         return out
 
     sf.max_H_theta = solve_counted
+    draws, settled = sf._draws, sf._settled
+
+    def draws_counted(seed):
+        return counted("drawn", draws(seed))
+
+    def settled_seen(domain, supp, scored, tight):
+        calls["tight"] += tight.tight
+        return settled(domain, supp, scored, tight)
+
+    sf._draws, sf._settled = draws_counted, settled_seen
     state = sf._SearchState
     state.apply_transvection = counted("built", state.apply_transvection)
-    t = ts.build_family(ts.parse_family("matmul:2,2,2"), ts.RATIONAL)
     opts = sf.BasisSearchOptions(restarts=4, steps=40)
-    for search in (sf.upper_support_functional, sf.lower_support_functional):
-        calls.clear()
-        start = time.perf_counter()
-        rep = search(t, ThetaWeights.uniform(3), opts)
-        wall = time.perf_counter() - start
-        print(f"{search.__name__}: {wall:.3f} s, {rep.evaluations} evaluations, "
-              f"{calls['solves']} max_H_theta solves, "
-              f"{calls['scaled']} certified by the scaled start with no face step, "
-              f"{opts.restarts * opts.steps} steps drawn, "
-              f"{calls['built']} states built by apply_transvection", flush=True)
+    for spec in ("matmul:2,2,2", "cw:3"):
+        t = ts.build_family(ts.parse_family(spec), ts.RATIONAL)
+        for search in (sf.upper_support_functional, sf.lower_support_functional):
+            calls.clear()
+            start = time.perf_counter()
+            rep = search(t, ThetaWeights.uniform(3), opts)
+            wall = time.perf_counter() - start
+            print(f"{spec} {search.__name__}: {wall:.3f} s, {rep.evaluations} evaluations, "
+                  f"{calls['solves']} max_H_theta solves, "
+                  f"{calls['scaled']} certified by the scaled start with no face step, "
+                  f"pool's best support {'tight' if calls['tight'] else 'not tight'}, "
+                  f"{calls['drawn']} draws, "
+                  f"{calls['built']} states built by apply_transvection", flush=True)
 
 
 if __name__ == "__main__":

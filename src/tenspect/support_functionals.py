@@ -4,7 +4,7 @@ The upper functional minimises the support entropy H_theta over a pool of
 bases (standard, user supplied, sparsified, and a seeded local search over
 elementary transvections); the lower functional maximises the entropy of the
 maximal points.  Results carry explicit exactness flags: a minimum found at
-an antichain support is exact, anything else is an upper bound.
+a tight (oblique) support is exact, anything else is an upper bound.
 
 Every search state is the standard basis plus a log of steps: a change of
 basis by a matrix on one leg, or a transvection.  A step changes only the
@@ -18,7 +18,9 @@ lies below a current point.  It brackets each other candidate's entropy
 program at the uniform point (`h_theta_bracket`), solves it for its value
 (`max_H_theta`) only when the bracket, widened by SCREEN_MARGIN = 1e-10
 bits for rounding, cannot decide the step, and builds a new state only for
-a step it keeps.
+a step it keeps.  Over Q and F_p no walk runs when the pool's best support
+is tight and valued at its own H_theta: there zeta_theta = zeta^theta, so
+no basis can move either search's value.
 """
 
 from __future__ import annotations
@@ -292,6 +294,18 @@ def _sparsify(state: _SearchState) -> _SearchState:
     return cur
 
 
+def _settled(domain: Domain, supp: SupportSet, scored: SupportSet,
+             tight: TightnessReport) -> bool:
+    """Whether no basis can move a search's value from its best support
+    supp, whose scored support is `scored`.  A tight support is oblique, and
+    there zeta_theta = zeta^theta = 2^H_theta(supp) (Strassen 1991): no
+    basis has a lower support entropy or a higher maximal-point entropy, so
+    a search that values supp at H_theta(supp) itself (scored is supp) is at
+    its optimum.  Over C the support is cut at COMPLEX_ZERO_TOL, and a tight
+    float support certifies nothing."""
+    return domain.exact and tight.tight and scored.points == supp.points
+
+
 def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
                   pool: list[_SearchState], score, minimise: bool,
                   start_tight: TightnessReport | None = None) -> SupportFunctionalReport:
@@ -318,9 +332,15 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     least lo and at most hi up to that rounding, whatever the solve's gap;
     so a skipped solve could not have gained, and every decision is the one
     the solved value would make.  `evaluations` counts the distinct scored
-    supports valued by bracket or by solve.  `start_tight`, if given, is
-    `check_tight` of the first pool state's support, reused when that
-    support wins.
+    supports valued by bracket or by solve.
+
+    Before the walk, `check_tight` decides the pool's best support S, and
+    the report reuses that decision unless a restart replaces S
+    (`start_tight`, if given, is `check_tight` of the first pool state's
+    support, reused when S is that support).  No restart runs when
+    `_settled` holds: over Q and F_p a tight S is oblique, where zeta_theta
+    = zeta^theta = 2^H_theta(S), so a state valued at H_theta(S) itself is
+    at both searches' optimum and the walk could keep no step.
     """
     sign = 1.0 if minimise else -1.0
     # scored support points -> max_H_theta value, or its bracket (lo, hi)
@@ -364,9 +384,13 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         if val is not None:
             best_state, best_val, best_pts = state, val, pts
 
+    best_supp = SupportSet(t.dims, best_pts)
+    reuse = start_tight is not None and best_pts == pool[0].points()
+    tight_report = start_tight if reuse else check_tight(best_supp)
+    settled = _settled(t.domain, best_supp, scored[best_pts], tight_report)
     draw = _draws(opts.seed)
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
-    for _ in range(opts.restarts):
+    for _ in range(0 if settled else opts.restarts):
         cur, cur_val, cur_pts = best_state, best_val, best_pts
         for _ in range(opts.steps):
             leg = draw(t.k)
@@ -389,10 +413,10 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         if better(cur_val, best_val, 1e-12):
             best_state, best_val, best_pts = cur, cur_val, cur_pts
 
-    best_supp = SupportSet(t.dims, best_pts)
+    if best_pts != best_supp.points:     # a restart replaced the pool's best
+        best_supp = SupportSet(t.dims, best_pts)
+        tight_report = check_tight(best_supp)
     best_top = max_points(best_supp)
-    reuse = start_tight is not None and best_pts == pool[0].points()
-    tight_report = start_tight if reuse else check_tight(best_supp)
     return SupportFunctionalReport(
         theta=theta,
         basis=best_state.basis(),
@@ -413,7 +437,7 @@ def upper_support_functional(t: Tensor, theta: ThetaWeights,
     """Minimise the support entropy over a basis pool.
 
     The result is an upper bound on the true minimum over all bases; it is
-    exact (and flagged so) when the winning support is an antichain.
+    exact (and flagged so) when the winning support is tight (oblique).
     """
     opts = options or BasisSearchOptions()
     start = _SearchState.start(t)

@@ -213,9 +213,11 @@ class BasisTuple:
 
     @classmethod
     def from_inverses(cls, inverses, domain: Domain) -> "BasisTuple":
-        """The basis whose inverse maps are the given invertible matrices."""
+        """The basis whose inverse maps are the given invertible matrices.  A
+        map equal to the identity is its own inverse and is not inverted."""
         inverses = tuple(as_matrix(m, domain) for m in inverses)
-        basis = cls(tuple(invert_matrix(m, domain) for m in inverses), domain)
+        basis = cls(tuple(m.copy() if np.array_equal(m, np.eye(len(m), dtype=int))
+                          else invert_matrix(m, domain) for m in inverses), domain)
         vars(basis)["_inverses"] = inverses     # fills the cached property
         return basis
 

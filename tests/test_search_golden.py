@@ -136,27 +136,42 @@ def test_bracket_screen_changes_no_decision(monkeypatch):
     """The walk solves a candidate's entropy program only when its bracket
     cannot decide the step.  With a bracket that never decides, every
     candidate is solved, and every record is the same; the screen solves
-    strictly fewer programs on matmul:2,2,2 and polymul:4."""
+    strictly fewer programs on cw:3.  matmul:2,2,2 and polymul:4 start at a
+    tight support over Q and F_5, so they draw no step and solve no walk
+    candidate."""
     cases = {c[0]: c for c in _cases()}
     solve, solves = sf.max_H_theta, []
+    draws, drawn = sf._draws, []
 
     def counting(*args, **kwargs):
         solves.append(args[0])
         return solve(*args, **kwargs)
 
+    def counting_draws(seed):
+        draw = draws(seed)
+
+        def counted(high):
+            drawn.append(high)
+            return draw(high)
+        return counted
+
     monkeypatch.setattr(sf, "max_H_theta", counting)
-    for key in ("matmul:2,2,2 Q half", "polymul:4 Fp:5 uniform",
-                "capset:3,3 Fp:3 uniform", "W/2+1/3 extra Q half"):
+    monkeypatch.setattr(sf, "_draws", counting_draws)
+    for key in ("cw:3 Q uniform", "cw:3 Fp:5 uniform", "matmul:2,2,2 Q half",
+                "polymul:4 Fp:5 uniform", "capset:3,3 Fp:3 uniform", "W/2+1/3 extra Q half"):
         args = cases[key][1:]
         solves.clear()
+        drawn.clear()
         screened = _run(*args)
-        n_screened = len(solves)
+        n_screened, n_drawn = len(solves), len(drawn)
         solves.clear()
         with monkeypatch.context() as m:
             m.setattr(sf, "h_theta_bracket", lambda supp, theta: (-math.inf, math.inf))
             assert _run(*args) == screened, key
-        if key.startswith(("matmul", "polymul")):
+        if key.startswith("cw:3"):
             assert n_screened < len(solves), (key, n_screened, len(solves))
+        if key.startswith(("matmul", "polymul")):
+            assert n_drawn == 0, (key, n_drawn)
 
 
 @pytest.mark.parametrize("key,spec,dom,theta_name,seed", _cases(),

@@ -362,8 +362,8 @@ def _equivalence_cases():
     tiny = [t for t in (_screen_tensor(rng, c) for _ in range(40))
             if any(0 < abs(v) < COMPLEX_ZERO_TOL for v in t.entries.flat)][:3]
     assert len(tiny) == 3
-    return ([("matmul:2,2,2 Q", ts.build_family(ts.parse_family("matmul:2,2,2"), ts.RATIONAL)),
-             ("polymul:4 F_5", ts.build_family(ts.parse_family("polymul:4"), parse_domain("Fp:5"))),
+    return ([("cw:3 Q", ts.build_family(ts.parse_family("cw:3"), ts.RATIONAL)),
+             ("cw:2 F_5", ts.build_family(ts.parse_family("cw:2"), parse_domain("Fp:5"))),
              ("capset:3,3 F_3", ts.build_family(ts.parse_family("capset:3,3")))]
             + [(f"C tiny {i}", t) for i, t in enumerate(tiny)])
 
@@ -421,3 +421,82 @@ def test_screen_decides_as_the_solve_above_the_margin():
                 solved = sign * value < sign * ref - slack
                 screened = sign * end < sign * ref - (slack - sf.SCREEN_MARGIN)
                 assert screened or not solved, (sign, base, shift)
+
+
+def _plane_tensor(rng):
+    """Random nonzero rational entries on the points x of a random box with
+    a . x = c for nonzero integers a_i: x -> a_i x_i certifies that the
+    support is tight."""
+    dims = tuple(int(d) for d in rng.integers(3, 6, size=3))
+    a = rng.choice([-2, -1, 1, 2], size=3)
+    c = int(a @ [rng.integers(d) for d in dims])
+    vals = {x: Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 10)), int(rng.integers(1, 6)))
+            for x in np.ndindex(*dims) if int(a @ x) == c}
+    return ts.from_nonzeros(dims, ts.RATIONAL, vals)
+
+
+def _tight_cases():
+    families = [(f"{spec} {label}", ts.build_family(ts.parse_family(spec), parse_domain(label)))
+                for spec in ("W", "unit:3", "matmul:2,2,2", "polymul:4")
+                for label in ("Q", "Fp:5", "Fp:3")]
+    rng = np.random.default_rng(40)
+    return families + [(f"plane {i}", _plane_tensor(rng)) for i in range(24)]
+
+
+def test_tight_pool_support_ends_the_walk(monkeypatch):
+    """Over Q and F_p, a search whose best pool support is tight and valued
+    at its own H_theta draws no step.  Its report equals that of the full
+    walk (the stop turned off) in every field but `evaluations`, which is
+    never higher: on the tight families and on seeded supports on a plane,
+    at uniform theta, at (1/2, 1/4, 1/4) and at a theta with a zero
+    weight.  W over C still walks."""
+    draws, drawn = sf._draws, []
+
+    def counting_draws(seed):
+        draw = draws(seed)
+
+        def counted(high):
+            drawn.append(high)
+            return draw(high)
+        return counted
+
+    monkeypatch.setattr(sf, "_draws", counting_draws)
+    thetas = (U3, ThetaWeights.from_legs([0.5, 0.25, 0.25]),
+              ThetaWeights.from_legs([0.5, 0.5, 0.0]))
+    stopped = 0
+    for name, t in _tight_cases():
+        walks = 0
+        for seed, theta in enumerate(thetas):
+            opts = BasisSearchOptions(restarts=3, steps=25, seed=seed)
+            for search in (upper_support_functional, lower_support_functional):
+                drawn.clear()
+                got = search(t, theta, opts).to_records()
+                walks += len(drawn) > 0
+                with monkeypatch.context() as m:
+                    m.setattr(sf, "_settled", lambda *args: False)
+                    want = search(t, theta, opts).to_records()
+                assert got.pop("evaluations") <= want.pop("evaluations"), name
+                assert got == want, name
+        stopped += walks == 0
+    assert stopped >= 30
+    drawn.clear()
+    upper_support_functional(ts.convert(ts.w_tensor(), parse_domain("C")), U3, FAST)
+    assert len(drawn) > 0
+
+
+def test_tight_support_valued_below_its_entropy_still_walks():
+    """The lower search's best pool state, in an extra basis, has a tight
+    support S that is not an antichain: its maximal points are valued below
+    H_theta(S), so the search is not settled, and the walk gains."""
+    basis = BasisTuple.make([[[0, 0, -2], [1, 1, -1], [-2, -1, -2]], [[1, 0], [0, -1]],
+                             [[0, 2, -1], [1, -2, -1], [2, 2, -2]]], ts.RATIONAL)
+    coeff = ts.from_nonzeros((3, 2, 3), ts.RATIONAL, {(0, 0, 0): -2, (1, 1, 1): -1, (2, 0, 1): 1})
+    t = ts.restrict(coeff, basis.matrices)
+    pool = lower_support_functional(t, U3, BasisSearchOptions(restarts=0, steps=0,
+                                                               extra_bases=(basis,)))
+    assert pool.support.points == ((0, 0, 0), (1, 1, 1), (2, 0, 1))
+    assert pool.tight_certificate is not None
+    assert pool.rho_lower < pool.rho_upper - 0.1
+    rep = lower_support_functional(t, U3, BasisSearchOptions(restarts=4, steps=40, seed=2,
+                                                              extra_bases=(basis,)))
+    assert rep.rho_lower > pool.rho_lower + 0.1
