@@ -2,11 +2,29 @@ import numpy as np
 import pytest
 
 import tenspect as ts
+import tenspect.support_functionals as sf
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The `high` of every draw that the basis search's walk makes."""
+    draws, highs = sf._draws, []
+
+    def counting(seed):
+        draw = draws(seed)
+
+        def counted(high):
+            highs.append(high)
+            return draw(high)
+        return counted
+
+    monkeypatch.setattr(sf, "_draws", counting)
+    return highs
 
 
 def random_exact_tensor(rng, domain=ts.RATIONAL, max_dim=3, k=3, density=0.6):

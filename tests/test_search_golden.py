@@ -132,7 +132,7 @@ def test_diagonal_upper_walk_builds_no_candidate(golden, monkeypatch):
     assert _same(json.loads(json.dumps(rep.to_records())), golden[key]["upper"])
 
 
-def test_bracket_screen_changes_no_decision(monkeypatch):
+def test_bracket_screen_changes_no_decision(monkeypatch, drawn):
     """The walk solves a candidate's entropy program only when its bracket
     cannot decide the step.  With a bracket that never decides, every
     candidate is solved, and every record is the same; the screen solves
@@ -141,22 +141,12 @@ def test_bracket_screen_changes_no_decision(monkeypatch):
     candidate."""
     cases = {c[0]: c for c in _cases()}
     solve, solves = sf.max_H_theta, []
-    draws, drawn = sf._draws, []
 
     def counting(*args, **kwargs):
         solves.append(args[0])
         return solve(*args, **kwargs)
 
-    def counting_draws(seed):
-        draw = draws(seed)
-
-        def counted(high):
-            drawn.append(high)
-            return draw(high)
-        return counted
-
     monkeypatch.setattr(sf, "max_H_theta", counting)
-    monkeypatch.setattr(sf, "_draws", counting_draws)
     for key in ("cw:3 Q uniform", "cw:3 Fp:5 uniform", "matmul:2,2,2 Q half",
                 "polymul:4 Fp:5 uniform", "capset:3,3 Fp:3 uniform", "W/2+1/3 extra Q half"):
         args = cases[key][1:]

@@ -443,24 +443,13 @@ def _tight_cases():
     return families + [(f"plane {i}", _plane_tensor(rng)) for i in range(24)]
 
 
-def test_tight_pool_support_ends_the_walk(monkeypatch):
+def test_tight_pool_support_ends_the_walk(monkeypatch, drawn):
     """Over Q and F_p, a search whose best pool support is tight and valued
     at its own H_theta draws no step.  Its report equals that of the full
     walk (the stop turned off) in every field but `evaluations`, which is
     never higher: on the tight families and on seeded supports on a plane,
     at uniform theta, at (1/2, 1/4, 1/4) and at a theta with a zero
     weight.  W over C still walks."""
-    draws, drawn = sf._draws, []
-
-    def counting_draws(seed):
-        draw = draws(seed)
-
-        def counted(high):
-            drawn.append(high)
-            return draw(high)
-        return counted
-
-    monkeypatch.setattr(sf, "_draws", counting_draws)
     thetas = (U3, ThetaWeights.from_legs([0.5, 0.25, 0.25]),
               ThetaWeights.from_legs([0.5, 0.5, 0.0]))
     stopped = 0
