@@ -11,7 +11,8 @@ The cases:
 Per case it prints the microseconds per solve (the least of five passes,
 after a warm-up pass), the face steps (KKT solves, the saddle polish's
 included) and rounds (face polishes) per solve, counted in one more pass,
-and the worst gap.  For max_H_theta it also prints how many solves the
+and the worst gap.  It also prints the entropy solves (`max_H_theta`
+calls, the minimax's inner solves included) and how many of them the
 Sinkhorn-scaled start certified with no face step (a `_sweep` ran and
 `_face_polish` did not); for max_min_entropy, the scipy.optimize.linprog
 calls of its cutting planes per solve.  It checks nothing; CI prints it.
@@ -39,37 +40,41 @@ def counted(calls, name, fn):
     return wrapper
 
 
-def report(label, solve, inputs, scaled=False, lps=False):
-    """Time `solve` over the inputs, count its face steps and rounds (and,
-    if `scaled`, the solves the scaled start certified; if `lps`, its
+def report(label, solve, inputs, lps=False):
+    """Time `solve` over the inputs, count its face steps, rounds and entropy
+    solves, the solves the scaled start certified (and, if `lps`, its
     linprog calls), and print one line; `solve` returns the gap of its
     result."""
     for args in inputs:
         solve(*args)
     best = min(_timed(solve, inputs) for _ in range(5))
-    calls = {"steps": 0, "rounds": 0, "sweeps": 0, "certified": 0, "lps": 0}
+    calls = {"steps": 0, "rounds": 0, "sweeps": 0, "solves": 0, "certified": 0, "lps": 0}
     norm_solve, face_polish, sweep = te._min_norm_solve, te._face_polish, te._sweep
-    linprog = scipy.optimize.linprog
+    max_h, linprog = te.max_H_theta, scipy.optimize.linprog
+
+    def max_h_counted(*args):
+        before = calls["sweeps"], calls["rounds"]
+        res = max_h(*args)
+        calls["solves"] += 1
+        calls["certified"] += calls["sweeps"] > before[0] and calls["rounds"] == before[1]
+        return res
+
     te._min_norm_solve = counted(calls, "steps", norm_solve)
     te._face_polish = counted(calls, "rounds", face_polish)
     te._sweep = counted(calls, "sweeps", sweep)
+    te.max_H_theta = max_h_counted
     scipy.optimize.linprog = counted(calls, "lps", linprog)
-    worst = 0.0
     try:
-        for args in inputs:
-            before = calls["sweeps"], calls["rounds"]
-            worst = max(worst, solve(*args))
-            calls["certified"] += calls["sweeps"] > before[0] and calls["rounds"] == before[1]
+        worst = max(solve(*args) for args in inputs)
     finally:
         te._min_norm_solve, te._face_polish, te._sweep = norm_solve, face_polish, sweep
-        scipy.optimize.linprog = linprog
+        te.max_H_theta, scipy.optimize.linprog = max_h, linprog
     n = len(inputs)
-    certified = (f"{calls['certified']} certified by the scaled start with no face step, "
-                 if scaled else "")
     lp_calls = f"{calls['lps'] / n:.2f} linprog calls per solve, " if lps else ""
     print(f"{label}: {n} solves, {1e6 * best / n:.0f} us per solve, "
           f"{calls['steps'] / n:.2f} face steps and {calls['rounds'] / n:.2f} rounds per solve, "
-          f"{certified}{lp_calls}worst gap {worst:.2e}", flush=True)
+          f"{calls['solves']} entropy solves, {calls['certified']} certified by the scaled start "
+          f"with no face step, {lp_calls}worst gap {worst:.2e}", flush=True)
 
 
 def _timed(solve, inputs):
@@ -88,8 +93,7 @@ def main():
     for name, weights in (("uniform", (1 / 3, 1 / 3, 1 / 3)), ("(1/2, 1/4, 1/4)", (0.5, 0.25, 0.25))):
         theta = te.ThetaWeights.from_legs(weights)
         report(f"max_H_theta, 12 points in 4x4x4, theta {name}",
-               lambda supp: te.max_H_theta(supp, theta).gap, [(supp,) for supp in supports],
-               scaled=True)
+               lambda supp: te.max_H_theta(supp, theta).gap, [(supp,) for supp in supports])
     for n in range(2, 9):
         report(f"max_min_entropy, reduced_polymult_support({n})",
                lambda supp: te.max_min_entropy(supp).gap, [(reduced_polymult_support(n),)],

@@ -239,7 +239,8 @@ def cmd_subrank_asymptotic(args) -> dict:
     return {"command": "subrank-asymptotic", "value": res.value,
             "log2_value": res.log2_value,
             "tolerances": {"minimax_gap": MINIMAX_TOL},
-            "duality_gap": res.minimax.gap,
+            # on an absolute 1e-12 grid, so that a gap of an ulp prints 0.0
+            "duality_gap": round(max(res.minimax.gap, 0.0), 12),
             "theta": res.minimax.theta.to_records()}
 
 

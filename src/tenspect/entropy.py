@@ -21,10 +21,10 @@ the simplex.  `h_theta_bracket` brackets the value from the uniform point
 alone, for callers that only compare it with a threshold.
 
 `max_min_entropy` solves max_P min_i H(P_i), equal by minimax duality to
-min_theta max_P H_theta(P); its inner solves run the same Newton rounds
-from the uniform point (`_uniform_solve`), since the cuts read the
-maximiser, which is not unique where a leg has weight 0.  The dual side
-minimises over the theta simplex with `_theta_cutting_planes` and reports
+min_theta max_P H_theta(P); its inner solves are `max_H_theta` calls.  Where
+a leg has weight 0 the maximiser, hence the cut and the theta returned, need
+not be unique; the value and dual bound are certified either way.  The dual
+side minimises over the theta simplex with `_theta_cutting_planes` and reports
 the least certified bound value + gap among the evaluated theta; where the
 first cut already closes the gap (its LP bound is min_i h_i) no LP runs.
 The primal side mixes the inner maximisers with the LP's dual cut weights
@@ -56,9 +56,6 @@ MINIMAX_TOL = 1e-6
 
 #: the minimax's cutting planes stop at this gap (bits), well inside MINIMAX_TOL
 MINIMAX_CUT_TOL = 5e-9
-
-#: certificate tolerance (bits) of each inner program of the minimax
-MINIMAX_INNER_TOL = 1e-10
 
 #: round limit of the minimax's cutting planes
 MINIMAX_ROUNDS = 80
@@ -184,7 +181,7 @@ class HThetaResult:
     probs: np.ndarray            # the returned point over support.points, read-only
     gap: float                   # certified suboptimality bound, bits
     iterations: int
-    converged: bool              # gap <= the solve's tolerance
+    converged: bool              # gap <= INNER_TOL
     exact_power: int | None = None   # 2**value as an exact integer, when known
 
 
@@ -213,37 +210,19 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
     optimum; `converged` says gap <= INNER_TOL.  value, the greater of
     H_theta at the returned point (`_value`) and at the uniform point, is at
     least the bracket's lo and at most gap above H_theta at the returned
-    `probs`; value + gap bounds the optimum.  `iterations` counts the
-    rounds, at most MAX_ROUNDS; 1 means the start point or the first Newton
-    solve certified.  Supports that form a diagonal are solved exactly.
+    `probs`, which are read-only; value + gap bounds the optimum.
+    `iterations` counts the rounds, at most MAX_ROUNDS; 1 means the start
+    point or the first Newton solve certified.  Supports that form a
+    diagonal are solved exactly.
     """
-    return _solve(support, theta, INNER_TOL, scaled=True)
-
-
-def _uniform_solve(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
-    """`max_H_theta` from the uniform point, with no sweep, at
-    MINIMAX_INNER_TOL and with value `_value` at the returned point: the
-    inner solve of `max_min_entropy`.
-
-    The scaled start returns another maximiser of equal value where a leg
-    has weight 0: on theta_golden.json's random22 it raised the minimax's
-    dual value by 4.3e-11 and moved theta by 9.7e-5.
-    """
-    return _solve(support, theta, MINIMAX_INNER_TOL, scaled=False)
-
-
-def _solve(support: SupportSet, theta: ThetaWeights, tol: float, scaled: bool) -> HThetaResult:
-    """The program solved to gap <= tol: from the Sinkhorn-scaled start with
-    value at least the uniform point's if `scaled`, else from the uniform
-    point with value `_value` at the returned point, which is read-only."""
     if len(support) == 0:
         raise ValueError("empty support")
     if is_diagonal(support):
         m = len(support)
         return HThetaResult(math.log2(m), _read_only(np.full(m, 1.0 / m)), 0.0, 0, True, m)
-    legs, inc, w, evaluate, p, f, grad, gap = _uniform_start(support, theta)
-    lo, q, last = (f if scaled else -math.inf), p, gap
-    for _ in range(30 if scaled else 0):
+    legs, inc, w, evaluate, p, lo, grad, gap = _uniform_start(support, theta)
+    f, q, last = lo, p, gap
+    for _ in range(30):
         if last <= 1e-14:
             break
         q = _sweep(q, legs)
@@ -254,8 +233,8 @@ def _solve(support: SupportSet, theta: ThetaWeights, tol: float, scaled: bool) -
         if gap_q > 0.5 * last:
             break
         last = gap_q
-    p, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol)
-    return HThetaResult(max(_value(p, legs), lo), _read_only(p), gap, max(rounds, 1), gap <= tol)
+    p, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, inc, w)
+    return HThetaResult(max(_value(p, legs), lo), _read_only(p), gap, max(rounds, 1), gap <= INNER_TOL)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -272,17 +251,17 @@ def _sweep(q: np.ndarray, legs) -> np.ndarray:
     return q
 
 
-def _newton_rounds(p, f, grad, gap, evaluate, inc, w, tol):
+def _newton_rounds(p, f, grad, gap, evaluate, inc, w):
     """The active-set Newton rounds of the program from the point p.
 
     (f, grad) is evaluate(p) and gap its first-order certificate.  While
-    gap > tol, at most MAX_ROUNDS rounds: each runs the face steps of
+    gap > INNER_TOL, at most MAX_ROUNDS rounds: each runs the face steps of
     `_face_polish`, and each after the first starts by adding back the
     coordinate of largest gradient (`_add_back`).  Returns the last point,
     its gap and the number of rounds.
     """
     rounds = 0
-    while gap > tol and rounds < MAX_ROUNDS:
+    while gap > INNER_TOL and rounds < MAX_ROUNDS:
         if rounds:
             p = _add_back(p, int(grad.argmax()), evaluate)
             f, grad = evaluate(p)
@@ -482,8 +461,10 @@ def _cut_lp(cuts: list[np.ndarray], k: int):
 def _theta_cutting_planes(k: int, evaluate, gap_tol: float, max_rounds: int):
     """Cutting planes for a convex g over the theta simplex of k legs.
 
-    `evaluate(theta)` returns (value, h, payload) with value = theta . h and
-    theta' . h <= g(theta') for every theta'.  Starting at the uniform
+    `evaluate(theta)` returns (value, h, payload) with theta' . h <=
+    g(theta') for every theta', and value in [theta . h, theta . h + gap] up
+    to rounding, gap being the evaluation's own certificate (0 for an
+    ascent, `max_H_theta`'s for the minimax).  Starting at the uniform
     theta, each round evaluates theta and solves the LP min z subject to
     theta . h_s <= z over the simplex, with a 1e-12 L1 pull toward the
     uniform theta to break ties, so that z - 1e-12 k bounds min g from
@@ -581,11 +562,11 @@ def _saddle_polish(support: SupportSet, p: np.ndarray, theta: np.ndarray) -> np.
 def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
     """Saddle value of the marginal-entropy game on a support.
 
-    Dual side: `_theta_cutting_planes` on g(theta) = max_P H_theta(P) (each
-    evaluated maximiser yields the valid cut g >= theta . h), stopping at a
-    gap of MINIMAX_CUT_TOL or after MINIMAX_ROUNDS rounds; `dual_value` is
-    the least inner value + gap, an upper bound on g at its theta.  Primal
-    side: the maximisers mixed with the LP's cut weights (by concavity and
+    Dual side: `_theta_cutting_planes` on g(theta) = max_P H_theta(P), each
+    theta evaluated by `max_H_theta` (its maximiser yields the valid cut g
+    >= theta . h), stopping at a gap of MINIMAX_CUT_TOL or after
+    MINIMAX_ROUNDS rounds; `dual_value` is the least inner value + gap, an
+    upper bound on g at the returned theta, its witness.  Primal side: the maximisers mixed with the LP's cut weights (by concavity and
     LP duality min_i H_i of the mixture is about the LP bound), polished by
     `_saddle_polish`; `value`, its min_i H_i, is a certified lower bound.
     The returned pair carries the explicit duality gap dual_value - value,
@@ -602,7 +583,7 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
         return MinimaxEntropyResult(math.log2(m), math.log2(m), 0.0, probs, theta, m)
 
     def evaluate(theta_vec):
-        res = _uniform_solve(support, ThetaWeights.from_legs(theta_vec))
+        res = max_H_theta(support, ThetaWeights.from_legs(theta_vec))
         return res.value, _leg_entropies(support, res.probs), res
 
     evals, weights = _theta_cutting_planes(k, evaluate, MINIMAX_CUT_TOL, MINIMAX_ROUNDS)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 
@@ -287,6 +288,29 @@ def test_machine_output_deterministic():
     args = ["support-upper", "--family", "cw:2", "--seed", "3",
             "--restarts", "2", "--steps", "15", "--format", "json"]
     assert run_ok(args) == run_ok(args)
+
+
+def test_duality_gap_of_an_ulp_prints_zero(monkeypatch):
+    """A minimax gap of 0 and one of an ulp (or an ulp below 0) print the same
+    duality_gap, 0.0, at every --digits; a gap of 3.4e-9 still shows."""
+    solve = tcli.asympt_subrank_tight3
+
+    def with_gap(gap):
+        def shifted(support):
+            res = solve(support)
+            return dataclasses.replace(res, minimax=dataclasses.replace(res.minimax, gap=gap))
+        monkeypatch.setattr(tcli, "asympt_subrank_tight3", shifted)
+
+    for digits in ("6", "17"):
+        argv = ["subrank-asymptotic", "--family", "W", "--format", "json", "--digits", digits]
+        outs = []
+        for gap in (0.0, 4.440892098500626e-16, -2.220446049250313e-16):
+            with_gap(gap)
+            outs.append(run_ok(argv))
+        assert len(set(outs)) == 1
+        assert json.loads(outs[0])["duality_gap"] == 0.0
+        with_gap(3.4e-9)
+        assert json.loads(run_ok(argv))["duality_gap"] == 3.4e-9
 
 
 def test_parser_is_built_once(monkeypatch):

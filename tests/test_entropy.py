@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import tenspect as ts
 import tenspect.entropy as te
-from tenspect.entropy import (INNER_TOL, MINIMAX_INNER_TOL, ThetaWeights,
-                              binary_entropy, h_theta_bracket, max_H_theta,
-                              max_min_entropy, shannon_entropy)
+from tenspect.entropy import (INNER_TOL, ThetaWeights, binary_entropy,
+                              h_theta_bracket, max_H_theta, max_min_entropy,
+                              shannon_entropy)
 
 from conftest import random_support
 
@@ -353,21 +353,19 @@ def test_active_set_adds_back_a_trimmed_coordinate(theta):
 
 
 # a small theta_i on a value that only one point uses: the optimum puts a
-# mass far below 1e-12 on that point; the 1e-10 case is the minimax's inner
-# solve
+# mass far below 1e-12 on that point; the last case certifies to 1e-10
 SMALL_THETA_CASES = [
     ((2, 2, 5, 4), "0000 0041 0142 1010 1032", (0.13, 0.173, 0.693, 0.004), 1e-9),
     ((4, 4, 5), "012 030 034 103 202 323 332", (0.687, 0.004, 0.309), 1e-9),
     ((4, 3, 4), "123 200 213 220 221 302 323", (0.001, 0.842, 0.157), 1e-9),
-    ((4, 5, 5), "031 132 202 230", (0.002, 0.673, 0.325), MINIMAX_INNER_TOL),
+    ((4, 5, 5), "031 132 202 230", (0.002, 0.673, 0.325), 1e-10),
 ]
-SOLVES = {INNER_TOL: max_H_theta, MINIMAX_INNER_TOL: te._uniform_solve}
 
 
 @pytest.mark.parametrize("bounds,points,theta,tol", SMALL_THETA_CASES)
 def test_small_theta_certifies_in_few_rounds(bounds, points, theta, tol):
     theta = ThetaWeights.from_legs(np.array(theta) / sum(theta))
-    res = SOLVES[tol](ts.SupportSet(bounds, _points(points)), theta)
+    res = max_H_theta(ts.SupportSet(bounds, _points(points)), theta)
     assert res.gap <= tol
     assert res.iterations <= 3
 
@@ -464,6 +462,14 @@ def test_face_hessian_matches_finite_differences_of_the_gradient():
             assert np.allclose(hess[:, col], diff, rtol=1e-5, atol=1e-5 * np.abs(hess).max())
 
 
+def _from_uniform(supp, theta):
+    """The Newton rounds of `max_H_theta` from the uniform point, with no
+    sweep: H_theta at the point they return, the point and its gap."""
+    legs, inc, w, evaluate, p, f, grad, gap = te._uniform_start(supp, theta)
+    p, gap, _ = te._newton_rounds(p, f, grad, gap, evaluate, inc, w)
+    return te._value(p, legs), p, gap
+
+
 def test_min_norm_solve_matches_lstsq(monkeypatch):
     """On the KKT systems of seeded face polishes, most of them singular and
     some with masses near 1e-280, the dgelsy solution is lstsq's minimum-norm
@@ -481,12 +487,12 @@ def test_min_norm_solve_matches_lstsq(monkeypatch):
     # the uniform start: from the scaled one, fewer systems are singular
     for points in DEGENERATE_SUPPORTS:
         for theta in DEGENERATE_THETAS:
-            te._uniform_solve(ts.SupportSet((4, 4, 4), points), ThetaWeights.from_legs(theta))
+            _from_uniform(ts.SupportSet((4, 4, 4), points), ThetaWeights.from_legs(theta))
     for bounds, points, theta, _ in SMALL_THETA_CASES:
         theta = ThetaWeights.from_legs(np.array(theta) / sum(theta))
-        te._uniform_solve(ts.SupportSet(bounds, _points(points)), theta)
+        _from_uniform(ts.SupportSet(bounds, _points(points)), theta)
     for supp in _suite_supports()[:10]:
-        te._uniform_solve(supp, UNIFORM3)
+        _from_uniform(supp, UNIFORM3)
     polishes = len(systems)
     rng = np.random.default_rng(362)
     for supp in [ts.SupportSet.from_tensor(ts.w_tensor())] + [
@@ -519,7 +525,6 @@ def test_solve_reuses_the_bracket_program(monkeypatch):
     lo, hi = h_theta_bracket(supp, UNIFORM3)
     value = max_H_theta(supp, UNIFORM3).value
     assert lo <= value <= hi + 1e-12
-    assert te._uniform_solve(supp, UNIFORM3).value == pytest.approx(value, abs=1e-12)
     assert len(builds) == 1
     max_H_theta(supp, ThetaWeights.from_legs([0.5, 0.25, 0.25]))
     assert len(builds) == 2
@@ -634,11 +639,12 @@ def _value_path_cases():
 
 
 def test_value_path_matches_the_solve():
-    """max_H_theta's scaled start gives the uniform start's value within
-    1e-12, a gap <= INNER_TOL, and value + gap bounds the uniform start's
-    value up to 4 ulps of rounding in the two gaps.  The value, which may be
-    the uniform point's, lies in [H_theta, H_theta + gap] at the returned
-    distribution up to 1e-12 of rounding between the two entropy sums."""
+    """max_H_theta's scaled start gives the value of the Newton rounds from
+    the uniform point (`_from_uniform`) within 1e-12, a gap <= INNER_TOL,
+    and value + gap bounds the uniform start's value up to 4 ulps of
+    rounding in the two gaps.  The value, which may be the uniform point's,
+    lies in [H_theta, H_theta + gap] at the returned distribution up to
+    1e-12 of rounding between the two entropy sums."""
     cases = _value_path_cases()
     assert len({supp.points for supp, _ in cases}) >= 40
     for supp, theta in cases:
@@ -646,7 +652,7 @@ def test_value_path_matches_the_solve():
         value, gap = res.value, res.gap
         at_dist = theta.leg_array(supp.k) @ te._leg_entropies(supp, res.probs)
         assert at_dist - 1e-12 <= value <= at_dist + gap + 1e-12, (supp, theta, value, at_dist)
-        ref = te._uniform_solve(supp, theta).value
+        ref = _from_uniform(supp, theta)[0]
         assert abs(value - ref) <= 1e-12, (supp, theta, value, ref)
         assert gap <= INNER_TOL, (supp, theta, gap)
         assert value + gap >= ref - 4 * np.spacing(ref), (supp, theta, value, gap, ref)
@@ -851,7 +857,7 @@ def test_one_cut_lp_is_the_least_cut(key, monkeypatch):
     # decides the same on either bound
     supp = _one_cut_supports()[key]
     k = supp.k
-    res = te._uniform_solve(supp, ThetaWeights.uniform(k))
+    res = max_H_theta(supp, ThetaWeights.uniform(k))
     h = te._leg_entropies(supp, res.probs)
     lp = te._cut_lp([h], k)
     assert lp.success

@@ -3,15 +3,24 @@
 `theta_golden.json` holds, for fixed supports, tensors and seeds:
 
 * `max_min_entropy`: value, dual value, gap, theta and the number of inner
-  solves (`entropy._uniform_solve`);
+  solves (`entropy.max_H_theta` calls);
 * `asympt_slicerank`: value, route, theta and the evaluated
   (theta, value) pairs of the quantum route (none on the support route);
 * the JSON text of two CLI calls that run these minimisations.
 
 A change to how the cutting-plane loop is organised must leave these in
 place: floats within 1e-12, equal counts and list lengths, and the same CLI
-text byte for byte.  Regenerate only the sections whose change is intended,
-e.g. `PYTHONPATH=src python tests/test_theta_golden.py asympt_slicerank`:
+text byte for byte.  The exception is the theta of a minimax and of a
+support-route slice rank.  That theta is a witness, not a claim: where the
+optimum is not unique, a rounding-level change of the inner solves picks
+another one.  So it is checked for what it certifies, not pinned.  It lies
+on the simplex, and `max_H_theta` at it gives value + gap at most the
+record's dual value + 1e-12 (for a slice rank, log2 of its value, the
+minimax's primal value).  `test_minimax_checks_catch_a_changed_record`
+shows what these checks catch.
+
+Regenerate only the sections whose change is intended, e.g.
+`PYTHONPATH=src python tests/test_theta_golden.py asympt_slicerank`:
 named sections (`max_min_entropy`, `asympt_slicerank`, `cli`) are
 re-captured and the others are kept as read from the file; with no names,
 all three are re-captured.
@@ -28,7 +37,9 @@ sweeps); a re-captured value may not fall by more than 1e-12.
 """
 
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from unittest import mock
@@ -98,7 +109,7 @@ def _slicerank_tensors():
 
 
 def _run_minimax(supp):
-    with mock.patch.object(te, "_uniform_solve", wraps=te._uniform_solve) as inner:
+    with mock.patch.object(te, "max_H_theta", wraps=te.max_H_theta) as inner:
         res = te.max_min_entropy(supp)
     return {"value": res.value, "dual_value": res.dual_value, "gap": res.gap,
             "theta": res.theta.to_records()["weights"], "inner_calls": inner.call_count}
@@ -139,13 +150,59 @@ def _minimax_record(key):
     return _run_minimax(_minimax_supports()[key])
 
 
+def _check_theta(supp, theta, bound):
+    """theta lies on the simplex and certifies the upper bound: max_H_theta at
+    theta gives value + gap <= bound + 1e-12."""
+    assert len(theta) == supp.k and min(theta) >= 0.0
+    assert sum(theta) == pytest.approx(1.0, rel=0, abs=1e-12)
+    res = te.max_H_theta(supp, te.ThetaWeights.from_legs(theta))
+    assert res.value + res.gap <= bound + 1e-12
+
+
+def _check_minimax(supp, got, want):
+    """got, a minimax record of supp, against the golden record want."""
+    assert got["inner_calls"] == want["inner_calls"]
+    for name in ("value", "dual_value", "gap"):
+        _close(got[name], want[name])
+    _check_theta(supp, got["theta"], want["dual_value"])
+
+
 @pytest.mark.parametrize("key", list(_minimax_supports()))
 def test_max_min_entropy_matches_golden(golden, key):
-    want = golden["max_min_entropy"][key]
-    got = _minimax_record(key)
-    assert got["inner_calls"] == want["inner_calls"]
-    for name in ("value", "dual_value", "gap", "theta"):
-        _close(got[name], want[name])
+    _check_minimax(_minimax_supports()[key], _minimax_record(key),
+                   golden["max_min_entropy"][key])
+
+
+#: records whose optimal theta is not unique: max_P H_theta(P) is the same at
+#: every theta (the legs' values can all be uniform at once), or along an
+#: edge of the simplex through the returned theta
+NONUNIQUE_THETA = {"cw:2", "unit:3", "matmul:2,2,2", "dicke:2,2", "modsum 3", "modsum 4",
+                   "random0", "random2", "random3", "random15",
+                   "random4", "random5", "random12", "random13", "random20"}
+
+
+@pytest.mark.parametrize("key", list(_minimax_supports()))
+def test_minimax_checks_catch_a_changed_record(golden, key):
+    """The checks of a minimax record catch its dual value lowered by 1e-9,
+    also in a re-captured record (theta then certifies less than it), its
+    gap raised by 1e-9 and, where the optimal theta is unique, its theta
+    moved by 1e-3 along any feasible e_i - e_j."""
+    supp, want, got = _minimax_supports()[key], golden["max_min_entropy"][key], _minimax_record(key)
+    low = {**got, "dual_value": got["dual_value"] - 1e-9}
+    high = {**got, "gap": got["gap"] + 1e-9}
+    for record, reference in ((low, want), (low, low), (high, want)):
+        with pytest.raises(AssertionError):
+            _check_minimax(supp, record, reference)
+    if key in NONUNIQUE_THETA:
+        return
+    theta = np.array(got["theta"])
+    for i, j in itertools.permutations(range(supp.k), 2):
+        if theta[j] >= 1e-3:
+            moved = theta.copy()
+            moved[i] += 1e-3
+            moved[j] -= 1e-3
+            with pytest.raises(AssertionError):
+                _check_minimax(supp, {**got, "theta": moved.tolist()}, want)
 
 
 @pytest.mark.parametrize("key", list(_minimax_supports()))
@@ -168,8 +225,13 @@ def test_asympt_slicerank_matches_golden(golden, index, key):
     want = golden["asympt_slicerank"][key]
     got = _slicerank_record(index, key)
     assert got["route"] == want["route"]
-    for name in ("value", "theta", "quantum_values"):
+    for name in ("value", "quantum_values"):
         _close(got[name], want[name])
+    if got["route"] == "support":
+        supp = ts.SupportSet.from_tensor(_slicerank_tensors()[key])
+        _check_theta(supp, got["theta"], math.log2(want["value"]))
+    else:
+        _close(got["theta"], want["theta"])
 
 
 @pytest.mark.parametrize("index,key", list(enumerate(_slicerank_tensors())))
