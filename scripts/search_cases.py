@@ -5,8 +5,9 @@ For each search it prints the wall time, the evaluations the report
 counts, the entropy-program solves (`max_H_theta` calls from the search),
 how many of those the Sinkhorn-scaled start certified with no face step (a
 `_sweep` ran and `_face_polish` did not), whether the pool's best support
-was tight (the search then draws no step over Q), the draws (calls of the
-`draw` that `_draws` returns, up to four per step) and the states built
+was tight (the search then draws no step over Q), the tightness decisions
+(`check_tight` calls from the search), the draws (calls of the `draw` that
+`_draws` returns, up to four per step) and the states built
 (`_SearchState.apply_transvection` calls), all counted by wrappers.  The
 tensors are `matmul:2,2,2` (tight) and `cw:3` (not tight) over Q at uniform
 theta, searched with 4 restarts of 40 steps.  It checks nothing; CI prints
@@ -55,6 +56,7 @@ def main():
         return settled(domain, supp, scored, tight)
 
     sf._draws, sf._settled = draws_counted, settled_seen
+    sf.check_tight = counted("decided", sf.check_tight)
     state = sf._SearchState
     state.apply_transvection = counted("built", state.apply_transvection)
     opts = sf.BasisSearchOptions(restarts=4, steps=40)
@@ -69,6 +71,7 @@ def main():
                   f"{calls['solves']} max_H_theta solves, "
                   f"{calls['scaled']} certified by the scaled start with no face step, "
                   f"pool's best support {'tight' if calls['tight'] else 'not tight'}, "
+                  f"{calls['decided']} check_tight calls, "
                   f"{calls['drawn']} draws, "
                   f"{calls['built']} states built by apply_transvection", flush=True)
 

@@ -17,7 +17,8 @@ Sizes here are tiny, so one plain Gauss-Jordan elimination, `_rref`, serves
 ranks, inverses and the row reductions of the basis search's sparsifier
 over Q, F_p and C.  It runs on numpy arrays in every field, so its complex
 arithmetic is numpy's.  The rational nullspace is the one exception: it
-eliminates fraction free, on integer rows.
+eliminates fraction free, on rows of Python ints, and returns its basis as
+integer vectors over one common denominator.
 """
 
 from __future__ import annotations
@@ -204,21 +205,31 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def nullspace_fraction(mat) -> list[list[Fraction]]:
-    """Basis of the right nullspace over Q (list of vectors): for each free
-    column fc, v[fc] = 1, v = 0 at the other free columns and
-    v[pc] = -a[r, fc] / a[r, pc] at the pivot column pc of row r of the
-    reduced echelon form a.
+def clear_denominators(vec) -> list[int]:
+    """Scale a rational vector (ints or `Fraction`s) to a primitive vector
+    of Python ints: times the lcm of its denominators, then divided by the
+    gcd of its entries."""
+    den = lcm(*[x.denominator for x in vec])
+    return _primitive([x.numerator * (den // x.denominator) for x in vec])
 
-    The elimination is fraction free: each row is cleared of denominators,
-    row_i becomes a_rc * row_i - a_ic * row_r, and every new row is divided
-    by the gcd of its entries.
+
+def nullspace_fraction(mat) -> tuple[list[list[int]], int]:
+    """Basis of the right nullspace over Q as (ints, den): the vectors
+    v / den for v in ints, den the least common denominator of their
+    entries.  For each free column fc, v[fc] = den, v = 0 at the other free
+    columns and v[pc] = -den * a[r, fc] / a[r, pc] at the pivot column pc of
+    row r of the reduced echelon form a.  No rows give the identity over 1.
+
+    The elimination is fraction free, on Python ints: each row is cleared of
+    denominators, row_i becomes a_rc * row_i - a_ic * row_r, and every new
+    row is divided by the gcd of its entries.  A pivot row is then primitive
+    and zero off its pivot and the free columns, so den = lcm_r |a[r, pc]|.
     """
     arr = np.asarray(mat, dtype=object)
     if arr.ndim != 2:
-        return []
+        return [], 1
     nrows, ncols = arr.shape
-    rows = [_primitive(list(RATIONAL.integral(row)[0])) for row in arr]
+    rows = [clear_denominators(row) for row in arr.tolist()]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -234,14 +245,16 @@ def nullspace_fraction(mat) -> list[list[Fraction]]:
             if b and i != r:
                 rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    free = [c for c in range(ncols) if c not in pivots]
+    den = lcm(*(row[pc] for row, pc in zip(rows, pivots))) if free else 1
+    ints = []
+    for fc in free:
+        v = [0] * ncols
+        v[fc] = den
         for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+            v[pc] = -row[fc] * (den // row[pc])
+        ints.append(v)
+    return ints, den
 
 
 def row_reduce(mat, domain: Domain) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -277,8 +290,3 @@ def invert_fraction(mat) -> np.ndarray:
 
 def invert_mod_p(mat, p: int) -> np.ndarray:
     return _invert(mat, prime_field(p))
-
-
-def clear_denominators(vec: list[Fraction]) -> list[int]:
-    """Scale a rational vector to a primitive integer vector."""
-    return _primitive(list(RATIONAL.integral(vec)[0]))

@@ -308,7 +308,8 @@ def _settled(domain: Domain, supp: SupportSet, scored: SupportSet,
 
 def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
                   pool: list[_SearchState], score, minimise: bool,
-                  start_tight: TightnessReport | None = None) -> SupportFunctionalReport:
+                  known: dict[tuple, TightnessReport] | None = None
+                  ) -> SupportFunctionalReport:
     """Seeded local search over bases, shared by both support functionals.
 
     The value of a state is H_theta of score(support).  The search starts
@@ -335,9 +336,9 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     supports valued by bracket or by solve.
 
     Before the walk, `check_tight` decides the pool's best support S, and
-    the report reuses that decision unless a restart replaces S
-    (`start_tight`, if given, is `check_tight` of the first pool state's
-    support, reused when S is that support).  No restart runs when
+    the report reuses that decision unless a restart replaces S.  `known`
+    maps the points of supports already decided to their reports; no
+    support in it is decided again.  No restart runs when
     `_settled` holds: over Q and F_p a tight S is oblique, where zeta_theta
     = zeta^theta = 2^H_theta(S), so a state valued at H_theta(S) itself is
     at both searches' optimum and the walk could keep no step.
@@ -384,9 +385,9 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         if val is not None:
             best_state, best_val, best_pts = state, val, pts
 
+    known = known or {}
     best_supp = SupportSet(t.dims, best_pts)
-    reuse = start_tight is not None and best_pts == pool[0].points()
-    tight_report = start_tight if reuse else check_tight(best_supp)
+    tight_report = known.get(best_pts) or check_tight(best_supp)
     settled = _settled(t.domain, best_supp, scored[best_pts], tight_report)
     draw = _draws(opts.seed)
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
@@ -415,7 +416,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
 
     if best_pts != best_supp.points:     # a restart replaced the pool's best
         best_supp = SupportSet(t.dims, best_pts)
-        tight_report = check_tight(best_supp)
+        tight_report = known.get(best_pts) or check_tight(best_supp)
     best_top = max_points(best_supp)
     return SupportFunctionalReport(
         theta=theta,
@@ -454,10 +455,17 @@ def lower_support_functional(t: Tensor, theta: ThetaWeights,
     # a tight support, relabeled into an antichain, realises the lower value
     supp = SupportSet(t.dims, start.points())
     tight = check_tight(supp)
+    known = {supp.points: tight}
     if tight.tight:
         perms = tight_antichain_relabel(supp, tight.certificate)
         mats = [identity_matrix(n, t.domain)[:, perm] for n, perm in zip(t.dims, perms)]
-        pool.append(_apply_all(start, mats))
+        relabeled = _apply_all(start, mats)
+        pool.append(relabeled)
+        # the start's certificate, carried through the same permutations,
+        # decides the relabeled support once it verifies there
+        cert = tight.certificate.relabel(perms)
+        if cert.verify(SupportSet(t.dims, relabeled.points())):
+            known[relabeled.points()] = TightnessReport(True, cert, method=tight.method)
     pool += _basis_states(start, opts)
     return _basis_search(t, theta, opts, pool, score=max_points, minimise=False,
-                         start_tight=tight)
+                         known=known)

@@ -158,6 +158,14 @@ class TightnessCertificate:
                 return False
         return all(sum(self.maps[i][p[i]] for i in range(s.k)) == 0 for p in s.points)
 
+    def relabel(self, perms) -> "TightnessCertificate":
+        """The weights carried through per-leg value permutations, x ->
+        perms[i][x] on leg i: a certificate for `relabel_support(s, perms)`
+        whenever this one is for s."""
+        inverses = [sorted(range(len(perm)), key=perm.__getitem__) for perm in perms]
+        return TightnessCertificate(tuple(tuple(m[x] for x in inv)
+                                          for m, inv in zip(self.maps, inverses)))
+
 
 @dataclass(frozen=True)
 class TightnessReport:
@@ -187,14 +195,14 @@ def _extend_to_full_maps(s: SupportSet, partial: list[dict]) -> tuple[tuple[int,
     return tuple(maps)
 
 
-def _generic_points(basis: list[list[Fraction]], limit: int):
-    """Primitive integer points of sum_j m^j basis[j] for m = 1..limit; a
-    hyperplane through 0 not containing the span meets at most
-    len(basis) - 1 of them (Vandermonde).  The sums run in Python ints over
-    the basis cleared of denominators once: a positive multiple of a point
-    has the same primitive point."""
-    ints, _ = linalg.RATIONAL.integral(np.array(basis, dtype=object))
-    cols = list(zip(*ints))
+def _generic_points(basis: list[list[int]], limit: int):
+    """Primitive integer points of sum_j m^j basis[j] for m = 1..limit, on
+    an integer basis (`nullspace_fraction`'s ints); a hyperplane through 0
+    not containing the span meets at most len(basis) - 1 of them
+    (Vandermonde).  The sums run in Python ints: a positive multiple of a
+    rational basis, as ints is of the Q basis, has the same primitive
+    points."""
+    cols = list(zip(*basis))
     for m in range(1, limit + 1):
         yield linalg._primitive([sum(m ** j * x for j, x in enumerate(col)) for col in cols])
 
@@ -203,7 +211,7 @@ def _linear_ansatz(s: SupportSet, used: list[list[int]]) -> TightnessCertificate
     # u_i(x) = a_i * x + b_i with a_i != 0 is automatically injective.
     k = s.k
     rows = [list(p) + [1] for p in s.points]
-    basis = linalg.nullspace_fraction(np.array(rows, dtype=object))
+    basis, _ = linalg.nullspace_fraction(np.array(rows, dtype=object))
     if not basis:
         return None
     # search small integer combinations for a vector with all a_i nonzero
@@ -228,7 +236,10 @@ def check_tight(s: SupportSet) -> TightnessReport:
     linear; injectivity holds for a generic rational solution unless some
     difference functional u_i(x) - u_i(y) vanishes identically on the
     solution space, in which case no injective certificate exists over the
-    integers either.  Both outcomes are certified.
+    integers either.  Both outcomes are certified.  The solution space comes
+    from `nullspace_fraction` as integer vectors, den times its basis over
+    Q, so the pair tests and the generic points run on Python ints and
+    decide as the rational basis would.
     """
     if not s.points:
         raise ValueError("tightness is undefined for an empty support")
@@ -251,7 +262,7 @@ def check_tight(s: SupportSet) -> TightnessReport:
         for i in range(k):
             row[var_of[(i, p[i])]] += 1
         rows.append(row)
-    basis = linalg.nullspace_fraction(np.array(rows, dtype=object))
+    basis, _ = linalg.nullspace_fraction(np.array(rows, dtype=object))
     # a pair of values on one leg is forced equal iff its difference
     # functional vanishes on the whole nullspace (every pair, if it is {0})
     pairs = []

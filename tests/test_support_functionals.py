@@ -489,3 +489,27 @@ def test_tight_support_valued_below_its_entropy_still_walks():
     rep = lower_support_functional(t, U3, BasisSearchOptions(restarts=4, steps=40, seed=2,
                                                               extra_bases=(basis,)))
     assert rep.rho_lower > pool.rho_lower + 0.1
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:5"])
+@pytest.mark.parametrize("spec", ["W", "unit:3", "matmul:2,2,2", "polymul:4"])
+def test_lower_search_decides_tightness_once(monkeypatch, spec, label):
+    """The lower search decides its start support alone: the relabeled
+    antichain state takes the start's report, its certificate carried
+    through the same permutations.  Where the start is no antichain that
+    state wins, and the carried certificate verifies on the reported
+    support and agrees with deciding that support afresh."""
+    decide, calls = sf.check_tight, []
+
+    def counting(supp):
+        calls.append(supp.points)
+        return decide(supp)
+
+    monkeypatch.setattr(sf, "check_tight", counting)
+    t = ts.build_family(ts.parse_family(spec), parse_domain(label))
+    rep = lower_support_functional(t, U3, FAST)
+    assert len(calls) == 1
+    start = ts.SupportSet.from_tensor(t)
+    assert rep.support.points != start.points or ts.is_antichain(start)
+    assert rep.tight_certificate is not None and rep.tight_certificate.verify(rep.support)
+    assert decide(rep.support).tight

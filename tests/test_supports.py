@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
+from math import lcm
 
 import numpy as np
 import pytest
@@ -145,17 +146,19 @@ def _rational_basis(rng, size, length):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_generic_points_match_the_fraction_sums(seed):
-    # the integer sums over the basis cleared of denominators once give the
+    # the integer sums over the basis times its common denominator give the
     # same primitive points as Fraction sums cleared point by point
     rng = np.random.default_rng(seed)
     bases = [[]] + [_rational_basis(rng, size, int(rng.integers(1, 7)))
                     for size in (1, 2, 3, 4)]
     for basis in bases:
+        den = lcm(*(x.denominator for v in basis for x in v))
+        ints = [[int(x * den) for x in v] for v in basis]
         limit = 4 * max(len(basis), 1) + 3
         want = [linalg.clear_denominators(
                     [sum(m ** j * x for j, x in enumerate(col)) for col in zip(*basis)])
                 for m in range(1, limit + 1)]
-        assert list(_generic_points(basis, limit)) == want
+        assert list(_generic_points(ints, limit)) == want
 
 
 def test_check_tight_zero_nullspace():
@@ -167,14 +170,18 @@ def test_check_tight_zero_nullspace():
 
 
 def test_tight_certificates_always_verify():
-    rng = np.random.default_rng(7)
+    rng, perm_rng = np.random.default_rng(7), np.random.default_rng(8)
     for _ in range(40):
         s = random_support(rng)
         rep = ts.check_tight(s)
         if rep.tight:
             assert rep.certificate.verify(s)
-            assert ts.is_antichain(relabel_support(
-                s, tight_antichain_relabel(s, rep.certificate)))
+            perms = tight_antichain_relabel(s, rep.certificate)
+            assert ts.is_antichain(relabel_support(s, perms))
+            # the weights carried through any relabeling certify its image
+            shuffled = tuple(tuple(int(x) for x in perm_rng.permutation(b)) for b in s.bounds)
+            for ps in (perms, shuffled):
+                assert rep.certificate.relabel(ps).verify(relabel_support(s, ps))
         else:
             # forced pair: every rational solution has equal weights there
             assert rep.forced_pair is not None

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 from fractions import Fraction
 
@@ -384,7 +385,11 @@ def test_nullspace_fraction_is_the_reduced_echelon_basis():
     for _ in range(250):
         mat = _random_rational_matrix(rng)
         ncols = mat.shape[1]
-        basis = linalg.nullspace_fraction(mat)
+        ints, den = linalg.nullspace_fraction(mat)
+        assert all(type(x) is int for v in ints for x in v) and type(den) is int
+        # den is the least common denominator of the basis over Q
+        assert den >= 1 and math.gcd(den, *(x for v in ints for x in v)) == 1
+        basis = [[Fraction(x, den) for x in v] for v in ints]
         rank = linalg.matrix_rank(mat, ts.RATIONAL)
         assert len(basis) == ncols - rank
         # a column is free exactly when it does not raise the prefix rank
@@ -396,3 +401,15 @@ def test_nullspace_fraction_is_the_reduced_echelon_basis():
             assert all(isinstance(x, Fraction) for x in v)
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in mat)
             assert [v[c] for c in free] == [int(c == fc) for c in free]
+
+
+def test_nullspace_fraction_shape_cases():
+    # no rows: every column is free, the identity basis over den 1; no
+    # columns: the empty basis
+    identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linalg.nullspace_fraction(np.empty((0, 3), dtype=object)) == (identity, 1)
+    assert linalg.nullspace_fraction(np.empty((2, 0), dtype=object)) == ([], 1)
+    assert linalg.nullspace_fraction([[], []]) == ([], 1)
+    # 2 x + 3 y = 0: the basis (-3/2, 1), over den 2
+    assert linalg.nullspace_fraction([[2, 3]]) == ([[-3, 2]], 2)
+    assert linalg.nullspace_fraction([[Fraction(1, 2), Fraction(3, 4)]]) == ([[-3, 2]], 2)
