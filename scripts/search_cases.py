@@ -5,9 +5,11 @@ For each search it prints the wall time, the evaluations the report
 counts, the entropy-program solves (`max_H_theta` calls from the search),
 how many of those the Sinkhorn-scaled start certified with no face step (a
 `_sweep` ran and `_face_polish` did not), whether the pool's best support
-was tight (the search then draws no step over Q), the tightness decisions
-(`check_tight` calls from the search), the draws (calls of the `draw` that
-`_draws` returns, up to four per step) and the states built
+was tight (the search then draws no step over Q), for the lower search
+whether its best support was relabeled into an antichain (the report's
+support is one that `tight_antichain_relabel` produced), the tightness
+decisions (`check_tight` calls from the search), the draws (calls of the
+`draw` that `_draws` returns, up to four per step) and the states built
 (`_SearchState.apply_transvection` calls), all counted by wrappers.  The
 tensors are `matmul:2,2,2` (tight) and `cw:3` (not tight) over Q at uniform
 theta, searched with 4 restarts of 40 steps.  It checks nothing; CI prints
@@ -23,6 +25,7 @@ import tenspect as ts
 import tenspect.entropy as te
 import tenspect.support_functionals as sf
 from tenspect.entropy import ThetaWeights
+from tenspect.supports import relabel_support
 
 
 def main():
@@ -51,11 +54,19 @@ def main():
     def draws_counted(seed):
         return counted("drawn", draws(seed))
 
-    def settled_seen(domain, supp, scored, tight):
+    def settled_seen(domain, tight):
         calls["tight"] += tight.tight
-        return settled(domain, supp, scored, tight)
+        return settled(domain, tight)
+
+    relabel, relabeled = sf.tight_antichain_relabel, set()
+
+    def relabel_seen(supp, cert):
+        perms = relabel(supp, cert)
+        relabeled.add(relabel_support(supp, perms).points)
+        return perms
 
     sf._draws, sf._settled = draws_counted, settled_seen
+    sf.tight_antichain_relabel = relabel_seen
     sf.check_tight = counted("decided", sf.check_tight)
     state = sf._SearchState
     state.apply_transvection = counted("built", state.apply_transvection)
@@ -64,13 +75,18 @@ def main():
         t = ts.build_family(ts.parse_family(spec), ts.RATIONAL)
         for search in (sf.upper_support_functional, sf.lower_support_functional):
             calls.clear()
+            relabeled.clear()
             start = time.perf_counter()
             rep = search(t, ThetaWeights.uniform(3), opts)
             wall = time.perf_counter() - start
+            moved = ""
+            if search is sf.lower_support_functional:
+                moved = ("best support relabeled, " if rep.support.points in relabeled
+                         else "best support not relabeled, ")
             print(f"{spec} {search.__name__}: {wall:.3f} s, {rep.evaluations} evaluations, "
                   f"{calls['solves']} max_H_theta solves, "
                   f"{calls['scaled']} certified by the scaled start with no face step, "
-                  f"pool's best support {'tight' if calls['tight'] else 'not tight'}, "
+                  f"pool's best support {'tight' if calls['tight'] else 'not tight'}, {moved}"
                   f"{calls['decided']} check_tight calls, "
                   f"{calls['drawn']} draws, "
                   f"{calls['built']} states built by apply_transvection", flush=True)

@@ -208,9 +208,10 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
     INNER_TOL.  The reported gap is max_j grad_j - grad . P over the full
     support at the returned point and bounds the distance to the true
     optimum; `converged` says gap <= INNER_TOL.  value, the greater of
-    H_theta at the returned point (`_value`) and at the uniform point, is at
-    least the bracket's lo and at most gap above H_theta at the returned
-    `probs`, which are read-only; value + gap bounds the optimum.
+    H_theta at the returned point (the theta-weighted sum, in leg order, of
+    its `_leg_entropies`) and at the uniform point, is at least the
+    bracket's lo and at most gap above H_theta at the returned `probs`,
+    which are read-only; value + gap bounds the optimum.
     `iterations` counts the rounds, at most MAX_ROUNDS; 1 means the start
     point or the first Newton solve certified.  Supports that form a
     diagonal are solved exactly.
@@ -234,7 +235,9 @@ def max_H_theta(support: SupportSet, theta: ThetaWeights) -> HThetaResult:
             break
         last = gap_q
     p, gap, rounds = _newton_rounds(p, f, grad, gap, evaluate, inc, w)
-    return HThetaResult(max(_value(p, legs), lo), _read_only(p), gap, max(rounds, 1), gap <= INNER_TOL)
+    ents = _leg_entropies([vals for vals, _ in legs], p)
+    value = float(sum(w_i * h for (_, w_i), h in zip(legs, ents)))
+    return HThetaResult(max(value, lo), _read_only(p), gap, max(rounds, 1), gap <= INNER_TOL)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -269,11 +272,6 @@ def _newton_rounds(p, f, grad, gap, evaluate, inc, w):
         gap = float(grad.max() - grad @ p)
         rounds += 1
     return p, gap, rounds
-
-
-def _value(p: np.ndarray, legs) -> float:
-    """H_theta(p) in bits, summed leg by leg from each marginal's entropy."""
-    return float(sum(w * shannon_entropy(np.bincount(vals, weights=p)) for vals, w in legs))
 
 
 @functools.lru_cache(maxsize=1)
@@ -582,23 +580,24 @@ def max_min_entropy(support: SupportSet) -> MinimaxEntropyResult:
         probs, theta = _read_only(np.full(m, 1.0 / m)), ThetaWeights.uniform(k)
         return MinimaxEntropyResult(math.log2(m), math.log2(m), 0.0, probs, theta, m)
 
+    idx = np.array(support.points).T
+
     def evaluate(theta_vec):
         res = max_H_theta(support, ThetaWeights.from_legs(theta_vec))
-        return res.value, _leg_entropies(support, res.probs), res
+        return res.value, _leg_entropies(idx, res.probs), res
 
     evals, weights = _theta_cutting_planes(k, evaluate, MINIMAX_CUT_TOL, MINIMAX_ROUNDS)
     _, dual_theta, _, dual = min(evals, key=lambda e: e[3].value + e[3].gap)
 
     mix = weights @ [e[3].probs for e in evals[:weights.size]] / weights.sum()
     probs = _read_only(_saddle_polish(support, mix, dual_theta))
-    value = float(_leg_entropies(support, probs).min())
+    value = float(_leg_entropies(idx, probs).min())
     dual_value = max(dual.value + dual.gap, value)
     gap = dual_value - value
     return MinimaxEntropyResult(value, dual_value, gap, probs, ThetaWeights.from_legs(dual_theta))
 
 
-def _leg_entropies(support: SupportSet, probs: np.ndarray) -> np.ndarray:
-    """Each leg's marginal entropy (bits) of probs over support.points."""
-    pts = np.array(support.points)
-    return np.array([shannon_entropy(np.bincount(pts[:, i], weights=probs, minlength=n))
-                     for i, n in enumerate(support.bounds)])
+def _leg_entropies(idx, probs: np.ndarray) -> np.ndarray:
+    """The marginal entropy (bits) of probs on each leg of `idx`, the
+    points' values or value indices (`_incidence`) per leg."""
+    return np.array([shannon_entropy(np.bincount(vals, weights=probs)) for vals in idx])

@@ -19,8 +19,8 @@ program at the uniform point (`h_theta_bracket`), solves it for its value
 (`max_H_theta`) only when the bracket, widened by SCREEN_MARGIN = 1e-10
 bits for rounding, cannot decide the step, and builds a new state only for
 a step it keeps.  Over Q and F_p no walk runs when the pool's best support
-is tight and valued at its own H_theta: there zeta_theta = zeta^theta, so
-no basis can move either search's value.
+is tight (the lower search relabels it into an antichain): there zeta_theta
+= zeta^theta = 2^H_theta, so no basis can move either search's value.
 """
 
 from __future__ import annotations
@@ -89,16 +89,12 @@ def support_at_basis(t: Tensor, basis: BasisTuple) -> SupportSet:
 def rho_upper_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights) -> float:
     """H_theta of the support of t in the given basis; -inf for the zero tensor."""
     supp = support_at_basis(t, basis)
-    if len(supp) == 0:
-        return NEG_INF
-    return max_H_theta(supp, theta).value
+    return max_H_theta(supp, theta).value if len(supp) else NEG_INF
 
 
 def rho_lower_at_basis(t: Tensor, basis: BasisTuple, theta: ThetaWeights) -> float:
     supp = support_at_basis(t, basis)
-    if len(supp) == 0:
-        return NEG_INF
-    return max_H_theta(max_points(supp), theta).value
+    return max_H_theta(max_points(supp), theta).value if len(supp) else NEG_INF
 
 
 def gauge_points(t: Tensor) -> tuple[int, ...]:
@@ -294,22 +290,17 @@ def _sparsify(state: _SearchState) -> _SearchState:
     return cur
 
 
-def _settled(domain: Domain, supp: SupportSet, scored: SupportSet,
-             tight: TightnessReport) -> bool:
-    """Whether no basis can move a search's value from its best support
-    supp, whose scored support is `scored`.  A tight support is oblique, and
-    there zeta_theta = zeta^theta = 2^H_theta(supp) (Strassen 1991): no
-    basis has a lower support entropy or a higher maximal-point entropy, so
-    a search that values supp at H_theta(supp) itself (scored is supp) is at
-    its optimum.  Over C the support is cut at COMPLEX_ZERO_TOL, and a tight
-    float support certifies nothing."""
-    return domain.exact and tight.tight and scored.points == supp.points
+def _settled(domain: Domain, tight: TightnessReport) -> bool:
+    """Whether no basis can move a search's value from its best support S,
+    decided by `tight`: a tight S is oblique, where zeta_theta = zeta^theta
+    = 2^H_theta(S) (Strassen 1991), and the search values it at H_theta(S).
+    Over C the support is cut at COMPLEX_ZERO_TOL, and a tight float
+    support certifies nothing."""
+    return domain.exact and tight.tight
 
 
 def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
-                  pool: list[_SearchState], score, minimise: bool,
-                  known: dict[tuple, TightnessReport] | None = None
-                  ) -> SupportFunctionalReport:
+                  pool: list[_SearchState], score, minimise: bool) -> SupportFunctionalReport:
     """Seeded local search over bases, shared by both support functionals.
 
     The value of a state is H_theta of score(support).  The search starts
@@ -335,13 +326,16 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     the solved value would make.  `evaluations` counts the distinct scored
     supports valued by bracket or by solve.
 
-    Before the walk, `check_tight` decides the pool's best support S, and
-    the report reuses that decision unless a restart replaces S.  `known`
-    maps the points of supports already decided to their reports; no
-    support in it is decided again.  No restart runs when
-    `_settled` holds: over Q and F_p a tight S is oblique, where zeta_theta
-    = zeta^theta = 2^H_theta(S), so a state valued at H_theta(S) itself is
-    at both searches' optimum and the walk could keep no step.
+    One rule values every tight best support at its own H_theta: where a
+    state's scored support is not its support S (in the lower search, S is
+    no antichain), `check_tight` decides S, and a tight S is relabeled into
+    an antichain (`tight_antichain_relabel`) that takes S's certificate
+    through the same permutations (`TightnessCertificate.relabel`), or is
+    decided afresh if that fails to verify.  The rule runs on the pool's
+    states and on a best state that a restart finds; a support is decided
+    at most once.  No restart runs when `_settled` holds: over Q and F_p a
+    tight S is oblique, where zeta_theta = zeta^theta = 2^H_theta(S), so
+    the walk could keep no step.
     """
     sign = 1.0 if minimise else -1.0
     # scored support points -> max_H_theta value, or its bracket (lo, hi)
@@ -350,11 +344,42 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     # candidate support points -> scored support: a SupportSet and score
     # (max_points) are made once per support, not once per candidate
     scored: dict[tuple, SupportSet] = {}
+    # support points -> tightness report: each support is decided once
+    reports: dict[tuple, TightnessReport] = {}
 
     def entropy(supp: SupportSet) -> float:
         if supp.points not in exact:
             exact[supp.points] = max_H_theta(supp, theta).value
         return exact[supp.points]
+
+    def scored_support(pts: tuple) -> SupportSet:
+        if pts not in scored:
+            scored[pts] = score(SupportSet(t.dims, pts))
+        return scored[pts]
+
+    def decide(supp: SupportSet) -> TightnessReport:
+        if supp.points not in reports:
+            reports[supp.points] = check_tight(supp)
+        return reports[supp.points]
+
+    def scored_as_itself(state: _SearchState) -> _SearchState:
+        """The state, relabeled into an antichain where its scored support
+        is not its support and that support is tight."""
+        pts = state.points()
+        if scored_support(pts).points == pts:
+            return state
+        supp = SupportSet(t.dims, pts)
+        report = decide(supp)
+        if not report.tight:
+            return state
+        perms = tight_antichain_relabel(supp, report.certificate)
+        state = _apply_all(state, [identity_matrix(n, t.domain)[:, perm]
+                                   for n, perm in zip(t.dims, perms)])
+        relabeled = SupportSet(t.dims, state.points())
+        cert = report.certificate.relabel(perms)
+        if cert.verify(relabeled):
+            reports.setdefault(relabeled.points, TightnessReport(True, cert, method=report.method))
+        return state
 
     def better(val: float, ref: float, slack: float) -> bool:
         return sign * val < sign * ref - slack
@@ -363,9 +388,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         """The value of the scored support of pts if it is better than ref
         by more than slack, else None; solved only when the bracket's end
         on the gaining side is better by more than slack - SCREEN_MARGIN."""
-        if pts not in scored:
-            scored[pts] = score(SupportSet(t.dims, pts))
-        supp = scored[pts]
+        supp = scored_support(pts)
         if supp.points not in exact:
             if supp.points not in brackets:
                 brackets[supp.points] = h_theta_bracket(supp, theta)
@@ -379,16 +402,14 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     # lower pool takes any strict gain
     pool_slack = 1e-9 if minimise else 0.0
     best_state, best_val, best_pts = None, sign * math.inf, None
-    for state in pool:
+    for state in map(scored_as_itself, pool):
         pts = state.points()
         val = gain(pts, best_val, pool_slack)
         if val is not None:
             best_state, best_val, best_pts = state, val, pts
 
-    known = known or {}
     best_supp = SupportSet(t.dims, best_pts)
-    tight_report = known.get(best_pts) or check_tight(best_supp)
-    settled = _settled(t.domain, best_supp, scored[best_pts], tight_report)
+    settled = _settled(t.domain, decide(best_supp))
     draw = _draws(opts.seed)
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
     for _ in range(0 if settled else opts.restarts):
@@ -415,8 +436,9 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             best_state, best_val, best_pts = cur, cur_val, cur_pts
 
     if best_pts != best_supp.points:     # a restart replaced the pool's best
-        best_supp = SupportSet(t.dims, best_pts)
-        tight_report = known.get(best_pts) or check_tight(best_supp)
+        best_state = scored_as_itself(best_state)
+        best_supp = SupportSet(t.dims, best_state.points())
+    tight_report = decide(best_supp)
     best_top = max_points(best_supp)
     return SupportFunctionalReport(
         theta=theta,
@@ -451,21 +473,5 @@ def lower_support_functional(t: Tensor, theta: ThetaWeights,
     """Maximise the maximal-point entropy over a basis pool (a lower bound)."""
     opts = options or BasisSearchOptions()
     start = _SearchState.start(t)
-    pool = [start]
-    # a tight support, relabeled into an antichain, realises the lower value
-    supp = SupportSet(t.dims, start.points())
-    tight = check_tight(supp)
-    known = {supp.points: tight}
-    if tight.tight:
-        perms = tight_antichain_relabel(supp, tight.certificate)
-        mats = [identity_matrix(n, t.domain)[:, perm] for n, perm in zip(t.dims, perms)]
-        relabeled = _apply_all(start, mats)
-        pool.append(relabeled)
-        # the start's certificate, carried through the same permutations,
-        # decides the relabeled support once it verifies there
-        cert = tight.certificate.relabel(perms)
-        if cert.verify(SupportSet(t.dims, relabeled.points())):
-            known[relabeled.points()] = TightnessReport(True, cert, method=tight.method)
-    pool += _basis_states(start, opts)
-    return _basis_search(t, theta, opts, pool, score=max_points, minimise=False,
-                         known=known)
+    pool = [start] + _basis_states(start, opts)
+    return _basis_search(t, theta, opts, pool, score=max_points, minimise=False)

@@ -290,18 +290,11 @@ def tight_antichain_relabel(s: SupportSet, cert: TightnessCertificate
                             ) -> tuple[tuple[int, ...], ...]:
     """Per-leg value permutations turning a tight support into an antichain.
 
-    Sorting each leg by its certificate weights makes the weights increasing,
-    so two comparable distinct points would have different weight sums.
+    Relabeling each leg's value x by the rank of its certificate weight
+    u_i(x) makes the weights increasing, so two comparable distinct points
+    would have different weight sums.
     """
-    perms = []
-    for i in range(s.k):
-        order = sorted(range(s.bounds[i]), key=lambda x: cert.maps[i][x])
-        # relabel x -> rank of u_i(x)
-        rank = [0] * s.bounds[i]
-        for r, x in enumerate(order):
-            rank[x] = r
-        perms.append(tuple(rank))
-    return tuple(perms)
+    return tuple(tuple(sorted(m).index(u) for u in m) for m in cert.maps[:s.k])
 
 
 def relabel_support(s: SupportSet, perms) -> SupportSet:

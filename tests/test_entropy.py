@@ -22,6 +22,11 @@ H13 = binary_entropy(1 / 3)
 UNIFORM3 = ThetaWeights.uniform(3)
 
 
+def _leg_entropies(supp, probs):
+    """Each leg's marginal entropy of probs over supp.points."""
+    return te._leg_entropies(te._incidence(supp)[0], probs)
+
+
 def grid_search_H_theta(support, theta_arr, step=1e-3):
     """Independent oracle: dense grid over the probability simplex.
 
@@ -149,7 +154,7 @@ def test_leg_entropies_match_pointwise_sums():
             for p, w in zip(supp.points, probs):
                 marg[p[i]] += w
             want.append(shannon_entropy(marg))
-        assert te._leg_entropies(supp, probs).tobytes() == np.array(want).tobytes()
+        assert _leg_entropies(supp, probs).tobytes() == np.array(want).tobytes()
 
 
 def _returned_probs():
@@ -467,7 +472,7 @@ def _from_uniform(supp, theta):
     sweep: H_theta at the point they return, the point and its gap."""
     legs, inc, w, evaluate, p, f, grad, gap = te._uniform_start(supp, theta)
     p, gap, _ = te._newton_rounds(p, f, grad, gap, evaluate, inc, w)
-    return te._value(p, legs), p, gap
+    return float(theta.leg_array(supp.k) @ _leg_entropies(supp, p)), p, gap
 
 
 def test_min_norm_solve_matches_lstsq(monkeypatch):
@@ -540,7 +545,7 @@ def test_value_never_below_feasible_points(seed):
     res = max_H_theta(supp, theta)
     for _ in range(10):
         probs = rng.dirichlet(np.ones(len(supp)))
-        candidate = theta.leg_array(3) @ te._leg_entropies(supp, probs)
+        candidate = theta.leg_array(3) @ _leg_entropies(supp, probs)
         assert candidate <= res.value + 1e-7
 
 
@@ -650,7 +655,7 @@ def test_value_path_matches_the_solve():
     for supp, theta in cases:
         res = max_H_theta(supp, theta)
         value, gap = res.value, res.gap
-        at_dist = theta.leg_array(supp.k) @ te._leg_entropies(supp, res.probs)
+        at_dist = theta.leg_array(supp.k) @ _leg_entropies(supp, res.probs)
         assert at_dist - 1e-12 <= value <= at_dist + gap + 1e-12, (supp, theta, value, at_dist)
         ref = _from_uniform(supp, theta)[0]
         assert abs(value - ref) <= 1e-12, (supp, theta, value, ref)
@@ -749,10 +754,10 @@ def test_saddle_polish_uses_binding_legs_of_weight_zero():
                                      (1, 3, 2), (2, 0, 1), (2, 1, 0), (2, 2, 0), (2, 3, 2)))
     best = np.array([2, 1, 0, 0, 0, 1, 0, 0, 1, 1]) / 6
     start = (1 - 1e-5) * best + 1e-6
-    ents = te._leg_entropies(supp, start)
+    ents = _leg_entropies(supp, start)
     assert abs(ents[0] - ents[2]) <= 1e-9 < ents[1] - ents[0]
     q = te._saddle_polish(supp, start, np.array([1.0, 0.0, 0.0]))
-    assert te._leg_entropies(supp, q).min() == pytest.approx(
+    assert _leg_entropies(supp, q).min() == pytest.approx(
         math.log2(3), abs=1e-14)
 
 
@@ -764,7 +769,7 @@ def test_max_min_entropy_duality_gap():
         assert res.gap <= 1e-6
         assert res.value <= res.dual_value + 1e-9
         # primal is feasible: value equals min marginal entropy of the dist
-        ents = te._leg_entropies(supp, res.probs)
+        ents = _leg_entropies(supp, res.probs)
         assert res.value == pytest.approx(float(ents.min()), abs=1e-12)
 
 
@@ -809,7 +814,7 @@ def test_max_min_entropy_without_minimize(supp, monkeypatch):
     monkeypatch.setattr(te, "_theta_cutting_planes", recording(te._theta_cutting_planes, planes))
     res = max_min_entropy(supp)
     assert res.value <= res.dual_value + 1e-12
-    assert res.value == pytest.approx(float(te._leg_entropies(supp, res.probs).min()),
+    assert res.value == pytest.approx(float(_leg_entropies(supp, res.probs).min()),
                                       abs=1e-12)
     if supp is FIVE_POINTS:
         # the cutting planes reach their own stop target
@@ -858,7 +863,7 @@ def test_one_cut_lp_is_the_least_cut(key, monkeypatch):
     supp = _one_cut_supports()[key]
     k = supp.k
     res = max_H_theta(supp, ThetaWeights.uniform(k))
-    h = te._leg_entropies(supp, res.probs)
+    h = _leg_entropies(supp, res.probs)
     lp = te._cut_lp([h], k)
     assert lp.success
     assert lp.x[k] in h

@@ -473,32 +473,72 @@ def test_tight_pool_support_ends_the_walk(monkeypatch, drawn):
     assert len(drawn) > 0
 
 
-def test_tight_support_valued_below_its_entropy_still_walks():
-    """The lower search's best pool state, in an extra basis, has a tight
-    support S that is not an antichain: its maximal points are valued below
-    H_theta(S), so the search is not settled, and the walk gains."""
+def test_tight_pool_support_from_a_user_basis_is_scored_as_itself(drawn):
+    """The lower search's pool state in an extra basis has a tight support S
+    that is not an antichain.  The pool relabels it into an antichain,
+    valued at H_theta(S), the upper search's value, so the pool alone
+    reaches the optimum and the walk draws nothing."""
     basis = BasisTuple.make([[[0, 0, -2], [1, 1, -1], [-2, -1, -2]], [[1, 0], [0, -1]],
                              [[0, 2, -1], [1, -2, -1], [2, 2, -2]]], ts.RATIONAL)
     coeff = ts.from_nonzeros((3, 2, 3), ts.RATIONAL, {(0, 0, 0): -2, (1, 1, 1): -1, (2, 0, 1): 1})
     t = ts.restrict(coeff, basis.matrices)
+    assert not ts.is_antichain(ts.SupportSet.from_tensor(coeff))
     pool = lower_support_functional(t, U3, BasisSearchOptions(restarts=0, steps=0,
                                                                extra_bases=(basis,)))
-    assert pool.support.points == ((0, 0, 0), (1, 1, 1), (2, 0, 1))
-    assert pool.tight_certificate is not None
-    assert pool.rho_lower < pool.rho_upper - 0.1
-    rep = lower_support_functional(t, U3, BasisSearchOptions(restarts=4, steps=40, seed=2,
-                                                              extra_bases=(basis,)))
-    assert rep.rho_lower > pool.rho_lower + 0.1
+    assert pool.rho_lower == pool.rho_upper == 1.1570698560510286
+    assert ts.is_antichain(pool.support)
+    assert pool.tight_certificate is not None and pool.tight_certificate.verify(pool.support)
+    assert sf.support_at_basis(t, pool.basis).points == pool.support.points
+    opts = BasisSearchOptions(restarts=4, steps=40, seed=2, extra_bases=(basis,))
+    drawn.clear()
+    rep = lower_support_functional(t, U3, opts)
+    assert len(drawn) == 0
+    assert rep.rho_lower == pool.rho_lower
+    assert upper_support_functional(t, U3, opts).rho_upper == pytest.approx(pool.rho_lower,
+                                                                             abs=1e-12)
+
+
+def test_relabeled_start_that_ties_the_start_ends_the_walk(drawn):
+    """At theta = (1/2, 1/2, 0) the maximal points of polymul:4's tight
+    start support have the support's own entropy: the relabeled start only
+    ties it, and the rule, not the tie, makes it the best state, so the
+    lower search draws no step."""
+    theta = ThetaWeights.from_legs([0.5, 0.5, 0.0])
+    for label in ("Q", "Fp:5", "Fp:3"):
+        t = ts.build_family(ts.parse_family("polymul:4"), parse_domain(label))
+        drawn.clear()
+        rep = lower_support_functional(t, theta, FAST)
+        assert len(drawn) == 0, label
+        assert rep.rho_lower == pytest.approx(2.0, abs=1e-12), label
+        assert ts.is_antichain(rep.support) and rep.tight_certificate.verify(rep.support)
+
+
+def test_walk_skips_a_leg_of_dimension_one(monkeypatch, drawn):
+    """On a 1 x 3 x 3 tensor the walk draws no row of the first leg.  With
+    the tight stop turned off (the upper pool's sparsified state is
+    tight), both searches walk; the lower one keeps steps, and each
+    returned basis reproduces its support."""
+    t = ts.from_nonzeros((1, 3, 3), ts.RATIONAL, {(0, 0, 2): 2, (0, 1, 1): 2, (0, 1, 2): -3,
+                                                  (0, 2, 1): -1, (0, 2, 2): -3})
+    monkeypatch.setattr(sf, "_settled", lambda *args: False)
+    for search in (upper_support_functional, lower_support_functional):
+        pool = search(t, U3, BasisSearchOptions(restarts=0, steps=0))
+        drawn.clear()
+        rep = search(t, U3, FAST)
+        assert len(drawn) > 0 and 1 not in drawn
+        assert sf.support_at_basis(t, rep.basis).points == rep.support.points
+    # the lower walk kept steps
+    assert rep.support.points != pool.support.points and rep.rho_lower > pool.rho_lower
 
 
 @pytest.mark.parametrize("label", ["Q", "Fp:5"])
 @pytest.mark.parametrize("spec", ["W", "unit:3", "matmul:2,2,2", "polymul:4"])
 def test_lower_search_decides_tightness_once(monkeypatch, spec, label):
-    """The lower search decides its start support alone: the relabeled
-    antichain state takes the start's report, its certificate carried
-    through the same permutations.  Where the start is no antichain that
-    state wins, and the carried certificate verifies on the reported
-    support and agrees with deciding that support afresh."""
+    """The lower search decides its start support alone: where the start
+    is no antichain, its relabeled antichain state replaces it and takes
+    its report, the certificate carried through the same permutations.
+    That certificate verifies on the reported support and agrees with
+    deciding that support afresh."""
     decide, calls = sf.check_tight, []
 
     def counting(supp):
