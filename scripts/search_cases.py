@@ -5,15 +5,17 @@ For each search it prints the wall time, the evaluations the report
 counts, the entropy-program solves (`max_H_theta` calls from the search),
 how many of those the Sinkhorn-scaled start certified with no face step (a
 `_sweep` ran and `_face_polish` did not), whether the pool's best support
-was tight (the search then draws no step over Q), for the lower search
-whether its best support was relabeled into an antichain (the report's
-support is one that `tight_antichain_relabel` produced), the tightness
-decisions (`check_tight` calls from the search), the draws (calls of the
-`draw` that `_draws` returns, up to four per step) and the states built
-(`_SearchState.apply_transvection` calls), all counted by wrappers.  The
-tensors are `matmul:2,2,2` (tight) and `cw:3` (not tight) over Q at uniform
-theta, searched with 4 restarts of 40 steps.  It checks nothing; CI prints
-it.
+was tight (the search then draws no step over Q; read from the last
+`_settled` call, since the pool calls it at each new best), for the lower
+search whether its best support was relabeled into an antichain (the
+report's support is one that `tight_antichain_relabel` produced), the
+sparsifier's runs (`_sparsify` calls, none once the start settles the
+search), the tightness decisions (`check_tight` calls from the search),
+the draws (calls of the `draw` that `_draws` returns, up to four per step)
+and the states built (`_SearchState.apply_transvection` calls), all
+counted by wrappers.  The tensors are `matmul:2,2,2` (tight) and `cw:3`
+(not tight) over Q at uniform theta, searched with 4 restarts of 40 steps.
+It checks nothing; CI prints it.
 
 Usage: python scripts/search_cases.py
 """
@@ -55,7 +57,7 @@ def main():
         return counted("drawn", draws(seed))
 
     def settled_seen(domain, tight):
-        calls["tight"] += tight.tight
+        calls["tight"] = tight.tight
         return settled(domain, tight)
 
     relabel, relabeled = sf.tight_antichain_relabel, set()
@@ -67,6 +69,7 @@ def main():
 
     sf._draws, sf._settled = draws_counted, settled_seen
     sf.tight_antichain_relabel = relabel_seen
+    sf._sparsify = counted("sparsified", sf._sparsify)
     sf.check_tight = counted("decided", sf.check_tight)
     state = sf._SearchState
     state.apply_transvection = counted("built", state.apply_transvection)
@@ -87,6 +90,7 @@ def main():
                   f"{calls['solves']} max_H_theta solves, "
                   f"{calls['scaled']} certified by the scaled start with no face step, "
                   f"pool's best support {'tight' if calls['tight'] else 'not tight'}, {moved}"
+                  f"{calls['sparsified']} _sparsify calls, "
                   f"{calls['decided']} check_tight calls, "
                   f"{calls['drawn']} draws, "
                   f"{calls['built']} states built by apply_transvection", flush=True)

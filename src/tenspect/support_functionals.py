@@ -1,8 +1,8 @@
 """Basis-dependent support entropies and their basis searches.
 
-The upper functional minimises the support entropy H_theta over a pool of
-bases (standard, user supplied, sparsified, and a seeded local search over
-elementary transvections); the lower functional maximises the entropy of the
+Both functionals search one pool of bases (standard, user supplied,
+sparsified), then walk by seeded elementary transvections: the upper one
+minimises the support entropy H_theta, the lower one maximises that of the
 maximal points.  Results carry explicit exactness flags: a minimum found at
 a tight (oblique) support is exact, anything else is an upper bound.
 
@@ -18,9 +18,9 @@ lies below a current point.  It brackets each other candidate's entropy
 program at the uniform point (`h_theta_bracket`), solves it for its value
 (`max_H_theta`) only when the bracket, widened by SCREEN_MARGIN = 1e-10
 bits for rounding, cannot decide the step, and builds a new state only for
-a step it keeps.  Over Q and F_p no walk runs when the pool's best support
-is tight (the lower search relabels it into an antichain): there zeta_theta
-= zeta^theta = 2^H_theta, so no basis can move either search's value.
+a step it keeps.  Over Q and F_p the pool stops, and no walk runs, at a
+tight best support (the lower search relabels it into an antichain): there
+zeta_theta = zeta^theta = 2^H_theta, so no basis can move either value.
 """
 
 from __future__ import annotations
@@ -269,12 +269,6 @@ def _apply_all(state: _SearchState, mats) -> _SearchState:
     return state
 
 
-def _basis_states(start: _SearchState, opts: BasisSearchOptions) -> list[_SearchState]:
-    if any(basis.domain != start.domain for basis in opts.extra_bases):
-        raise ValueError("basis domain does not match tensor domain")
-    return [_apply_all(start, basis.inverses()) for basis in opts.extra_bases]
-
-
 def _sparsify(state: _SearchState) -> _SearchState:
     """Per-leg row reduction of the flattenings; shrinks the support."""
     cur = state
@@ -300,14 +294,17 @@ def _settled(domain: Domain, tight: TightnessReport) -> bool:
 
 
 def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
-                  pool: list[_SearchState], score, minimise: bool) -> SupportFunctionalReport:
+                  score, minimise: bool) -> SupportFunctionalReport:
     """Seeded local search over bases, shared by both support functionals.
 
-    The value of a state is H_theta of score(support).  The search starts
-    from the best state of the pool and, in each restart, walks through
-    random elementary transvections with small integer coefficients,
-    keeping a step that moves the value by more than 1e-9 in the given
-    direction; a restart replaces the best state when it gains over 1e-12.
+    The value of a state is H_theta of score(support).  The pool values
+    the standard basis, one state per user basis and the sparsified start
+    (`_sparsify`) in that order, and stops at a best state where `_settled`
+    holds.  The search starts from its best and, in each restart, walks
+    through random elementary transvections with small integer
+    coefficients.  A pool state or a step is kept when it moves the value
+    by more than 1e-9 in the given direction; a restart replaces the best
+    state when it gains over 1e-12.
     The steps come from `_draws(opts.seed)`, the values of successive
     `integers(high)` calls of the seeded generator.  `transvection_gain`
     gives the support points a step removes and adds.  A step that removes
@@ -333,9 +330,10 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     through the same permutations (`TightnessCertificate.relabel`), or is
     decided afresh if that fails to verify.  The rule runs on the pool's
     states and on a best state that a restart finds; a support is decided
-    at most once.  No restart runs when `_settled` holds: over Q and F_p a
-    tight S is oblique, where zeta_theta = zeta^theta = 2^H_theta(S), so
-    the walk could keep no step.
+    at most once.  Neither the rest of the pool nor a restart runs once
+    `_settled` holds: over Q and F_p a tight S is oblique, where zeta_theta
+    = zeta^theta = 2^H_theta(S), so no basis could move the value by more
+    than the solve's gap.
     """
     sign = 1.0 if minimise else -1.0
     # scored support points -> max_H_theta value, or its bracket (lo, hi)
@@ -398,18 +396,23 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         val = entropy(supp)
         return val if better(val, ref, slack) else None
 
-    # the upper pool needs a gain over 1e-9 to leave its first state, the
-    # lower pool takes any strict gain
-    pool_slack = 1e-9 if minimise else 0.0
+    def pool():
+        start = _SearchState.start(t)
+        yield start
+        yield from (_apply_all(start, basis.inverses()) for basis in opts.extra_bases)
+        yield _sparsify(start)
+
+    if any(basis.domain != t.domain for basis in opts.extra_bases):
+        raise ValueError("basis domain does not match tensor domain")
     best_state, best_val, best_pts = None, sign * math.inf, None
-    for state in map(scored_as_itself, pool):
+    for state in map(scored_as_itself, pool()):
         pts = state.points()
-        val = gain(pts, best_val, pool_slack)
+        val = gain(pts, best_val, 1e-9)
         if val is not None:
             best_state, best_val, best_pts = state, val, pts
-
-    best_supp = SupportSet(t.dims, best_pts)
-    settled = _settled(t.domain, decide(best_supp))
+            best_supp = SupportSet(t.dims, pts)
+            if settled := _settled(t.domain, decide(best_supp)):
+                break
     draw = _draws(opts.seed)
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
     for _ in range(0 if settled else opts.restarts):
@@ -462,16 +465,12 @@ def upper_support_functional(t: Tensor, theta: ThetaWeights,
     The result is an upper bound on the true minimum over all bases; it is
     exact (and flagged so) when the winning support is tight (oblique).
     """
-    opts = options or BasisSearchOptions()
-    start = _SearchState.start(t)
-    pool = [start] + _basis_states(start, opts) + [_sparsify(start)]
-    return _basis_search(t, theta, opts, pool, score=lambda supp: supp, minimise=True)
+    return _basis_search(t, theta, options or BasisSearchOptions(),
+                         score=lambda supp: supp, minimise=True)
 
 
 def lower_support_functional(t: Tensor, theta: ThetaWeights,
                              options: BasisSearchOptions | None = None) -> SupportFunctionalReport:
     """Maximise the maximal-point entropy over a basis pool (a lower bound)."""
-    opts = options or BasisSearchOptions()
-    start = _SearchState.start(t)
-    pool = [start] + _basis_states(start, opts)
-    return _basis_search(t, theta, opts, pool, score=max_points, minimise=False)
+    return _basis_search(t, theta, options or BasisSearchOptions(),
+                         score=max_points, minimise=False)

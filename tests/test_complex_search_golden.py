@@ -7,9 +7,12 @@ searches run the same float operations every time, so the search records
 must come back unchanged (floats to 1e-12, as in `test_search_golden.py`)
 and the sparsifier's arrays bit for bit.  Regenerate with
 `PYTHONPATH=src python tests/test_complex_search_golden.py` only when a
-change to the complex results is intended.
+change to the complex results is intended: as in `test_search_golden.py`,
+it rewrites only the fields that `_same` rejects.  The upper and lower
+values may not cross the frozen bounds of `search_bounds.json`.
 """
 
+import functools
 import json
 import os
 
@@ -22,6 +25,7 @@ from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           _sparsify, lower_support_functional,
                                           support_at_basis,
                                           upper_support_functional)
+from test_search_golden import BOUNDS, _keeps_bounds, _kept, _same
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "complex_search_golden.json")
 FAMILIES = ["W", "cw:2", "unit:3"]
@@ -78,14 +82,10 @@ def _run(name, theta_name, seed):
             "sparse_inv_maps": [_hex(m) for m in sparse.basis().inverses()]}
 
 
-def _same(got, want):
-    if isinstance(want, float) and isinstance(got, float):
-        return got == pytest.approx(want, rel=1e-12, abs=1e-12)
-    if isinstance(want, dict) and isinstance(got, dict):
-        return got.keys() == want.keys() and all(_same(got[k], want[k]) for k in want)
-    if isinstance(want, list) and isinstance(got, list):
-        return len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
-    return got == want
+@functools.lru_cache(maxsize=None)
+def _record(*args):
+    """`_run` as JSON reads it back, once per case; callers must not change it."""
+    return json.loads(json.dumps(_run(*args)))
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +98,19 @@ def golden():
                          ids=[c[0] for c in _cases()])
 def test_complex_search_matches_golden(golden, key, name, theta_name, seed):
     want = golden[key]
-    got = json.loads(json.dumps(_run(name, theta_name, seed)))
+    got = _record(name, theta_name, seed)
     assert got["sparse_coeff"] == want["sparse_coeff"]
     assert got["sparse_inv_maps"] == want["sparse_inv_maps"]
     for side in ("upper", "lower"):
         assert _same(got[side], want[side]), (side, got[side], want[side])
+
+
+@pytest.mark.parametrize("key,name,theta_name,seed", _cases(),
+                         ids=[c[0] for c in _cases()])
+def test_complex_search_keeps_frozen_bounds(key, name, theta_name, seed):
+    with open(BOUNDS, encoding="ascii") as fh:
+        bound = json.load(fh)["complex_search_golden"][key]
+    _keeps_bounds(_record(name, theta_name, seed), bound)
 
 
 @pytest.mark.parametrize("key,name,theta_name,seed", _cases(),
@@ -118,7 +126,10 @@ def test_complex_basis_reproduces_support(key, name, theta_name, seed):
 
 
 if __name__ == "__main__":
-    records = {key: _run(name, theta_name, seed) for key, name, theta_name, seed in _cases()}
+    with open(GOLDEN, encoding="ascii") as fh:
+        stored = json.load(fh)
+    records = {key: _kept(_record(name, theta_name, seed), stored.get(key))
+               for key, name, theta_name, seed in _cases()}
     with open(GOLDEN, "w", encoding="ascii") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")

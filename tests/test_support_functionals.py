@@ -513,22 +513,65 @@ def test_relabeled_start_that_ties_the_start_ends_the_walk(drawn):
         assert ts.is_antichain(rep.support) and rep.tight_certificate.verify(rep.support)
 
 
-def test_walk_skips_a_leg_of_dimension_one(monkeypatch, drawn):
-    """On a 1 x 3 x 3 tensor the walk draws no row of the first leg.  With
-    the tight stop turned off (the upper pool's sparsified state is
-    tight), both searches walk; the lower one keeps steps, and each
-    returned basis reproduces its support."""
-    t = ts.from_nonzeros((1, 3, 3), ts.RATIONAL, {(0, 0, 2): 2, (0, 1, 1): 2, (0, 1, 2): -3,
-                                                  (0, 2, 1): -1, (0, 2, 2): -3})
-    monkeypatch.setattr(sf, "_settled", lambda *args: False)
+def test_walk_skips_a_leg_of_dimension_one(drawn):
+    """On a 1 x 2 x 3 x 3 tensor the walk draws no row of the first leg.
+    Neither search's pool reaches a tight support, so both walk; the lower
+    walk keeps steps, and each returned basis reproduces its support."""
+    t = ts.from_nonzeros((1, 2, 3, 3), ts.RATIONAL,
+                         {(0, 0, 1, 0): 3, (0, 0, 1, 2): -2, (0, 0, 2, 0): 2, (0, 0, 2, 1): 3,
+                          (0, 0, 2, 2): -2, (0, 1, 0, 0): -1, (0, 1, 0, 1): 3,
+                          (0, 1, 1, 0): -2, (0, 1, 1, 1): 2})
+    theta = ThetaWeights.uniform(4)
     for search in (upper_support_functional, lower_support_functional):
-        pool = search(t, U3, BasisSearchOptions(restarts=0, steps=0))
+        pool = search(t, theta, BasisSearchOptions(restarts=0, steps=0))
         drawn.clear()
-        rep = search(t, U3, FAST)
+        rep = search(t, theta, FAST)
         assert len(drawn) > 0 and 1 not in drawn
         assert sf.support_at_basis(t, rep.basis).points == rep.support.points
     # the lower walk kept steps
     assert rep.support.points != pool.support.points and rep.rho_lower > pool.rho_lower
+
+
+def test_lower_search_reaches_the_tight_diagonal_of_a_matrix():
+    """The sparsified start of a 1 x 3 x 3 tensor has a diagonal support,
+    which is tight; it is in the lower pool too, so on 30 seeded rational
+    tensors the lower search reads the upper search's value."""
+    for seed in range(30):
+        entries = np.random.default_rng(seed).integers(-3, 4, size=(1, 3, 3))
+        t = ts.from_nonzeros((1, 3, 3), ts.RATIONAL,
+                             {idx: int(v) for idx, v in np.ndenumerate(entries) if v})
+        upper = upper_support_functional(t, U3, FAST)
+        lower = lower_support_functional(t, U3, FAST)
+        assert lower.rho_lower == pytest.approx(upper.rho_upper, abs=1e-12), seed
+
+
+@pytest.mark.parametrize("label", ["Q", "Fp:5"])
+def test_pool_stops_before_sparsifying_a_settled_start(monkeypatch, label):
+    """Neither search sparsifies a start whose support settles it (W,
+    unit:3, matmul:2,2,2 and polymul:4 over Q and F_5); each sparsifies
+    cw:3's start once."""
+    sparsify, calls = sf._sparsify, []
+
+    def counting(state):
+        calls.append(state)
+        return sparsify(state)
+
+    monkeypatch.setattr(sf, "_sparsify", counting)
+    for spec in ("W", "unit:3", "matmul:2,2,2", "polymul:4", "cw:3"):
+        t = ts.build_family(ts.parse_family(spec), parse_domain(label))
+        for search in (upper_support_functional, lower_support_functional):
+            calls.clear()
+            search(t, U3, FAST)
+            assert len(calls) == (spec == "cw:3"), (spec, search.__name__)
+
+
+def test_lower_search_on_the_capset_tensor():
+    """The standard support of capset:3,3 over F_3 has one maximal point
+    (0 bits).  The sparsifier's row reductions swap two basis vectors on
+    legs 0 and 1, which leaves four maximal points, so the lower search
+    reads at least 1.28 bits."""
+    t = ts.build_family(ts.parse_family("capset:3,3"))
+    assert lower_support_functional(t, U3, FAST).rho_lower >= 1.28
 
 
 @pytest.mark.parametrize("label", ["Q", "Fp:5"])
