@@ -11,10 +11,13 @@ search whether its best support was relabeled into an antichain (the
 report's support is one that `tight_antichain_relabel` produced), the
 sparsifier's runs (`_sparsify` calls, none once the start settles the
 search), the tightness decisions (`check_tight` calls from the search),
-the draws (calls of the `draw` that `_draws` returns, up to four per step)
-and the states built (`_SearchState.apply_transvection` calls), all
-counted by wrappers.  The tensors are `matmul:2,2,2` (tight) and `cw:3`
-(not tight) over Q at uniform theta, searched with 4 restarts of 40 steps.
+the draws (calls of the `draw` that `_draws` returns, up to four per step),
+the moves screened (`_SearchState.transvection_gain` calls, at most one per
+move and state), the brackets (`h_theta_bracket` calls from the search, at
+most one per order pattern) and the states built
+(`_SearchState.apply_transvection` calls), all counted by wrappers.  The
+tensors are `matmul:2,2,2` (tight) and `cw:3` (not tight) over Q at
+uniform theta, searched with 4 restarts of 40 steps.
 It checks nothing; CI prints it.
 
 Usage: python scripts/search_cases.py
@@ -71,7 +74,9 @@ def main():
     sf.tight_antichain_relabel = relabel_seen
     sf._sparsify = counted("sparsified", sf._sparsify)
     sf.check_tight = counted("decided", sf.check_tight)
+    sf.h_theta_bracket = counted("bracketed", sf.h_theta_bracket)
     state = sf._SearchState
+    state.transvection_gain = counted("screened", state.transvection_gain)
     state.apply_transvection = counted("built", state.apply_transvection)
     opts = sf.BasisSearchOptions(restarts=4, steps=40)
     for spec in ("matmul:2,2,2", "cw:3"):
@@ -93,6 +98,8 @@ def main():
                   f"{calls['sparsified']} _sparsify calls, "
                   f"{calls['decided']} check_tight calls, "
                   f"{calls['drawn']} draws, "
+                  f"{calls['screened']} moves screened by transvection_gain, "
+                  f"{calls['bracketed']} h_theta_bracket calls, "
                   f"{calls['built']} states built by apply_transvection", flush=True)
 
 

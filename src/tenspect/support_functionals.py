@@ -18,9 +18,12 @@ lies below a current point.  It brackets each other candidate's entropy
 program at the uniform point (`h_theta_bracket`), solves it for its value
 (`max_H_theta`) only when the bracket, widened by SCREEN_MARGIN = 1e-10
 bits for rounding, cannot decide the step, and builds a new state only for
-a step it keeps.  Over Q and F_p the pool stops, and no walk runs, at a
-tight best support (the lower search relabels it into an antichain): there
-zeta_theta = zeta^theta = 2^H_theta, so no basis can move either value.
+a step it keeps.  Within one search each order pattern (each leg's values
+replaced by their rank) is bracketed and solved at most once, and each
+move is screened at most once per state.  Over Q and F_p the pool stops,
+and no walk runs, at a tight best support (the lower search relabels it
+into an antichain): there zeta_theta = zeta^theta = 2^H_theta, so no basis
+can move either value.
 """
 
 from __future__ import annotations
@@ -246,8 +249,11 @@ class _SearchState:
 
     def basis(self) -> BasisTuple:
         """The steps replayed in order on identity inverse maps.  A leg's
-        first matrix step starts its map from a copy of the matrix."""
+        first matrix step starts its map from a copy of the matrix; with no
+        step, the basis is the standard one."""
         dom = self.domain
+        if not self.steps:
+            return BasisTuple.identity(self.coeff.shape, dom)
         inv = [identity_matrix(d, dom) for d in self.coeff.shape]
         fresh = set(range(len(inv)))     # legs whose map is still the identity
         for step in self.steps:
@@ -284,6 +290,15 @@ def _sparsify(state: _SearchState) -> _SearchState:
     return cur
 
 
+def _order_pattern(supp: SupportSet) -> tuple:
+    """supp's points with each leg's values replaced by their rank.  The
+    relabeling keeps each leg's order, so it keeps the points' order and the
+    entropy program: supports with one pattern have the same H_theta,
+    bracket and solve, bit for bit."""
+    ranks = [{x: r for r, x in enumerate(sorted(set(col)))} for col in zip(*supp.points)]
+    return tuple(tuple(rank[x] for rank, x in zip(ranks, p)) for p in supp.points)
+
+
 def _settled(domain: Domain, tight: TightnessReport) -> bool:
     """Whether no basis can move a search's value from its best support S,
     decided by `tight`: a tight S is oblique, where zeta_theta = zeta^theta
@@ -306,7 +321,11 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     by more than 1e-9 in the given direction; a restart replaces the best
     state when it gains over 1e-12.
     The steps come from `_draws(opts.seed)`, the values of successive
-    `integers(high)` calls of the seeded generator.  `transvection_gain`
+    `integers(high)` calls of the seeded generator, made only when a walk
+    runs.  A move (leg, dst, src, c) passed over at a state is not screened
+    there again: restarts start from the same best state, and a re-draw
+    skips it once its draws are taken, so the stream is unchanged.  A kept
+    move leaves its state and is not recorded.  `transvection_gain`
     gives the support points a step removes and adds.  A step that removes
     none cannot gain when it adds none, when the search minimises (a
     superset cannot lower H_theta), or when every point it adds lies below
@@ -320,8 +339,12 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     solve starts from the program the bracket built.  A solved value is at
     least lo and at most hi up to that rounding, whatever the solve's gap;
     so a skipped solve could not have gained, and every decision is the one
-    the solved value would make.  `evaluations` counts the distinct scored
-    supports valued by bracket or by solve.
+    the solved value would make.  Brackets and values are kept per order
+    pattern (`_order_pattern`): ranking each leg's values keeps the points'
+    order, so supports with one pattern have the same program and value, bit
+    for bit, and each pattern is bracketed and solved at most once.
+    `evaluations` counts the distinct scored supports valued by bracket or
+    by solve, whether or not their pattern was valued before.
 
     One rule values every tight best support at its own H_theta: where a
     state's scored support is not its support S (in the lower search, S is
@@ -336,23 +359,29 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     than the solve's gap.
     """
     sign = 1.0 if minimise else -1.0
-    # scored support points -> max_H_theta value, or its bracket (lo, hi)
+    # order pattern -> max_H_theta value, or its bracket (lo, hi)
     exact: dict[tuple, float] = {}
     brackets: dict[tuple, tuple[float, float]] = {}
-    # candidate support points -> scored support: a SupportSet and score
-    # (max_points) are made once per support, not once per candidate
-    scored: dict[tuple, SupportSet] = {}
+    # candidate support points -> (scored support, its order pattern): a
+    # SupportSet, score (max_points) and pattern are made once per support,
+    # not once per candidate
+    scored: dict[tuple, tuple[SupportSet, tuple]] = {}
+    valued: set[tuple] = set()      # the scored supports valued
     # support points -> tightness report: each support is decided once
     reports: dict[tuple, TightnessReport] = {}
+    # (state, leg, dst, src, c): the moves passed over at a state
+    passed: set[tuple] = set()
 
-    def entropy(supp: SupportSet) -> float:
-        if supp.points not in exact:
-            exact[supp.points] = max_H_theta(supp, theta).value
-        return exact[supp.points]
+    def entropy(supp: SupportSet, key: tuple) -> float:
+        valued.add(supp.points)
+        if key not in exact:
+            exact[key] = max_H_theta(supp, theta).value
+        return exact[key]
 
-    def scored_support(pts: tuple) -> SupportSet:
+    def scored_support(pts: tuple) -> tuple[SupportSet, tuple]:
         if pts not in scored:
-            scored[pts] = score(SupportSet(t.dims, pts))
+            supp = score(SupportSet(t.dims, pts))
+            scored[pts] = supp, _order_pattern(supp)
         return scored[pts]
 
     def decide(supp: SupportSet) -> TightnessReport:
@@ -364,7 +393,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         """The state, relabeled into an antichain where its scored support
         is not its support and that support is tight."""
         pts = state.points()
-        if scored_support(pts).points == pts:
+        if scored_support(pts)[0].points == pts:
             return state
         supp = SupportSet(t.dims, pts)
         report = decide(supp)
@@ -386,14 +415,15 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         """The value of the scored support of pts if it is better than ref
         by more than slack, else None; solved only when the bracket's end
         on the gaining side is better by more than slack - SCREEN_MARGIN."""
-        supp = scored_support(pts)
-        if supp.points not in exact:
-            if supp.points not in brackets:
-                brackets[supp.points] = h_theta_bracket(supp, theta)
-            lo, hi = brackets[supp.points]
+        supp, key = scored_support(pts)
+        valued.add(supp.points)
+        if key not in exact:
+            if key not in brackets:
+                brackets[key] = h_theta_bracket(supp, theta)
+            lo, hi = brackets[key]
             if not better(lo if minimise else hi, ref, slack - SCREEN_MARGIN):
                 return None
-        val = entropy(supp)
+        val = entropy(supp, key)
         return val if better(val, ref, slack) else None
 
     def pool():
@@ -413,9 +443,10 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             best_supp = SupportSet(t.dims, pts)
             if settled := _settled(t.domain, decide(best_supp)):
                 break
-    draw = _draws(opts.seed)
+    restarts = 0 if settled or not opts.steps else opts.restarts
+    draw = _draws(opts.seed) if restarts else None
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
-    for _ in range(0 if settled else opts.restarts):
+    for _ in range(restarts):
         cur, cur_val, cur_pts = best_state, best_val, best_pts
         for _ in range(opts.steps):
             leg = draw(t.k)
@@ -426,14 +457,17 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             if dst == src:
                 continue
             c = coeff_choices[draw(len(coeff_choices))]
+            move = (cur, leg, dst, src, c)
+            if move in passed:
+                continue
             removed, added = cur.transvection_gain(leg, dst, src, c)
-            if not removed and (minimise or cur.below.issuperset(added)):
-                continue
-            pts = tuple(sorted(cur.support.difference(removed).union(added)))
-            if not pts:
-                continue
-            val = gain(pts, cur_val, 1e-9)
-            if val is not None:
+            val = None
+            if removed or not (minimise or cur.below.issuperset(added)):
+                pts = tuple(sorted(cur.support.difference(removed).union(added)))
+                val = gain(pts, cur_val, 1e-9) if pts else None
+            if val is None:
+                passed.add(move)
+            else:
                 cur, cur_val, cur_pts = cur.apply_transvection(leg, dst, src, c), val, pts
         if better(cur_val, best_val, 1e-12):
             best_state, best_val, best_pts = cur, cur_val, cur_pts
@@ -447,14 +481,14 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         theta=theta,
         basis=best_state.basis(),
         support=best_supp,
-        rho_upper=entropy(best_supp),
-        rho_lower=entropy(best_top),
+        rho_upper=entropy(best_supp, _order_pattern(best_supp)),
+        rho_lower=entropy(best_top, _order_pattern(best_top)),
         # an antichain (every point maximal) is oblique as it stands; tight
         # supports become antichains after sorting each leg by the weights
         oblique_basis_found=len(best_top) == len(best_supp) or tight_report.tight,
         tight_certificate=tight_report.certificate if tight_report.tight else None,
         zeta_exact=len(best_supp) if is_diagonal(best_supp) else None,
-        evaluations=len(exact.keys() | brackets.keys()),
+        evaluations=len(valued),
     )
 
 

@@ -30,12 +30,16 @@ class SupportSet:
         bounds = tuple(int(b) for b in self.bounds)
         if not bounds or any(b < 1 for b in bounds):
             raise ValueError("bounds must be positive")
-        pts = sorted({tuple(int(x) for x in p) for p in self.points})
-        for p in pts:
-            if len(p) != len(bounds):
-                raise ValueError(f"point {p} has wrong arity")
-            if any(x < 0 or x >= b for x, b in zip(p, bounds)):
-                raise ValueError(f"point {p} outside bounds {bounds}")
+        pts = sorted({tuple(map(int, p)) for p in self.points})
+        # arity and bounds are checked over the whole set; only a failure
+        # walks the points, to name the first offending one
+        if pts and (set(map(len, pts)) != {len(bounds)}
+                    or any(min(col) < 0 or max(col) >= b for col, b in zip(zip(*pts), bounds))):
+            for p in pts:
+                if len(p) != len(bounds):
+                    raise ValueError(f"point {p} has wrong arity")
+                if any(x < 0 or x >= b for x, b in zip(p, bounds)):
+                    raise ValueError(f"point {p} outside bounds {bounds}")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "points", tuple(pts))
 

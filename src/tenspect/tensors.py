@@ -197,7 +197,15 @@ class BasisTuple:
 
     @classmethod
     def standard(cls, t: Tensor) -> "BasisTuple":
-        return cls(tuple(identity_matrix(d, t.domain) for d in t.dims), t.domain)
+        return cls.identity(t.dims, t.domain)
+
+    @classmethod
+    def identity(cls, dims, domain: Domain) -> "BasisTuple":
+        """The standard basis of a box of the given dims; each identity map
+        is its own inverse, kept without inverting it."""
+        basis = cls(tuple(identity_matrix(d, domain) for d in dims), domain)
+        vars(basis)["_inverses"] = tuple(m.copy() for m in basis.matrices)
+        return basis
 
     @classmethod
     def make(cls, mats, domain: Domain) -> "BasisTuple":

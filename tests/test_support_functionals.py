@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -596,3 +597,111 @@ def test_lower_search_decides_tightness_once(monkeypatch, spec, label):
     assert rep.support.points != start.points or ts.is_antichain(start)
     assert rep.tight_certificate is not None and rep.tight_certificate.verify(rep.support)
     assert decide(rep.support).tight
+
+
+def _rank_pattern(points):
+    """Each leg's values replaced by their rank among the leg's values."""
+    legs = [sorted(set(col)) for col in zip(*points)]
+    return tuple(tuple(leg.index(x) for leg, x in zip(legs, p)) for p in points)
+
+
+GOLDEN_WALKS = ("cw:3 Q half", "cw:3 Fp:5 half", "capset:3,3 Fp:3 half")
+
+
+def _golden_walks():
+    """(key, tensor, options) of the golden cases in GOLDEN_WALKS, all at
+    theta = (1/2, 1/4, 1/4), whose pools do not settle, so both searches walk."""
+    from test_search_golden import _cases
+    for key, spec, dom, _, seed in (c for c in _cases() if c[0] in GOLDEN_WALKS):
+        domain = None if spec.startswith("capset") else parse_domain(dom)
+        yield key, ts.build_family(ts.parse_family(spec), domain), \
+            BasisSearchOptions(restarts=4, steps=40, seed=seed)
+
+
+def test_search_values_each_order_pattern_once(monkeypatch):
+    """Supports whose legs' values have the same order share one entropy
+    program, so no search solves or brackets an order pattern twice (the
+    lower walk on cw:3 meets eight relabelings of one W-like pattern).
+    `evaluations` still counts the distinct scored supports valued: the
+    golden count."""
+    from test_search_golden import GOLDEN
+    with open(GOLDEN, encoding="ascii") as fh:
+        golden = json.load(fh)
+    solve, bracket, solved, bracketed = sf.max_H_theta, sf.h_theta_bracket, [], []
+
+    def solving(supp, theta):
+        solved.append(_rank_pattern(supp.points))
+        return solve(supp, theta)
+
+    def bracketing(supp, theta):
+        bracketed.append(_rank_pattern(supp.points))
+        return bracket(supp, theta)
+
+    monkeypatch.setattr(sf, "max_H_theta", solving)
+    monkeypatch.setattr(sf, "h_theta_bracket", bracketing)
+    theta = ThetaWeights.from_legs([0.5, 0.25, 0.25])
+    for key, t, opts in _golden_walks():
+        for side, search in (("upper", upper_support_functional),
+                             ("lower", lower_support_functional)):
+            solved.clear()
+            bracketed.clear()
+            rep = search(t, theta, opts)
+            assert solved and len(set(solved)) == len(solved), (key, side)
+            assert len(set(bracketed)) == len(bracketed), (key, side)
+            assert rep.evaluations == golden[key][side]["evaluations"], (key, side)
+
+
+def test_search_screens_each_move_once_per_state(monkeypatch):
+    """Restarts start from the same best state, and a move passed over
+    there is not screened again: no (state, move) pair reaches
+    `transvection_gain` twice in one search."""
+    screen, screened = _SearchState.transvection_gain, []
+
+    def screening(state, *move):
+        screened.append((state, *move))     # holds the state, so no id is reused
+        return screen(state, *move)
+
+    monkeypatch.setattr(_SearchState, "transvection_gain", screening)
+    theta = ThetaWeights.from_legs([0.5, 0.25, 0.25])
+    for key, t, opts in _golden_walks():
+        for search in (upper_support_functional, lower_support_functional):
+            screened.clear()
+            search(t, theta, opts)
+            assert screened, key
+            assert len({(id(s), *move) for s, *move in screened}) == len(screened), key
+
+
+# over F_3 the lower search keeps the step row 1 -= row 0 on leg 1 at its
+# pool's best state, and keeps it again at the state it leads to
+KEPT_TWICE = ts.from_nonzeros((3, 2, 2), parse_domain("Fp:3"),
+                              {(0, 0, 0): 2, (0, 1, 1): 2, (1, 0, 0): 1, (1, 0, 1): 2,
+                               (1, 1, 0): 1, (1, 1, 1): 1, (2, 0, 0): 1, (2, 1, 0): 1})
+
+
+def test_walk_screens_a_kept_move_again(monkeypatch):
+    """A kept move is not recorded as passed over, and a skipped move still
+    takes its draws.  Scripted draws give two restarts of two steps: the
+    first keeps move g (row 1 -= row 0 on leg 1) at the pool's best, then
+    passes over move x (row 0 += 3 row 2 on leg 0, no change over F_3);
+    the second, at the state the first ended in, skips x without screening
+    it and keeps g again."""
+    g, x = (1, 1, 0, 2), (0, 0, 2, 5)    # (leg, dst, src, index of c)
+    script = iter(g + x + x + g)
+    monkeypatch.setattr(sf, "_draws", lambda seed: lambda high: next(script))
+    screen, apply, screened, applied = (_SearchState.transvection_gain,
+                                        _SearchState.apply_transvection, [], [])
+
+    def screening(state, *move):
+        screened.append(move)
+        return screen(state, *move)
+
+    def applying(state, *move):
+        applied.append(move)
+        return apply(state, *move)
+
+    monkeypatch.setattr(_SearchState, "transvection_gain", screening)
+    monkeypatch.setattr(_SearchState, "apply_transvection", applying)
+    lower_support_functional(KEPT_TWICE, U3, BasisSearchOptions(restarts=2, steps=2))
+    assert next(script, None) is None
+    assert applied == [(1, 1, 0, -1)] * 2
+    assert screened == [(1, 1, 0, -1), (0, 0, 2, 3), (1, 1, 0, -1)]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
 from math import lcm
@@ -22,6 +23,32 @@ def test_support_set_normalisation():
         ts.SupportSet((2, 2), ((2, 0),))
     with pytest.raises(ValueError):
         ts.SupportSet((2, 2), ((0, 0, 0),))
+
+
+@pytest.mark.parametrize("points,message", [
+    (((0, 1), (0, 0, 0)), "point (0, 0, 0) has wrong arity"),
+    (((1, 1), (0,)), "point (0,) has wrong arity"),
+    (((1, 1), (0, -1)), "point (0, -1) outside bounds (2, 3)"),
+    (((1, 3), (0, 2)), "point (1, 3) outside bounds (2, 3)"),
+    (((2, 0), (0, 0)), "point (2, 0) outside bounds (2, 3)"),
+    # the first offending point in sorted order is named, whatever its fault
+    (((5, 0), (0, 0, 0)), "point (0, 0, 0) has wrong arity"),
+    (((0, 5), (1, 0, 0)), "point (0, 5) outside bounds (2, 3)"),
+])
+def test_support_set_names_the_first_offending_point(points, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ts.SupportSet((2, 3), points)
+
+
+def test_support_set_takes_numpy_and_sorted_points():
+    pts = ((0, 0, 1), (0, 2, 0), (1, 0, 2), (1, 1, 1))
+    for given in (pts, np.array(pts), tuple(map(tuple, np.array(pts, dtype=np.int64))),
+                  pts[::-1] + pts[:1]):
+        s = ts.SupportSet(np.array([2, 3, 3]), given)
+        assert s.points == pts and s.bounds == (2, 3, 3)
+        assert all(type(x) is int for p in s.points for x in p + s.bounds)
+    with pytest.raises(ValueError, match=re.escape("point (1, 3, 0) outside bounds (2, 3, 3)")):
+        ts.SupportSet((2, 3, 3), np.array(pts + ((1, 3, 0),)))
 
 
 def test_support_io_roundtrip():
