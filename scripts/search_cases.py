@@ -14,8 +14,12 @@ search), the tightness decisions (`check_tight` calls from the search),
 the draws (calls of the `draw` that `_draws` returns, up to four per step),
 the moves screened (`_SearchState.transvection_gain` calls, at most one per
 move and state), the brackets (`h_theta_bracket` calls from the search, at
-most one per order pattern) and the states built
-(`_SearchState.apply_transvection` calls), all counted by wrappers.  The
+most one per order pattern), the states built
+(`_SearchState.apply_transvection` calls), the permutation steps
+(`_SearchState.permute` calls, one per leg of each antichain relabel) and
+the Gauss-Jordan inversions (`tensors.invert_matrix` calls; over Q and
+F_p only a reported leg whose steps hold a change of basis by a matrix
+is inverted), all counted by wrappers.  The
 tensors are `matmul:2,2,2` (tight) and `cw:3` (not tight) over Q at
 uniform theta, searched with 4 restarts of 40 steps.
 It checks nothing; CI prints it.
@@ -29,6 +33,7 @@ import time
 import tenspect as ts
 import tenspect.entropy as te
 import tenspect.support_functionals as sf
+import tenspect.tensors as tt
 from tenspect.entropy import ThetaWeights
 from tenspect.supports import relabel_support
 
@@ -78,6 +83,8 @@ def main():
     state = sf._SearchState
     state.transvection_gain = counted("screened", state.transvection_gain)
     state.apply_transvection = counted("built", state.apply_transvection)
+    state.permute = counted("permuted", state.permute)
+    tt.invert_matrix = counted("inverted", tt.invert_matrix)
     opts = sf.BasisSearchOptions(restarts=4, steps=40)
     for spec in ("matmul:2,2,2", "cw:3"):
         t = ts.build_family(ts.parse_family(spec), ts.RATIONAL)
@@ -100,7 +107,9 @@ def main():
                   f"{calls['drawn']} draws, "
                   f"{calls['screened']} moves screened by transvection_gain, "
                   f"{calls['bracketed']} h_theta_bracket calls, "
-                  f"{calls['built']} states built by apply_transvection", flush=True)
+                  f"{calls['built']} states built by apply_transvection, "
+                  f"{calls['permuted']} permutation steps, "
+                  f"{calls['inverted']} invert_matrix calls", flush=True)
 
 
 if __name__ == "__main__":

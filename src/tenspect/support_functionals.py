@@ -7,8 +7,12 @@ maximal points.  Results carry explicit exactness flags: a minimum found at
 a tight (oblique) support is exact, anything else is an upper bound.
 
 Every search state is the standard basis plus a log of steps: a change of
-basis by a matrix on one leg, or a transvection.  A step changes only the
-coefficients; the reported basis replays every step from the standard basis.
+basis by a matrix on one leg, a permutation of one leg (the antichain
+relabel, a gather of the coefficients over Q and F_p), or a transvection.
+A step changes only the coefficients; the reported basis replays every step
+from the standard basis.  Over Q and F_p that replay carries each leg's
+basis matrix beside its inverse map, so only a leg with a matrix step is
+inverted by Gauss-Jordan.
 The walk draws its steps from batched 32-bit words of the seeded
 generator, as numpy's own `integers(high)` calls would (`_draws`).  It
 screens each transvection on the one slice it reads, which gives the
@@ -162,11 +166,13 @@ class _SearchState:
     """Coefficient array and the steps that led to it from the standard basis.
 
     A step is `(leg, mat)`, a change of basis by an invertible matrix in the
-    domain, or `(leg, dst, src, c)`, a transvection.  A step is decided by
-    the support alone, so it changes only the coefficients, integers over Q
-    (`Domain.integral`, up to a scale that leaves the support unchanged);
-    `basis` replays the steps.  States are never changed in place; every
-    step returns a new state, so a state scans its coefficients once.
+    domain, `(leg, order)` with a 1-D `order`, a permutation of one leg
+    (`permute`: the leg's index i takes the entries at order[i]), or `(leg,
+    dst, src, c)`, a transvection.  A step is decided by the support alone,
+    so it changes only the coefficients, integers over Q (`Domain.integral`,
+    up to a scale that leaves the support unchanged); `basis` replays the
+    steps.  States are never changed in place; every step returns a new
+    state, so a state scans its coefficients once.
     """
 
     def __init__(self, coeff: np.ndarray, steps: tuple, domain: Domain):
@@ -238,6 +244,17 @@ class _SearchState:
         coeff = contract_leg(self.coeff, leg, self.domain.integral(mat)[0], self.domain)
         return _SearchState(coeff, self.steps + ((leg, mat),), self.domain)
 
+    def permute(self, leg: int, perm) -> "_SearchState":
+        """Move one leg's index j to perm[j]: the step `apply(leg,
+        identity[:, perm])`, taken over Q and F_p as a gather of the
+        coefficients.  Over C it is that matrix step: the float basis is the
+        numerical inverse of the replayed maps, zero signs included."""
+        if not self.domain.exact:
+            return self.apply(leg, identity_matrix(len(perm), self.domain)[:, list(perm)])
+        order = np.argsort(perm)
+        return _SearchState(np.take(self.coeff, order, axis=leg),
+                            self.steps + ((leg, order),), self.domain)
+
     def apply_transvection(self, leg: int, dst: int, src: int, c: int) -> "_SearchState":
         """Row dst += c * row src on one leg of the coefficients, applied as
         a slice update."""
@@ -250,22 +267,36 @@ class _SearchState:
     def basis(self) -> BasisTuple:
         """The steps replayed in order on identity inverse maps.  A leg's
         first matrix step starts its map from a copy of the matrix; with no
-        step, the basis is the standard one."""
+        step, the basis is the standard one.  Over Q and F_p each leg's
+        basis matrix is replayed with its map: a permutation permutes the
+        map's rows and the matrix's columns, and row dst += c * row src on
+        the map is column src -= c * column dst on the matrix.  Only a leg
+        with a matrix step, and over C every leg, has its map inverted
+        (`BasisTuple.from_maps`; an identity map is copied)."""
         dom = self.domain
         if not self.steps:
             return BasisTuple.identity(self.coeff.shape, dom)
         inv = [identity_matrix(d, dom) for d in self.coeff.shape]
+        # each leg's basis matrix, None once its map must be inverted
+        mats = [identity_matrix(d, dom) if dom.exact else None for d in self.coeff.shape]
         fresh = set(range(len(inv)))     # legs whose map is still the identity
         for step in self.steps:
-            leg = step[0]
-            if len(step) == 2:
-                inv[leg] = (dom.array(step[1]) if leg in fresh
-                            else contract_leg(inv[leg], 0, step[1], dom))
-            else:
+            leg, mat = step[0], mats[step[0]]
+            if len(step) == 4:
                 _, dst, src, c = step
                 inv[leg][dst] = dom.reduce(inv[leg][dst] + c * inv[leg][src])
+                if mat is not None:
+                    mat[:, src] = dom.reduce(mat[:, src] - c * mat[:, dst])
+            elif np.ndim(step[1]) == 1:
+                inv[leg] = inv[leg][step[1]]
+                if mat is not None:
+                    mats[leg] = mat[:, step[1]]
+            else:
+                inv[leg] = (dom.array(step[1]) if leg in fresh
+                            else contract_leg(inv[leg], 0, step[1], dom))
+                mats[leg] = None
             fresh.discard(leg)
-        return BasisTuple.from_inverses(inv, dom)
+        return BasisTuple.from_maps(mats, inv, dom)
 
 
 def _apply_all(state: _SearchState, mats) -> _SearchState:
@@ -324,9 +355,12 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     `integers(high)` calls of the seeded generator, made only when a walk
     runs.  A move (leg, dst, src, c) passed over at a state is not screened
     there again: restarts start from the same best state, and a re-draw
-    skips it once its draws are taken, so the stream is unchanged.  A kept
-    move leaves its state and is not recorded.  `transvection_gain`
-    gives the support points a step removes and adds.  A step that removes
+    skips it once its draws are taken, so the stream is unchanged.  Over
+    F_p a move is keyed by c mod p, since every name of one residue is the
+    same transvection, and a move with c = 0 mod p, which changes nothing,
+    is passed over unscreened.  A kept move leaves its state and is not
+    recorded.  `transvection_gain` gives the support points a step
+    removes and adds.  A step that removes
     none cannot gain when it adds none, when the search minimises (a
     superset cannot lower H_theta), or when every point it adds lies below
     a current point (the maximal points stay the same), and is passed over.
@@ -349,7 +383,8 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     One rule values every tight best support at its own H_theta: where a
     state's scored support is not its support S (in the lower search, S is
     no antichain), `check_tight` decides S, and a tight S is relabeled into
-    an antichain (`tight_antichain_relabel`) that takes S's certificate
+    an antichain (`tight_antichain_relabel`, one `permute` step per leg)
+    that takes S's certificate
     through the same permutations (`TightnessCertificate.relabel`), or is
     decided afresh if that fails to verify.  The rule runs on the pool's
     states and on a best state that a restart finds; a support is decided
@@ -369,7 +404,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     valued: set[tuple] = set()      # the scored supports valued
     # support points -> tightness report: each support is decided once
     reports: dict[tuple, TightnessReport] = {}
-    # (state, leg, dst, src, c): the moves passed over at a state
+    # (state, leg, dst, src, c, or c mod p over F_p): the moves passed over at a state
     passed: set[tuple] = set()
 
     def entropy(supp: SupportSet, key: tuple) -> float:
@@ -400,8 +435,8 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         if not report.tight:
             return state
         perms = tight_antichain_relabel(supp, report.certificate)
-        state = _apply_all(state, [identity_matrix(n, t.domain)[:, perm]
-                                   for n, perm in zip(t.dims, perms)])
+        for leg, perm in enumerate(perms):
+            state = state.permute(leg, perm)
         relabeled = SupportSet(t.dims, state.points())
         cert = report.certificate.relabel(perms)
         if cert.verify(relabeled):
@@ -446,6 +481,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     restarts = 0 if settled or not opts.steps else opts.restarts
     draw = _draws(opts.seed) if restarts else None
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
+    p = t.domain.p
     for _ in range(restarts):
         cur, cur_val, cur_pts = best_state, best_val, best_pts
         for _ in range(opts.steps):
@@ -457,8 +493,9 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             if dst == src:
                 continue
             c = coeff_choices[draw(len(coeff_choices))]
-            move = (cur, leg, dst, src, c)
-            if move in passed:
+            # over F_p a move is its residue, and residue 0 changes nothing
+            move = (cur, leg, dst, src, c % p if p else c)
+            if not move[-1] or move in passed:
                 continue
             removed, added = cur.transvection_gain(leg, dst, src, c)
             val = None

@@ -181,7 +181,11 @@ def invert_matrix(mat, domain: Domain) -> np.ndarray:
 
 
 def identity_matrix(n: int, domain: Domain) -> np.ndarray:
-    return domain.array(np.eye(n, dtype=int))
+    """The n x n identity, built from one 0 and one 1 of the domain (the
+    exact fields' scalars are immutable, so the entries may be shared)."""
+    out = np.full((n, n), domain.coerce(0), dtype=object if domain.exact else complex)
+    np.fill_diagonal(out, domain.coerce(1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +207,8 @@ class BasisTuple:
     def identity(cls, dims, domain: Domain) -> "BasisTuple":
         """The standard basis of a box of the given dims; each identity map
         is its own inverse, kept without inverting it."""
-        basis = cls(tuple(identity_matrix(d, domain) for d in dims), domain)
-        vars(basis)["_inverses"] = tuple(m.copy() for m in basis.matrices)
-        return basis
+        mats = [identity_matrix(d, domain) for d in dims]
+        return cls.from_maps(mats, [m.copy() for m in mats], domain)
 
     @classmethod
     def make(cls, mats, domain: Domain) -> "BasisTuple":
@@ -221,12 +224,21 @@ class BasisTuple:
 
     @classmethod
     def from_inverses(cls, inverses, domain: Domain) -> "BasisTuple":
-        """The basis whose inverse maps are the given invertible matrices.  A
-        map equal to the identity is its own inverse and is not inverted."""
-        inverses = tuple(as_matrix(m, domain) for m in inverses)
-        basis = cls(tuple(m.copy() if np.array_equal(m, np.eye(len(m), dtype=int))
-                          else invert_matrix(m, domain) for m in inverses), domain)
-        vars(basis)["_inverses"] = inverses     # fills the cached property
+        """The basis whose inverse maps are the given invertible matrices."""
+        inverses = [as_matrix(m, domain) for m in inverses]
+        return cls.from_maps([None] * len(inverses), inverses, domain)
+
+    @classmethod
+    def from_maps(cls, matrices, inverses, domain: Domain) -> "BasisTuple":
+        """The basis with the given inverse maps and, where not None, the
+        given matrices, their inverses; neither is checked.  A None matrix
+        is its map inverted, unless the map equals the identity, which is
+        its own inverse and is copied."""
+        basis = cls(tuple(b if b is not None
+                          else m.copy() if np.array_equal(m, np.eye(len(m), dtype=int))
+                          else invert_matrix(m, domain)
+                          for b, m in zip(matrices, inverses)), domain)
+        vars(basis)["_inverses"] = tuple(inverses)     # fills the cached property
         return basis
 
     @cached_property

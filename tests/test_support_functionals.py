@@ -9,7 +9,7 @@ import tenspect as ts
 import tenspect.support_functionals as sf
 from tenspect.entropy import (INNER_TOL, ThetaWeights, binary_entropy, h_theta_bracket,
                               max_H_theta)
-from tenspect.linalg import COMPLEX_ZERO_TOL
+from tenspect.linalg import COMPLEX_ZERO_TOL, matrix_rank
 from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           _sparsify, gauge_points,
                                           lower_support_functional,
@@ -17,7 +17,8 @@ from tenspect.support_functionals import (BasisSearchOptions, _SearchState,
                                           rho_upper_at_basis,
                                           upper_support_functional)
 from tenspect.supports import max_points
-from tenspect.tensors import BasisTuple, coefficients_in_basis, parse_domain
+from tenspect.tensors import (BasisTuple, coefficients_in_basis, contract_leg,
+                              identity_matrix, parse_domain)
 
 from conftest import random_complex_tensor, random_exact_tensor
 
@@ -236,6 +237,80 @@ def test_search_state_replay_leaves_its_steps_unchanged(label):
     first = state.basis().inverses()
     assert np.array_equal(state.steps[0][1], mat)
     assert all(np.array_equal(a, b) for a, b in zip(first, state.basis().inverses()))
+
+
+def _dense_replay(state):
+    """The state's inverse maps with each permutation step replayed as the
+    matrix it stands for, contracted into the map."""
+    dom, fresh = state.domain, set(range(state.coeff.ndim))
+    inv = [identity_matrix(d, dom) for d in state.coeff.shape]
+    for step in state.steps:
+        leg = step[0]
+        if len(step) == 4:
+            _, dst, src, c = step
+            inv[leg][dst] = dom.reduce(inv[leg][dst] + c * inv[leg][src])
+        else:
+            mat = identity_matrix(len(step[1]), dom)[step[1]] if np.ndim(step[1]) == 1 else step[1]
+            inv[leg] = dom.array(mat) if leg in fresh else contract_leg(inv[leg], 0, mat, dom)
+        fresh.discard(leg)
+    return inv
+
+
+def _random_steps(state, rng, count):
+    """`count` seeded steps, each a permutation, a transvection or (one in
+    five) a matrix step by an invertible integer matrix; every permutation
+    step must give the coefficients of `apply(leg, identity[:, perm])`."""
+    dom = state.domain
+    for _ in range(count):
+        leg = int(rng.integers(state.coeff.ndim))
+        n, kind = state.coeff.shape[leg], rng.random()
+        if kind < 0.2:
+            mat = dom.array(rng.integers(-2, 3, size=(n, n)))
+            if matrix_rank(mat, dom) == n:
+                state = state.apply(leg, mat)
+        elif kind < 0.6 or n < 2:
+            perm = tuple(rng.permutation(n).tolist())
+            moved = state.permute(leg, perm)
+            as_matrix = state.apply(leg, identity_matrix(n, dom)[:, list(perm)])
+            assert np.array_equal(moved.coeff, as_matrix.coeff)
+            state = moved
+        else:
+            dst, src = rng.choice(n, 2, replace=False)
+            state = state.apply_transvection(leg, int(dst), int(src), int(rng.integers(-3, 4)))
+    return state
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("label", ["Q", "Fp:5", "Fp:3"])
+def test_replayed_basis_is_the_gauss_jordan_inverse(label, seed):
+    """Seeded step logs mixing permutation, transvection and matrix steps:
+    the basis that `basis()` replays beside the inverse maps is, entry for
+    entry and type for type, the Gauss-Jordan inverse of those maps, which
+    are the maps of a replay with every permutation as its matrix; and the
+    basis gives the state's support."""
+    domain = parse_domain(label)
+    rng = np.random.default_rng(seed)
+    t = random_exact_tensor(rng, domain, max_dim=4)
+    state = _random_steps(_SearchState.start(t), rng, 16)
+    basis = state.basis()
+    want = BasisTuple.from_inverses(_dense_replay(state), domain)
+    for got, ref in zip(basis.inverses() + basis.matrices, want.inverses() + want.matrices):
+        assert [(type(x), x) for x in got.flat] == [(type(x), x) for x in ref.flat]
+    assert ts.SupportSet.from_tensor(coefficients_in_basis(t, basis)).points == state.points()
+
+
+def test_replayed_basis_over_c_is_unchanged(rng):
+    """Over C a permutation is its matrix step, and the basis is the
+    numerical inverse of the replayed maps, bit for bit."""
+    t = random_complex_tensor(rng)
+    state = _random_steps(_SearchState.start(t), rng, 16)
+    assert all(np.ndim(step[1]) == 2 for step in state.steps if len(step) == 2)
+    basis = state.basis()
+    want = BasisTuple.from_inverses(_dense_replay(state), ts.COMPLEXFLOAT)
+    assert all(got.tobytes() == ref.tobytes() for got, ref in zip(basis.matrices, want.matrices))
+    got = coefficients_in_basis(t, basis).entries
+    scale = np.linalg.norm(state.coeff) / np.linalg.norm(got)
+    assert np.allclose(got * scale, state.coeff, atol=1e-9)
 
 
 def test_sparsify_contracts_no_map(monkeypatch):
@@ -654,7 +729,8 @@ def test_search_values_each_order_pattern_once(monkeypatch):
 def test_search_screens_each_move_once_per_state(monkeypatch):
     """Restarts start from the same best state, and a move passed over
     there is not screened again: no (state, move) pair reaches
-    `transvection_gain` twice in one search."""
+    `transvection_gain` twice in one search, where over F_p a move's
+    coefficient is its residue, and no move whose residue is 0 is screened."""
     screen, screened = _SearchState.transvection_gain, []
 
     def screening(state, *move):
@@ -668,7 +744,10 @@ def test_search_screens_each_move_once_per_state(monkeypatch):
             screened.clear()
             search(t, theta, opts)
             assert screened, key
-            assert len({(id(s), *move) for s, *move in screened}) == len(screened), key
+            p = t.domain.p
+            moves = {(id(s), leg, dst, src, c % p if p else c)
+                     for s, leg, dst, src, c in screened}
+            assert len(moves) == len(screened) and all(move[-1] for move in moves), key
 
 
 # over F_3 the lower search keeps the step row 1 -= row 0 on leg 1 at its
@@ -682,9 +761,9 @@ def test_walk_screens_a_kept_move_again(monkeypatch):
     """A kept move is not recorded as passed over, and a skipped move still
     takes its draws.  Scripted draws give two restarts of two steps: the
     first keeps move g (row 1 -= row 0 on leg 1) at the pool's best, then
-    passes over move x (row 0 += 3 row 2 on leg 0, no change over F_3);
-    the second, at the state the first ended in, skips x without screening
-    it and keeps g again."""
+    passes over move x (row 0 += 3 row 2 on leg 0, residue 0 over F_3)
+    without screening it; the second, at the state the first ended in,
+    skips x again and keeps g again."""
     g, x = (1, 1, 0, 2), (0, 0, 2, 5)    # (leg, dst, src, index of c)
     script = iter(g + x + x + g)
     monkeypatch.setattr(sf, "_draws", lambda seed: lambda high: next(script))
@@ -704,4 +783,4 @@ def test_walk_screens_a_kept_move_again(monkeypatch):
     lower_support_functional(KEPT_TWICE, U3, BasisSearchOptions(restarts=2, steps=2))
     assert next(script, None) is None
     assert applied == [(1, 1, 0, -1)] * 2
-    assert screened == [(1, 1, 0, -1), (0, 0, 2, 3), (1, 1, 0, -1)]
+    assert screened == [(1, 1, 0, -1), (1, 1, 0, -1)]
