@@ -17,9 +17,9 @@ move and state), the brackets (`h_theta_bracket` calls from the search, at
 most one per order pattern), the states built
 (`_SearchState.apply_transvection` calls), the permutation steps
 (`_SearchState.permute` calls, one per leg of each antichain relabel) and
-the Gauss-Jordan inversions (`tensors.invert_matrix` calls; over Q and
-F_p only a reported leg whose steps hold a change of basis by a matrix
-is inverted), all counted by wrappers.  The
+the Gauss-Jordan inversions (`invert_matrix` calls through `tensors` and
+through the name `support_functionals` imports; the reported basis inverts
+once per matrix step, on every field), all counted by wrappers.  The
 tensors are `matmul:2,2,2` (tight) and `cw:3` (not tight) over Q at
 uniform theta, searched with 4 restarts of 40 steps.
 It checks nothing; CI prints it.
@@ -85,6 +85,7 @@ def main():
     state.apply_transvection = counted("built", state.apply_transvection)
     state.permute = counted("permuted", state.permute)
     tt.invert_matrix = counted("inverted", tt.invert_matrix)
+    sf.invert_matrix = counted("inverted", sf.invert_matrix)
     opts = sf.BasisSearchOptions(restarts=4, steps=40)
     for spec in ("matmul:2,2,2", "cw:3"):
         t = ts.build_family(ts.parse_family(spec), ts.RATIONAL)

@@ -8,11 +8,10 @@ a tight (oblique) support is exact, anything else is an upper bound.
 
 Every search state is the standard basis plus a log of steps: a change of
 basis by a matrix on one leg, a permutation of one leg (the antichain
-relabel, a gather of the coefficients over Q and F_p), or a transvection.
-A step changes only the coefficients; the reported basis replays every step
-from the standard basis.  Over Q and F_p that replay carries each leg's
-basis matrix beside its inverse map, so only a leg with a matrix step is
-inverted by Gauss-Jordan.
+relabel, a gather of the coefficients), or a transvection.  A step changes
+only the coefficients; the reported basis replays every step from the
+standard basis, on every field the same way: each leg's basis matrix is
+carried beside its inverse map, and only a matrix step is inverted.
 The walk draws its steps from batched 32-bit words of the seeded
 generator, as numpy's own `integers(high)` calls would (`_draws`).  It
 screens each transvection on the one slice it reads, which gives the
@@ -45,7 +44,8 @@ from .supports import (SupportSet, TightnessCertificate, TightnessReport,
                        check_tight, downward_closure, is_diagonal, max_points,
                        tight_antichain_relabel)
 from .tensors import (BasisTuple, Domain, Tensor, coefficients_in_basis,
-                      contract_leg, flattening_rank, identity_matrix)
+                      contract_leg, flattening_rank, identity_matrix,
+                      invert_matrix)
 
 NEG_INF = float("-inf")
 
@@ -246,11 +246,7 @@ class _SearchState:
 
     def permute(self, leg: int, perm) -> "_SearchState":
         """Move one leg's index j to perm[j]: the step `apply(leg,
-        identity[:, perm])`, taken over Q and F_p as a gather of the
-        coefficients.  Over C it is that matrix step: the float basis is the
-        numerical inverse of the replayed maps, zero signs included."""
-        if not self.domain.exact:
-            return self.apply(leg, identity_matrix(len(perm), self.domain)[:, list(perm)])
+        identity[:, perm])`, taken as a gather of the coefficients."""
         order = np.argsort(perm)
         return _SearchState(np.take(self.coeff, order, axis=leg),
                             self.steps + ((leg, order),), self.domain)
@@ -265,45 +261,27 @@ class _SearchState:
         return _SearchState(coeff, self.steps + ((leg, dst, src, c),), self.domain)
 
     def basis(self) -> BasisTuple:
-        """The steps replayed in order on identity inverse maps.  A leg's
-        first matrix step starts its map from a copy of the matrix; with no
-        step, the basis is the standard one.  Over Q and F_p each leg's
-        basis matrix is replayed with its map: a permutation permutes the
-        map's rows and the matrix's columns, and row dst += c * row src on
-        the map is column src -= c * column dst on the matrix.  Only a leg
-        with a matrix step, and over C every leg, has its map inverted
-        (`BasisTuple.from_maps`; an identity map is copied)."""
+        """The steps replayed in order on each leg's identity inverse map
+        and identity basis matrix, side by side: a permutation permutes the
+        map's rows and the matrix's columns; row dst += c * row src on the
+        map is column src -= c * column dst on the matrix; a matrix step U
+        takes the map M to U M and the matrix B to B U^-1, the one
+        inversion (`invert_matrix`)."""
         dom = self.domain
-        if not self.steps:
-            return BasisTuple.identity(self.coeff.shape, dom)
         inv = [identity_matrix(d, dom) for d in self.coeff.shape]
-        # each leg's basis matrix, None once its map must be inverted
-        mats = [identity_matrix(d, dom) if dom.exact else None for d in self.coeff.shape]
-        fresh = set(range(len(inv)))     # legs whose map is still the identity
+        mats = [identity_matrix(d, dom) for d in self.coeff.shape]
         for step in self.steps:
-            leg, mat = step[0], mats[step[0]]
+            leg = step[0]
             if len(step) == 4:
                 _, dst, src, c = step
                 inv[leg][dst] = dom.reduce(inv[leg][dst] + c * inv[leg][src])
-                if mat is not None:
-                    mat[:, src] = dom.reduce(mat[:, src] - c * mat[:, dst])
+                mats[leg][:, src] = dom.reduce(mats[leg][:, src] - c * mats[leg][:, dst])
             elif np.ndim(step[1]) == 1:
-                inv[leg] = inv[leg][step[1]]
-                if mat is not None:
-                    mats[leg] = mat[:, step[1]]
+                inv[leg], mats[leg] = inv[leg][step[1]], mats[leg][:, step[1]]
             else:
-                inv[leg] = (dom.array(step[1]) if leg in fresh
-                            else contract_leg(inv[leg], 0, step[1], dom))
-                mats[leg] = None
-            fresh.discard(leg)
+                inv[leg] = contract_leg(inv[leg], 0, step[1], dom)
+                mats[leg] = contract_leg(invert_matrix(step[1], dom), 0, mats[leg], dom)
         return BasisTuple.from_maps(mats, inv, dom)
-
-
-def _apply_all(state: _SearchState, mats) -> _SearchState:
-    """The state with mats[leg] applied to each leg."""
-    for leg, mat in enumerate(mats):
-        state = state.apply(leg, mat)
-    return state
 
 
 def _sparsify(state: _SearchState) -> _SearchState:
@@ -464,11 +442,19 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     def pool():
         start = _SearchState.start(t)
         yield start
-        yield from (_apply_all(start, basis.inverses()) for basis in opts.extra_bases)
+        for basis in opts.extra_bases:
+            state = start
+            for leg, mat in enumerate(basis.inverses()):
+                state = state.apply(leg, mat)
+            yield state
         yield _sparsify(start)
 
-    if any(basis.domain != t.domain for basis in opts.extra_bases):
-        raise ValueError("basis domain does not match tensor domain")
+    for basis in opts.extra_bases:
+        sizes = tuple(len(mat) for mat in basis.matrices)
+        if basis.domain != t.domain:
+            raise ValueError("basis domain does not match tensor domain")
+        if sizes != t.dims:
+            raise ValueError(f"basis of sizes {sizes} does not fit tensor dims {t.dims}")
     best_state, best_val, best_pts = None, sign * math.inf, None
     for state in map(scored_as_itself, pool()):
         pts = state.points()

@@ -201,14 +201,9 @@ class BasisTuple:
 
     @classmethod
     def standard(cls, t: Tensor) -> "BasisTuple":
-        return cls.identity(t.dims, t.domain)
-
-    @classmethod
-    def identity(cls, dims, domain: Domain) -> "BasisTuple":
-        """The standard basis of a box of the given dims; each identity map
-        is its own inverse, kept without inverting it."""
-        mats = [identity_matrix(d, domain) for d in dims]
-        return cls.from_maps(mats, [m.copy() for m in mats], domain)
+        """The standard basis; each identity map is its own inverse."""
+        mats = [identity_matrix(d, t.domain) for d in t.dims]
+        return cls.from_maps(mats, [m.copy() for m in mats], t.domain)
 
     @classmethod
     def make(cls, mats, domain: Domain) -> "BasisTuple":
@@ -223,21 +218,10 @@ class BasisTuple:
         return basis
 
     @classmethod
-    def from_inverses(cls, inverses, domain: Domain) -> "BasisTuple":
-        """The basis whose inverse maps are the given invertible matrices."""
-        inverses = [as_matrix(m, domain) for m in inverses]
-        return cls.from_maps([None] * len(inverses), inverses, domain)
-
-    @classmethod
     def from_maps(cls, matrices, inverses, domain: Domain) -> "BasisTuple":
-        """The basis with the given inverse maps and, where not None, the
-        given matrices, their inverses; neither is checked.  A None matrix
-        is its map inverted, unless the map equals the identity, which is
-        its own inverse and is copied."""
-        basis = cls(tuple(b if b is not None
-                          else m.copy() if np.array_equal(m, np.eye(len(m), dtype=int))
-                          else invert_matrix(m, domain)
-                          for b, m in zip(matrices, inverses)), domain)
+        """The basis with the given matrices and their given inverse maps;
+        neither is checked."""
+        basis = cls(tuple(matrices), domain)
         vars(basis)["_inverses"] = tuple(inverses)     # fills the cached property
         return basis
 

@@ -117,12 +117,15 @@ def test_complex_search_keeps_frozen_bounds(key, name, theta_name, seed):
                          ids=[c[0] for c in _cases()])
 def test_complex_basis_reproduces_support(key, name, theta_name, seed):
     """The returned basis, replayed from the accepted steps, gives back the
-    returned support."""
+    returned support, and each leg's basis matrix inverts its replayed map
+    to 1e-12."""
     t = _tensor(name, seed)
     opts = BasisSearchOptions(restarts=2, steps=20, seed=seed)
     for search in (upper_support_functional, lower_support_functional):
         rep = search(t, THETAS[theta_name], opts)
         assert support_at_basis(t, rep.basis).points == rep.support.points
+        for mat, inv in zip(rep.basis.matrices, rep.basis.inverses()):
+            assert np.abs(mat @ inv - np.eye(len(mat))).max() <= 1e-12
 
 
 if __name__ == "__main__":
