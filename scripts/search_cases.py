@@ -20,8 +20,11 @@ most one per order pattern), the states built
 the Gauss-Jordan inversions (`invert_matrix` calls through `tensors` and
 through the name `support_functionals` imports; the reported basis inverts
 once per matrix step, on every field), all counted by wrappers.  The
-tensors are `matmul:2,2,2` (tight) and `cw:3` (not tight) over Q at
-uniform theta, searched with 4 restarts of 40 steps.
+tensors are `matmul:2,2,2` (tight, the pool settles) and `cw:3` (not
+tight, its walks keep no step) over Q at uniform theta, and a seeded
+3 x 2 x 3 tensor over F_3 whose upper and lower walks both keep a step
+(seed 12 of `tests/test_walk_golden.py`, at its Dirichlet theta), each
+searched with 4 restarts of 40 steps.
 It checks nothing; CI prints it.
 
 Usage: python scripts/search_cases.py
@@ -30,12 +33,26 @@ Usage: python scripts/search_cases.py
 import collections
 import time
 
+import numpy as np
+# the entropy program's face step imports this on first use; imported here,
+# it is in no search's time
+import scipy.linalg.lapack  # noqa: F401
+
 import tenspect as ts
 import tenspect.entropy as te
 import tenspect.support_functionals as sf
 import tenspect.tensors as tt
 from tenspect.entropy import ThetaWeights
 from tenspect.supports import relabel_support
+
+
+def walking_case():
+    """The seeded F_3 tensor and theta of seed 12 in `tests/test_walk_golden.py`."""
+    rng = np.random.default_rng(12)
+    dims = tuple(int(d) for d in rng.integers(2, 4, size=3))
+    entries = rng.integers(-2, 3, size=dims) * (rng.random(dims) < 0.6)
+    theta = ThetaWeights.from_legs(rng.dirichlet(np.ones(3)))
+    return ts.Tensor(dims, ts.prime_field(3), entries), theta
 
 
 def main():
@@ -86,14 +103,16 @@ def main():
     state.permute = counted("permuted", state.permute)
     tt.invert_matrix = counted("inverted", tt.invert_matrix)
     sf.invert_matrix = counted("inverted", sf.invert_matrix)
-    opts = sf.BasisSearchOptions(restarts=4, steps=40)
-    for spec in ("matmul:2,2,2", "cw:3"):
-        t = ts.build_family(ts.parse_family(spec), ts.RATIONAL)
+    cases = [(spec, ts.build_family(ts.parse_family(spec), ts.RATIONAL),
+              ThetaWeights.uniform(3), 0) for spec in ("matmul:2,2,2", "cw:3")]
+    cases.append(("seed 12 F_3", *walking_case(), 12))
+    for spec, t, theta, seed in cases:
+        opts = sf.BasisSearchOptions(restarts=4, steps=40, seed=seed)
         for search in (sf.upper_support_functional, sf.lower_support_functional):
             calls.clear()
             relabeled.clear()
             start = time.perf_counter()
-            rep = search(t, ThetaWeights.uniform(3), opts)
+            rep = search(t, theta, opts)
             wall = time.perf_counter() - start
             moved = ""
             if search is sf.lower_support_functional:

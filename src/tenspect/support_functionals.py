@@ -1,10 +1,11 @@
 """Basis-dependent support entropies and their basis searches.
 
 Both functionals search one pool of bases (standard, user supplied,
-sparsified), then walk by seeded elementary transvections: the upper one
-minimises the support entropy H_theta, the lower one maximises that of the
-maximal points.  Results carry explicit exactness flags: a minimum found at
-a tight (oblique) support is exact, anything else is an upper bound.
+sparsified), then take one walk of seeded elementary transvections from
+the pool's best: the upper one minimises the support entropy H_theta, the
+lower one maximises that of the maximal points.  Results carry explicit
+exactness flags: a minimum found at a tight (oblique) support is exact,
+anything else is an upper bound.
 
 Every search state is the standard basis plus a log of steps: a change of
 basis by a matrix on one leg, a permutation of one leg (the antichain
@@ -113,6 +114,8 @@ def gauge_points(t: Tensor) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BasisSearchOptions:
+    """The basis search's walk takes `restarts * steps` draws from `seed`."""
+
     restarts: int = 8
     steps: int = 60
     seed: int = 0
@@ -281,7 +284,7 @@ class _SearchState:
             else:
                 inv[leg] = contract_leg(inv[leg], 0, step[1], dom)
                 mats[leg] = contract_leg(invert_matrix(step[1], dom), 0, mats[leg], dom)
-        return BasisTuple.from_maps(mats, inv, dom)
+        return BasisTuple(tuple(mats), tuple(inv), dom)
 
 
 def _sparsify(state: _SearchState) -> _SearchState:
@@ -324,24 +327,23 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     The value of a state is H_theta of score(support).  The pool values
     the standard basis, one state per user basis and the sparsified start
     (`_sparsify`) in that order, and stops at a best state where `_settled`
-    holds.  The search starts from its best and, in each restart, walks
-    through random elementary transvections with small integer
-    coefficients.  A pool state or a step is kept when it moves the value
-    by more than 1e-9 in the given direction; a restart replaces the best
-    state when it gains over 1e-12.
+    holds.  From the pool's best, one walk draws `opts.restarts *
+    opts.steps` random elementary transvections with small integer
+    coefficients; a restart is more steps of the same walk.  A pool state
+    or a step is kept when it moves the value by more than 1e-9 in the
+    given direction.
     The steps come from `_draws(opts.seed)`, the values of successive
     `integers(high)` calls of the seeded generator, made only when a walk
-    runs.  A move (leg, dst, src, c) passed over at a state is not screened
-    there again: restarts start from the same best state, and a re-draw
-    skips it once its draws are taken, so the stream is unchanged.  Over
-    F_p a move is keyed by c mod p, since every name of one residue is the
-    same transvection, and a move with c = 0 mod p, which changes nothing,
-    is passed over unscreened.  A kept move leaves its state and is not
-    recorded.  `transvection_gain` gives the support points a step
-    removes and adds.  A step that removes
-    none cannot gain when it adds none, when the search minimises (a
-    superset cannot lower H_theta), or when every point it adds lies below
-    a current point (the maximal points stay the same), and is passed over.
+    runs.  A move (leg, dst, src, c) passed over is not screened again
+    until the walk keeps a step: a re-draw at the same state skips it once
+    its draws are taken, so the stream is unchanged.  Over F_p a move is
+    keyed by c mod p, since every name of one residue is the same
+    transvection, and a move with c = 0 mod p, which changes nothing, is
+    passed over unscreened.  `transvection_gain` gives the support points
+    a step removes and adds.  A step that removes none cannot gain when it
+    adds none, when the search minimises (a superset cannot lower
+    H_theta), or when every point it adds lies below a current point (the
+    maximal points stay the same), and is passed over.
     Any other candidate's support is the current one less the removed
     points plus the added ones; its state is built only if the step is kept.
     Each candidate's scored support is built once and first valued by a
@@ -365,11 +367,11 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     that takes S's certificate
     through the same permutations (`TightnessCertificate.relabel`), or is
     decided afresh if that fails to verify.  The rule runs on the pool's
-    states and on a best state that a restart finds; a support is decided
-    at most once.  Neither the rest of the pool nor a restart runs once
-    `_settled` holds: over Q and F_p a tight S is oblique, where zeta_theta
-    = zeta^theta = 2^H_theta(S), so no basis could move the value by more
-    than the solve's gap.
+    states and on the walk's last state if it kept a step; a support is
+    decided at most once.  Neither the rest of the pool nor the walk runs
+    once `_settled` holds: over Q and F_p a tight S is oblique, where
+    zeta_theta = zeta^theta = 2^H_theta(S), so no basis could move the
+    value by more than the solve's gap.
     """
     sign = 1.0 if minimise else -1.0
     # order pattern -> max_H_theta value, or its bracket (lo, hi)
@@ -382,7 +384,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     valued: set[tuple] = set()      # the scored supports valued
     # support points -> tightness report: each support is decided once
     reports: dict[tuple, TightnessReport] = {}
-    # (state, leg, dst, src, c, or c mod p over F_p): the moves passed over at a state
+    # (leg, dst, src, c, or c mod p over F_p): the moves passed over at the walk's state
     passed: set[tuple] = set()
 
     def entropy(supp: SupportSet, key: tuple) -> float:
@@ -444,7 +446,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         yield start
         for basis in opts.extra_bases:
             state = start
-            for leg, mat in enumerate(basis.inverses()):
+            for leg, mat in enumerate(basis.inverses):
                 state = state.apply(leg, mat)
             yield state
         yield _sparsify(start)
@@ -455,47 +457,44 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
             raise ValueError("basis domain does not match tensor domain")
         if sizes != t.dims:
             raise ValueError(f"basis of sizes {sizes} does not fit tensor dims {t.dims}")
-    best_state, best_val, best_pts = None, sign * math.inf, None
+    best_state, best_val = None, sign * math.inf
     for state in map(scored_as_itself, pool()):
-        pts = state.points()
-        val = gain(pts, best_val, 1e-9)
+        val = gain(state.points(), best_val, 1e-9)
         if val is not None:
-            best_state, best_val, best_pts = state, val, pts
-            best_supp = SupportSet(t.dims, pts)
+            best_state, best_val = state, val
+            best_supp = SupportSet(t.dims, state.points())
             if settled := _settled(t.domain, decide(best_supp)):
                 break
-    restarts = 0 if settled or not opts.steps else opts.restarts
-    draw = _draws(opts.seed) if restarts else None
+    pool_best = best_state
+    steps = 0 if settled else opts.restarts * opts.steps
+    draw = _draws(opts.seed) if steps else None
     coeff_choices = [c for c in range(-MAX_COEFF, MAX_COEFF + 1) if c != 0]
     p = t.domain.p
-    for _ in range(restarts):
-        cur, cur_val, cur_pts = best_state, best_val, best_pts
-        for _ in range(opts.steps):
-            leg = draw(t.k)
-            n = t.dims[leg]
-            if n < 2:
-                continue
-            dst, src = draw(n), draw(n)
-            if dst == src:
-                continue
-            c = coeff_choices[draw(len(coeff_choices))]
-            # over F_p a move is its residue, and residue 0 changes nothing
-            move = (cur, leg, dst, src, c % p if p else c)
-            if not move[-1] or move in passed:
-                continue
-            removed, added = cur.transvection_gain(leg, dst, src, c)
-            val = None
-            if removed or not (minimise or cur.below.issuperset(added)):
-                pts = tuple(sorted(cur.support.difference(removed).union(added)))
-                val = gain(pts, cur_val, 1e-9) if pts else None
-            if val is None:
-                passed.add(move)
-            else:
-                cur, cur_val, cur_pts = cur.apply_transvection(leg, dst, src, c), val, pts
-        if better(cur_val, best_val, 1e-12):
-            best_state, best_val, best_pts = cur, cur_val, cur_pts
+    for _ in range(steps):
+        leg = draw(t.k)
+        n = t.dims[leg]
+        if n < 2:
+            continue
+        dst, src = draw(n), draw(n)
+        if dst == src:
+            continue
+        c = coeff_choices[draw(len(coeff_choices))]
+        # over F_p a move is its residue, and residue 0 changes nothing
+        move = (leg, dst, src, c % p if p else c)
+        if not move[-1] or move in passed:
+            continue
+        removed, added = best_state.transvection_gain(leg, dst, src, c)
+        val = None
+        if removed or not (minimise or best_state.below.issuperset(added)):
+            pts = tuple(sorted(best_state.support.difference(removed).union(added)))
+            val = gain(pts, best_val, 1e-9) if pts else None
+        if val is None:
+            passed.add(move)
+        else:
+            best_state, best_val = best_state.apply_transvection(leg, dst, src, c), val
+            passed.clear()
 
-    if best_pts != best_supp.points:     # a restart replaced the pool's best
+    if best_state is not pool_best:     # the walk kept a step
         best_state = scored_as_itself(best_state)
         best_supp = SupportSet(t.dims, best_state.points())
     tight_report = decide(best_supp)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iter_product
 from math import comb, prod
 
@@ -194,51 +193,34 @@ def identity_matrix(n: int, domain: Domain) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BasisTuple:
-    """One invertible square matrix per leg; columns are the basis vectors."""
+    """One invertible square matrix per leg (its columns are the basis
+    vectors) and the inverse of each, the map to coefficients in the basis."""
 
     matrices: tuple[np.ndarray, ...]
+    inverses: tuple[np.ndarray, ...]
     domain: Domain
 
     @classmethod
     def standard(cls, t: Tensor) -> "BasisTuple":
         """The standard basis; each identity map is its own inverse."""
-        mats = [identity_matrix(d, t.domain) for d in t.dims]
-        return cls.from_maps(mats, [m.copy() for m in mats], t.domain)
+        mats = tuple(identity_matrix(d, t.domain) for d in t.dims)
+        return cls(mats, tuple(m.copy() for m in mats), t.domain)
 
     @classmethod
     def make(cls, mats, domain: Domain) -> "BasisTuple":
-        checked = []
-        for m in mats:
-            arr = as_matrix(m, domain)
-            if arr.shape[0] != arr.shape[1]:
-                raise SingularBasisError("basis matrices must be square")
-            checked.append(arr)
-        basis = cls(tuple(checked), domain)
-        basis.inverses()     # the one singularity test; the inverses are kept
-        return basis
-
-    @classmethod
-    def from_maps(cls, matrices, inverses, domain: Domain) -> "BasisTuple":
-        """The basis with the given matrices and their given inverse maps;
-        neither is checked."""
-        basis = cls(tuple(matrices), domain)
-        vars(basis)["_inverses"] = tuple(inverses)     # fills the cached property
-        return basis
-
-    @cached_property
-    def _inverses(self) -> tuple[np.ndarray, ...]:
-        return tuple(invert_matrix(m, self.domain) for m in self.matrices)
-
-    def inverses(self) -> tuple[np.ndarray, ...]:
-        """The inverse of each basis matrix, computed once per tuple."""
-        return self._inverses
+        """The basis of the given matrices, each checked square and inverted
+        once (SingularBasisError if one is not square or not invertible)."""
+        checked = tuple(as_matrix(m, domain) for m in mats)
+        if any(m.shape[0] != m.shape[1] for m in checked):
+            raise SingularBasisError("basis matrices must be square")
+        return cls(checked, tuple(invert_matrix(m, domain) for m in checked), domain)
 
 
 def coefficients_in_basis(t: Tensor, basis: BasisTuple) -> Tensor:
     """Coefficient tensor of t with respect to the given basis tuple."""
     if basis.domain != t.domain:
         raise ValueError("basis domain does not match tensor domain")
-    return restrict(t, basis.inverses())
+    return restrict(t, basis.inverses)
 
 
 # ---------------------------------------------------------------------------

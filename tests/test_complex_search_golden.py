@@ -79,7 +79,7 @@ def _run(name, theta_name, seed):
     return {"upper": upper_support_functional(t, theta, opts).to_records(),
             "lower": lower_support_functional(t, theta, opts).to_records(),
             "sparse_coeff": _hex(sparse.coeff),
-            "sparse_inv_maps": [_hex(m) for m in sparse.basis().inverses()]}
+            "sparse_inv_maps": [_hex(m) for m in sparse.basis().inverses]}
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,7 +124,7 @@ def test_complex_basis_reproduces_support(key, name, theta_name, seed):
     for search in (upper_support_functional, lower_support_functional):
         rep = search(t, THETAS[theta_name], opts)
         assert support_at_basis(t, rep.basis).points == rep.support.points
-        for mat, inv in zip(rep.basis.matrices, rep.basis.inverses()):
+        for mat, inv in zip(rep.basis.matrices, rep.basis.inverses):
             assert np.abs(mat @ inv - np.eye(len(mat))).max() <= 1e-12
 
 

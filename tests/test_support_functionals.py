@@ -207,7 +207,7 @@ def test_search_state_basis_replays_its_steps(label):
             [[2 * q, 0, 1], [h * h, 1, 0], [0, 0, 1]],
             [[1, -3 * h, 0], [1, h, 0], [0, 1, 1]]]
     state = _SearchState.start(t)
-    for leg, inv in enumerate(BasisTuple.make(mats, domain).inverses()):
+    for leg, inv in enumerate(BasisTuple.make(mats, domain).inverses):
         state = state.apply(leg, inv)
     state = _sparsify(state)
     rng = np.random.default_rng(3)
@@ -234,9 +234,9 @@ def test_search_state_replay_leaves_its_steps_unchanged(label):
     mat = domain.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     state = _SearchState.start(ts.convert(ts.cw(2), domain)).apply(0, mat.copy())
     state = state.apply_transvection(0, 2, 0, 3)
-    first = state.basis().inverses()
+    first = state.basis().inverses
     assert np.array_equal(state.steps[0][1], mat)
-    assert all(np.array_equal(a, b) for a, b in zip(first, state.basis().inverses()))
+    assert all(np.array_equal(a, b) for a, b in zip(first, state.basis().inverses))
 
 
 def _dense_replay(state):
@@ -296,12 +296,12 @@ def test_replayed_basis_is_the_gauss_jordan_inverse(label, seed):
     state = _random_steps(_SearchState.start(t), rng, 16)
     basis = state.basis()
     maps = _dense_replay(state)
-    want = BasisTuple.from_maps([invert_matrix(m, domain) for m in maps], maps, domain)
+    want = BasisTuple(tuple(invert_matrix(m, domain) for m in maps), tuple(maps), domain)
     if domain.exact:
-        for got, ref in zip(basis.inverses() + basis.matrices, want.inverses() + want.matrices):
+        for got, ref in zip(basis.inverses + basis.matrices, want.inverses + want.matrices):
             assert [(type(x), x) for x in got.flat] == [(type(x), x) for x in ref.flat]
     else:
-        assert all(np.array_equal(got, ref) for got, ref in zip(basis.inverses(), maps))
+        assert all(np.array_equal(got, ref) for got, ref in zip(basis.inverses, maps))
         assert all(np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
                    for got, ref in zip(basis.matrices, want.matrices))
     assert ts.SupportSet.from_tensor(coefficients_in_basis(t, basis)).points == state.points()
@@ -735,8 +735,8 @@ def test_search_values_each_order_pattern_once(monkeypatch):
 
 
 def test_search_screens_each_move_once_per_state(monkeypatch):
-    """Restarts start from the same best state, and a move passed over
-    there is not screened again: no (state, move) pair reaches
+    """A move passed over at the walk's state is not screened again until
+    the walk keeps a step: no (state, move) pair reaches
     `transvection_gain` twice in one search, where over F_p a move's
     coefficient is its residue, and no move whose residue is 0 is screened."""
     screen, screened = _SearchState.transvection_gain, []
@@ -767,11 +767,11 @@ KEPT_TWICE = ts.from_nonzeros((3, 2, 2), parse_domain("Fp:3"),
 
 def test_walk_screens_a_kept_move_again(monkeypatch):
     """A kept move is not recorded as passed over, and a skipped move still
-    takes its draws.  Scripted draws give two restarts of two steps: the
-    first keeps move g (row 1 -= row 0 on leg 1) at the pool's best, then
-    passes over move x (row 0 += 3 row 2 on leg 0, residue 0 over F_3)
-    without screening it; the second, at the state the first ended in,
-    skips x again and keeps g again."""
+    takes its draws.  Scripted draws give one walk of four steps (two
+    restarts of two): it keeps move g (row 1 -= row 0 on leg 1) at the
+    pool's best, passes over move x (row 0 += 3 row 2 on leg 0, residue 0
+    over F_3) without screening it, skips x again at the same state, and
+    keeps g again."""
     g, x = (1, 1, 0, 2), (0, 0, 2, 5)    # (leg, dst, src, index of c)
     script = iter(g + x + x + g)
     monkeypatch.setattr(sf, "_draws", lambda seed: lambda high: next(script))

@@ -1,10 +1,11 @@
 """Golden records of support searches whose walks keep steps.
 
-The pools of the named families in `search_golden.json` settle or win, so
-no walk there keeps a step, and neither the kept steps nor the basis they
-replay are pinned by those records.  `walk_golden.json` holds `to_records()`
-of the upper and the lower search on seeded exact tensors where a walk
-does move: dims from `integers(2, 4, size=3)`, entries
+No search in `search_golden.json` or `complex_search_golden.json` keeps a
+walk step (the pool settles, or no drawn step gains), so those records pin
+neither the kept steps nor the basis replayed from them.
+`walk_golden.json` holds `to_records()` of the upper and the lower search
+on seeded exact tensors where a walk does move: dims from
+`integers(2, 4, size=3)`, entries
 `integers(-2, 3, size=dims)` on about 60 % of the indices, and theta from
 `dirichlet(ones(3))`, all drawn from `default_rng(seed)`, over Q, F_5 and
 F_3, searched with 4 restarts of 40 steps at the same seed.  The records
