@@ -44,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .supports import SupportSet, is_diagonal
+from .supports import SupportSet, is_diagonal, value_ranks
 
 LN2 = math.log(2.0)
 
@@ -186,14 +186,12 @@ class HThetaResult:
 
 
 def _incidence(support: SupportSet):
-    """(idx, inc, cols): per leg, the index of each point's value among the
-    leg's values, and the 0/1 matrices points x values of every leg (1 where
-    the point takes the value) and values x legs."""
-    idx, sizes = [], []
-    for i in range(support.k):
-        lookup = {v: j for j, v in enumerate(support.values(i))}
-        idx.append(np.array([lookup[p[i]] for p in support.points]))
-        sizes.append(len(lookup))
+    """(idx, inc, cols): per leg, each point's value index, its rank among
+    the leg's values (`value_ranks`), and the 0/1 matrices points x values
+    of every leg (1 where the point takes the value) and values x legs."""
+    ranks = value_ranks(support)
+    idx = [np.array([rank[p[i]] for p in support.points]) for i, rank in enumerate(ranks)]
+    sizes = [len(rank) for rank in ranks]
     inc = np.hstack([vals[:, None] == np.arange(n) for vals, n in zip(idx, sizes)])
     return idx, inc.astype(float), np.repeat(np.eye(support.k), sizes, axis=0)
 

@@ -99,14 +99,6 @@ from .partitions import (character, irrep_dimension, normalize_partition,
 from .supports import SupportSet
 from .tensors import COMPLEXFLOAT, Tensor, convert
 
-__all__ = [
-    "state_array", "marginal", "von_neumann_entropy",
-    "AscentOptions", "LowerQuantumResult", "lower_quantum_functional",
-    "isotypic_projector_apply", "bipartition_projector_apply",
-    "symmetrize_copies", "tensor_power_array",
-    "CertificateResult", "upper_quantum_certificate",
-]
-
 # the entropy ascent stops when its value is within BOUND_TOL of its
 # certified upper bound, when the gradient norm falls below GRAD_TOL (a stop
 # named "singular" if a scaling leg's marginal fails the SINGULAR test), at

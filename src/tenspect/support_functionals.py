@@ -43,7 +43,7 @@ from .entropy import ThetaWeights, h_theta_bracket, max_H_theta
 from .linalg import row_reduce
 from .supports import (SupportSet, TightnessCertificate, TightnessReport,
                        check_tight, downward_closure, is_diagonal, max_points,
-                       tight_antichain_relabel)
+                       tight_antichain_relabel, value_ranks)
 from .tensors import (BasisTuple, Domain, Tensor, coefficients_in_basis,
                       contract_leg, flattening_rank, identity_matrix,
                       invert_matrix)
@@ -302,15 +302,6 @@ def _sparsify(state: _SearchState) -> _SearchState:
     return cur
 
 
-def _order_pattern(supp: SupportSet) -> tuple:
-    """supp's points with each leg's values replaced by their rank.  The
-    relabeling keeps each leg's order, so it keeps the points' order and the
-    entropy program: supports with one pattern have the same H_theta,
-    bracket and solve, bit for bit."""
-    ranks = [{x: r for r, x in enumerate(sorted(set(col)))} for col in zip(*supp.points)]
-    return tuple(tuple(rank[x] for rank, x in zip(ranks, p)) for p in supp.points)
-
-
 def _settled(domain: Domain, tight: TightnessReport) -> bool:
     """Whether no basis can move a search's value from its best support S,
     decided by `tight`: a tight S is oblique, where zeta_theta = zeta^theta
@@ -354,9 +345,10 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     least lo and at most hi up to that rounding, whatever the solve's gap;
     so a skipped solve could not have gained, and every decision is the one
     the solved value would make.  Brackets and values are kept per order
-    pattern (`_order_pattern`): ranking each leg's values keeps the points'
-    order, so supports with one pattern have the same program and value, bit
-    for bit, and each pattern is bracketed and solved at most once.
+    pattern, the points with each leg's values replaced by their rank
+    (`value_ranks`): that keeps the points' order, so supports with one
+    pattern have the same program and value, bit for bit, and each pattern
+    is bracketed and solved at most once.
     `evaluations` counts the distinct scored supports valued by bracket or
     by solve, whether or not their pattern was valued before.
 
@@ -387,6 +379,11 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
     # (leg, dst, src, c, or c mod p over F_p): the moves passed over at the walk's state
     passed: set[tuple] = set()
 
+    def keyed(supp: SupportSet) -> tuple[SupportSet, tuple]:
+        """supp and its order pattern."""
+        ranks = value_ranks(supp)
+        return supp, tuple(tuple(rank[x] for rank, x in zip(ranks, p)) for p in supp.points)
+
     def entropy(supp: SupportSet, key: tuple) -> float:
         valued.add(supp.points)
         if key not in exact:
@@ -395,8 +392,7 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
 
     def scored_support(pts: tuple) -> tuple[SupportSet, tuple]:
         if pts not in scored:
-            supp = score(SupportSet(t.dims, pts))
-            scored[pts] = supp, _order_pattern(supp)
+            scored[pts] = keyed(score(SupportSet(t.dims, pts)))
         return scored[pts]
 
     def decide(supp: SupportSet) -> TightnessReport:
@@ -503,8 +499,8 @@ def _basis_search(t: Tensor, theta: ThetaWeights, opts: BasisSearchOptions,
         theta=theta,
         basis=best_state.basis(),
         support=best_supp,
-        rho_upper=entropy(best_supp, _order_pattern(best_supp)),
-        rho_lower=entropy(best_top, _order_pattern(best_top)),
+        rho_upper=entropy(*keyed(best_supp)),
+        rho_lower=entropy(*keyed(best_top)),
         # an antichain (every point maximal) is oblique as it stands; tight
         # supports become antichains after sorting each leg by the weights
         oblique_basis_found=len(best_top) == len(best_supp) or tight_report.tight,

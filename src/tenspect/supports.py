@@ -1,16 +1,17 @@
 """Combinatorics of tensor supports.
 
-Product order, maximal points, antichain and freeness tests, tightness
-certificates, combinatorial degenerations, and the exact subrank of a set
-(largest free diagonal).  All certificates returned here are re-verified by
-direct substitution before they leave the module.
+Each leg's value ranks, product order, maximal points, antichain and
+freeness tests, tightness certificates, combinatorial degenerations, and
+the exact subrank of a set (largest free diagonal).  All certificates
+returned here are re-verified by direct substitution before they leave the
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import accumulate, combinations, product as iter_product
 
 import numpy as np
 
@@ -60,14 +61,15 @@ class SupportSet:
     def from_tensor(cls, t: Tensor) -> "SupportSet":
         return cls(t.dims, tuple(t.nonzero_indices()))
 
-    def relabel_leg(self, leg: int, mapping) -> "SupportSet":
-        """Apply a value permutation to one leg: x -> mapping[x]."""
-        mapping = list(mapping)
-        if sorted(mapping) != list(range(self.bounds[leg])):
-            raise ValueError("mapping is not a permutation of the leg values")
-        pts = tuple(tuple(mapping[x] if i == leg else x for i, x in enumerate(p))
-                    for p in self.points)
-        return SupportSet(self.bounds, pts)
+
+def value_ranks(s: SupportSet) -> list[dict[int, int]]:
+    """Per leg, each of its values' rank among them: ranks[i][x] is the
+    index of x in s.values(i).  Relabeling every point by these ranks keeps
+    each leg's order, so it keeps the points' order and every quantity that
+    depends only on that order: the entropy program and its value, bit for
+    bit, and tightness up to the relabel."""
+    cols = zip(*s.points) if s.points else [()] * s.k
+    return [{x: r for r, x in enumerate(sorted(set(col)))} for col in cols]
 
 
 def dumps_support(s: SupportSet) -> str:
@@ -211,7 +213,7 @@ def _generic_points(basis: list[list[int]], limit: int):
         yield linalg._primitive([sum(m ** j * x for j, x in enumerate(col)) for col in cols])
 
 
-def _linear_ansatz(s: SupportSet, used: list[list[int]]) -> TightnessCertificate | None:
+def _linear_ansatz(s: SupportSet, ranks: list[dict[int, int]]) -> TightnessCertificate | None:
     # u_i(x) = a_i * x + b_i with a_i != 0 is automatically injective.
     k = s.k
     rows = [list(p) + [1] for p in s.points]
@@ -222,7 +224,7 @@ def _linear_ansatz(s: SupportSet, used: list[list[int]]) -> TightnessCertificate
     for ints in _generic_points(basis, 4 * len(basis) * k + 1):
         if all(ints[i] != 0 for i in range(k)):
             a, c0 = ints[:k], ints[k]
-            partial = [{x: a[i] * x for x in used[i]} for i in range(k)]
+            partial = [{x: a[i] * x for x in ranks[i]} for i in range(k)]
             # absorb the affine constant into the last leg
             for x in partial[k - 1]:
                 partial[k - 1][x] += c0
@@ -248,31 +250,27 @@ def check_tight(s: SupportSet) -> TightnessReport:
     if not s.points:
         raise ValueError("tightness is undefined for an empty support")
     k = s.k
-    used = [s.values(i) for i in range(k)]
+    ranks = value_ranks(s)
     # the linear ansatz certifies every one-point support
-    cert = _linear_ansatz(s, used)
+    cert = _linear_ansatz(s, ranks)
     if cert is not None:
         return TightnessReport(True, cert, method="linear")
 
-    # variables: one weight per (leg, used value)
-    var_of = {}
-    for i in range(k):
-        for x in used[i]:
-            var_of[(i, x)] = len(var_of)
-    nvar = len(var_of)
+    # variables: one weight per (leg, used value), leg i's value x at
+    # offs[i] + ranks[i][x]
+    offs = list(accumulate(map(len, ranks), initial=0))
     rows = []
     for p in s.points:
-        row = [0] * nvar
-        for i in range(k):
-            row[var_of[(i, p[i])]] += 1
-        rows.append(row)
+        rows.append([0] * offs[-1])
+        for o, rank, x in zip(offs, ranks, p):
+            rows[-1][o + rank[x]] = 1
     basis, _ = linalg.nullspace_fraction(np.array(rows, dtype=object))
     # a pair of values on one leg is forced equal iff its difference
     # functional vanishes on the whole nullspace (every pair, if it is {0})
     pairs = []
     for i in range(k):
-        for x, y in combinations(used[i], 2):
-            vx, vy = var_of[(i, x)], var_of[(i, y)]
+        for x, y in combinations(ranks[i], 2):
+            vx, vy = offs[i] + ranks[i][x], offs[i] + ranks[i][y]
             if all(b[vx] == b[vy] for b in basis):
                 return TightnessReport(False, forced_pair=(i, x, y), method="nullspace")
             pairs.append((vx, vy))
@@ -280,7 +278,8 @@ def check_tight(s: SupportSet) -> TightnessReport:
     # a generic integer point separates every pair of values on every leg
     for ints in _generic_points(basis, len(pairs) * max(len(basis), 1) + 2):
         if all(ints[vx] != ints[vy] for vx, vy in pairs):
-            partial = [{x: ints[var_of[(i, x)]] for x in used[i]} for i in range(k)]
+            partial = [{x: ints[offs[i] + r] for x, r in rank.items()}
+                       for i, rank in enumerate(ranks)]
             maps = _extend_to_full_maps(s, partial)
             cert = TightnessCertificate(maps)
             if cert.verify(s):
@@ -298,14 +297,21 @@ def tight_antichain_relabel(s: SupportSet, cert: TightnessCertificate
     u_i(x) makes the weights increasing, so two comparable distinct points
     would have different weight sums.
     """
-    return tuple(tuple(sorted(m).index(u) for u in m) for m in cert.maps[:s.k])
+    ranks = [{u: r for r, u in enumerate(sorted(m))} for m in cert.maps[:s.k]]
+    return tuple(tuple(rank[u] for u in m) for rank, m in zip(ranks, cert.maps))
 
 
 def relabel_support(s: SupportSet, perms) -> SupportSet:
-    out = s
-    for i, perm in enumerate(perms):
-        out = out.relabel_leg(i, perm)
-    return out
+    """x -> perms[i][x] on leg i; legs past the last permutation keep their
+    values."""
+    perms = [list(perm) for perm in perms]
+    if len(perms) > s.k:
+        raise ValueError(f"{len(perms)} permutations for {s.k} legs")
+    for perm, b in zip(perms, s.bounds):
+        if sorted(perm) != list(range(b)):
+            raise ValueError("mapping is not a permutation of the leg values")
+    return SupportSet(s.bounds, tuple(tuple(perm[x] for perm, x in zip(perms, p))
+                                      + p[len(perms):] for p in s.points))
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +378,17 @@ def check_comb_degeneration(big: SupportSet, small: SupportSet
     from scipy.optimize import linprog
 
     k = big.k
-    var_of = {}
-    for i in range(k):
-        for x in range(big.bounds[i]):
-            var_of[(i, x)] = len(var_of)
-    nvar = len(var_of)
+    # variables: one weight per (leg, value), leg i's from offs[i] on
+    offs = list(accumulate(big.bounds, initial=0))
+    nvar = offs[-1]
 
-    def row_for(p):
-        row = np.zeros(nvar)
-        for i in range(k):
-            row[var_of[(i, p[i])]] += 1.0
-        return row
+    def rows(pts):
+        cols = np.array(pts, dtype=int).reshape(-1, k).T
+        return np.hstack([np.eye(b)[col] for b, col in zip(big.bounds, cols)])
 
-    a_eq = np.array([row_for(p) for p in small.points])
+    a_eq = rows(small.points)
     b_eq = np.zeros(len(small.points))
-    a_ub = np.array([-row_for(p) for p in rest])
+    a_ub = -rows(rest)
     b_ub = -np.ones(len(rest))
     bound = 8.0 * k * max(big.bounds) * max(1, len(big.points))
     res = linprog(np.zeros(nvar), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
@@ -396,8 +398,7 @@ def check_comb_degeneration(big: SupportSet, small: SupportSet
     for denom in (1, 2, 3, 4, 6, 12, 24, 60, 10**3, 10**6, 10**9):
         fracs = [Fraction(v).limit_denominator(denom) for v in res.x]
         ints = linalg.clear_denominators(fracs) if any(fracs) else [0] * nvar
-        maps = tuple(tuple(ints[var_of[(i, x)]] for x in range(big.bounds[i]))
-                     for i in range(k))
+        maps = tuple(tuple(ints[o:o + b]) for o, b in zip(offs, big.bounds))
         cert = CombDegenerationCertificate(maps)
         if cert.verify(big, small):
             return cert

@@ -222,6 +222,26 @@ def test_tight_implies_antichain_after_relabel():
     assert ts.is_antichain(relabeled)
 
 
+def test_relabel_support_leaves_legs_past_the_permutations():
+    s = ts.SupportSet((2, 3, 2), ((0, 1, 1), (1, 2, 0), (1, 0, 1)))
+    assert relabel_support(s, [[1, 0]]).points == ((0, 0, 1), (0, 2, 0), (1, 1, 1))
+    assert relabel_support(s, [[1, 0], [2, 0, 1]]).points == (
+        (0, 1, 0), (0, 2, 1), (1, 0, 1))
+    assert relabel_support(s, []) == s
+
+
+@pytest.mark.parametrize("perms,message", [
+    ([[0, 0]], "not a permutation"),
+    ([[1, 0], [0, 1, 1]], "not a permutation"),
+    ([[0, 1], [0, 1]], "not a permutation"),
+    ([[0, 1], [0, 1, 2], [1, 0], [0]], "4 permutations for 3 legs"),
+])
+def test_relabel_support_rejects_bad_permutations(perms, message):
+    s = ts.SupportSet((2, 3, 2), ((0, 1, 1), (1, 2, 0)))
+    with pytest.raises(ValueError, match=message):
+        relabel_support(s, perms)
+
+
 def test_cw_support_not_tight_but_free():
     cw = ts.SupportSet.from_tensor(ts.cw(2))
     assert not ts.check_tight(cw).tight
@@ -242,6 +262,10 @@ def test_comb_degeneration_examples():
     assert cert is not None and cert.verify(big, small)
     with pytest.raises(ValueError):
         ts.check_comb_degeneration(small, big)
+    # onto the empty set: weights positive on every point
+    empty = ts.SupportSet((2, 2), ())
+    cert = ts.check_comb_degeneration(big, empty)
+    assert cert is not None and cert.verify(big, empty)
 
 
 def test_comb_degeneration_infeasible():
