@@ -378,7 +378,7 @@ def check_comb_degeneration(big: SupportSet, small: SupportSet
     from scipy.optimize import linprog
 
     k = big.k
-    # variables: one weight per (leg, value), leg i's from offs[i] on
+    # variables: one weight per (leg, value), leg i's value x at offs[i] + x
     offs = list(accumulate(big.bounds, initial=0))
     nvar = offs[-1]
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import tenspect as ts
 from tenspect import linalg
 from tenspect.supports import (_generic_points, is_diagonal, relabel_support,
-                               tight_antichain_relabel)
+                               tight_antichain_relabel, value_ranks)
 
 from conftest import random_support
 
@@ -220,6 +220,13 @@ def test_tight_implies_antichain_after_relabel():
     assert rep.tight
     relabeled = relabel_support(diag, tight_antichain_relabel(diag, rep.certificate))
     assert ts.is_antichain(relabeled)
+
+
+def test_value_ranks_number_each_legs_values_in_order():
+    s = ts.SupportSet((4, 3, 2), ((3, 0, 1), (1, 2, 1), (3, 2, 1)))
+    assert value_ranks(s) == [{1: 0, 3: 1}, {0: 0, 2: 1}, {1: 0}]
+    assert [list(rank) for rank in value_ranks(s)] == [s.values(i) for i in range(s.k)]
+    assert value_ranks(ts.SupportSet((2, 2), ())) == [{}, {}]
 
 
 def test_relabel_support_leaves_legs_past_the_permutations():
